@@ -1,0 +1,70 @@
+"""Filter-based regularization of statistical linear inverse problems in the
+Gaussian sequence model, with data-driven parameter selection and a seeded
+Monte Carlo harness for convergence-rate studies."""
+
+__version__ = "0.1.0"
+
+from .filters import (
+    ALL_FAMILIES,
+    FilterSpec,
+    filter_value,
+    iterated_tikhonov,
+    landweber,
+    s_value,
+    showalter,
+    spectral_cutoff,
+    tikhonov,
+)
+from .model import (
+    EstimateCoefficients,
+    Observations,
+    SpectralProblem,
+    estimate_coefficients,
+    sample_observations,
+    substream_seed,
+)
+from .montecarlo import (
+    DiagonalDescriptor,
+    EfficiencyTable,
+    ExperimentConfig,
+    GreenDescriptor,
+    RiskTable,
+    replicate_once,
+    run_efficiency_experiment,
+    run_rate_experiment,
+)
+from .problems import (
+    DenseSymmetricMatrix,
+    NumericFailure,
+    TestFunction,
+    discretize_integral_operator,
+    make_diagonal_problem,
+    make_green_problem,
+    symmetric_eigenvalues,
+)
+from .ratetest import (
+    DegenerateVarianceError,
+    RateSample,
+    RateTestResult,
+    SingularDesignError,
+    estimate_delta,
+    normal_cdf,
+    rate_test,
+    weighted_slope_fit,
+)
+from .risk import (
+    RiskDecomposition,
+    direct_risk,
+    empirical_prediction_risk,
+    lepskii_threshold,
+    prediction_risk,
+)
+from .selection import (
+    ParameterGrid,
+    Selection,
+    apriori_alpha_polynomial,
+    build_grid,
+    choose_lepskii,
+    choose_oracle,
+    choose_pred,
+)

@@ -1,0 +1,282 @@
+"""Command-line front end: ``invreg <command> --config c.json --out dir``.
+
+Commands: simulate-rates, simulate-efficiency, rate-test, score-curve,
+filters-check.  Configs are strict JSON (unknown keys are rejected, since a
+typo in a scientific config silently changes the experiment).  Each run
+writes its tables plus a metadata sidecar with the config echo, effective
+seed, package version and wall time.
+
+Exit codes: 0 success, 2 malformed config, 3 numeric or I/O failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .checks import run_filter_checks
+from .filters import FilterSpec
+from .model import sample_observations, substream_seed
+from .montecarlo import (
+    DiagonalDescriptor,
+    ExperimentConfig,
+    GreenDescriptor,
+    run_efficiency_experiment,
+    run_rate_experiment,
+)
+from .problems import NumericFailure, TestFunction
+from .ratetest import DegenerateVarianceError, RateSample, SingularDesignError, rate_test
+from .risk import empirical_prediction_risk
+from .selection import build_grid
+from .tables import (
+    emit_efficiency_table,
+    emit_per_rep_errors,
+    emit_risk_table,
+    emit_score_curve,
+    parse_per_rep_errors,
+)
+
+__all__ = ["main"]
+
+
+class ConfigError(Exception):
+    pass
+
+
+_SCHEMAS = {
+    "simulate-rates": {
+        "required": {"problem", "filter", "sigmas", "replications"},
+        "optional": {"grid_ratio", "master_seed", "modes"},
+    },
+    "simulate-efficiency": {
+        "required": {"problem", "filter", "sigmas", "replications"},
+        "optional": {"grid_ratio", "master_seed", "modes"},
+    },
+    "score-curve": {
+        "required": {"problem", "filter", "sigmas"},
+        "optional": {"grid_ratio", "master_seed", "modes"},
+    },
+    "rate-test": {"required": {"rate_test"}, "optional": set()},
+    "filters-check": {"required": set(), "optional": {"pairs", "master_seed"}},
+}
+
+
+def _load_config(command: str, path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    schema = _SCHEMAS[command]
+    keys = set(cfg)
+    unknown = keys - schema["required"] - schema["optional"]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    missing = schema["required"] - keys
+    if missing:
+        raise ConfigError(f"{path}: missing config keys: {sorted(missing)}")
+    return cfg
+
+
+def _parse_filter(block) -> FilterSpec:
+    if not isinstance(block, dict) or "family" not in block:
+        raise ConfigError('"filter" must be an object with a "family" field')
+    extra = set(block) - {"family", "m"}
+    if extra:
+        raise ConfigError(f'unknown "filter" fields: {sorted(extra)}')
+    try:
+        return FilterSpec(block["family"], m=block.get("m", 1))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_problem(cfg: dict):
+    block = cfg["problem"]
+    if not isinstance(block, dict) or "kind" not in block:
+        raise ConfigError('"problem" must be an object with a "kind" field')
+    kind = block["kind"]
+    if kind == "green":
+        extra = set(block) - {"kind", "truth", "frame"}
+        if extra:
+            raise ConfigError(f'unknown "problem" fields: {sorted(extra)}')
+        try:
+            truth = TestFunction(block.get("truth", "hat"))
+        except ValueError as exc:
+            raise ConfigError(f'unknown truth {block.get("truth")!r}') from exc
+        frame = block.get("frame", "discrete")
+        if frame not in ("analytic", "discrete"):
+            raise ConfigError(f'problem.frame must be "analytic" or "discrete", got {frame!r}')
+        return GreenDescriptor(truth=truth, n_modes=int(cfg.get("modes", 1024)), frame=frame)
+    if kind == "diagonal":
+        extra = set(block) - {"kind", "a", "nu"}
+        if extra:
+            raise ConfigError(f'unknown "problem" fields: {sorted(extra)}')
+        return DiagonalDescriptor(
+            n=int(cfg.get("modes", 300)), a=float(block.get("a", 4.0)), nu=float(block.get("nu", 4.0))
+        )
+    raise ConfigError(f'unknown problem kind {kind!r}')
+
+
+def _experiment_config(cfg: dict, seed_override) -> ExperimentConfig:
+    seed = int(seed_override if seed_override is not None else cfg.get("master_seed", 0))
+    try:
+        return ExperimentConfig(
+            problem=_parse_problem(cfg),
+            filter_spec=_parse_filter(cfg["filter"]),
+            sigmas=tuple(float(s) for s in cfg["sigmas"]),
+            replications=int(cfg["replications"]),
+            grid_ratio=float(cfg.get("grid_ratio", 1.2)),
+            master_seed=seed,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, t0: float, outputs) -> None:
+    meta = {
+        "command": command,
+        "config": cfg,
+        "master_seed": seed,
+        "workers": workers,
+        "version": __version__,
+        "wall_time_s": round(time.monotonic() - t0, 3),
+        "outputs": [str(p) for p in outputs],
+    }
+    (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _cmd_simulate_rates(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
+    config = _experiment_config(cfg, seed_override)
+    table = run_rate_experiment(config, workers=workers)
+    risk_path = out_dir / "risk_table.csv"
+    per_rep_path = out_dir / "per_rep_errors.csv"
+    emit_risk_table(table, risk_path)
+    emit_per_rep_errors(table, per_rep_path)
+    return [risk_path, per_rep_path]
+
+
+def _cmd_simulate_efficiency(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
+    config = _experiment_config(cfg, seed_override)
+    table = run_efficiency_experiment(config, workers=workers)
+    path = out_dir / "efficiency.csv"
+    emit_efficiency_table(table, path)
+    return [path]
+
+
+def _cmd_score_curve(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
+    seed = int(seed_override if seed_override is not None else cfg.get("master_seed", 0))
+    descriptor = _parse_problem(cfg)
+    spec = _parse_filter(cfg["filter"])
+    sigma = float(cfg["sigmas"][0])
+    ratio = float(cfg.get("grid_ratio", 1.2))
+    if isinstance(descriptor, GreenDescriptor):
+        problem = descriptor.build(sigma)
+    else:
+        problem = descriptor.build(sigma, substream_seed(seed, 1))
+    grid = build_grid(sigma, float(problem.eigenvalues[0]), ratio)
+    obs = sample_observations(problem, substream_seed(seed, 0))
+    pairs = [
+        (a, empirical_prediction_risk(problem.eigenvalues, sigma, spec, a, obs))
+        for a in grid.values
+    ]
+    path = out_dir / "score_curve.csv"
+    emit_score_curve(pairs, path)
+    return [path]
+
+
+def _cmd_rate_test(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
+    block = cfg["rate_test"]
+    extra = set(block) - {"errors_csv", "risk", "theta_target"}
+    if extra:
+        raise ConfigError(f'unknown "rate_test" fields: {sorted(extra)}')
+    for key in ("errors_csv", "theta_target"):
+        if key not in block:
+            raise ConfigError(f'"rate_test" block requires {key!r}')
+    risk = block.get("risk", "pred")
+    if risk not in ("or", "pred", "lep"):
+        raise ConfigError(f'rate_test.risk must be one of or/pred/lep, got {risk!r}')
+    groups = parse_per_rep_errors(block["errors_csv"])
+    samples = [RateSample.from_errors(sigma, g[risk]) for sigma, g in groups.items()]
+    result = rate_test(samples, float(block["theta_target"]))
+    path = out_dir / "rate_test.json"
+    path.write_text(
+        json.dumps(
+            {
+                "risk": risk,
+                "theta_hat": result.theta_hat,
+                "rho_hat": result.rho_hat,
+                "statistic": result.statistic,
+                "p_value": result.p_value,
+                "theta_target": result.theta_target,
+                "reject_at_10pct": result.reject_at(0.10),
+            },
+            indent=2,
+        )
+        + "\n"
+    )
+    return [path]
+
+
+def _cmd_filters_check(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
+    seed = int(seed_override if seed_override is not None else cfg.get("master_seed", 20240901))
+    report = run_filter_checks(int(cfg.get("pairs", 1000)), seed)
+    path = out_dir / "filters_check.json"
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if report["total_violations"]:
+        raise NumericFailure(f'{report["total_violations"]} filter invariant violations')
+    return [path]
+
+
+_COMMANDS = {
+    "simulate-rates": _cmd_simulate_rates,
+    "simulate-efficiency": _cmd_simulate_efficiency,
+    "score-curve": _cmd_score_curve,
+    "rate-test": _cmd_rate_test,
+    "filters-check": _cmd_filters_check,
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="invreg",
+        description="Filter-based regularization experiments in the Gaussian sequence model.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON config file")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override master seed")
+        p.add_argument("--workers", type=int, default=1, help="concurrency cap")
+    args = parser.parse_args(argv)
+
+    t0 = time.monotonic()
+    try:
+        cfg = _load_config(args.command, args.config)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = _COMMANDS[args.command](cfg, out_dir, args.seed, max(1, args.workers))
+    except ConfigError as exc:
+        print(f"invreg: config error: {exc}", file=sys.stderr)
+        return 2
+    except (NumericFailure, DegenerateVarianceError, SingularDesignError, OSError, np.linalg.LinAlgError) as exc:
+        print(f"invreg: {exc}", file=sys.stderr)
+        return 3
+    seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
+    _write_metadata(out_dir, args.command, cfg, seed, max(1, args.workers), t0, outputs)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,118 @@
+"""Plot-ready CSV serialization for the experiment tables.
+
+Floats are rendered with Python's shortest round-trip repr (``.`` decimal
+separator, no locale), so rewriting the same table is byte-identical and a
+parse of the emitted file reproduces the in-memory values exactly.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from pathlib import Path
+
+import numpy as np
+
+from .montecarlo import EfficiencyRow, EfficiencyTable, RiskRow, RiskTable
+
+__all__ = [
+    "RISK_HEADER",
+    "EFFICIENCY_HEADER",
+    "SCORE_HEADER",
+    "PER_REP_HEADER",
+    "emit_risk_table",
+    "emit_efficiency_table",
+    "emit_score_curve",
+    "emit_per_rep_errors",
+    "parse_risk_table",
+    "parse_efficiency_table",
+    "parse_per_rep_errors",
+]
+
+RISK_HEADER = "sigma,R_or,se_or,R_pred,se_pred,R_LEP,se_lep"
+EFFICIENCY_HEADER = "sigma,eff_pred,eff_lep"
+SCORE_HEADER = "alpha,score"
+PER_REP_HEADER = "sigma,replication,err_or,err_pred,err_lep"
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _write(path, header: str, rows) -> None:
+    lines = [header]
+    lines.extend(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def emit_risk_table(table: RiskTable, path) -> None:
+    if not table.rows:
+        raise ValueError("refusing to emit an empty risk table")
+    _write(
+        path,
+        RISK_HEADER,
+        [
+            (r.sigma, r.r_or, r.se_or, r.r_pred, r.se_pred, r.r_lep, r.se_lep)
+            for r in table.rows
+        ],
+    )
+
+
+def emit_efficiency_table(table: EfficiencyTable, path) -> None:
+    if not table.rows:
+        raise ValueError("refusing to emit an empty efficiency table")
+    _write(path, EFFICIENCY_HEADER, [(r.sigma, r.eff_pred, r.eff_lep) for r in table.rows])
+
+
+def emit_score_curve(pairs, path) -> None:
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("refusing to emit an empty score curve")
+    _write(path, SCORE_HEADER, pairs)
+
+
+def emit_per_rep_errors(table: RiskTable, path) -> None:
+    if not table.rows or any(not r.per_rep for r in table.rows):
+        raise ValueError("risk table does not retain per-replication errors")
+    rows = []
+    for r in table.rows:
+        for j in range(len(r.per_rep["or"])):
+            rows.append(
+                (r.sigma, str(j), r.per_rep["or"][j], r.per_rep["pred"][j], r.per_rep["lep"][j])
+            )
+    _write(path, PER_REP_HEADER, rows)
+
+
+def _read(path, header: str) -> list[list[str]]:
+    text = Path(path).read_text(encoding="ascii")
+    reader = csv.reader(io.StringIO(text))
+    rows = list(reader)
+    if not rows or ",".join(rows[0]) != header:
+        raise ValueError(f"expected header {header!r} in {path}")
+    return rows[1:]
+
+
+def parse_risk_table(path) -> RiskTable:
+    rows = [
+        RiskRow(*(float(v) for v in row)) for row in _read(path, RISK_HEADER)
+    ]
+    return RiskTable(tuple(rows))
+
+
+def parse_efficiency_table(path) -> EfficiencyTable:
+    rows = [EfficiencyRow(*(float(v) for v in row)) for row in _read(path, EFFICIENCY_HEADER)]
+    return EfficiencyTable(tuple(rows))
+
+
+def parse_per_rep_errors(path) -> dict[float, dict[str, np.ndarray]]:
+    """Per-replication errors grouped by sigma, in file order."""
+    groups: dict[float, dict[str, list[float]]] = {}
+    for row in _read(path, PER_REP_HEADER):
+        sigma = float(row[0])
+        g = groups.setdefault(sigma, {"or": [], "pred": [], "lep": []})
+        g["or"].append(float(row[2]))
+        g["pred"].append(float(row[3]))
+        g["lep"].append(float(row[4]))
+    return {
+        sigma: {k: np.array(v) for k, v in g.items()} for sigma, g in groups.items()
+    }

@@ -60,6 +60,7 @@ from .risk import (
     prediction_risk,
 )
 from .selection import (
+    GridScorer,
     ParameterGrid,
     Selection,
     apriori_alpha_polynomial,

@@ -32,8 +32,7 @@ from .montecarlo import (
 )
 from .problems import NumericFailure, TestFunction
 from .ratetest import DegenerateVarianceError, RateSample, SingularDesignError, rate_test
-from .risk import empirical_prediction_risk
-from .selection import build_grid
+from .selection import GridScorer, build_grid
 from .tables import (
     emit_efficiency_table,
     emit_per_rep_errors,
@@ -128,8 +127,22 @@ def _parse_problem(cfg: dict):
     raise ConfigError(f'unknown problem kind {kind!r}')
 
 
-def _experiment_config(cfg: dict, seed_override) -> ExperimentConfig:
-    seed = int(seed_override if seed_override is not None else cfg.get("master_seed", 0))
+# master seed when neither --seed nor the config sets one; 0 otherwise
+_DEFAULT_SEEDS = {"filters-check": 20240901}
+
+
+def _master_seed(command: str, cfg: dict, seed_override) -> int:
+    """The seed a command runs with, which is also the one its metadata records."""
+    seed = seed_override
+    if seed is None:
+        seed = cfg.get("master_seed", _DEFAULT_SEEDS.get(command, 0))
+    try:
+        return int(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"master_seed must be an integer, got {seed!r}") from exc
+
+
+def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             problem=_parse_problem(cfg),
@@ -156,8 +169,8 @@ def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, 
     (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_simulate_rates(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
-    config = _experiment_config(cfg, seed_override)
+def _cmd_simulate_rates(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
+    config = _experiment_config(cfg, seed)
     table = run_rate_experiment(config, workers=workers)
     risk_path = out_dir / "risk_table.csv"
     per_rep_path = out_dir / "per_rep_errors.csv"
@@ -166,16 +179,15 @@ def _cmd_simulate_rates(cfg, out_dir: Path, seed_override, workers: int) -> list
     return [risk_path, per_rep_path]
 
 
-def _cmd_simulate_efficiency(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
-    config = _experiment_config(cfg, seed_override)
+def _cmd_simulate_efficiency(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
+    config = _experiment_config(cfg, seed)
     table = run_efficiency_experiment(config, workers=workers)
     path = out_dir / "efficiency.csv"
     emit_efficiency_table(table, path)
     return [path]
 
 
-def _cmd_score_curve(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
-    seed = int(seed_override if seed_override is not None else cfg.get("master_seed", 0))
+def _cmd_score_curve(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     descriptor = _parse_problem(cfg)
     spec = _parse_filter(cfg["filter"])
     sigma = float(cfg["sigmas"][0])
@@ -186,16 +198,13 @@ def _cmd_score_curve(cfg, out_dir: Path, seed_override, workers: int) -> list[Pa
         problem = descriptor.build(sigma, substream_seed(seed, 1))
     grid = build_grid(sigma, float(problem.eigenvalues[0]), ratio)
     obs = sample_observations(problem, substream_seed(seed, 0))
-    pairs = [
-        (a, empirical_prediction_risk(problem.eigenvalues, sigma, spec, a, obs))
-        for a in grid.values
-    ]
+    pairs = zip(grid.values, GridScorer(problem.eigenvalues, sigma, spec, grid).pred_scores(obs))
     path = out_dir / "score_curve.csv"
     emit_score_curve(pairs, path)
     return [path]
 
 
-def _cmd_rate_test(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
+def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     block = cfg["rate_test"]
     extra = set(block) - {"errors_csv", "risk", "theta_target"}
     if extra:
@@ -228,8 +237,7 @@ def _cmd_rate_test(cfg, out_dir: Path, seed_override, workers: int) -> list[Path
     return [path]
 
 
-def _cmd_filters_check(cfg, out_dir: Path, seed_override, workers: int) -> list[Path]:
-    seed = int(seed_override if seed_override is not None else cfg.get("master_seed", 20240901))
+def _cmd_filters_check(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     report = run_filter_checks(int(cfg.get("pairs", 1000)), seed)
     path = out_dir / "filters_check.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -258,22 +266,22 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--workers", type=int, default=1, help="concurrency cap")
+        p.add_argument("--workers", type=int, default=1, help="recorded only: replications run serially")
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()
     try:
         cfg = _load_config(args.command, args.config)
+        seed = _master_seed(args.command, cfg, args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](cfg, out_dir, args.seed, max(1, args.workers))
+        outputs = _COMMANDS[args.command](cfg, out_dir, seed, max(1, args.workers))
     except ConfigError as exc:
         print(f"invreg: config error: {exc}", file=sys.stderr)
         return 2
     except (NumericFailure, DegenerateVarianceError, SingularDesignError, OSError, np.linalg.LinAlgError) as exc:
         print(f"invreg: {exc}", file=sys.stderr)
         return 3
-    seed = args.seed if args.seed is not None else cfg.get("master_seed", 0)
     _write_metadata(out_dir, args.command, cfg, seed, max(1, args.workers), t0, outputs)
     return 0
 

@@ -105,6 +105,65 @@ def _check_args(spec: FilterSpec, alpha: float, lam) -> np.ndarray:
     return lam
 
 
+def _evaluate(spec: FilterSpec, alpha, lam: np.ndarray, want_s: bool, out: np.ndarray) -> np.ndarray:
+    """Write s_alpha(lam) (``want_s``) or q_alpha(lam) into ``out``.
+
+    ``alpha`` is a scalar or a column of shape (r, 1) against the 1-d
+    ``lam``.  Each element goes through the same operations whatever the
+    shape of ``alpha``, so a row of a grid evaluation equals the scalar
+    evaluation at that alpha bit for bit.  Apart from Tikhonov, s is
+    evaluated first and q = s / lam derived from it in place.
+    """
+    fam = spec.family
+    if fam == "tikhonov":
+        np.divide(lam if want_s else 1.0, np.add(lam, alpha, out=out), out=out)
+    elif fam == "spectral_cutoff":
+        np.copyto(out, lam >= alpha)
+        if not want_s:
+            np.divide(out, lam, out=out, where=lam > 0.0)  # q(0) = 0
+    elif fam == "landweber":
+        # N = floor(1/alpha) iterations: s = 1 - (1 - lam)^N, with log1p
+        # evaluated only strictly inside (0, 1) and s(1) = 1 - 0^N, so that
+        # alpha > 1 (N = 0) gives the zero filter
+        n_iter = np.floor(1.0 / alpha)
+        at_one = lam >= 1.0
+        np.negative(np.expm1(n_iter * np.log1p(-np.where(at_one, 0.0, lam))), out=out)
+        np.copyto(out, 1.0 - 0.0**n_iter, where=at_one)
+        if not want_s:
+            # sum_{j<N} (1-lam)^j ~ N - N(N-1)/2 * lam near 0
+            _q_from_s(out, lam, lam < _TAYLOR_CUT, n_iter * (1.0 - (n_iter - 1.0) * lam / 2.0))
+    elif fam == "showalter":
+        ratio = lam / alpha
+        np.negative(np.expm1(-ratio), out=out)
+        if not want_s:
+            _q_from_s(out, lam, ratio < _TAYLOR_CUT, (1.0 / alpha) * (1.0 - ratio / 2.0))
+    else:  # iterated Tikhonov: s = 1 - (alpha/(alpha+lam))^m as -expm1(-m*log1p(lam/alpha))
+        ratio = lam / alpha
+        np.negative(np.expm1(-spec.m * np.log1p(ratio)), out=out)
+        if not want_s:
+            # limit q(0) = m/alpha, next-order term -m(m+1)/2 * lam/alpha^2
+            taylor = (spec.m / alpha) * (1.0 - (spec.m + 1) * ratio / 2.0)
+            _q_from_s(out, lam, ratio < _TAYLOR_CUT, taylor)
+    if want_s:
+        np.copyto(out, 0.0, where=lam == 0.0)
+    return out
+
+
+def _q_from_s(out: np.ndarray, lam: np.ndarray, small: np.ndarray, taylor) -> None:
+    """Turn s in ``out`` into q = s / lam, taking the Taylor form where
+    ``small`` (which guards the 0/0 limit of the closed forms)."""
+    np.divide(out, lam, out=out, where=~small)
+    np.copyto(out, taylor, where=small)
+
+
+def _scalar_or_array(spec: FilterSpec, alpha: float, lam, want_s: bool):
+    lam = _check_args(spec, alpha, lam)
+    scalar = lam.ndim == 0
+    lam = np.atleast_1d(lam)
+    out = _evaluate(spec, alpha, lam, want_s, np.empty_like(lam))
+    return float(out[0]) if scalar else out
+
+
 def filter_value(spec: FilterSpec, alpha: float, lam):
     """Evaluate q_alpha(lambda) for the given family.
 
@@ -112,47 +171,7 @@ def filter_value(spec: FilterSpec, alpha: float, lam):
     Landweber uses N = floor(1/alpha) iterations in the closed geometric
     form, so alpha > 1 yields the zero filter.
     """
-    lam = _check_args(spec, alpha, lam)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    fam = spec.family
-
-    if fam == "spectral_cutoff":
-        out = np.where(lam >= alpha, np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0), 0.0)
-    elif fam == "tikhonov":
-        out = 1.0 / (lam + alpha)
-    elif fam == "iterated_tikhonov":
-        # 1 - (alpha/(alpha+lam))^m evaluated as -expm1(-m*log1p(lam/alpha))
-        ratio = lam / alpha
-        small = ratio < _TAYLOR_CUT
-        num = -np.expm1(-spec.m * np.log1p(ratio))
-        out = np.empty_like(lam)
-        nz = ~small
-        out[nz] = num[nz] / lam[nz]
-        # limit q(0) = m/alpha, next-order term -m(m+1)/2 * lam/alpha^2
-        out[small] = (spec.m / alpha) * (1.0 - (spec.m + 1) * ratio[small] / 2.0)
-    elif fam == "landweber":
-        n_iter = math.floor(1.0 / alpha)
-        if n_iter == 0:
-            out = np.zeros_like(lam)
-        else:
-            out = np.empty_like(lam)
-            at_one = lam >= 1.0
-            out[at_one] = 1.0  # (1 - 0^N)/1
-            small = lam < _TAYLOR_CUT
-            # sum_{j<N} (1-lam)^j ~ N - N(N-1)/2 * lam near 0
-            out[small] = n_iter * (1.0 - (n_iter - 1) * lam[small] / 2.0)
-            mid = ~(small | at_one)
-            out[mid] = -np.expm1(n_iter * np.log1p(-lam[mid])) / lam[mid]
-    else:  # showalter
-        ratio = lam / alpha
-        small = ratio < _TAYLOR_CUT
-        out = np.empty_like(lam)
-        nz = ~small
-        out[nz] = -np.expm1(-ratio[nz]) / lam[nz]
-        out[small] = (1.0 / alpha) * (1.0 - ratio[small] / 2.0)
-
-    return float(out[0]) if scalar else out
+    return _scalar_or_array(spec, alpha, lam, False)
 
 
 def s_value(spec: FilterSpec, alpha: float, lam):
@@ -161,27 +180,25 @@ def s_value(spec: FilterSpec, alpha: float, lam):
     Always satisfies s_alpha(0) = 0 and 0 <= s <= 1 for lambda in the
     admissible range of the family.
     """
-    lam = _check_args(spec, alpha, lam)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    fam = spec.family
+    return _scalar_or_array(spec, alpha, lam, True)
 
-    if fam == "spectral_cutoff":
-        out = np.where(lam >= alpha, 1.0, 0.0)
-    elif fam == "tikhonov":
-        out = lam / (lam + alpha)
-    elif fam == "iterated_tikhonov":
-        out = -np.expm1(-spec.m * np.log1p(lam / alpha))
-    elif fam == "landweber":
-        n_iter = math.floor(1.0 / alpha)
-        if n_iter == 0:
-            out = np.zeros_like(lam)
-        else:
-            # evaluate log1p only strictly inside (0, 1); lam = 1 gives s = 1
-            inner = np.where(lam >= 1.0, 0.0, lam)
-            out = np.where(lam >= 1.0, 1.0, -np.expm1(n_iter * np.log1p(-inner)))
-    else:  # showalter
-        out = -np.expm1(-lam / alpha)
 
-    out = np.where(lam == 0.0, 0.0, out)
-    return float(out[0]) if scalar else out
+# elements per block of rows in a grid evaluation, so that its
+# temporaries stay near 256 KB whatever the grid size
+_BLOCK = 1 << 15
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    step = max(1, _BLOCK // cols)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _grid_values(spec: FilterSpec, alphas: np.ndarray, lam, want_s: bool, out: np.ndarray) -> np.ndarray:
+    """Row i of ``out`` := s_value (``want_s``) or filter_value of
+    (spec, alphas[i], lam), bit for bit; ``out`` has shape (len(alphas), len(lam))."""
+    alphas = np.asarray(alphas, dtype=float)
+    lam = _check_args(spec, np.min(alphas), lam)
+    column = alphas[:, None]
+    for rows in _row_blocks(*out.shape):
+        _evaluate(spec, column[rows], lam, want_s, out[rows])
+    return out

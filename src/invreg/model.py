@@ -36,8 +36,9 @@ class SpectralProblem:
     sigma: float
 
     def __post_init__(self) -> None:
-        eig = np.asarray(self.eigenvalues, dtype=float)
-        tru = np.asarray(self.truth_coeffs, dtype=float)
+        # frozen copies: the caller's own arrays stay writeable
+        eig = np.array(self.eigenvalues, dtype=float)
+        tru = np.array(self.truth_coeffs, dtype=float)
         if eig.ndim != 1 or eig.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
         if np.any(eig <= 0):
@@ -66,7 +67,7 @@ class Observations:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValueError("observations must be a 1-d sequence")
         vals.setflags(write=False)
@@ -84,7 +85,7 @@ class EstimateCoefficients:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -2,14 +2,14 @@
 
 Every replication gets its own substream seed derived from
 (master_seed, noise-level index, replication index) via the SplitMix64 mix
-in :mod:`invreg.model`, and results are merged in replication-index order,
-so tables are bit-identical for any worker count.
+in :mod:`invreg.model`.  Replications run serially in index order, each
+noise level scored through one :class:`~invreg.selection.GridScorer`, so
+tables are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -18,7 +18,7 @@ import numpy as np
 from .filters import FilterSpec
 from .model import SpectralProblem, estimate_coefficients, sample_observations, substream_seed
 from .problems import TestFunction, make_diagonal_problem, make_green_problem
-from .selection import ParameterGrid, Selection, build_grid, choose_lepskii, choose_oracle, choose_pred
+from .selection import GridScorer, ParameterGrid, Selection, build_grid
 
 __all__ = [
     "GreenDescriptor",
@@ -119,19 +119,29 @@ def replicate_once(
     grid: ParameterGrid,
     replicate_seed: int,
     oracle: Selection | None = None,
+    scorer: GridScorer | None = None,
 ) -> tuple[float, float, float]:
     """One replication: sample Y, select alpha by each rule, return the
     squared coefficient-space errors (err_or, err_pred, err_lep).
 
     The oracle selection is deterministic per problem and may be passed in
-    precomputed.
+    precomputed, as may the noise level's scorer, which must have been
+    built for this problem's eigenvalues and sigma, ``spec`` and ``grid``.
     """
+    if scorer is None:
+        scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
+    elif not (
+        scorer.spec == spec
+        and scorer.sigma == problem.sigma
+        and np.array_equal(scorer.grid.values, grid.values)
+        and np.array_equal(scorer.eigenvalues, problem.eigenvalues)
+    ):
+        raise ValueError("scorer was built for another problem, filter or grid")
     if oracle is None:
-        oracle = choose_oracle(problem, spec, grid)
+        oracle = scorer.oracle(problem.truth_coeffs)
     obs = sample_observations(problem, replicate_seed)
-    eig, sigma = problem.eigenvalues, problem.sigma
-    sel_pred = choose_pred(eig, sigma, spec, grid, obs)
-    sel_lep = choose_lepskii(eig, sigma, spec, grid, obs)
+    sel_pred = scorer.pred(obs)
+    sel_lep = scorer.lepskii(obs)
     return (
         _sq_error(problem, spec, oracle.alpha, obs),
         _sq_error(problem, spec, sel_pred.alpha, obs),
@@ -139,35 +149,36 @@ def replicate_once(
     )
 
 
-def _run_indexed(task, m: int, workers: int) -> list:
-    """Run task(j) for j = 0..m-1, merging results in index order."""
-    if workers <= 1:
-        return [task(j) for j in range(m)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(m)))
-
-
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable:
-    """Risk table over config.sigmas for a fixed truth (Figure-2 style study)."""
+    """Risk table over config.sigmas for a fixed truth (Figure-2 style study).
+
+    Replications run serially; ``workers`` is accepted for compatibility
+    and changes nothing.
+    """
     if not isinstance(config.problem, GreenDescriptor):
         raise ValueError("rate experiments use the green problem descriptor")
+    problems = [config.problem.build(sigma) for sigma in config.sigmas]
+    grids = [
+        build_grid(sigma, float(p.eigenvalues[0]), config.grid_ratio)
+        for sigma, p in zip(config.sigmas, problems)
+    ]
+    # one scratch block for the largest grid serves every noise level
+    buffer = np.empty((max(map(len, grids)), config.problem.n_modes))
     rows = []
-    for i, sigma in enumerate(config.sigmas):
-        problem = config.problem.build(sigma)
-        grid = build_grid(sigma, float(problem.eigenvalues[0]), config.grid_ratio)
-        oracle = choose_oracle(problem, config.filter_spec, grid)
+    for i, (sigma, problem, grid) in enumerate(zip(config.sigmas, problems, grids)):
+        scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
+        oracle = scorer.oracle(problem.truth_coeffs)
         sigma_stream = substream_seed(config.master_seed, i)
-
-        def task(j: int, _problem=problem, _grid=grid, _oracle=oracle, _stream=sigma_stream):
-            return replicate_once(
-                _problem, config.filter_spec, _grid, substream_seed(_stream, j), _oracle
+        triples = np.array([
+            replicate_once(
+                problem, config.filter_spec, grid, substream_seed(sigma_stream, j), oracle, scorer
             )
-
-        triples = np.array(_run_indexed(task, config.replications, workers))
+            for j in range(config.replications)
+        ])
         (r_or, se_or) = _mean_se(triples[:, 0])
         (r_pred, se_pred) = _mean_se(triples[:, 1])
         (r_lep, se_lep) = _mean_se(triples[:, 2])
@@ -182,22 +193,32 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
 
 def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> EfficiencyTable:
     """Mean per-replication oracle-risk fractions over config.sigmas with a
-    fresh random truth per replication (Figure-3 style study)."""
+    fresh random truth per replication (Figure-3 style study).
+
+    Replications run serially; ``workers`` is accepted for compatibility
+    and changes nothing.
+    """
     if not isinstance(config.problem, DiagonalDescriptor):
         raise ValueError("efficiency experiments use the diagonal problem descriptor")
+    # lambda_1 = 1 for k^{-2a}
+    grids = [build_grid(sigma, 1.0, config.grid_ratio) for sigma in config.sigmas]
+    buffer = np.empty((max(map(len, grids)), config.problem.n))
     rows = []
-    for i, sigma in enumerate(config.sigmas):
-        grid = build_grid(sigma, 1.0, config.grid_ratio)  # lambda_1 = 1 for k^{-2a}
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):
         sigma_stream = substream_seed(config.master_seed, i)
-
-        def task(j: int, _sigma=sigma, _grid=grid, _stream=sigma_stream):
-            rep_stream = substream_seed(_stream, j)
-            problem = config.problem.build(_sigma, substream_seed(rep_stream, 0))
-            return replicate_once(
-                problem, config.filter_spec, _grid, substream_seed(rep_stream, 1)
+        scorer = None
+        triples = []
+        for j in range(config.replications):
+            rep_stream = substream_seed(sigma_stream, j)
+            problem = config.problem.build(sigma, substream_seed(rep_stream, 0))
+            if scorer is None:  # only the truth changes between replications
+                scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
+            triples.append(
+                replicate_once(
+                    problem, config.filter_spec, grid, substream_seed(rep_stream, 1), scorer=scorer
+                )
             )
-
-        triples = np.array(_run_indexed(task, config.replications, workers))
+        triples = np.array(triples)
         # average the per-replication oracle fractions err_or / err_rule:
         # the plain ratio of mean risks is dominated by the rare deep minima
         # of the empirical score (heavy right tail of err_pred) and says

@@ -52,7 +52,7 @@ class DenseSymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
+        m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
         if not np.array_equal(m, m.T):

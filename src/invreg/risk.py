@@ -32,6 +32,13 @@ def _accumulate(terms: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
+def _accumulate_rows(block: np.ndarray) -> np.ndarray:
+    """_accumulate of each row of a C-contiguous block, bit for bit."""
+    if block.shape[1] >= _COMPENSATED_FROM:
+        return np.array([math.fsum(row.tolist()) for row in block])
+    return np.sum(block, axis=1)
+
+
 @dataclass(frozen=True)
 class RiskDecomposition:
     bias_term: float

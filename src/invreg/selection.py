@@ -2,7 +2,9 @@
 
 The grid discretizes [sigma^2, lambda_1] geometrically with a ratio r > 1.
 All rules are deterministic: score ties on the grid are resolved toward the
-smallest index.
+smallest index.  The oracle, pred and Lepskii rules score the whole grid at
+once through a :class:`GridScorer`, whose scores equal the per-alpha
+functions of :mod:`invreg.risk` bit for bit.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterSpec, filter_value
+from .filters import FilterSpec, _grid_values, _row_blocks
 from .model import Observations, SpectralProblem
-from .risk import direct_risk, empirical_prediction_risk, lepskii_threshold
+from .risk import _accumulate_rows
 
 __all__ = [
     "ParameterGrid",
     "Selection",
+    "GridScorer",
     "build_grid",
     "choose_oracle",
     "choose_pred",
@@ -35,7 +38,7 @@ class ParameterGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -64,11 +67,110 @@ def build_grid(sigma: float, lambda_max: float, ratio: float) -> ParameterGrid:
     return ParameterGrid(ratio=float(ratio), values=values)
 
 
+class GridScorer:
+    """Scores every grid point of one noise level under the oracle, pred and
+    Lepskii rules.
+
+    What does not depend on the data is computed once, as K-vectors: the
+    oracle's variance term sigma^2 sum lambda q^2, the pred offset
+    2 sigma^2 sum s and the squared Lepskii thresholds.  Each call then
+    fills one K x n scratch buffer in place, so a buffer allocated for the
+    largest grid of a run can serve the scorers of all its noise levels.
+    The buffer makes a scorer unsafe to share between threads.
+    """
+
+    def __init__(
+        self,
+        eigenvalues: np.ndarray,
+        sigma: float,
+        spec: FilterSpec,
+        grid: ParameterGrid,
+        buffer: np.ndarray | None = None,
+    ) -> None:
+        eig = np.asarray(eigenvalues, dtype=float)
+        if not sigma > 0:
+            raise ValueError("sigma must be positive")
+        k, n = len(grid), eig.size
+        if buffer is None:
+            buffer = np.empty((k, n))
+        if buffer.shape[0] < k or buffer.shape[1:] != (n,) or not buffer.flags.c_contiguous:
+            raise ValueError(f"buffer must be C-contiguous with at least {k} rows of {n} modes")
+        self.eigenvalues, self.sigma, self.spec, self.grid = eig, sigma, spec, grid
+        self._buf = buffer[:k]
+        self._root = np.sqrt(eig)
+        self._strictly_lower = np.tri(k, k, -1, dtype=bool)
+        # sum lambda q^2 per alpha feeds both the oracle and the thresholds
+        q2 = self._block(False)
+        np.square(q2, out=q2)
+        q2 *= eig
+        lq2 = _accumulate_rows(q2)
+        self._variance = sigma**2 * lq2
+        self._thresholds_sq = np.array([(4.0 * sigma * math.sqrt(v)) ** 2 for v in lq2])
+        self._pred_offset = 2.0 * sigma**2 * _accumulate_rows(self._block(True))
+
+    def _block(self, want_s: bool) -> np.ndarray:
+        return _grid_values(self.spec, self.grid.values, self.eigenvalues, want_s, self._buf)
+
+    def _check(self, obs: Observations) -> None:
+        if obs.problem_length != self.eigenvalues.size:
+            raise ValueError("observations length does not match eigenvalues")
+
+    def _pick(self, scores: np.ndarray, rule: str) -> Selection:
+        idx = int(np.argmin(scores))  # first minimum = smallest index
+        return Selection(float(self.grid.values[idx]), idx, rule, float(scores[idx]))
+
+    def oracle(self, truth_coeffs: np.ndarray) -> Selection:
+        """Minimize the exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2."""
+        bias = self._block(True)
+        np.subtract(1.0, bias, out=bias)
+        np.square(bias, out=bias)
+        bias *= np.asarray(truth_coeffs, dtype=float) ** 2
+        return self._pick(_accumulate_rows(bias) + self._variance, "oracle")
+
+    def pred_scores(self, obs: Observations) -> np.ndarray:
+        """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid point."""
+        self._check(obs)
+        block = self._block(True)
+        y2 = obs.values**2
+        for rows in _row_blocks(*block.shape):
+            s = block[rows]
+            two_s = 2.0 * s
+            np.square(s, out=s)
+            s -= two_s
+            s *= y2
+        return _accumulate_rows(block) + self._pred_offset
+
+    def pred(self, obs: Observations) -> Selection:
+        """Minimize the empirical prediction-risk score."""
+        return self._pick(self.pred_scores(obs), "pred")
+
+    def lepskii(self, obs: Observations) -> Selection:
+        """Balancing rule: largest grid alpha whose estimate stays within the
+        noise threshold of every less-regularized estimate.
+
+        The smallest grid value is admissible vacuously, so the rule always
+        returns an index; the deciding score is the selected alpha itself.
+        """
+        self._check(obs)
+        # row i holds f_hat at grid.values[i]
+        coeff = self._block(False)
+        coeff *= self._root
+        coeff *= obs.values
+        gram = coeff @ coeff.T
+        sq_norm = gram.diagonal().copy()
+        dist_sq = sq_norm[:, None] + sq_norm
+        gram *= 2.0
+        dist_sq -= gram
+        # i is admissible unless some j < i lies beyond threshold j
+        beyond = dist_sq > self._thresholds_sq
+        beyond &= self._strictly_lower
+        best = int(np.flatnonzero(~beyond.any(axis=1))[-1])
+        return Selection(float(self.grid.values[best]), best, "lepskii", float(self.grid.values[best]))
+
+
 def choose_oracle(problem: SpectralProblem, spec: FilterSpec, grid: ParameterGrid) -> Selection:
     """Minimize the exact direct risk over the grid (needs the truth)."""
-    totals = np.array([direct_risk(problem, spec, a).total for a in grid.values])
-    idx = int(np.argmin(totals))  # first minimum = smallest index
-    return Selection(float(grid.values[idx]), idx, "oracle", float(totals[idx]))
+    return GridScorer(problem.eigenvalues, problem.sigma, spec, grid).oracle(problem.truth_coeffs)
 
 
 def choose_pred(
@@ -79,11 +181,7 @@ def choose_pred(
     obs: Observations,
 ) -> Selection:
     """Minimize the empirical prediction-risk score over the grid."""
-    scores = np.array(
-        [empirical_prediction_risk(eigenvalues, sigma, spec, a, obs) for a in grid.values]
-    )
-    idx = int(np.argmin(scores))
-    return Selection(float(grid.values[idx]), idx, "pred", float(scores[idx]))
+    return GridScorer(eigenvalues, sigma, spec, grid).pred(obs)
 
 
 def choose_lepskii(
@@ -93,37 +191,8 @@ def choose_lepskii(
     grid: ParameterGrid,
     obs: Observations,
 ) -> Selection:
-    """Balancing rule: largest grid alpha whose estimate stays within the
-    noise threshold of every less-regularized estimate.
-
-    The smallest grid value is admissible vacuously, so the rule always
-    returns an index; the deciding score is the selected alpha itself.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if obs.problem_length != eigenvalues.size:
-        raise ValueError("observations length does not match eigenvalues")
-    k = len(grid)
-    # all estimates at once: row i holds f_hat at grid.values[i]
-    coeff = np.empty((k, eigenvalues.size))
-    root = np.sqrt(eigenvalues)
-    for i, a in enumerate(grid.values):
-        coeff[i] = root * filter_value(spec, a, eigenvalues) * obs.values
-    gram = coeff @ coeff.T
-    sq_norm = np.diag(gram)
-    thresholds = np.array(
-        [lepskii_threshold(eigenvalues, sigma, spec, a) ** 2 for a in grid.values]
-    )
-    best = 0
-    for i in range(1, k):
-        admissible = True
-        for j in range(i):
-            dist_sq = max(sq_norm[i] + sq_norm[j] - 2.0 * gram[i, j], 0.0)
-            if dist_sq > thresholds[j]:
-                admissible = False
-                break
-        if admissible:
-            best = i
-    return Selection(float(grid.values[best]), best, "lepskii", float(grid.values[best]))
+    """Lepskii balancing rule over the grid; see :meth:`GridScorer.lepskii`."""
+    return GridScorer(eigenvalues, sigma, spec, grid).lepskii(obs)
 
 
 def apriori_alpha_polynomial(a: float, c_a: float, b: float, sigma: float) -> float:

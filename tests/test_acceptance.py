@@ -4,6 +4,7 @@ Each test prints one pass/fail line with the measured values; the printed
 verdict always matches the assertion outcome.
 """
 
+import hashlib
 import math
 import time
 
@@ -19,12 +20,28 @@ from invreg.problems import discretize_integral_operator, make_green_problem, sy
 from invreg.ratetest import RateSample, normal_cdf, rate_test, weighted_slope_fit
 from invreg.risk import direct_risk, empirical_prediction_risk, prediction_risk
 from invreg.selection import build_grid, choose_lepskii, choose_oracle, choose_pred
-from invreg.tables import emit_risk_table
+from invreg.tables import emit_efficiency_table, emit_per_rep_errors, emit_risk_table
 
 from conftest import record_acceptance
 
 MASTER_SEED = 20240901
 RATE_SIGMAS = tuple(2.0**-k for k in range(15, 22))
+
+# sha256 of the tables the CLI writes for these studies at MASTER_SEED; a
+# change to any of them must be justified in CHANGES.md
+GOLDEN = {
+    "hat": {
+        "risk_table.csv": "64b31c0e0e20b8fae015afaf16ea8bd17c67c7107c856ea58d52974d50bee58e",
+        "per_rep_errors.csv": "770e2835a022bfe0682f733ad89620c29a1345a65d9b2e460c4940f3093f2244",
+    },
+    "indicator": {
+        "risk_table.csv": "a2af32e450bdbae7f8a0ac3b24c102804a7c4c17ecec307bdeb0c8359890c7b3",
+        "per_rep_errors.csv": "481b4e47c1359f47646af3fd52ae1cc35ab994f5ba0536121708abeed8c54375",
+    },
+    "efficiency": {
+        "efficiency.csv": "c70a884ce0e00cb1d64a3438e1272c800021c3486cfead372b4103ecc30c302f",
+    },
+}
 
 
 def verdict(num, ok, detail):
@@ -50,6 +67,26 @@ def hat_table():
 @pytest.fixture(scope="module")
 def indicator_table():
     return run_rate_experiment(rate_config(GreenTruth.INDICATOR), workers=8)
+
+
+@pytest.fixture(scope="module")
+def efficiency_table():
+    config = ExperimentConfig(
+        problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
+        filter_spec=tikhonov(),
+        sigmas=tuple(10.0**-k for k in range(1, 7)),
+        replications=500,
+        master_seed=MASTER_SEED,
+    )
+    return run_efficiency_experiment(config, workers=8)
+
+
+def emitted_digests(table, out_dir, emitters):
+    digests = {}
+    for name, emit in emitters.items():
+        emit(table, out_dir / name)
+        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    return digests
 
 
 def rate_check(table, theta_target):
@@ -117,15 +154,8 @@ def test_criterion_4_oracle_dominance(hat_table, indicator_table):
     verdict(4, ok, f"max R_or / (R_rule * (1 + 3 rel SE)) = {worst:.4f} (limit 1)")
 
 
-def test_criterion_5_efficiency():
-    config = ExperimentConfig(
-        problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
-        filter_spec=tikhonov(),
-        sigmas=tuple(10.0**-k for k in range(1, 7)),
-        replications=500,
-        master_seed=MASTER_SEED,
-    )
-    table = run_efficiency_experiment(config, workers=8)
+def test_criterion_5_efficiency(efficiency_table):
+    table = efficiency_table
     in_band = all(0.0 < r.eff_pred <= 1.05 and 0.0 < r.eff_lep <= 1.05 for r in table.rows)
     small = sorted(table.rows, key=lambda r: r.sigma)[:2]
     pred_vs_lep = all(r.eff_pred >= r.eff_lep - 0.15 for r in small)
@@ -225,3 +255,13 @@ def test_criterion_10_worker_determinism(hat_table, tmp_path):
     emit_risk_table(hat_table, p8)  # hat_table ran with workers=8
     identical = p1.read_bytes() == p8.read_bytes()
     verdict(10, identical, f"risk_table.csv byte-identical across workers 1 and 8: {identical}")
+
+
+@pytest.mark.parametrize("study", ["hat", "indicator", "efficiency"])
+def test_golden_digests(study, request, tmp_path):
+    if study == "efficiency":
+        emitters = {"efficiency.csv": emit_efficiency_table}
+    else:
+        emitters = {"risk_table.csv": emit_risk_table, "per_rep_errors.csv": emit_per_rep_errors}
+    table = request.getfixturevalue(f"{study}_table")
+    assert emitted_digests(table, tmp_path, emitters) == GOLDEN[study]

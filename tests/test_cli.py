@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invreg
 from invreg.cli import main
 from invreg.tables import parse_per_rep_errors, parse_risk_table
 
@@ -54,6 +59,26 @@ class TestSimulateRates:
         assert main(["simulate-rates", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
         assert main(["simulate-rates", "--config", cfg, "--out", str(out8), "--workers", "8"]) == 0
         assert (out1 / "risk_table.csv").read_bytes() == (out8 / "risk_table.csv").read_bytes()
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # the Lepskii gram is a BLAS product whose bits may follow the thread
+        # count; the tables must not
+        cfg = write_config(
+            tmp_path, rates_config(modes=1024, sigmas=[2.0**-15, 2.0**-18, 2.0**-21], replications=5)
+        )
+        src = str(Path(invreg.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "invreg.cli", "simulate-rates", "--config", cfg, "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            outs.append(out)
+        for name in ("risk_table.csv", "per_rep_errors.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, rates_config())
@@ -186,3 +211,17 @@ class TestFiltersCheckCommand:
         assert main(["filters-check", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "filters_check.json").read_text())
         assert report["total_violations"] == 0
+
+    def test_metadata_records_the_seed_used(self, tmp_path):
+        cfg = write_config(tmp_path, {"pairs": 50})
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        assert main(["filters-check", "--config", cfg, "--out", str(default)]) == 0
+        assert main(["filters-check", "--config", cfg, "--out", str(explicit), "--seed", "20240901"]) == 0
+        meta = json.loads((default / "metadata.json").read_text())
+        assert meta["master_seed"] == 20240901
+        report = (default / "filters_check.json").read_bytes()
+        assert report == (explicit / "filters_check.json").read_bytes()
+
+    def test_non_integer_seed_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, {"pairs": 50, "master_seed": "soon"})
+        assert main(["filters-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -6,6 +6,7 @@ import pytest
 from invreg.filters import (
     ALL_FAMILIES,
     FilterSpec,
+    _grid_values,
     filter_value,
     iterated_tikhonov,
     landweber,
@@ -14,6 +15,9 @@ from invreg.filters import (
     spectral_cutoff,
     tikhonov,
 )
+from invreg.problems import TestFunction as GreenTruth
+from invreg.problems import make_diagonal_problem, make_green_problem
+from invreg.selection import build_grid
 
 
 def mp_showalter_q(alpha, lam, dps=60):
@@ -171,3 +175,32 @@ class TestOrderedFilterProperties:
                 s = s_value(tikhonov(), float(alpha), lams)
                 lhs = np.max(lams**v * np.abs(1.0 - s))
                 assert lhs <= c_v * alpha**v * (1 + 1e-9)
+
+
+def grid_cases():
+    """(lambda, alphas) pairs: the paper-size Green (1024 modes, sigma = 2^-21)
+    and diagonal (300 modes, sigma = 1e-6) spectra with their grids, and the
+    branch edges lambda in {0, tiny, 1} with alphas around 1 and beyond."""
+    cases = []
+    for p in (
+        make_green_problem(1024, GreenTruth.HAT, 2.0**-21, frame="discrete"),
+        make_diagonal_problem(300, 4.0, 4.0, 1e-6, seed=11),
+    ):
+        cases.append((p.eigenvalues, build_grid(p.sigma, float(p.eigenvalues[0]), 1.2).values))
+    edges = np.array([1.0, 0.5, 1e-8, 1e-12, 1e-300, 0.0])
+    cases.append((edges, np.array([1e-16, 1e-9, 0.3, 0.5, 1.0, 1.5, 30.0])))
+    return cases
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda spec: spec.family)
+    def test_rows_equal_scalar_alpha_calls_bitwise(self, spec):
+        for lams, alphas in grid_cases():
+            for want_s, scalar_alpha in ((False, filter_value), (True, s_value)):
+                block = _grid_values(spec, alphas, lams, want_s, np.empty((alphas.size, lams.size)))
+                for alpha, row in zip(alphas, block):
+                    assert row.tobytes() == scalar_alpha(spec, alpha, lams).tobytes(), (alpha, want_s)
+
+    def test_rejects_nonpositive_alpha(self):
+        with pytest.raises(ValueError):
+            _grid_values(tikhonov(), np.array([0.5, 0.0]), np.ones(3), False, np.empty((2, 3)))

@@ -5,12 +5,15 @@ import pytest
 
 from invreg.filters import spectral_cutoff, tikhonov
 from invreg.model import (
+    EstimateCoefficients,
     Observations,
     SpectralProblem,
     estimate_coefficients,
     sample_observations,
     substream_seed,
 )
+from invreg.problems import DenseSymmetricMatrix
+from invreg.selection import ParameterGrid
 
 
 def small_problem(sigma=1e-3):
@@ -40,6 +43,22 @@ class TestSpectralProblem:
         p = small_problem()
         with pytest.raises(ValueError):
             p.eigenvalues[0] = 2.0
+
+    def test_caller_arrays_stay_writeable(self):
+        eig, truth = np.array([1.0, 0.5]), np.array([0.25, 0.0])
+        sym, values = np.eye(2), np.array([0.5, 1.0])
+        frozen = [
+            (SpectralProblem(eig, truth, 0.1).eigenvalues, eig),
+            (SpectralProblem(eig, truth, 0.1).truth_coeffs, truth),
+            (Observations(values).values, values),
+            (EstimateCoefficients(values).values, values),
+            (ParameterGrid(1.2, values).values, values),
+            (DenseSymmetricMatrix(sym).entries, sym),
+        ]
+        for held, given in frozen:
+            assert not held.flags.writeable
+            assert given.flags.writeable
+            given[0] = given[0]  # still assignable by its owner
 
     def test_observations_must_be_1d(self):
         with pytest.raises(ValueError):

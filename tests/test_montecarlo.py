@@ -15,7 +15,7 @@ from invreg.montecarlo import (
 )
 from invreg.problems import TestFunction as GreenTruth
 from invreg.risk import direct_risk
-from invreg.selection import build_grid, choose_oracle
+from invreg.selection import GridScorer, build_grid, choose_oracle
 
 
 def ten_mode_problem(sigma=0.05):
@@ -63,6 +63,22 @@ class TestReplicateOnce:
         for seed in range(50):
             triple = replicate_once(p, tikhonov(), grid, substream_seed(8, seed))
             assert all(math.isfinite(e) and e >= 0.0 for e in triple)
+
+    def test_passed_scorer_gives_the_same_triple(self):
+        p = ten_mode_problem()
+        grid = build_grid(p.sigma, 1.0, 1.3)
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        for seed in range(5):
+            assert replicate_once(p, tikhonov(), grid, seed, scorer=scorer) == replicate_once(
+                p, tikhonov(), grid, seed
+            )
+
+    def test_scorer_of_another_problem_rejected(self):
+        p = ten_mode_problem()
+        grid = build_grid(p.sigma, 1.0, 1.3)
+        other = GridScorer(p.eigenvalues, 2 * p.sigma, tikhonov(), grid)
+        with pytest.raises(ValueError):
+            replicate_once(p, tikhonov(), grid, 1, scorer=other)
 
     def test_noise_free_limit_is_bias(self):
         p = ten_mode_problem(sigma=1e-300)

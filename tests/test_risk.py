@@ -12,6 +12,8 @@ from invreg.model import (
     substream_seed,
 )
 from invreg.risk import (
+    _accumulate,
+    _accumulate_rows,
     direct_risk,
     empirical_prediction_risk,
     lepskii_threshold,
@@ -168,3 +170,15 @@ class TestLepskiiThreshold:
         for spec in ALL_FAMILIES(m=3):
             thresholds = [lepskii_threshold(eig, 0.05, spec, a) for a in grid.values]
             assert all(t2 <= t1 + 1e-12 for t1, t2 in zip(thresholds, thresholds[1:]))
+
+
+class TestAccumulateRows:
+    def test_rows_equal_per_row_accumulation_bitwise(self):
+        # magnitudes over 30 decades, so summation order shows in the bits;
+        # 12000 columns take the compensated path
+        rng = np.random.default_rng(41)
+        for n in (7, 300, 1024, 12000):
+            block = rng.normal(size=(4, n)) * 10.0 ** rng.uniform(-15, 15, size=(4, n))
+            sums = _accumulate_rows(block)
+            assert sums.tobytes() == np.array([_accumulate(row) for row in block]).tobytes()
+        assert any(math.fsum(row) != np.sum(row) for row in block)

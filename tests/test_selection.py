@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from invreg.filters import ALL_FAMILIES, spectral_cutoff, tikhonov
+from invreg.problems import TestFunction as GreenTruth
+from invreg.problems import make_diagonal_problem, make_green_problem
 from invreg.model import (
     Observations,
     SpectralProblem,
@@ -13,6 +15,7 @@ from invreg.model import (
 )
 from invreg.risk import direct_risk, empirical_prediction_risk, lepskii_threshold
 from invreg.selection import (
+    GridScorer,
     ParameterGrid,
     apriori_alpha_polynomial,
     build_grid,
@@ -59,6 +62,20 @@ def naive_lepskii(eigenvalues, sigma, spec, grid, obs):
         if ok:
             best = i
     return best
+
+
+def realistic_cases():
+    """Paper-size inputs for every family (iterated m = 3): the Green hat
+    problem at 1024 modes, sigma = 2^-21, and the diagonal problem at 300
+    modes, sigma = 1e-6, each with one sampled Y."""
+    for p in (
+        make_green_problem(1024, GreenTruth.HAT, 2.0**-21, frame="discrete"),
+        make_diagonal_problem(300, 4.0, 4.0, 1e-6, seed=11),
+    ):
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        obs = sample_observations(p, 5)
+        for spec in ALL_FAMILIES(m=3):
+            yield p, spec, grid, obs
 
 
 def random_problem(rng, max_modes=20):
@@ -120,6 +137,8 @@ class TestChooseOracle:
             grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
             for spec in ALL_FAMILIES(m=2):
                 assert choose_oracle(p, spec, grid).grid_index == naive_oracle(p, spec, grid)
+        for p, spec, grid, _ in realistic_cases():
+            assert choose_oracle(p, spec, grid).grid_index == naive_oracle(p, spec, grid)
 
 
 class TestChoosePred:
@@ -165,6 +184,9 @@ class TestChoosePred:
             for spec in ALL_FAMILIES(m=2):
                 got = choose_pred(p.eigenvalues, p.sigma, spec, grid, obs)
                 assert got.grid_index == naive_pred(p.eigenvalues, p.sigma, spec, grid, obs)
+        for p, spec, grid, obs in realistic_cases():
+            got = choose_pred(p.eigenvalues, p.sigma, spec, grid, obs)
+            assert got.grid_index == naive_pred(p.eigenvalues, p.sigma, spec, grid, obs)
 
 
 class TestChooseLepskii:
@@ -200,6 +222,41 @@ class TestChooseLepskii:
             for spec in ALL_FAMILIES(m=2):
                 got = choose_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
                 assert got.grid_index == naive_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
+        for p, spec, grid, obs in realistic_cases():
+            got = choose_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
+            assert got.grid_index == naive_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
+
+
+class TestGridScorer:
+    def test_shared_buffer_matches_fresh_scorers(self):
+        # one buffer sized for the largest grid serves every noise level
+        sigmas = (2.0**-15, 2.0**-21)
+        problems = [make_green_problem(1024, GreenTruth.HAT, s, frame="discrete") for s in sigmas]
+        grids = [build_grid(p.sigma, float(p.eigenvalues[0]), 1.2) for p in problems]
+        buffer = np.empty((max(map(len, grids)), 1024))
+        for p, grid in zip(problems, grids):
+            shared = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid, buffer)
+            for seed in range(3):
+                obs = sample_observations(p, seed)
+                assert shared.oracle(p.truth_coeffs) == choose_oracle(p, tikhonov(), grid)
+                assert shared.pred(obs) == choose_pred(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
+                lep = choose_lepskii(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
+                assert shared.lepskii(obs) == lep
+
+    def test_pred_scores_equal_the_scalar_score_bitwise(self):
+        for p, spec, grid, obs in realistic_cases():
+            scores = GridScorer(p.eigenvalues, p.sigma, spec, grid).pred_scores(obs)
+            expected = [
+                empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, obs) for a in grid.values
+            ]
+            assert scores.tobytes() == np.array(expected).tobytes()
+
+    def test_rejects_a_buffer_of_the_wrong_shape(self):
+        p = random_problem(np.random.default_rng(1))
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
+        for shape in ((len(grid) - 1, p.n_modes), (len(grid), p.n_modes + 1)):
+            with pytest.raises(ValueError):
+                GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid, np.empty(shape))
 
 
 class TestAprioriAlpha:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .filters import ALL_FAMILIES, FilterSpec, filter_value, s_value
+from .filters import ALL_FAMILIES, FilterSpec, _pair_values, s_value
 
 __all__ = ["run_filter_checks"]
 
@@ -25,41 +25,41 @@ def _random_alphas(rng, n) -> np.ndarray:
     return 10.0 ** rng.uniform(-6, 1, size=n)
 
 
+def _count(violated: np.ndarray) -> int:
+    return int(np.count_nonzero(violated))
+
+
 def run_filter_checks(pairs_per_family: int = 1000, seed: int = 20240901) -> dict:
     """Run the invariant suite; returns per-check violation counts."""
     rng = np.random.Generator(np.random.PCG64(seed))
     report: dict[str, dict[str, int]] = {}
 
     for spec in ALL_FAMILIES(m=3):
-        lam_max = 1.0  # Landweber demands ||T|| <= 1; use the same domain for all
-        violations = {"ordered": 0, "bound_alpha": 0, "bound_lambda": 0, "s_range": 0}
-        lams = rng.uniform(0.0, lam_max, size=pairs_per_family)
+        # Landweber demands ||T|| <= 1; use the same domain for all
+        lams = rng.uniform(0.0, 1.0, size=pairs_per_family)
         alphas = _random_alphas(rng, pairs_per_family)
         alphas2 = alphas * 10.0 ** rng.uniform(-3, 0, size=pairs_per_family)  # alphas2 <= alphas
-
-        for lam, a_hi, a_lo in zip(lams, alphas, alphas2):
-            q_hi = filter_value(spec, a_hi, lam)
-            q_lo = filter_value(spec, a_lo, lam)
-            if a_hi > a_lo and q_hi > q_lo * (1 + _REL_EPS) + 1e-300:
-                violations["ordered"] += 1
-            if a_hi * abs(q_hi) > spec.c_prime * (1 + _REL_EPS):
-                violations["bound_alpha"] += 1
-            if lam * abs(q_hi) > spec.c_double_prime * (1 + _REL_EPS):
-                violations["bound_lambda"] += 1
-            s = s_value(spec, a_hi, lam)
-            if not (-_REL_EPS <= s <= 1 + _REL_EPS):
-                violations["s_range"] += 1
+        q_hi = _pair_values(spec, alphas, lams, False)
+        q_lo = _pair_values(spec, alphas2, lams, False)
+        s = _pair_values(spec, alphas, lams, True)
+        violations = {
+            "ordered": _count((alphas > alphas2) & (q_hi > q_lo * (1 + _REL_EPS) + 1e-300)),
+            "bound_alpha": _count(alphas * np.abs(q_hi) > spec.c_prime * (1 + _REL_EPS)),
+            "bound_lambda": _count(lams * np.abs(q_hi) > spec.c_double_prime * (1 + _REL_EPS)),
+            # written as a negated range so that a NaN counts as a violation
+            "s_range": _count(~((-_REL_EPS <= s) & (s <= 1 + _REL_EPS))),
+        }
         report[f"{spec.family}" + (f"(m={spec.m})" if spec.family == "iterated_tikhonov" else "")] = violations
 
-    # Tikhonov qualification at v in {0.25, 0.5, 1}
+    # Tikhonov qualification at v in {0.25, 0.5, 1}, one grid row per alpha
     tik = FilterSpec("tikhonov")
     lam_grid = np.linspace(0.0, 1.0, 2001)
+    bounds = [(v, lam_grid**v, v**v * (1 - v) ** (1 - v) if v < 1 else 1.0) for v in (0.25, 0.5, 1.0)]
     qual_violations = 0
-    for v in (0.25, 0.5, 1.0):
-        c_v = v**v * (1 - v) ** (1 - v) if v < 1 else 1.0
-        for a in 10.0 ** np.linspace(-6, 0, 25):
-            lhs = np.max(lam_grid**v * np.abs(1.0 - s_value(tik, a, lam_grid)))
-            if lhs > c_v * a**v * (1 + _REL_EPS):
+    for a in 10.0 ** np.linspace(-6, 0, 25):
+        gap = np.abs(1.0 - s_value(tik, a, lam_grid))
+        for v, lam_v, c_v in bounds:
+            if np.max(lam_v * gap) > c_v * a**v * (1 + _REL_EPS):
                 qual_violations += 1
     report["tikhonov_qualification"] = {"qualification": qual_violations}
     report["total_violations"] = sum(sum(v.values()) for k, v in report.items() if isinstance(v, dict))

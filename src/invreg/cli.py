@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -88,6 +89,30 @@ def _load_config(command: str, path: str) -> dict:
     return cfg
 
 
+def _integer(value, name: str, least: int) -> int:
+    """An integer config value of at least ``least``; floats, bools and
+    strings are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def _real(value, name: str, least: float = -math.inf) -> float:
+    """A finite number of at least ``least``; bools and strings are refused."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value >= least):
+        bound = "" if least == -math.inf else f" of at least {least}"
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
+def _sigmas(cfg: dict) -> tuple[float, ...]:
+    sigmas = cfg["sigmas"]
+    if not isinstance(sigmas, list) or not sigmas:
+        raise ConfigError(f"sigmas must be a nonempty list, got {sigmas!r}")
+    return tuple(_real(s, "each sigma") for s in sigmas)
+
+
 def _parse_filter(block) -> FilterSpec:
     if not isinstance(block, dict) or "family" not in block:
         raise ConfigError('"filter" must be an object with a "family" field')
@@ -116,13 +141,15 @@ def _parse_problem(cfg: dict):
         frame = block.get("frame", "discrete")
         if frame not in ("analytic", "discrete"):
             raise ConfigError(f'problem.frame must be "analytic" or "discrete", got {frame!r}')
-        return GreenDescriptor(truth=truth, n_modes=int(cfg.get("modes", 1024)), frame=frame)
+        return GreenDescriptor(truth=truth, n_modes=_integer(cfg.get("modes", 1024), "modes", 1), frame=frame)
     if kind == "diagonal":
         extra = set(block) - {"kind", "a", "nu"}
         if extra:
             raise ConfigError(f'unknown "problem" fields: {sorted(extra)}')
         return DiagonalDescriptor(
-            n=int(cfg.get("modes", 300)), a=float(block.get("a", 4.0)), nu=float(block.get("nu", 4.0))
+            n=_integer(cfg.get("modes", 300), "modes", 1),
+            a=_real(block.get("a", 4.0), "problem.a", 0.0),  # so that lambda_1 = 1
+            nu=_real(block.get("nu", 4.0), "problem.nu"),
         )
     raise ConfigError(f'unknown problem kind {kind!r}')
 
@@ -143,16 +170,12 @@ def _master_seed(command: str, cfg: dict, seed_override) -> int:
 
 
 def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(
-            problem=_parse_problem(cfg),
-            filter_spec=_parse_filter(cfg["filter"]),
-            sigmas=tuple(float(s) for s in cfg["sigmas"]),
-            replications=int(cfg["replications"]),
-            grid_ratio=float(cfg.get("grid_ratio", 1.2)),
-            master_seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
+    problem, spec = _parse_problem(cfg), _parse_filter(cfg["filter"])
+    sigmas, replications = _sigmas(cfg), _integer(cfg["replications"], "replications", 2)
+    ratio = _real(cfg.get("grid_ratio", 1.2), "grid_ratio")
+    try:  # also refuses a noise level that leaves an empty grid
+        return ExperimentConfig(problem, spec, sigmas, replications, ratio, seed)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -190,13 +213,15 @@ def _cmd_simulate_efficiency(cfg, out_dir: Path, seed: int, workers: int) -> lis
 def _cmd_score_curve(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     descriptor = _parse_problem(cfg)
     spec = _parse_filter(cfg["filter"])
-    sigma = float(cfg["sigmas"][0])
-    ratio = float(cfg.get("grid_ratio", 1.2))
+    sigma = _sigmas(cfg)[0]
+    try:
+        grid = build_grid(sigma, descriptor.lambda_max, _real(cfg.get("grid_ratio", 1.2), "grid_ratio"))
+    except ValueError as exc:
+        raise ConfigError(f"sigma = {sigma!r}: {exc}") from exc
     if isinstance(descriptor, GreenDescriptor):
         problem = descriptor.build(sigma)
     else:
         problem = descriptor.build(sigma, substream_seed(seed, 1))
-    grid = build_grid(sigma, float(problem.eigenvalues[0]), ratio)
     obs = sample_observations(problem, substream_seed(seed, 0))
     pairs = zip(grid.values, GridScorer(problem.eigenvalues, sigma, spec, grid).pred_scores(obs))
     path = out_dir / "score_curve.csv"
@@ -215,9 +240,10 @@ def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     risk = block.get("risk", "pred")
     if risk not in ("or", "pred", "lep"):
         raise ConfigError(f'rate_test.risk must be one of or/pred/lep, got {risk!r}')
+    theta_target = _real(block["theta_target"], "rate_test.theta_target")
     groups = parse_per_rep_errors(block["errors_csv"])
     samples = [RateSample.from_errors(sigma, g[risk]) for sigma, g in groups.items()]
-    result = rate_test(samples, float(block["theta_target"]))
+    result = rate_test(samples, theta_target)
     path = out_dir / "rate_test.json"
     path.write_text(
         json.dumps(
@@ -238,7 +264,7 @@ def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
 
 
 def _cmd_filters_check(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
-    report = run_filter_checks(int(cfg.get("pairs", 1000)), seed)
+    report = run_filter_checks(_integer(cfg.get("pairs", 1000), "pairs", 1), seed)
     path = out_dir / "filters_check.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if report["total_violations"]:

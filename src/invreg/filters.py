@@ -94,8 +94,10 @@ def ALL_FAMILIES(m: int = 2) -> list[FilterSpec]:
     return [spectral_cutoff(), tikhonov(), iterated_tikhonov(m), landweber(), showalter()]
 
 
-def _check_args(spec: FilterSpec, alpha: float, lam) -> np.ndarray:
-    if not alpha > 0:
+def _check_args(spec: FilterSpec, alpha, lam) -> np.ndarray:
+    """Validate a scalar, column or elementwise ``alpha`` (a NaN fails the
+    positivity test) and ``lam``; returns ``lam`` as a float array."""
+    if not np.all(alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
@@ -108,15 +110,19 @@ def _check_args(spec: FilterSpec, alpha: float, lam) -> np.ndarray:
 def _evaluate(spec: FilterSpec, alpha, lam: np.ndarray, want_s: bool, out: np.ndarray) -> np.ndarray:
     """Write s_alpha(lam) (``want_s``) or q_alpha(lam) into ``out``.
 
-    ``alpha`` is a scalar or a column of shape (r, 1) against the 1-d
-    ``lam``.  Each element goes through the same operations whatever the
-    shape of ``alpha``, so a row of a grid evaluation equals the scalar
+    ``alpha`` is a scalar, a column of shape (r, 1) against the 1-d
+    ``lam``, or an array of the shape of ``lam`` (one alpha per element).
+    Each element goes through the same operations whatever the shape of
+    ``alpha``, so a grid row or an elementwise value equals the scalar
     evaluation at that alpha bit for bit.  Apart from Tikhonov, s is
     evaluated first and q = s / lam derived from it in place.
     """
     fam = spec.family
     if fam == "tikhonov":
-        np.divide(lam if want_s else 1.0, np.add(lam, alpha, out=out), out=out)
+        # filling alpha first and adding lam in place avoids a row-by-row
+        # broadcast of an alpha column; the sum has the same bits
+        np.copyto(out, alpha)
+        np.divide(lam if want_s else 1.0, np.add(out, lam, out=out), out=out)
     elif fam == "spectral_cutoff":
         np.copyto(out, lam >= alpha)
         if not want_s:
@@ -196,9 +202,16 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 def _grid_values(spec: FilterSpec, alphas: np.ndarray, lam, want_s: bool, out: np.ndarray) -> np.ndarray:
     """Row i of ``out`` := s_value (``want_s``) or filter_value of
     (spec, alphas[i], lam), bit for bit; ``out`` has shape (len(alphas), len(lam))."""
-    alphas = np.asarray(alphas, dtype=float)
-    lam = _check_args(spec, np.min(alphas), lam)
-    column = alphas[:, None]
+    column = np.asarray(alphas, dtype=float)[:, None]
+    lam = _check_args(spec, column, lam)
     for rows in _row_blocks(*out.shape):
         _evaluate(spec, column[rows], lam, want_s, out[rows])
     return out
+
+
+def _pair_values(spec: FilterSpec, alphas, lams, want_s: bool) -> np.ndarray:
+    """Element i := s_value (``want_s``) or filter_value of
+    (spec, alphas[i], lams[i]), bit for bit; ``alphas`` has the shape of ``lams``."""
+    alphas = np.asarray(alphas, dtype=float)
+    lams = _check_args(spec, alphas, lams)
+    return _evaluate(spec, alphas, lams, want_s, np.empty_like(lams))

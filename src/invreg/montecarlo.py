@@ -42,6 +42,10 @@ class GreenDescriptor:
     # grid-sampled experiment; see make_green_problem
     frame: str = "discrete"
 
+    @property
+    def lambda_max(self) -> float:
+        return math.pi**-4.0  # (pi k)^-4 at k = 1
+
     def build(self, sigma: float) -> SpectralProblem:
         return make_green_problem(self.n_modes, self.truth, sigma, self.frame)
 
@@ -51,6 +55,10 @@ class DiagonalDescriptor:
     n: int = 300
     a: float = 4.0
     nu: float = 4.0
+
+    @property
+    def lambda_max(self) -> float:
+        return 1.0  # k^{-2a} at k = 1
 
     def build(self, sigma: float, seed: int) -> SpectralProblem:
         return make_diagonal_problem(self.n, self.a, self.nu, sigma, seed)
@@ -70,12 +78,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if len(self.sigmas) == 0 or any(s <= 0 for s in self.sigmas):
-            raise ValueError("sigmas must be nonempty and positive")
+        if len(self.sigmas) == 0 or not all(0 < s < math.inf for s in self.sigmas):
+            raise ValueError("sigmas must be nonempty, finite and positive")
         if self.replications < 2:
             raise ValueError("need at least 2 replications for standard errors")
         if not self.grid_ratio > 1:
             raise ValueError("grid_ratio must exceed 1")
+        self.grids()  # raises if a noise level leaves no grid below lambda_1
+
+    def grids(self) -> list[ParameterGrid]:
+        """The candidate grid of each noise level, up to the problem's lambda_1."""
+        return [build_grid(sigma, self.problem.lambda_max, self.grid_ratio) for sigma in self.sigmas]
 
 
 @dataclass(frozen=True)
@@ -162,10 +175,7 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
     if not isinstance(config.problem, GreenDescriptor):
         raise ValueError("rate experiments use the green problem descriptor")
     problems = [config.problem.build(sigma) for sigma in config.sigmas]
-    grids = [
-        build_grid(sigma, float(p.eigenvalues[0]), config.grid_ratio)
-        for sigma, p in zip(config.sigmas, problems)
-    ]
+    grids = config.grids()
     # one scratch block for the largest grid serves every noise level
     buffer = np.empty((max(map(len, grids)), config.problem.n_modes))
     rows = []
@@ -200,8 +210,7 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
     """
     if not isinstance(config.problem, DiagonalDescriptor):
         raise ValueError("efficiency experiments use the diagonal problem descriptor")
-    # lambda_1 = 1 for k^{-2a}
-    grids = [build_grid(sigma, 1.0, config.grid_ratio) for sigma in config.sigmas]
+    grids = config.grids()
     buffer = np.empty((max(map(len, grids)), config.problem.n))
     rows = []
     for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):

@@ -11,10 +11,10 @@ carry a constant magnitude factor (1 / (4 sqrt(2) pi) for the hat,
 1 / (4 pi) for the indicator) and per-mode orientation signs, which is
 immaterial for all risks since only f_k^2 enters.
 
-A composite-midpoint discretization of the integral operator and a plain
-cyclic Jacobi eigensolver are provided solely to cross-validate the
-analytic spectrum; rate experiments synthesize data directly in sequence
-space.
+A composite-midpoint discretization of the integral operator and its
+largest eigenvalues (from LAPACK) are provided solely to cross-validate
+the analytic spectrum; rate experiments synthesize data directly in
+sequence space.
 """
 
 from __future__ import annotations
@@ -142,54 +142,15 @@ def discretize_integral_operator(n: int) -> DenseSymmetricMatrix:
 
 
 def symmetric_eigenvalues(m: DenseSymmetricMatrix, count: int) -> np.ndarray:
-    """Largest ``count`` eigenvalues by cyclic Jacobi rotations, descending.
+    """Largest ``count`` eigenvalues, descending, from LAPACK's symmetric
+    eigensolver (``numpy.linalg.eigvalsh``).
 
-    Sweeps until the off-diagonal Frobenius mass drops below 1e-12 times the
-    matrix norm; raises NumericFailure after 50 sweeps without convergence.
-    Intended for desk-scale cross-validation (order up to ~512).
+    Raises NumericFailure if the solver does not converge.
     """
     if count > m.order:
         raise ValueError("count exceeds matrix order")
-    a = m.entries.copy()
-    n = a.shape[0]
-    norm = np.linalg.norm(a)
-    tol = 1e-12 * norm
-    if norm == 0.0:
-        return np.zeros(count)
-    for _ in range(50):
-        off = math.sqrt(max(np.sum(a**2) - np.sum(np.diag(a) ** 2), 0.0))
-        if off < tol:
-            eig = np.sort(np.diag(a))[::-1]
-            return eig[:count]
-        # rotations below this contribute negligibly to the off-diag mass
-        skip = off / (n * 10.0)
-        for p in range(n - 1):
-            row_p = a[p]
-            for q in range(p + 1, n):
-                apq = row_p[q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                diff = aqq - app
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # two-sided rotation in the (p, q) plane
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p].copy()
-                row_q = a[q].copy()
-                a[p] = c * row_p - s * row_q
-                a[q] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                row_p = a[p]
-    raise NumericFailure("Jacobi eigensolver did not converge within 50 sweeps")
+    try:
+        eig = np.linalg.eigvalsh(m.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"symmetric eigensolver did not converge: {exc}") from exc
+    return eig[::-1][:count]

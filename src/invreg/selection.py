@@ -62,6 +62,8 @@ def build_grid(sigma: float, lambda_max: float, ratio: float) -> ParameterGrid:
         raise ValueError("sigma and lambda_max must be positive")
     if sigma**2 >= lambda_max:
         raise ValueError("sigma^2 must be below lambda_max (empty grid range)")
+    if sigma**2 == 0.0 or math.isinf(lambda_max / sigma**2):
+        raise ValueError("lambda_max / sigma^2 overflows (grid range not representable)")
     k_max = math.floor(math.log(lambda_max / sigma**2) / math.log(ratio))
     values = sigma**2 * ratio ** np.arange(k_max + 1, dtype=float)
     return ParameterGrid(ratio=float(ratio), values=values)

@@ -5,12 +5,18 @@ verdict always matches the assertion outcome.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invreg
 from invreg.checks import run_filter_checks
 from invreg.filters import ALL_FAMILIES, tikhonov
 from invreg.model import SpectralProblem, sample_observations, substream_seed
@@ -41,6 +47,24 @@ GOLDEN = {
     "efficiency": {
         "efficiency.csv": "c70a884ce0e00cb1d64a3438e1272c800021c3486cfead372b4103ecc30c302f",
     },
+}
+
+
+# sha256 of the tables of a 10240-mode run, wide enough for the math.fsum
+# accumulation of risk._accumulate (n >= 10^4); recorded once from the v0
+# copy in perfbench/reference/invreg with OPENBLAS_NUM_THREADS=1, because
+# at this width the error products follow the BLAS thread count
+WIDE_CONFIG = {
+    "problem": {"kind": "green", "truth": "indicator"},
+    "filter": {"family": "showalter"},
+    "sigmas": [2.0**-15, 2.0**-18],
+    "replications": 2,
+    "modes": 10240,
+    "master_seed": MASTER_SEED,
+}
+WIDE_GOLDEN = {
+    "risk_table.csv": "4caf1472a6a7778794b186a6ba4a2010e4c9eec2b5803ed83ac55e8058781f0c",
+    "per_rep_errors.csv": "cf2c7bc474fedcb1740458d45727f788c467860856cf4017eae8fe7cd0e5607d",
 }
 
 
@@ -265,3 +289,18 @@ def test_golden_digests(study, request, tmp_path):
         emitters = {"risk_table.csv": emit_risk_table, "per_rep_errors.csv": emit_per_rep_errors}
     table = request.getfixturevalue(f"{study}_table")
     assert emitted_digests(table, tmp_path, emitters) == GOLDEN[study]
+
+
+def test_golden_digests_wide(tmp_path):
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(WIDE_CONFIG))
+    src = str(Path(invreg.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-m", "invreg.cli", "simulate-rates", "--config", str(config), "--out", str(out)],
+        env=env, check=True, timeout=300,
+    )
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in WIDE_GOLDEN}
+    assert digests == WIDE_GOLDEN

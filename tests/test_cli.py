@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +123,54 @@ class TestConfigValidation:
             tmp_path, rates_config(problem={"kind": "green", "truth": "hat", "frame": "weird"})
         )
         assert main(["simulate-rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def score_curve_config(**overrides):
+    base = {"problem": {"kind": "green", "truth": "hat"}, "filter": {"family": "tikhonov"}, "sigmas": [1e-2]}
+    base.update(overrides)
+    return base
+
+
+def diagonal_config(**problem):
+    return {
+        "problem": {"kind": "diagonal", **problem},
+        "filter": {"family": "tikhonov"},
+        "sigmas": [1e-2],
+        "replications": 2,
+    }
+
+
+MALFORMED = {
+    "pairs-negative": ("filters-check", {"pairs": -5}),
+    "pairs-string": ("filters-check", {"pairs": "abc"}),
+    "pairs-fraction": ("filters-check", {"pairs": 2.7}),
+    "pairs-bool": ("filters-check", {"pairs": True}),
+    "score-curve-empty-sigmas": ("score-curve", score_curve_config(sigmas=[])),
+    "score-curve-modes-string": ("score-curve", score_curve_config(modes="x")),
+    "score-curve-sigma-above-grid": ("score-curve", score_curve_config(sigmas=[0.5])),
+    "rates-sigma-above-grid": ("simulate-rates", rates_config(sigmas=[1e-2, 0.5])),
+    "rates-sigma-nan": ("simulate-rates", rates_config(sigmas=[1e-2, math.nan])),
+    "rates-sigma-underflow": ("simulate-rates", rates_config(sigmas=[1e-170])),
+    "rates-replications-fraction": ("simulate-rates", rates_config(replications=2.9)),
+    "rates-replications-one": ("simulate-rates", rates_config(replications=1)),
+    "rates-modes-zero": ("simulate-rates", rates_config(modes=0)),
+    "rates-grid-ratio-string": ("simulate-rates", rates_config(grid_ratio="wide")),
+    "efficiency-nu-infinite": ("simulate-efficiency", diagonal_config(nu=math.inf)),
+    "efficiency-a-negative": ("simulate-efficiency", diagonal_config(a=-1.0)),
+    "rate-test-theta-string": (
+        "rate-test", {"rate_test": {"errors_csv": "x.csv", "theta_target": "three quarters"}}
+    ),
+}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_without_a_traceback(self, case, tmp_path, capsys):
+        command, payload = MALFORMED[case]
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invreg: config error:") and "Traceback" not in err
 
 
 class TestSimulateEfficiency:

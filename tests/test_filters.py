@@ -7,6 +7,7 @@ from invreg.filters import (
     ALL_FAMILIES,
     FilterSpec,
     _grid_values,
+    _pair_values,
     filter_value,
     iterated_tikhonov,
     landweber,
@@ -202,5 +203,46 @@ class TestGridValues:
                     assert row.tobytes() == scalar_alpha(spec, alpha, lams).tobytes(), (alpha, want_s)
 
     def test_rejects_nonpositive_alpha(self):
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                _grid_values(tikhonov(), np.array([0.5, bad]), np.ones(3), False, np.empty((2, 3)))
+
+
+def pair_cases():
+    """Seeded (alpha, lambda) pairs in the filters-check ranges, crossed with
+    the branch edges lambda in {0, tiny, 1} and alpha around 1 and beyond
+    (Landweber's N = floor(1/alpha) reaches 0)."""
+    rng = np.random.default_rng(23)
+    alphas, lams = random_pairs(rng, 500)
+    edge_lams = np.array([0.0, 1e-300, 1e-12, 1e-8, 0.5, 1.0])
+    edge_alphas = np.array([1e-16, 1e-6, 0.3, 0.5, 1.0, 1.5, 30.0])
+    grid_alphas, grid_lams = np.meshgrid(edge_alphas, edge_lams)
+    return np.concatenate([alphas, grid_alphas.ravel()]), np.concatenate([lams, grid_lams.ravel()])
+
+
+class TestPairValues:
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda spec: spec.family)
+    def test_elements_equal_scalar_calls_bitwise(self, spec):
+        alphas, lams = pair_cases()
+        for want_s, scalar in ((False, filter_value), (True, s_value)):
+            expected = np.array([scalar(spec, a, l) for a, l in zip(alphas, lams)])
+            got = _pair_values(spec, alphas, lams, want_s)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "alphas, lams",
+        [
+            ([0.5, 0.0], [0.5, 0.5]),
+            ([0.5, -1.0], [0.5, 0.5]),
+            ([0.5, math.nan], [0.5, 0.5]),
+            ([0.5, 0.5], [0.5, -1e-300]),
+        ],
+    )
+    def test_rejects_bad_arguments(self, alphas, lams):
+        for spec in ALL_FAMILIES(m=3):
+            with pytest.raises(ValueError):
+                _pair_values(spec, np.array(alphas), np.array(lams), False)
+
+    def test_landweber_lambda_above_one_rejected(self):
         with pytest.raises(ValueError):
-            _grid_values(tikhonov(), np.array([0.5, 0.0]), np.ones(3), False, np.empty((2, 3)))
+            _pair_values(landweber(), np.array([0.5, 0.5]), np.array([0.5, 1.5]), True)

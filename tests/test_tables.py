@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from invreg.filters import tikhonov
+from invreg.filters import ALL_FAMILIES, FilterSpec, filter_value, s_value, tikhonov
 from invreg.montecarlo import (
     EfficiencyRow,
     EfficiencyTable,
@@ -10,7 +12,8 @@ from invreg.montecarlo import (
     RiskTable,
     run_rate_experiment,
 )
-from invreg.checks import run_filter_checks
+from invreg import checks
+from invreg.checks import _REL_EPS, run_filter_checks
 from invreg.problems import TestFunction as GreenTruth
 from invreg.tables import (
     EFFICIENCY_HEADER,
@@ -120,3 +123,63 @@ class TestFilterChecks:
             "spectral_cutoff", "tikhonov", "iterated_tikhonov(m=3)", "landweber", "showalter",
         }
         assert families <= set(report)
+
+
+def loop_filter_checks(pairs_per_family, seed, eps=_REL_EPS):
+    """The per-pair loop that ``run_filter_checks`` replaces, kept as its
+    reference: the same draws, one scalar filter call per comparison."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    report = {}
+    for spec in ALL_FAMILIES(m=3):
+        violations = {"ordered": 0, "bound_alpha": 0, "bound_lambda": 0, "s_range": 0}
+        lams = rng.uniform(0.0, 1.0, size=pairs_per_family)
+        alphas = 10.0 ** rng.uniform(-6, 1, size=pairs_per_family)
+        alphas2 = alphas * 10.0 ** rng.uniform(-3, 0, size=pairs_per_family)
+        for lam, a_hi, a_lo in zip(lams, alphas, alphas2):
+            q_hi = filter_value(spec, a_hi, lam)
+            q_lo = filter_value(spec, a_lo, lam)
+            if a_hi > a_lo and q_hi > q_lo * (1 + eps) + 1e-300:
+                violations["ordered"] += 1
+            if a_hi * abs(q_hi) > spec.c_prime * (1 + eps):
+                violations["bound_alpha"] += 1
+            if lam * abs(q_hi) > spec.c_double_prime * (1 + eps):
+                violations["bound_lambda"] += 1
+            s = s_value(spec, a_hi, lam)
+            if not (-eps <= s <= 1 + eps):
+                violations["s_range"] += 1
+        report[f"{spec.family}" + (f"(m={spec.m})" if spec.family == "iterated_tikhonov" else "")] = violations
+    tik = FilterSpec("tikhonov")
+    lam_grid = np.linspace(0.0, 1.0, 2001)
+    qual_violations = 0
+    for v in (0.25, 0.5, 1.0):
+        c_v = v**v * (1 - v) ** (1 - v) if v < 1 else 1.0
+        for a in 10.0 ** np.linspace(-6, 0, 25):
+            lhs = np.max(lam_grid**v * np.abs(1.0 - s_value(tik, a, lam_grid)))
+            if lhs > c_v * a**v * (1 + eps):
+                qual_violations += 1
+    report["tikhonov_qualification"] = {"qualification": qual_violations}
+    report["total_violations"] = sum(sum(v.values()) for v in report.values() if isinstance(v, dict))
+    return report
+
+
+@pytest.mark.parametrize(
+    "pairs, seed", [(1000, 20240901), (100, 5), (20, 0)] + [(1000, seed) for seed in range(33)]
+)
+def test_filter_checks_equal_the_per_pair_loop(pairs, seed):
+    report = run_filter_checks(pairs_per_family=pairs, seed=seed)
+    assert report == loop_filter_checks(pairs, seed)
+    assert all(type(n) is int for block in report.values() if isinstance(block, dict) for n in block.values())
+
+
+def test_filter_checks_count_violations_as_the_loop_does(monkeypatch):
+    # a negative slack makes every check fire on some pairs, so the
+    # comparison is between nonzero counts
+    monkeypatch.setattr(checks, "_REL_EPS", -0.01)
+    for seed in (20240901, 7):
+        report = run_filter_checks(pairs_per_family=300, seed=seed)
+        assert report == loop_filter_checks(300, seed, eps=-0.01)
+        fired = Counter()
+        for block in report.values():
+            if isinstance(block, dict):
+                fired.update(block)
+        assert len(fired) == 5 and all(fired.values()), fired

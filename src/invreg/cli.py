@@ -229,8 +229,30 @@ def _cmd_score_curve(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     return [path]
 
 
+def _rate_samples(path, risk: str) -> list[RateSample]:
+    """One rate-test sample per noise level of a per-replication CSV; a
+    file the test cannot use is a config error."""
+    try:
+        groups = parse_per_rep_errors(path)
+    except ValueError as exc:  # wrong header, field count or number
+        raise ConfigError(str(exc)) from exc
+    if len(groups) < 3:
+        raise ConfigError(f"{path}: the rate test needs at least 3 noise levels, got {len(groups)}")
+    for sigma, g in groups.items():
+        errors = g[risk]
+        if not 0 < sigma < math.inf:
+            raise ConfigError(f"{path}: noise level {sigma!r} is not a finite positive number")
+        if errors.size < 2 or not np.all((errors >= 0) & (errors < math.inf)) or not errors.any():
+            raise ConfigError(
+                f"{path}: sigma = {sigma!r} needs at least 2 finite nonnegative {risk} errors, not all zero"
+            )
+    return [RateSample.from_errors(sigma, g[risk]) for sigma, g in groups.items()]
+
+
 def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     block = cfg["rate_test"]
+    if not isinstance(block, dict):
+        raise ConfigError('"rate_test" must be an object')
     extra = set(block) - {"errors_csv", "risk", "theta_target"}
     if extra:
         raise ConfigError(f'unknown "rate_test" fields: {sorted(extra)}')
@@ -241,9 +263,9 @@ def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     if risk not in ("or", "pred", "lep"):
         raise ConfigError(f'rate_test.risk must be one of or/pred/lep, got {risk!r}')
     theta_target = _real(block["theta_target"], "rate_test.theta_target")
-    groups = parse_per_rep_errors(block["errors_csv"])
-    samples = [RateSample.from_errors(sigma, g[risk]) for sigma, g in groups.items()]
-    result = rate_test(samples, theta_target)
+    if not isinstance(block["errors_csv"], str):
+        raise ConfigError(f'rate_test.errors_csv must be a path string, got {block["errors_csv"]!r}')
+    result = rate_test(_rate_samples(block["errors_csv"], risk), theta_target)
     path = out_dir / "rate_test.json"
     path.write_text(
         json.dumps(

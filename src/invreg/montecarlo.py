@@ -5,6 +5,14 @@ Every replication gets its own substream seed derived from
 in :mod:`invreg.model`.  Replications run serially in index order, each
 noise level scored through one :class:`~invreg.selection.GridScorer`, so
 tables are bit-identical for any worker count.
+
+A noise level's replications are sampled and scored in batches of at most
+``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300): the oracle (for a
+fresh truth per replication) and the pred rule score a whole batch over one
+s-block, and the Lepskii rule then runs per replication.  The three
+squared errors are read from the estimate rows that Lepskii compares, so
+no estimate is evaluated a second time.  A single replication
+(:func:`replicate_once`) is a batch of one through the same code.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from typing import Union
 
 import numpy as np
 
-from .filters import FilterSpec
-from .model import SpectralProblem, estimate_coefficients, sample_observations, substream_seed
+from .filters import FilterSpec, _row_blocks
+from .model import SpectralProblem, sample_observations, substream_seed
 from .problems import TestFunction, make_diagonal_problem, make_green_problem
 from .selection import GridScorer, ParameterGrid, Selection, build_grid
 
@@ -120,10 +128,21 @@ class EfficiencyTable:
     rows: tuple[EfficiencyRow, ...]
 
 
-def _sq_error(problem: SpectralProblem, spec: FilterSpec, alpha: float, obs) -> float:
-    est = estimate_coefficients(problem, spec, alpha, obs)
-    diff = est.values - problem.truth_coeffs
-    return float(diff @ diff)
+def _score_batch(
+    scorer: GridScorer, truths: np.ndarray, values: np.ndarray, oracle_idx
+) -> list[list[float]]:
+    """Squared errors [err_or, err_pred, err_lep] of each replication of a
+    batch: row r of ``values`` observes the truth in row r of ``truths``,
+    whose oracle grid index is ``oracle_idx[r]``.
+
+    Pred scores the whole batch over one s-block; Lepskii then runs per
+    replication, and the three errors are read from its estimate rows.
+    """
+    pred_idx = np.argmin(scorer.batch_pred_scores(values), axis=1)
+    return [
+        scorer.lepskii_errors(y, f, (int(o), int(p)))[1]
+        for y, f, o, p in zip(values, truths, oracle_idx, pred_idx)
+    ]
 
 
 def replicate_once(
@@ -140,6 +159,8 @@ def replicate_once(
     The oracle selection is deterministic per problem and may be passed in
     precomputed, as may the noise level's scorer, which must have been
     built for this problem's eigenvalues and sigma, ``spec`` and ``grid``.
+    The replication is scored as a batch of one, through the same code as
+    the batches of :func:`run_rate_experiment`.
     """
     if scorer is None:
         scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
@@ -152,14 +173,11 @@ def replicate_once(
         raise ValueError("scorer was built for another problem, filter or grid")
     if oracle is None:
         oracle = scorer.oracle(problem.truth_coeffs)
+    elif not (0 <= oracle.grid_index < len(grid) and grid.values[oracle.grid_index] == oracle.alpha):
+        raise ValueError("oracle selection is not a point of this grid")
     obs = sample_observations(problem, replicate_seed)
-    sel_pred = scorer.pred(obs)
-    sel_lep = scorer.lepskii(obs)
-    return (
-        _sq_error(problem, spec, oracle.alpha, obs),
-        _sq_error(problem, spec, sel_pred.alpha, obs),
-        _sq_error(problem, spec, sel_lep.alpha, obs),
-    )
+    (errors,) = _score_batch(scorer, problem.truth_coeffs[None], obs.values[None], [oracle.grid_index])
+    return tuple(errors)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -181,14 +199,17 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
     rows = []
     for i, (sigma, problem, grid) in enumerate(zip(config.sigmas, problems, grids)):
         scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
-        oracle = scorer.oracle(problem.truth_coeffs)
+        oracle_idx = scorer.oracle(problem.truth_coeffs).grid_index
         sigma_stream = substream_seed(config.master_seed, i)
-        triples = np.array([
-            replicate_once(
-                problem, config.filter_spec, grid, substream_seed(sigma_stream, j), oracle, scorer
-            )
-            for j in range(config.replications)
-        ])
+        triples = []
+        for batch in _row_blocks(config.replications, problem.n_modes):
+            reps = range(config.replications)[batch]
+            values = np.empty((len(reps), problem.n_modes))
+            for r, j in enumerate(reps):
+                values[r] = sample_observations(problem, substream_seed(sigma_stream, j)).values
+            truths = np.broadcast_to(problem.truth_coeffs, values.shape)
+            triples += _score_batch(scorer, truths, values, [oracle_idx] * len(reps))
+        triples = np.array(triples)
         (r_or, se_or) = _mean_se(triples[:, 0])
         (r_pred, se_pred) = _mean_se(triples[:, 1])
         (r_lep, se_lep) = _mean_se(triples[:, 2])
@@ -217,16 +238,19 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
         sigma_stream = substream_seed(config.master_seed, i)
         scorer = None
         triples = []
-        for j in range(config.replications):
-            rep_stream = substream_seed(sigma_stream, j)
-            problem = config.problem.build(sigma, substream_seed(rep_stream, 0))
+        for batch in _row_blocks(config.replications, config.problem.n):
+            reps = range(config.replications)[batch]
+            truths = np.empty((len(reps), config.problem.n))
+            values = np.empty_like(truths)
+            for r, j in enumerate(reps):
+                rep_stream = substream_seed(sigma_stream, j)
+                problem = config.problem.build(sigma, substream_seed(rep_stream, 0))
+                truths[r] = problem.truth_coeffs
+                values[r] = sample_observations(problem, substream_seed(rep_stream, 1)).values
             if scorer is None:  # only the truth changes between replications
                 scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
-            triples.append(
-                replicate_once(
-                    problem, config.filter_spec, grid, substream_seed(rep_stream, 1), scorer=scorer
-                )
-            )
+            oracle_idx = np.argmin(scorer.batch_oracle_scores(truths), axis=1)
+            triples += _score_batch(scorer, truths, values, oracle_idx)
         triples = np.array(triples)
         # average the per-replication oracle fractions err_or / err_rule:
         # the plain ratio of mean risks is dominated by the rare deep minima

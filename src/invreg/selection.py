@@ -78,7 +78,12 @@ class GridScorer:
     2 sigma^2 sum s and the squared Lepskii thresholds.  Each call then
     fills one K x n scratch buffer in place, so a buffer allocated for the
     largest grid of a run can serve the scorers of all its noise levels.
-    The buffer makes a scorer unsafe to share between threads.
+    The oracle and pred scores take an (R, n) batch of truths or
+    observations and form the s-block once for the whole batch; a single
+    truth or observation is a batch of one.  The Lepskii rule takes one
+    observation and can return the squared errors of any grid estimates,
+    read from its own estimate rows.  No K x n block outlives a call, and
+    the buffer makes a scorer unsafe to share between threads.
     """
 
     def __init__(
@@ -113,34 +118,58 @@ class GridScorer:
     def _block(self, want_s: bool) -> np.ndarray:
         return _grid_values(self.spec, self.grid.values, self.eigenvalues, want_s, self._buf)
 
-    def _check(self, obs: Observations) -> None:
-        if obs.problem_length != self.eigenvalues.size:
-            raise ValueError("observations length does not match eigenvalues")
+    def _check(self, rows, ndim: int) -> np.ndarray:
+        """``rows`` as a float array of ``ndim`` dimensions, the last one
+        running over the modes."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != ndim or rows.shape[-1] != self.eigenvalues.size:
+            raise ValueError(f"expected a {ndim}-d array of {self.eigenvalues.size} modes per row")
+        return rows
 
     def _pick(self, scores: np.ndarray, rule: str) -> Selection:
         idx = int(np.argmin(scores))  # first minimum = smallest index
         return Selection(float(self.grid.values[idx]), idx, rule, float(scores[idx]))
 
+    def _weighted_row_sums(self, terms, rows: np.ndarray) -> np.ndarray:
+        """Entry (r, i) := sum over modes of terms(s_i) * rows[r]^2, for an
+        (R, n) batch of ``rows``.
+
+        The s-block is formed once for the whole batch and rewritten in
+        place by ``terms`` one row block at a time; one row-block scratch
+        array serves as the temporary of ``terms`` and then holds each
+        weighted row block while it is summed, so the batch costs no second
+        K x n array.
+        """
+        block = self._block(True)
+        blocks = _row_blocks(*block.shape)
+        scratch = np.empty_like(block[blocks[0]])
+        for b in blocks:
+            terms(block[b], scratch[: len(block[b])])
+        sums = np.empty((len(rows), len(block)))
+        for r, row in enumerate(rows):
+            weight = row**2
+            for b in blocks:
+                part = np.multiply(block[b], weight, out=scratch[: len(block[b])])
+                sums[r, b] = _accumulate_rows(part)
+        return sums
+
+    def batch_oracle_scores(self, truths: np.ndarray) -> np.ndarray:
+        """Exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2 at
+        every grid point (columns) for each truth f of an (R, n) batch (rows)."""
+        return self._weighted_row_sums(_bias_terms, self._check(truths, 2)) + self._variance
+
     def oracle(self, truth_coeffs: np.ndarray) -> Selection:
-        """Minimize the exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2."""
-        bias = self._block(True)
-        np.subtract(1.0, bias, out=bias)
-        np.square(bias, out=bias)
-        bias *= np.asarray(truth_coeffs, dtype=float) ** 2
-        return self._pick(_accumulate_rows(bias) + self._variance, "oracle")
+        """Minimize the exact direct risk; a batch of one truth."""
+        return self._pick(self.batch_oracle_scores(self._check(truth_coeffs, 1)[None])[0], "oracle")
+
+    def batch_pred_scores(self, values: np.ndarray) -> np.ndarray:
+        """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
+        point (columns) for each observation Y of an (R, n) batch (rows)."""
+        return self._weighted_row_sums(_pred_terms, self._check(values, 2)) + self._pred_offset
 
     def pred_scores(self, obs: Observations) -> np.ndarray:
-        """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid point."""
-        self._check(obs)
-        block = self._block(True)
-        y2 = obs.values**2
-        for rows in _row_blocks(*block.shape):
-            s = block[rows]
-            two_s = 2.0 * s
-            np.square(s, out=s)
-            s -= two_s
-            s *= y2
-        return _accumulate_rows(block) + self._pred_offset
+        """The empirical score of one observation at every grid point."""
+        return self.batch_pred_scores(obs.values[None])[0]
 
     def pred(self, obs: Observations) -> Selection:
         """Minimize the empirical prediction-risk score."""
@@ -153,11 +182,26 @@ class GridScorer:
         The smallest grid value is admissible vacuously, so the rule always
         returns an index; the deciding score is the selected alpha itself.
         """
-        self._check(obs)
+        best = self.lepskii_errors(obs.values)[0]
+        return Selection(float(self.grid.values[best]), best, "lepskii", float(self.grid.values[best]))
+
+    def lepskii_errors(
+        self, values: np.ndarray, truth: np.ndarray | None = None, picks: tuple[int, ...] = ()
+    ) -> tuple[int, list[float]]:
+        """Lepskii's grid index for the observation ``values`` and, given the
+        ``truth``, the squared errors ||f_hat - f||^2 of the estimates at the
+        grid indices ``picks`` and at Lepskii's index, in that order.
+
+        Row i of the block that Lepskii compares is sqrt(lambda) q Y at
+        grid.values[i], the same product as ``model.estimate_coefficients``
+        bit for bit, so the errors are read from it before the buffer is
+        reused and no estimate is evaluated twice.
+        """
+        values = self._check(values, 1)
         # row i holds f_hat at grid.values[i]
         coeff = self._block(False)
         coeff *= self._root
-        coeff *= obs.values
+        coeff *= values
         gram = coeff @ coeff.T
         sq_norm = gram.diagonal().copy()
         dist_sq = sq_norm[:, None] + sq_norm
@@ -167,7 +211,26 @@ class GridScorer:
         beyond = dist_sq > self._thresholds_sq
         beyond &= self._strictly_lower
         best = int(np.flatnonzero(~beyond.any(axis=1))[-1])
-        return Selection(float(self.grid.values[best]), best, "lepskii", float(self.grid.values[best]))
+        if truth is None:
+            return best, []
+        errors = []
+        for i in (*picks, best):
+            diff = coeff[i] - truth
+            errors.append(float(diff @ diff))
+        return best, errors
+
+
+def _bias_terms(s: np.ndarray, scratch: np.ndarray) -> None:
+    """(1 - s)^2 in place."""
+    np.subtract(1.0, s, out=s)
+    np.square(s, out=s)
+
+
+def _pred_terms(s: np.ndarray, scratch: np.ndarray) -> None:
+    """s^2 - 2s in place, with 2s taken in ``scratch``."""
+    np.multiply(s, 2.0, out=scratch)
+    np.square(s, out=s)
+    s -= scratch
 
 
 def choose_oracle(problem: SpectralProblem, spec: FilterSpec, grid: ParameterGrid) -> Selection:

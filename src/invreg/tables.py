@@ -83,36 +83,41 @@ def emit_per_rep_errors(table: RiskTable, path) -> None:
     _write(path, PER_REP_HEADER, rows)
 
 
-def _read(path, header: str) -> list[list[str]]:
+def _read(path, header: str) -> list[list[float]]:
+    """The rows below ``header`` as floats; a wrong header, a row with the
+    wrong number of fields or a cell that is not a number raises ValueError."""
     text = Path(path).read_text(encoding="ascii")
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows or ",".join(rows[0]) != header:
         raise ValueError(f"expected header {header!r} in {path}")
-    return rows[1:]
+    width = header.count(",") + 1
+    values = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from exc
+    return values
 
 
 def parse_risk_table(path) -> RiskTable:
-    rows = [
-        RiskRow(*(float(v) for v in row)) for row in _read(path, RISK_HEADER)
-    ]
-    return RiskTable(tuple(rows))
+    return RiskTable(tuple(RiskRow(*row) for row in _read(path, RISK_HEADER)))
 
 
 def parse_efficiency_table(path) -> EfficiencyTable:
-    rows = [EfficiencyRow(*(float(v) for v in row)) for row in _read(path, EFFICIENCY_HEADER)]
-    return EfficiencyTable(tuple(rows))
+    return EfficiencyTable(tuple(EfficiencyRow(*row) for row in _read(path, EFFICIENCY_HEADER)))
 
 
 def parse_per_rep_errors(path) -> dict[float, dict[str, np.ndarray]]:
     """Per-replication errors grouped by sigma, in file order."""
     groups: dict[float, dict[str, list[float]]] = {}
     for row in _read(path, PER_REP_HEADER):
-        sigma = float(row[0])
-        g = groups.setdefault(sigma, {"or": [], "pred": [], "lep": []})
-        g["or"].append(float(row[2]))
-        g["pred"].append(float(row[3]))
-        g["lep"].append(float(row[4]))
+        g = groups.setdefault(row[0], {"or": [], "pred": [], "lep": []})
+        g["or"].append(row[2])
+        g["pred"].append(row[3])
+        g["lep"].append(row[4])
     return {
         sigma: {k: np.array(v) for k, v in g.items()} for sigma, g in groups.items()
     }

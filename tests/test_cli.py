@@ -160,6 +160,36 @@ MALFORMED = {
     "rate-test-theta-string": (
         "rate-test", {"rate_test": {"errors_csv": "x.csv", "theta_target": "three quarters"}}
     ),
+    "rate-test-block-list": ("rate-test", {"rate_test": ["x.csv", 0.75]}),
+    "rate-test-path-number": ("rate-test", {"rate_test": {"errors_csv": 5, "theta_target": 0.75}}),
+}
+
+
+PER_REP_HEADER = "sigma,replication,err_or,err_pred,err_lep\n"
+PER_REP_ROWS = "".join(
+    f"{sigma},{j},{0.5 * sigma + j * 1e-6},{sigma + j * 1e-6},{2 * sigma + j * 1e-6}\n"
+    for sigma in (0.01, 0.001, 0.0001) for j in range(3)
+)
+
+# per-replication CSVs that rate-test cannot use, each with a valid config,
+# and a fragment of the message that names the fault
+MALFORMED_ERRORS_CSV = {
+    "wrong-header": ("sigma,err\n0.01,1.0\n", "expected header"),
+    "too-few-columns": (PER_REP_HEADER + "0.01,0,1.0\n", ":2: expected 5 fields, got 3"),
+    "non-numeric-cell": (PER_REP_HEADER + PER_REP_ROWS + "0.01,3,1.0,abc,1.0\n", ":11: could not convert"),
+    "two-noise-levels": (
+        PER_REP_HEADER + "".join(f"{s},{j},1.0,{1.0 + j},1.0\n" for s in (0.01, 0.001) for j in range(3)),
+        "at least 3 noise levels, got 2",
+    ),
+    "one-replication": (PER_REP_HEADER + PER_REP_ROWS + "1e-05,0,1.0,1.0,1.0\n", "sigma = 1e-05 needs"),
+    "negative-error": (
+        PER_REP_HEADER + PER_REP_ROWS.replace("0.001,0,0.0005,0.001,", "0.001,0,0.0005,-0.001,"),
+        "sigma = 0.001 needs",
+    ),
+    "negative-sigma": (
+        PER_REP_HEADER + PER_REP_ROWS.replace("0.0001,0,", "-0.0001,0,"),
+        "noise level -0.0001",
+    ),
 }
 
 
@@ -171,6 +201,24 @@ class TestMalformedFields:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invreg: config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ERRORS_CSV))
+    def test_rate_test_csv_exits_2_without_a_traceback(self, case, tmp_path, capsys):
+        text, fault = MALFORMED_ERRORS_CSV[case]
+        csv_path = tmp_path / "errors.csv"
+        csv_path.write_text(text)
+        cfg = write_config(tmp_path, {"rate_test": {"errors_csv": str(csv_path), "theta_target": 0.75}})
+        assert main(["rate-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invreg: config error:") and "Traceback" not in err
+        assert fault in err
+
+    def test_rate_test_csv_rows_above_are_valid(self, tmp_path):
+        # the malformed cases differ from this file only where they say
+        csv_path = tmp_path / "errors.csv"
+        csv_path.write_text(PER_REP_HEADER + PER_REP_ROWS)
+        cfg = write_config(tmp_path, {"rate_test": {"errors_csv": str(csv_path), "theta_target": 0.75}})
+        assert main(["rate-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 class TestSimulateEfficiency:

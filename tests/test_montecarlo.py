@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from invreg.filters import tikhonov
-from invreg.model import SpectralProblem, substream_seed
+from invreg.filters import ALL_FAMILIES, tikhonov
+from invreg.model import SpectralProblem, estimate_coefficients, sample_observations, substream_seed
 from invreg.montecarlo import (
     DiagonalDescriptor,
     ExperimentConfig,
@@ -14,8 +15,9 @@ from invreg.montecarlo import (
     run_rate_experiment,
 )
 from invreg.problems import TestFunction as GreenTruth
-from invreg.risk import direct_risk
-from invreg.selection import GridScorer, build_grid, choose_oracle
+from invreg.problems import make_diagonal_problem, make_green_problem
+from invreg.risk import direct_risk, empirical_prediction_risk
+from invreg.selection import GridScorer, build_grid, choose_lepskii, choose_oracle
 
 
 def ten_mode_problem(sigma=0.05):
@@ -33,6 +35,52 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def per_replication_triple(problem, spec, grid, replicate_seed):
+    """One replication through the per-alpha functions: argmin of the
+    direct risk and of the empirical score, the Lepskii rule, and each
+    error as ``estimate_coefficients`` followed by ``diff @ diff``."""
+    obs = sample_observations(problem, replicate_seed)
+    oracle = np.argmin([direct_risk(problem, spec, a).total for a in grid.values])
+    pred = np.argmin(
+        [empirical_prediction_risk(problem.eigenvalues, problem.sigma, spec, a, obs) for a in grid.values]
+    )
+    lep = choose_lepskii(problem.eigenvalues, problem.sigma, spec, grid, obs).grid_index
+    errors = []
+    for i in (oracle, pred, lep):
+        diff = estimate_coefficients(problem, spec, float(grid.values[i]), obs).values - problem.truth_coeffs
+        errors.append(float(diff @ diff))
+    return tuple(errors)
+
+
+def rate_loop(config):
+    """run_rate_experiment's per_rep arrays as one replicate_once per replication."""
+    out = []
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
+        problem = config.problem.build(sigma)
+        stream = substream_seed(config.master_seed, i)
+        triples = [
+            replicate_once(problem, config.filter_spec, grid, substream_seed(stream, j))
+            for j in range(config.replications)
+        ]
+        out.append(np.array(triples))
+    return out
+
+
+def efficiency_loop(config):
+    """run_efficiency_experiment's rows as one replicate_once per replication."""
+    out = []
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
+        stream = substream_seed(config.master_seed, i)
+        triples = []
+        for j in range(config.replications):
+            rep_stream = substream_seed(stream, j)
+            problem = config.problem.build(sigma, substream_seed(rep_stream, 0))
+            triples.append(replicate_once(problem, config.filter_spec, grid, substream_seed(rep_stream, 1)))
+        t = np.array(triples)
+        out.append((float(np.mean(t[:, 0] / t[:, 1])), float(np.mean(t[:, 0] / t[:, 2]))))
+    return out
 
 
 class TestExperimentConfig:
@@ -98,6 +146,109 @@ class TestReplicateOnce:
         )
         se = errs.std(ddof=1) / math.sqrt(m)
         assert abs(errs.mean() - oracle.score) <= 4 * se
+
+
+    def test_equals_the_per_replication_formulas_bitwise(self):
+        problems = (
+            make_green_problem(1024, GreenTruth.HAT, 2.0**-21, frame="discrete"),
+            make_diagonal_problem(300, 4.0, 4.0, 1e-6, seed=11),
+        )
+        for p in problems:
+            grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+            for spec in ALL_FAMILIES(m=3):
+                for seed in (1, 2):
+                    got = np.array(replicate_once(p, spec, grid, seed))
+                    assert got.tobytes() == np.array(per_replication_triple(p, spec, grid, seed)).tobytes()
+
+    def test_oracle_of_another_grid_rejected(self):
+        p = ten_mode_problem()
+        grid = build_grid(p.sigma, 1.0, 1.3)
+        other = choose_oracle(p, tikhonov(), build_grid(p.sigma, 1.0, 1.5))
+        with pytest.raises(ValueError):
+            replicate_once(p, tikhonov(), grid, 1, other)
+
+
+class TestBatches:
+    """Replications run in batches of at most filters._BLOCK // n (32 at
+    1024 modes, 3 at 10240, 109 at 300); the sizes below cross a batch
+    boundary."""
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
+    def test_rate_per_rep_equals_a_loop_of_replicate_once(self, spec):
+        config = small_config(
+            problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
+            filter_spec=spec,
+            sigmas=(2.0**-15, 2.0**-21),
+            replications=35,
+        )
+        for row, expected in zip(run_rate_experiment(config).rows, rate_loop(config)):
+            got = np.stack([row.per_rep["or"], row.per_rep["pred"], row.per_rep["lep"]], axis=1)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
+    def test_wide_rate_per_rep_equals_a_loop_of_replicate_once(self, spec):
+        # 10240 modes: the math.fsum path, batches of 3 replications
+        config = small_config(
+            problem=GreenDescriptor(GreenTruth.INDICATOR, n_modes=10240),
+            filter_spec=spec,
+            sigmas=(2.0**-15,),
+            replications=4,
+        )
+        for row, expected in zip(run_rate_experiment(config).rows, rate_loop(config)):
+            got = np.stack([row.per_rep["or"], row.per_rep["pred"], row.per_rep["lep"]], axis=1)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
+    def test_efficiency_rows_equal_a_loop_of_replicate_once(self, spec):
+        config = ExperimentConfig(
+            problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
+            filter_spec=spec,
+            sigmas=(1e-2, 1e-6),
+            replications=120,
+            master_seed=6,
+        )
+        got = [(row.eff_pred, row.eff_lep) for row in run_efficiency_experiment(config).rows]
+        assert np.array(got).tobytes() == np.array(efficiency_loop(config)).tobytes()
+
+    @pytest.mark.parametrize(
+        "run, config",
+        [
+            # the benchmark's rates-hat and efficiency-diag configs
+            (
+                run_rate_experiment,
+                small_config(
+                    problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
+                    sigmas=tuple(2.0**-k for k in range(15, 22)),
+                    replications=10,
+                    master_seed=20240901,
+                ),
+            ),
+            (
+                run_efficiency_experiment,
+                ExperimentConfig(
+                    problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
+                    filter_spec=tikhonov(),
+                    sigmas=tuple(10.0**-k for k in range(1, 7)),
+                    replications=5,
+                    master_seed=20240901,
+                ),
+            ),
+        ],
+        ids=["rates-hat", "efficiency-diag"],
+    )
+    def test_memory_above_the_grid_buffer_stays_small(self, run, config):
+        # the K_max x n buffer is the one large array of a run; a cached or
+        # leaked K x n block per noise level or batch would show here
+        run(config)
+        n = config.problem.n_modes if isinstance(config.problem, GreenDescriptor) else config.problem.n
+        buffer_bytes = max(map(len, config.grids())) * n * 8
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - buffer_bytes <= 0.75 * 2**20
 
 
 class TestRunRateExperiment:

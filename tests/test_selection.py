@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invreg.filters import ALL_FAMILIES, spectral_cutoff, tikhonov
+from invreg.filters import ALL_FAMILIES, _grid_values, spectral_cutoff, tikhonov
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import make_diagonal_problem, make_green_problem
 from invreg.model import (
@@ -13,7 +15,7 @@ from invreg.model import (
     sample_observations,
     substream_seed,
 )
-from invreg.risk import direct_risk, empirical_prediction_risk, lepskii_threshold
+from invreg.risk import _accumulate_rows, direct_risk, empirical_prediction_risk, lepskii_threshold
 from invreg.selection import (
     GridScorer,
     ParameterGrid,
@@ -76,6 +78,30 @@ def realistic_cases():
         obs = sample_observations(p, 5)
         for spec in ALL_FAMILIES(m=3):
             yield p, spec, grid, obs
+
+
+def single_replication_scores(p, spec, grid, row, rule):
+    """The per-replication scores that batching replaces: the s-block of
+    one observation (``rule`` "pred") or one truth ("oracle") turned into
+    (s^2 - 2s) y^2 or (1 - s)^2 f^2, summed row by row, plus the term that
+    does not depend on the data."""
+    s = _grid_values(spec, grid.values, p.eigenvalues, True, np.empty((len(grid), p.n_modes)))
+    if rule == "pred":
+        terms = (s**2 - 2.0 * s) * row**2
+        return _accumulate_rows(terms) + 2.0 * p.sigma**2 * _accumulate_rows(s)
+    q = _grid_values(spec, grid.values, p.eigenvalues, False, np.empty((len(grid), p.n_modes)))
+    terms = (1.0 - s) ** 2 * row**2
+    return _accumulate_rows(terms) + p.sigma**2 * _accumulate_rows(p.eigenvalues * q**2)
+
+
+def batch_rows(p, count=4):
+    """``count`` observation rows of ``p`` and as many truth rows: its own
+    truth and seeded perturbations of it."""
+    rng = np.random.default_rng(p.n_modes)
+    values = np.array([sample_observations(p, 100 + r).values for r in range(count)])
+    truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((count, p.n_modes)))
+    truths[0] = p.truth_coeffs
+    return values, truths
 
 
 def random_problem(rng, max_modes=20):
@@ -250,6 +276,71 @@ class TestGridScorer:
                 empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, obs) for a in grid.values
             ]
             assert scores.tobytes() == np.array(expected).tobytes()
+
+    def test_batch_scores_equal_the_single_replication_scores_bitwise(self):
+        for p, spec, grid, _ in realistic_cases():
+            scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
+            values, truths = batch_rows(p)
+            pred = scorer.batch_pred_scores(values)
+            oracle = scorer.batch_oracle_scores(truths)
+            for r in range(len(values)):
+                expected = single_replication_scores(p, spec, grid, values[r], "pred")
+                assert pred[r].tobytes() == expected.tobytes()
+                expected = single_replication_scores(p, spec, grid, truths[r], "oracle")
+                assert oracle[r].tobytes() == expected.tobytes()
+
+    def test_oracle_scores_equal_the_direct_risk_bitwise(self):
+        for p, spec, grid, _ in realistic_cases():
+            scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
+            scores = scorer.batch_oracle_scores(p.truth_coeffs[None])
+            expected = [direct_risk(p, spec, a).total for a in grid.values]
+            assert scores[0].tobytes() == np.array(expected).tobytes()
+
+    def test_errors_read_from_the_lepskii_rows_equal_the_estimates_bitwise(self):
+        for p, spec, grid, obs in realistic_cases():
+            scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
+            picks = (0, len(grid) // 2, len(grid) - 1)
+            best, errors = scorer.lepskii_errors(obs.values, p.truth_coeffs, picks)
+            assert best == scorer.lepskii(obs).grid_index
+            expected = []
+            for i in (*picks, best):
+                diff = estimate_coefficients(p, spec, float(grid.values[i]), obs).values - p.truth_coeffs
+                expected.append(float(diff @ diff))
+            assert np.array(errors).tobytes() == np.array(expected).tobytes()
+
+    def test_rejects_rows_of_the_wrong_shape(self):
+        p = random_problem(np.random.default_rng(2))
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        for call, rows in (
+            (scorer.batch_pred_scores, np.ones(p.n_modes)),
+            (scorer.batch_oracle_scores, np.ones((2, p.n_modes + 1))),
+            (scorer.oracle, np.ones((1, p.n_modes))),
+            (scorer.lepskii_errors, np.ones(p.n_modes - 1)),
+        ):
+            with pytest.raises(ValueError):
+                call(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2500),
+        k=st.integers(1, 120),
+        batch=st.integers(1, 6),
+        family=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_batch_scores_like_each_replication_alone(self, n, k, batch, family, seed):
+        rng = np.random.default_rng(seed)
+        eig = np.sort(rng.uniform(1e-6, 1.0, size=n))[::-1]
+        sigma = 10.0 ** rng.uniform(-6, -1)
+        grid = ParameterGrid(1.2, sigma**2 * 1.2 ** np.arange(k))
+        scorer = GridScorer(eig, sigma, ALL_FAMILIES(m=3)[family], grid)
+        values = rng.normal(0.0, 1.0, size=(batch, n))
+        truths = rng.normal(0.0, 1.0, size=(batch, n))
+        pred, oracle = scorer.batch_pred_scores(values), scorer.batch_oracle_scores(truths)
+        for r in range(batch):
+            assert pred[r].tobytes() == scorer.batch_pred_scores(values[r : r + 1])[0].tobytes()
+            assert oracle[r].tobytes() == scorer.batch_oracle_scores(truths[r : r + 1])[0].tobytes()
 
     def test_rejects_a_buffer_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(1))

@@ -121,7 +121,7 @@ def _parse_filter(block) -> FilterSpec:
         raise ConfigError(f'unknown "filter" fields: {sorted(extra)}')
     try:
         return FilterSpec(block["family"], m=block.get("m", 1))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an m beyond float range
         raise ConfigError(str(exc)) from exc
 
 
@@ -146,11 +146,14 @@ def _parse_problem(cfg: dict):
         extra = set(block) - {"kind", "a", "nu"}
         if extra:
             raise ConfigError(f'unknown "problem" fields: {sorted(extra)}')
-        return DiagonalDescriptor(
-            n=_integer(cfg.get("modes", 300), "modes", 1),
-            a=_real(block.get("a", 4.0), "problem.a", 0.0),  # so that lambda_1 = 1
-            nu=_real(block.get("nu", 4.0), "problem.nu"),
-        )
+        try:  # also refuses an a whose k^(-2a) underflows to 0
+            return DiagonalDescriptor(
+                n=_integer(cfg.get("modes", 300), "modes", 1),
+                a=_real(block.get("a", 4.0), "problem.a", 0.0),  # so that lambda_1 = 1
+                nu=_real(block.get("nu", 4.0), "problem.nu"),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"problem.a: {exc}") from exc
     raise ConfigError(f'unknown problem kind {kind!r}')
 
 
@@ -159,18 +162,17 @@ _DEFAULT_SEEDS = {"filters-check": 20240901}
 
 
 def _master_seed(command: str, cfg: dict, seed_override) -> int:
-    """The seed a command runs with, which is also the one its metadata records."""
-    seed = seed_override
-    if seed is None:
-        seed = cfg.get("master_seed", _DEFAULT_SEEDS.get(command, 0))
-    try:
-        return int(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"master_seed must be an integer, got {seed!r}") from exc
+    """The seed a command runs with and records; a config's seed must be an integer even if overridden."""
+    seed = cfg.get("master_seed", _DEFAULT_SEEDS.get(command, 0))
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"master_seed must be an integer, got {seed!r}")
+    return seed if seed_override is None else seed_override
 
 
-def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
+def _experiment_config(cfg: dict, seed: int, kind: str) -> ExperimentConfig:
     problem, spec = _parse_problem(cfg), _parse_filter(cfg["filter"])
+    if cfg["problem"]["kind"] != kind:
+        raise ConfigError(f'this command needs problem.kind "{kind}", got {cfg["problem"]["kind"]!r}')
     sigmas, replications = _sigmas(cfg), _integer(cfg["replications"], "replications", 2)
     ratio = _real(cfg.get("grid_ratio", 1.2), "grid_ratio")
     try:  # also refuses a noise level that leaves an empty grid
@@ -193,7 +195,7 @@ def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, 
 
 
 def _cmd_simulate_rates(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
-    config = _experiment_config(cfg, seed)
+    config = _experiment_config(cfg, seed, "green")
     table = run_rate_experiment(config, workers=workers)
     risk_path = out_dir / "risk_table.csv"
     per_rep_path = out_dir / "per_rep_errors.csv"
@@ -203,7 +205,7 @@ def _cmd_simulate_rates(cfg, out_dir: Path, seed: int, workers: int) -> list[Pat
 
 
 def _cmd_simulate_efficiency(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
-    config = _experiment_config(cfg, seed)
+    config = _experiment_config(cfg, seed, "diagonal")
     table = run_efficiency_experiment(config, workers=workers)
     path = out_dir / "efficiency.csv"
     emit_efficiency_table(table, path)

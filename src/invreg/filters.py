@@ -29,8 +29,8 @@ __all__ = [
 
 _FAMILIES = ("spectral_cutoff", "tikhonov", "iterated_tikhonov", "landweber", "showalter")
 
-# lambda/alpha below this switches Showalter / iterated Tikhonov to their
-# two-term Taylor forms (guards the 0/0 limit of the closed forms)
+# lambda/alpha (Showalter, iterated Tikhonov) or N lambda (Landweber) below
+# this switches q to its two-term Taylor form (guards the 0/0 limit)
 _TAYLOR_CUT = 1e-8
 
 
@@ -128,16 +128,17 @@ def _evaluate(spec: FilterSpec, alpha, lam: np.ndarray, want_s: bool, out: np.nd
         if not want_s:
             np.divide(out, lam, out=out, where=lam > 0.0)  # q(0) = 0
     elif fam == "landweber":
-        # N = floor(1/alpha) iterations: s = 1 - (1 - lam)^N, with log1p
-        # evaluated only strictly inside (0, 1) and s(1) = 1 - 0^N, so that
-        # alpha > 1 (N = 0) gives the zero filter
-        n_iter = np.floor(1.0 / alpha)
+        # N = floor(1/alpha) iterations (finite also where 1/alpha
+        # overflows): s = 1 - (1 - lam)^N, with log1p evaluated only strictly
+        # inside (0, 1) and s(1) = 1 - 0^N, so that alpha > 1 (N = 0) gives
+        # the zero filter
+        n_iter = np.floor(np.minimum(1.0 / alpha, np.finfo(float).max))
         at_one = lam >= 1.0
         np.negative(np.expm1(n_iter * np.log1p(-np.where(at_one, 0.0, lam))), out=out)
         np.copyto(out, 1.0 - 0.0**n_iter, where=at_one)
         if not want_s:
-            # sum_{j<N} (1-lam)^j ~ N - N(N-1)/2 * lam near 0
-            _q_from_s(out, lam, lam < _TAYLOR_CUT, n_iter * (1.0 - (n_iter - 1.0) * lam / 2.0))
+            # sum_{j<N} (1-lam)^j ~ N - N(N-1)/2 * lam while N lam is small
+            _q_from_s(out, lam, n_iter * lam < _TAYLOR_CUT, n_iter * (1.0 - (n_iter - 1.0) * lam / 2.0))
     elif fam == "showalter":
         ratio = lam / alpha
         np.negative(np.expm1(-ratio), out=out)
@@ -197,16 +198,6 @@ _BLOCK = 1 << 15
 def _row_blocks(rows: int, cols: int) -> list[slice]:
     step = max(1, _BLOCK // cols)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _grid_values(spec: FilterSpec, alphas: np.ndarray, lam, want_s: bool, out: np.ndarray) -> np.ndarray:
-    """Row i of ``out`` := s_value (``want_s``) or filter_value of
-    (spec, alphas[i], lam), bit for bit; ``out`` has shape (len(alphas), len(lam))."""
-    column = np.asarray(alphas, dtype=float)[:, None]
-    lam = _check_args(spec, column, lam)
-    for rows in _row_blocks(*out.shape):
-        _evaluate(spec, column[rows], lam, want_s, out[rows])
-    return out
 
 
 def _pair_values(spec: FilterSpec, alphas, lams, want_s: bool) -> np.ndarray:

@@ -120,10 +120,14 @@ def sample_observations(problem: SpectralProblem, replicate_seed: int) -> Observ
     normal variates are numpy's ziggurat transform of that uniform stream.
     Identical seeds give bit-identical observations.
     """
+    root = np.sqrt(problem.eigenvalues)
+    return Observations(_observe(root, problem.truth_coeffs, problem.sigma, replicate_seed))
+
+
+def _observe(root: np.ndarray, truth: np.ndarray, sigma: float, replicate_seed: int) -> np.ndarray:
+    """The values of :func:`sample_observations` for root = sqrt(eigenvalues), without a problem."""
     rng = np.random.Generator(np.random.PCG64(replicate_seed & _MASK64))
-    xi = rng.standard_normal(problem.n_modes)
-    y = np.sqrt(problem.eigenvalues) * problem.truth_coeffs + problem.sigma * xi
-    return Observations(y)
+    return root * truth + sigma * rng.standard_normal(truth.size)
 
 
 def estimate_coefficients(

@@ -13,6 +13,8 @@ s-block, and the Lepskii rule then runs per replication.  The three
 squared errors are read from the estimate rows that Lepskii compares, so
 no estimate is evaluated a second time.  A single replication
 (:func:`replicate_once`) is a batch of one through the same code.
+The efficiency study builds the eigenvalues, their square roots and the
+truth decay k^{-nu} once per run; a replication draws only its truth and noise.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Union
 import numpy as np
 
 from .filters import FilterSpec, _row_blocks
-from .model import SpectralProblem, sample_observations, substream_seed
-from .problems import TestFunction, make_diagonal_problem, make_green_problem
+from .model import SpectralProblem, _observe, sample_observations, substream_seed
+from .problems import TestFunction, _diagonal_spectrum, _diagonal_truth, make_diagonal_problem, make_green_problem
 from .selection import GridScorer, ParameterGrid, Selection, build_grid
 
 __all__ = [
@@ -63,6 +65,10 @@ class DiagonalDescriptor:
     n: int = 300
     a: float = 4.0
     nu: float = 4.0
+
+    def __post_init__(self) -> None:  # k^{-2a} from 1 down to a positive n^{-2a}
+        if not (self.n >= 1 and self.a >= 0 and float(self.n) ** (-2.0 * self.a) > 0):
+            raise ValueError(f"need n >= 1 and 0 <= a with n^(-2a) > 0, got n = {self.n!r}, a = {self.a!r}")
 
     @property
     def lambda_max(self) -> float:
@@ -200,13 +206,14 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
     for i, (sigma, problem, grid) in enumerate(zip(config.sigmas, problems, grids)):
         scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
         oracle_idx = scorer.oracle(problem.truth_coeffs).grid_index
+        root = np.sqrt(problem.eigenvalues)
         sigma_stream = substream_seed(config.master_seed, i)
         triples = []
         for batch in _row_blocks(config.replications, problem.n_modes):
             reps = range(config.replications)[batch]
             values = np.empty((len(reps), problem.n_modes))
             for r, j in enumerate(reps):
-                values[r] = sample_observations(problem, substream_seed(sigma_stream, j)).values
+                values[r] = _observe(root, problem.truth_coeffs, problem.sigma, substream_seed(sigma_stream, j))
             truths = np.broadcast_to(problem.truth_coeffs, values.shape)
             triples += _score_batch(scorer, truths, values, [oracle_idx] * len(reps))
         triples = np.array(triples)
@@ -231,12 +238,14 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
     """
     if not isinstance(config.problem, DiagonalDescriptor):
         raise ValueError("efficiency experiments use the diagonal problem descriptor")
+    eigenvalues, decay = _diagonal_spectrum(config.problem.n, config.problem.a, config.problem.nu)
+    root = np.sqrt(eigenvalues)
     grids = config.grids()
     buffer = np.empty((max(map(len, grids)), config.problem.n))
     rows = []
     for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):
         sigma_stream = substream_seed(config.master_seed, i)
-        scorer = None
+        scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer)
         triples = []
         for batch in _row_blocks(config.replications, config.problem.n):
             reps = range(config.replications)[batch]
@@ -244,11 +253,8 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
             values = np.empty_like(truths)
             for r, j in enumerate(reps):
                 rep_stream = substream_seed(sigma_stream, j)
-                problem = config.problem.build(sigma, substream_seed(rep_stream, 0))
-                truths[r] = problem.truth_coeffs
-                values[r] = sample_observations(problem, substream_seed(rep_stream, 1)).values
-            if scorer is None:  # only the truth changes between replications
-                scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
+                truths[r] = _diagonal_truth(decay, substream_seed(rep_stream, 0))
+                values[r] = _observe(root, truths[r], sigma, substream_seed(rep_stream, 1))
             oracle_idx = np.argmin(scorer.batch_oracle_scores(truths), axis=1)
             triples += _score_batch(scorer, truths, values, oracle_idx)
         triples = np.array(triples)

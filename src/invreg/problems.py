@@ -113,6 +113,22 @@ def make_green_problem(
     return SpectralProblem(eigenvalues, coeffs, sigma)
 
 
+def _diagonal_spectrum(n: int, a: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues k^{-2a} of the diagonal problem and the decay k^{-nu} of its truth."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    k = np.arange(1, n + 1, dtype=float)
+    return k ** (-2.0 * a), k ** (-nu)
+
+
+def _diagonal_truth(decay: np.ndarray, seed: int) -> np.ndarray:
+    """f_k = +-decay_k (1 + N(0, 0.1^2)) with independent uniform signs."""
+    rng = np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
+    signs = rng.integers(0, 2, size=decay.size) * 2.0 - 1.0
+    perturb = 1.0 + 0.1 * rng.standard_normal(decay.size)
+    return signs * decay * perturb
+
+
 def make_diagonal_problem(
     n: int, a: float, nu: float, sigma: float, seed: int
 ) -> SpectralProblem:
@@ -121,15 +137,8 @@ def make_diagonal_problem(
     truth f_k = +-k^{-nu} (1 + N(0, 0.1^2)) with independent uniform signs;
     the eigenvalues of T*T are k^{-2a}.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    k = np.arange(1, n + 1, dtype=float)
-    eigenvalues = k ** (-2.0 * a)
-    rng = np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
-    signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    perturb = 1.0 + 0.1 * rng.standard_normal(n)
-    coeffs = signs * k ** (-nu) * perturb
-    return SpectralProblem(eigenvalues, coeffs, sigma)
+    eigenvalues, decay = _diagonal_spectrum(n, a, nu)
+    return SpectralProblem(eigenvalues, _diagonal_truth(decay, seed), sigma)
 
 
 def discretize_integral_operator(n: int) -> DenseSymmetricMatrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterSpec, _grid_values, _row_blocks
+from .filters import FilterSpec, _check_args, _evaluate, _row_blocks
 from .model import Observations, SpectralProblem
 from .risk import _accumulate_rows
 
@@ -73,9 +73,12 @@ class GridScorer:
     """Scores every grid point of one noise level under the oracle, pred and
     Lepskii rules.
 
+    The scorer keeps a read-only copy of the eigenvalues and checks its
+    inputs once, at construction; later blocks are evaluated unchecked.
     What does not depend on the data is computed once, as K-vectors: the
-    oracle's variance term sigma^2 sum lambda q^2, the pred offset
-    2 sigma^2 sum s and the squared Lepskii thresholds.  Each call then
+    oracle's variance term sigma^2 sum lambda q^2, the squared Lepskii
+    thresholds and, from the first s-block a call forms, the pred offset
+    2 sigma^2 sum s.  Each call then
     fills one K x n scratch buffer in place, so a buffer allocated for the
     largest grid of a run can serve the scorers of all its noise levels.
     The oracle and pred scores take an (R, n) batch of truths or
@@ -94,7 +97,7 @@ class GridScorer:
         grid: ParameterGrid,
         buffer: np.ndarray | None = None,
     ) -> None:
-        eig = np.asarray(eigenvalues, dtype=float)
+        eig = np.array(eigenvalues, dtype=float)
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         k, n = len(grid), eig.size
@@ -102,8 +105,12 @@ class GridScorer:
             buffer = np.empty((k, n))
         if buffer.shape[0] < k or buffer.shape[1:] != (n,) or not buffer.flags.c_contiguous:
             raise ValueError(f"buffer must be C-contiguous with at least {k} rows of {n} modes")
+        column = grid.values[:, None]
+        _check_args(spec, column, eig)
+        eig.setflags(write=False)
         self.eigenvalues, self.sigma, self.spec, self.grid = eig, sigma, spec, grid
         self._buf = buffer[:k]
+        self._blocks = [(column[b], self._buf[b]) for b in _row_blocks(k, n)]
         self._root = np.sqrt(eig)
         self._strictly_lower = np.tri(k, k, -1, dtype=bool)
         # sum lambda q^2 per alpha feeds both the oracle and the thresholds
@@ -113,10 +120,13 @@ class GridScorer:
         lq2 = _accumulate_rows(q2)
         self._variance = sigma**2 * lq2
         self._thresholds_sq = np.array([(4.0 * sigma * math.sqrt(v)) ** 2 for v in lq2])
-        self._pred_offset = 2.0 * sigma**2 * _accumulate_rows(self._block(True))
+        self._pred_offset = None
 
     def _block(self, want_s: bool) -> np.ndarray:
-        return _grid_values(self.spec, self.grid.values, self.eigenvalues, want_s, self._buf)
+        """Row i of the buffer := s_value or filter_value at grid.values[i], bit for bit."""
+        for alphas, out in self._blocks:
+            _evaluate(self.spec, alphas, self.eigenvalues, want_s, out)
+        return self._buf
 
     def _check(self, rows, ndim: int) -> np.ndarray:
         """``rows`` as a float array of ``ndim`` dimensions, the last one
@@ -141,6 +151,8 @@ class GridScorer:
         K x n array.
         """
         block = self._block(True)
+        if self._pred_offset is None:
+            self._pred_offset = 2.0 * self.sigma**2 * _accumulate_rows(block)
         blocks = _row_blocks(*block.shape)
         scratch = np.empty_like(block[blocks[0]])
         for b in blocks:

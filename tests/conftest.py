@@ -1,3 +1,10 @@
+from hypothesis import settings
+
+# every property test draws the same examples on every run and keeps no
+# example database; the settings of a test inherit this profile
+settings.register_profile("invreg", derandomize=True, database=None, deadline=None)
+settings.load_profile("invreg")
+
 ACCEPTANCE_LINES = []
 
 

@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invreg
 from invreg.cli import main
@@ -162,6 +165,15 @@ MALFORMED = {
     ),
     "rate-test-block-list": ("rate-test", {"rate_test": ["x.csv", 0.75]}),
     "rate-test-path-number": ("rate-test", {"rate_test": {"errors_csv": 5, "theta_target": 0.75}}),
+    "rates-master-seed-fraction": ("simulate-rates", rates_config(master_seed=2.7)),
+    "rates-master-seed-bool": ("simulate-rates", rates_config(master_seed=True)),
+    "rates-master-seed-string": ("simulate-rates", rates_config(master_seed="12")),
+    "rates-master-seed-infinite": ("simulate-rates", rates_config(master_seed=math.inf)),
+    "rates-diagonal-problem": ("simulate-rates", rates_config(problem={"kind": "diagonal"})),
+    "efficiency-green-problem": ("simulate-efficiency", {**diagonal_config(), "problem": {"kind": "green"}}),
+    "efficiency-a-underflow": ("simulate-efficiency", diagonal_config(a=200.0)),
+    "score-curve-a-underflow": ("score-curve", score_curve_config(problem={"kind": "diagonal", "a": 200.0})),
+    "rates-m-overflow": ("simulate-rates", rates_config(filter={"family": "iterated_tikhonov", "m": 10**400})),
 }
 
 
@@ -201,6 +213,20 @@ class TestMalformedFields:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invreg: config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(c for c in MALFORMED if "master-seed" in c))
+    def test_a_malformed_master_seed_is_named(self, case, tmp_path, capsys):
+        command, payload = MALFORMED[case]
+        cfg = write_config(tmp_path, payload)
+        # also when --seed overrides it
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "4"]) == 2
+        assert "master_seed must be an integer" in capsys.readouterr().err
+
+    def test_a_negative_master_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path, rates_config(master_seed=-7, replications=2))
+        out = tmp_path / "o"
+        assert main(["simulate-rates", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["master_seed"] == -7
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ERRORS_CSV))
     def test_rate_test_csv_exits_2_without_a_traceback(self, case, tmp_path, capsys):
@@ -322,3 +348,63 @@ class TestFiltersCheckCommand:
     def test_non_integer_seed_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"pairs": 50, "master_seed": "soon"})
         assert main(["filters-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+FAMILIES = ["spectral_cutoff", "tikhonov", "iterated_tikhonov", "landweber", "showalter"]
+# values that no config field accepts, or that only some do
+JUNK = st.sampled_from([None, True, -1, 0, 1, 2.5, 200.0, "x", "12", [], [1e-3], {}, math.nan, math.inf])
+
+
+@st.composite
+def fuzz_runs(draw):
+    """(command, config, malformed): a config of at most 32 modes and 3
+    replications, malformed if its problem kind does not suit the command
+    and, in about half the draws, by one field replaced with junk, one
+    required key dropped or one unknown key added."""
+    command = draw(st.sampled_from(["simulate-rates", "simulate-efficiency", "score-curve"]))
+    kind = draw(st.sampled_from(["green", "diagonal"]))
+    mismatch = {"simulate-rates": "diagonal", "simulate-efficiency": "green"}.get(command) == kind
+    if kind == "green":
+        problem = {"kind": kind, "truth": draw(st.sampled_from(["hat", "indicator"]))}
+        problem["frame"] = draw(st.sampled_from(["analytic", "discrete"]))
+        lambda_1 = math.pi**-4.0
+    else:
+        problem = {"kind": kind, "a": draw(st.floats(0.0, 8.0)), "nu": draw(st.floats(-2.0, 8.0))}
+        lambda_1 = 1.0
+    family = draw(st.sampled_from(FAMILIES))
+    spec = {"family": family, "m": draw(st.integers(1, 4))} if family == "iterated_tikhonov" else {"family": family}
+    exponents = st.lists(st.floats(-8.0, -0.01), min_size=1, max_size=3)
+    cfg = {
+        "problem": problem,
+        "filter": spec,
+        "sigmas": [math.sqrt(lambda_1) * 10.0**e for e in draw(exponents)],
+        "modes": draw(st.integers(1, 32)),
+        "grid_ratio": draw(st.floats(1.1, 4.0)),
+        "master_seed": draw(st.integers(-(2**63), 2**64)),
+    }
+    if command != "score-curve":
+        cfg["replications"] = draw(st.integers(2, 3))
+    fault = draw(st.sampled_from([None, None, None, "junk", "nested-junk", "drop", "extra"]))
+    if fault == "junk":
+        cfg[draw(st.sampled_from(sorted(cfg)))] = draw(JUNK)
+    elif fault == "nested-junk":
+        block = cfg[draw(st.sampled_from(["problem", "filter"]))]
+        block[draw(st.sampled_from(sorted(block) + ["m", "extra"]))] = draw(JUNK)
+    elif fault == "drop":
+        del cfg[draw(st.sampled_from(sorted({"problem", "filter", "sigmas", "replications"} & set(cfg))))]
+    elif fault == "extra":
+        cfg["workers"] = 2
+    return command, cfg, mismatch or fault is not None
+
+
+class TestFuzz:
+    @settings(max_examples=150)
+    @given(fuzz_runs())
+    def test_random_configs_exit_0_2_or_3(self, run):
+        command, payload, malformed = run
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), payload)
+            code = main([command, "--config", cfg, "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3)
+        if not malformed:
+            assert code == 0

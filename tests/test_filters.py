@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invreg.filters import (
     ALL_FAMILIES,
     FilterSpec,
-    _grid_values,
     _pair_values,
     filter_value,
     iterated_tikhonov,
@@ -18,7 +19,7 @@ from invreg.filters import (
 )
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import make_diagonal_problem, make_green_problem
-from invreg.selection import build_grid
+from invreg.selection import GridScorer, ParameterGrid, build_grid
 
 
 def mp_showalter_q(alpha, lam, dps=60):
@@ -130,6 +131,17 @@ class TestSValue:
                 exact = float((1 - (1 - mpmath.mpf(lam)) ** n_terms) / mpmath.mpf(lam))
             assert got == pytest.approx(exact, rel=1e-10)
 
+    def test_landweber_small_lambda_many_iterations(self):
+        # N lambda beyond the Taylor range although lambda < 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        alpha = 1e-12  # N = 10^12, as on a grid at sigma = 1e-6
+        for lam in (1e-15, 1e-12, 1e-9, 5e-9):
+            got = filter_value(landweber(), alpha, lam)
+            with mpmath.workdps(80):
+                n_terms = math.floor(1 / alpha)
+                exact = float((1 - (1 - mpmath.mpf(lam)) ** n_terms) / mpmath.mpf(lam))
+            assert got == pytest.approx(exact, rel=1e-10)
+
 
 def random_pairs(rng, count):
     alphas = 10.0 ** rng.uniform(-6, 1, size=count)
@@ -198,14 +210,14 @@ class TestGridValues:
     def test_rows_equal_scalar_alpha_calls_bitwise(self, spec):
         for lams, alphas in grid_cases():
             for want_s, scalar_alpha in ((False, filter_value), (True, s_value)):
-                block = _grid_values(spec, alphas, lams, want_s, np.empty((alphas.size, lams.size)))
+                block = GridScorer(lams, 1.0, spec, ParameterGrid(1.2, alphas))._block(want_s)
                 for alpha, row in zip(alphas, block):
                     assert row.tobytes() == scalar_alpha(spec, alpha, lams).tobytes(), (alpha, want_s)
 
     def test_rejects_nonpositive_alpha(self):
         for bad in (0.0, math.nan):
             with pytest.raises(ValueError):
-                _grid_values(tikhonov(), np.array([0.5, bad]), np.ones(3), False, np.empty((2, 3)))
+                GridScorer(np.ones(3), 1.0, tikhonov(), ParameterGrid(1.2, np.array([0.5, bad])))
 
 
 def pair_cases():
@@ -246,3 +258,34 @@ class TestPairValues:
     def test_landweber_lambda_above_one_rejected(self):
         with pytest.raises(ValueError):
             _pair_values(landweber(), np.array([0.5, 0.5]), np.array([0.5, 1.5]), True)
+
+
+def assert_filter_invariants(spec, alpha, lams):
+    """0 <= s <= 1, s(0) = 0 and q >= 0 at ``alpha`` over ``lams`` and 0."""
+    lam = np.append(np.asarray(lams, dtype=float), 0.0)
+    s, q = s_value(spec, alpha, lam), filter_value(spec, alpha, lam)
+    assert np.all((s >= 0.0) & (s <= 1.0)), (alpha, lam, s)
+    assert s[-1] == 0.0
+    assert np.all(q >= 0.0), (alpha, lam, q)
+    return s, q
+
+
+UNIT_LAMBDAS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16)
+
+
+class TestInvariantProperties:
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda spec: spec.family)
+    @settings(max_examples=40)
+    @given(alpha=st.floats(1.0, 1e300, exclude_min=True), lams=UNIT_LAMBDAS)
+    def test_hold_beyond_alpha_one(self, spec, alpha, lams):
+        s, q = assert_filter_invariants(spec, alpha, lams)
+        if spec.family == "landweber":  # N = floor(1/alpha) = 0: the zero filter
+            assert not s.any() and not q.any()
+
+    @settings(max_examples=60)
+    @given(
+        alpha=st.floats(0.0, 1e3, exclude_min=True),
+        lams=st.lists(st.floats(1.0 - 1e-12, 1.0), min_size=1, max_size=16),
+    )
+    def test_hold_for_landweber_next_to_lambda_one(self, alpha, lams):
+        assert_filter_invariants(landweber(), alpha, lams)

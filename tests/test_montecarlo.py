@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from invreg.filters import ALL_FAMILIES, tikhonov
-from invreg.model import SpectralProblem, estimate_coefficients, sample_observations, substream_seed
+from invreg.model import SpectralProblem, _observe, estimate_coefficients, sample_observations, substream_seed
 from invreg.montecarlo import (
     DiagonalDescriptor,
     ExperimentConfig,
@@ -15,7 +15,7 @@ from invreg.montecarlo import (
     run_rate_experiment,
 )
 from invreg.problems import TestFunction as GreenTruth
-from invreg.problems import make_diagonal_problem, make_green_problem
+from invreg.problems import _diagonal_spectrum, _diagonal_truth, make_diagonal_problem, make_green_problem
 from invreg.risk import direct_risk, empirical_prediction_risk
 from invreg.selection import GridScorer, build_grid, choose_lepskii, choose_oracle
 
@@ -168,6 +168,22 @@ class TestReplicateOnce:
             replicate_once(p, tikhonov(), grid, 1, other)
 
 
+class TestEfficiencyDraws:
+    @pytest.mark.parametrize("n", [1, 300, 1024])
+    def test_truth_and_noise_equal_the_problem_and_its_observations_bytewise(self, n):
+        # the efficiency study draws each replication through these helpers
+        # from a spectrum built once per run
+        eigenvalues, decay = _diagonal_spectrum(n, 4.0, 4.0)
+        root = np.sqrt(eigenvalues)
+        for seed in range(33):
+            p = make_diagonal_problem(n, 4.0, 4.0, 1e-3, seed)
+            truth = _diagonal_truth(decay, seed)
+            assert truth.tobytes() == p.truth_coeffs.tobytes()
+            assert eigenvalues.tobytes() == p.eigenvalues.tobytes()
+            noisy = _observe(root, truth, 1e-3, seed + 1000)
+            assert noisy.tobytes() == sample_observations(p, seed + 1000).values.tobytes()
+
+
 class TestBatches:
     """Replications run in batches of at most filters._BLOCK // n (32 at
     1024 modes, 3 at 10240, 109 at 300); the sizes below cross a batch
@@ -293,6 +309,12 @@ class TestRunRateExperiment:
 
 
 class TestRunEfficiencyExperiment:
+    @pytest.mark.parametrize("n, a", [(0, 4.0), (32, -1.0), (32, 200.0), (32, math.nan)])
+    def test_descriptor_refuses_a_spectrum_that_is_not_positive_and_non_increasing(self, n, a):
+        # the run builds no per-replication problem that would check it
+        with pytest.raises(ValueError):
+            DiagonalDescriptor(n=n, a=a)
+
     def test_ratios_in_unit_band(self):
         config = ExperimentConfig(
             problem=DiagonalDescriptor(n=50, a=4.0, nu=4.0),

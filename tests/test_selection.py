@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invreg.filters import ALL_FAMILIES, _grid_values, spectral_cutoff, tikhonov
+from invreg.filters import ALL_FAMILIES, filter_value, landweber, s_value, showalter, spectral_cutoff, tikhonov
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import make_diagonal_problem, make_green_problem
 from invreg.model import (
@@ -85,11 +85,11 @@ def single_replication_scores(p, spec, grid, row, rule):
     one observation (``rule`` "pred") or one truth ("oracle") turned into
     (s^2 - 2s) y^2 or (1 - s)^2 f^2, summed row by row, plus the term that
     does not depend on the data."""
-    s = _grid_values(spec, grid.values, p.eigenvalues, True, np.empty((len(grid), p.n_modes)))
+    s = np.array([s_value(spec, alpha, p.eigenvalues) for alpha in grid.values])
     if rule == "pred":
         terms = (s**2 - 2.0 * s) * row**2
         return _accumulate_rows(terms) + 2.0 * p.sigma**2 * _accumulate_rows(s)
-    q = _grid_values(spec, grid.values, p.eigenvalues, False, np.empty((len(grid), p.n_modes)))
+    q = np.array([filter_value(spec, alpha, p.eigenvalues) for alpha in grid.values])
     terms = (1.0 - s) ** 2 * row**2
     return _accumulate_rows(terms) + p.sigma**2 * _accumulate_rows(p.eigenvalues * q**2)
 
@@ -341,6 +341,38 @@ class TestGridScorer:
         for r in range(batch):
             assert pred[r].tobytes() == scorer.batch_pred_scores(values[r : r + 1])[0].tobytes()
             assert oracle[r].tobytes() == scorer.batch_oracle_scores(truths[r : r + 1])[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, eigenvalues, alphas",
+        [
+            (landweber(), [1.0 + 1e-15, 0.5], [0.1, 0.2]),
+            (tikhonov(), [0.5, -1e-300], [0.1, 0.2]),
+            (tikhonov(), [0.5, 0.25], [0.1, 0.0]),
+            (tikhonov(), [0.5, 0.25], [-0.1, 0.2]),
+            (showalter(), [0.5, 0.25], [0.1, math.nan]),
+        ],
+        ids=["landweber-lambda-above-one", "negative-lambda", "zero-alpha", "negative-alpha", "nan-alpha"],
+    )
+    def test_refuses_bad_inputs_at_construction(self, spec, eigenvalues, alphas):
+        with pytest.raises(ValueError):
+            GridScorer(np.array(eigenvalues), 0.01, spec, ParameterGrid(1.2, np.array(alphas)))
+
+    def test_later_changes_to_the_callers_eigenvalues_change_no_score(self):
+        for p, spec, grid, obs in realistic_cases():
+            eig = p.eigenvalues.copy()
+            scorer = GridScorer(eig, p.sigma, spec, grid)
+
+            def scores():
+                return (
+                    scorer.batch_pred_scores(obs.values[None]).tobytes(),
+                    scorer.batch_oracle_scores(p.truth_coeffs[None]).tobytes(),
+                    scorer.lepskii_errors(obs.values, p.truth_coeffs, (0, len(grid) - 1)),
+                )
+
+            before = scores()
+            eig[:] = eig[::-1] * 0.5
+            assert scores() == before
+            assert eig.flags.writeable and not scorer.eigenvalues.flags.writeable
 
     def test_rejects_a_buffer_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(1))

@@ -146,14 +146,14 @@ def _parse_problem(cfg: dict):
         extra = set(block) - {"kind", "a", "nu"}
         if extra:
             raise ConfigError(f'unknown "problem" fields: {sorted(extra)}')
-        try:  # also refuses an a whose k^(-2a) underflows to 0
+        try:  # also refuses an a whose k^(-2a) underflows to 0 and a nu whose truth overflows
             return DiagonalDescriptor(
                 n=_integer(cfg.get("modes", 300), "modes", 1),
                 a=_real(block.get("a", 4.0), "problem.a", 0.0),  # so that lambda_1 = 1
                 nu=_real(block.get("nu", 4.0), "problem.nu"),
             )
         except ValueError as exc:
-            raise ConfigError(f"problem.a: {exc}") from exc
+            raise ConfigError(f"problem.{exc}") from exc
     raise ConfigError(f'unknown problem kind {kind!r}')
 
 
@@ -169,6 +169,24 @@ def _master_seed(command: str, cfg: dict, seed_override) -> int:
     return seed if seed_override is None else seed_override
 
 
+# the most memory one noise level's scorer may take, in bytes
+_SCORER_BUDGET = 1 << 30
+
+
+def _scorer_bytes(n: int, grids) -> int:
+    """Bytes of the float64 arrays of the scorer of the largest grid over n
+    modes: its K x n buffer and the three K x K arrays of a Lepskii call."""
+    k = max(len(grid) for grid in grids)
+    return (k * n + 3 * k * k) * 8
+
+
+def _check_budget(problem, grids) -> None:
+    n = problem.n_modes if isinstance(problem, GreenDescriptor) else problem.n
+    need = _scorer_bytes(n, grids)
+    if need > _SCORER_BUDGET:
+        raise ConfigError(f"the scorer needs {need} bytes at {n} modes, over the budget of {_SCORER_BUDGET}")
+
+
 def _experiment_config(cfg: dict, seed: int, kind: str) -> ExperimentConfig:
     problem, spec = _parse_problem(cfg), _parse_filter(cfg["filter"])
     if cfg["problem"]["kind"] != kind:
@@ -176,9 +194,11 @@ def _experiment_config(cfg: dict, seed: int, kind: str) -> ExperimentConfig:
     sigmas, replications = _sigmas(cfg), _integer(cfg["replications"], "replications", 2)
     ratio = _real(cfg.get("grid_ratio", 1.2), "grid_ratio")
     try:  # also refuses a noise level that leaves an empty grid
-        return ExperimentConfig(problem, spec, sigmas, replications, ratio, seed)
+        config = ExperimentConfig(problem, spec, sigmas, replications, ratio, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_budget(problem, config.grids())
+    return config
 
 
 def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, t0: float, outputs) -> None:
@@ -220,6 +240,7 @@ def _cmd_score_curve(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
         grid = build_grid(sigma, descriptor.lambda_max, _real(cfg.get("grid_ratio", 1.2), "grid_ratio"))
     except ValueError as exc:
         raise ConfigError(f"sigma = {sigma!r}: {exc}") from exc
+    _check_budget(descriptor, [grid])
     if isinstance(descriptor, GreenDescriptor):
         problem = descriptor.build(sigma)
     else:
@@ -310,13 +331,11 @@ def main(argv=None) -> int:
         prog="invreg",
         description="Filter-based regularization experiments in the Gaussian sequence model.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--workers", type=int, default=1, help="recorded only: replications run serially")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of %(choices)s")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override master seed")
+    parser.add_argument("--workers", type=int, default=1, help="recorded only: replications run serially")
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()

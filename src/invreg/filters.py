@@ -131,14 +131,18 @@ def _evaluate(spec: FilterSpec, alpha, lam: np.ndarray, want_s: bool, out: np.nd
         # N = floor(1/alpha) iterations (finite also where 1/alpha
         # overflows): s = 1 - (1 - lam)^N, with log1p evaluated only strictly
         # inside (0, 1) and s(1) = 1 - 0^N, so that alpha > 1 (N = 0) gives
-        # the zero filter
-        n_iter = np.floor(np.minimum(1.0 / alpha, np.finfo(float).max))
-        at_one = lam >= 1.0
-        np.negative(np.expm1(n_iter * np.log1p(-np.where(at_one, 0.0, lam))), out=out)
-        np.copyto(out, 1.0 - 0.0**n_iter, where=at_one)
-        if not want_s:
-            # sum_{j<N} (1-lam)^j ~ N - N(N-1)/2 * lam while N lam is small
-            _q_from_s(out, lam, n_iter * lam < _TAYLOR_CUT, n_iter * (1.0 - (n_iter - 1.0) * lam / 2.0))
+        # the zero filter.  Overflow is expected near alpha = 5e-324, and
+        # each one gives the intended value: 1/alpha is capped, N log1p(-lam)
+        # = -inf gives s = 1, and the Taylor term is discarded where N lam is
+        # not small
+        with np.errstate(over="ignore"):
+            n_iter = np.floor(np.minimum(1.0 / alpha, np.finfo(float).max))
+            at_one = lam >= 1.0
+            np.negative(np.expm1(n_iter * np.log1p(-np.where(at_one, 0.0, lam))), out=out)
+            np.copyto(out, 1.0 - 0.0**n_iter, where=at_one)
+            if not want_s:
+                # sum_{j<N} (1-lam)^j ~ N - N(N-1)/2 * lam while N lam is small
+                _q_from_s(out, lam, n_iter * lam < _TAYLOR_CUT, n_iter * (1.0 - (n_iter - 1.0) * lam / 2.0))
     elif fam == "showalter":
         ratio = lam / alpha
         np.negative(np.expm1(-ratio), out=out)

@@ -60,15 +60,25 @@ class GreenDescriptor:
         return make_green_problem(self.n_modes, self.truth, sigma, self.frame)
 
 
+# log of the largest squared norm n max_k k^{-2 nu} a diagonal truth may
+# have: 1e4 below the largest float leaves room for the perturbation of the
+# truth and for the squared errors of the estimates
+_LOG_TRUTH_NORM_LIMIT = math.log(np.finfo(float).max / 1e4)
+
+
 @dataclass(frozen=True)
 class DiagonalDescriptor:
     n: int = 300
     a: float = 4.0
     nu: float = 4.0
 
-    def __post_init__(self) -> None:  # k^{-2a} from 1 down to a positive n^{-2a}
-        if not (self.n >= 1 and self.a >= 0 and float(self.n) ** (-2.0 * self.a) > 0):
-            raise ValueError(f"need n >= 1 and 0 <= a with n^(-2a) > 0, got n = {self.n!r}, a = {self.a!r}")
+    def __post_init__(self) -> None:
+        if not self.n >= 1:
+            raise ValueError(f"n must be at least 1, got {self.n!r}")
+        if not (self.a >= 0 and float(self.n) ** (-2.0 * self.a) > 0):  # k^{-2a} from 1 down to a positive n^{-2a}
+            raise ValueError(f"a must be at least 0 with n^(-2a) > 0 at n = {self.n}, got {self.a!r}")
+        if not (1.0 - 2.0 * min(self.nu, 0.0)) * math.log(self.n) < _LOG_TRUTH_NORM_LIMIT:
+            raise ValueError(f"nu = {self.nu!r} at n = {self.n} puts n^(1 - 2 nu) within 1e4 of float overflow")
 
     @property
     def lambda_max(self) -> float:

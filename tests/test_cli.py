@@ -12,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invreg
+from invreg import cli
 from invreg.cli import main
+from invreg.filters import tikhonov
+from invreg.montecarlo import DiagonalDescriptor, ExperimentConfig
+from invreg.selection import build_grid
 from invreg.tables import parse_per_rep_errors, parse_risk_table
 
 
@@ -174,6 +178,8 @@ MALFORMED = {
     "efficiency-a-underflow": ("simulate-efficiency", diagonal_config(a=200.0)),
     "score-curve-a-underflow": ("score-curve", score_curve_config(problem={"kind": "diagonal", "a": 200.0})),
     "rates-m-overflow": ("simulate-rates", rates_config(filter={"family": "iterated_tikhonov", "m": 10**400})),
+    "efficiency-nu-overflow": ("simulate-efficiency", {**diagonal_config(nu=-300.0), "modes": 32}),
+    "efficiency-nu-squared-overflow": ("simulate-efficiency", {**diagonal_config(nu=-150.0), "modes": 32}),
 }
 
 
@@ -205,6 +211,86 @@ MALFORMED_ERRORS_CSV = {
 }
 
 
+def assert_tables_finite(out_dir):
+    """Every number in every CSV table of ``out_dir`` is finite."""
+    for table in Path(out_dir).glob("*.csv"):
+        for line in table.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in line.split(",")), (table.name, line)
+
+
+class TestScorerBudget:
+    def test_footprint_of_a_fine_grid_is_over_the_budget(self):
+        # computed from the grids only; no scorer is built
+        config = ExperimentConfig(DiagonalDescriptor(n=300), tikhonov(), (1e-3,), 2, grid_ratio=1.0001)
+        (k,) = [len(grid) for grid in config.grids()]
+        assert k == 138163
+        assert cli._scorer_bytes(300, config.grids()) == (k * 300 + 3 * k * k) * 8 > cli._SCORER_BUDGET
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("simulate-efficiency", {**diagonal_config(), "modes": 32}),
+            ("simulate-rates", rates_config(replications=2)),
+            ("score-curve", score_curve_config(modes=32)),
+        ],
+    )
+    def test_a_scorer_over_the_budget_exits_2(self, command, payload, tmp_path, capsys, monkeypatch):
+        # a small config against a budget set just below its own footprint
+        problem = cli._parse_problem(payload)
+        grids = [build_grid(s, problem.lambda_max, payload.get("grid_ratio", 1.2)) for s in payload["sigmas"]]
+        need = cli._scorer_bytes(32, grids)
+        cfg = write_config(tmp_path, payload)
+        monkeypatch.setattr(cli, "_SCORER_BUDGET", need)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "at")]) == 0
+        monkeypatch.setattr(cli, "_SCORER_BUDGET", need - 1)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "over")]) == 2
+        assert f"the scorer needs {need} bytes" in capsys.readouterr().err
+
+
+class TestArgv:
+    """The argv contract: malformed command lines exit 2 and write nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["simulate-everything", "--config", "{cfg}", "--out", "{out}"],
+            ["filters-check", "--out", "{out}"],
+            ["filters-check", "--config", "{cfg}"],
+            ["filters-check", "--config", "{cfg}", "--out", "{out}", "--seed", "x"],
+        ],
+        ids=["no-command", "unknown-command", "no-config", "no-out", "seed-not-an-integer"],
+    )
+    def test_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"pairs": 20})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(cfg=cfg, out=out) for arg in argv])
+        assert exc.value.code == 2
+        assert "usage: invreg" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_the_documented_form_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {"pairs": 20})
+        argv = ["filters-check", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3", "--workers", "2"]
+        assert main(argv) == 0
+
+    def test_options_may_precede_the_command(self, tmp_path):
+        cfg = write_config(tmp_path, {"pairs": 20})
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert main(["--config", cfg, "--out", str(first), "filters-check"]) == 0
+        assert main(["filters-check", "--config", cfg, "--out", str(last)]) == 0
+        assert (first / "filters_check.json").read_bytes() == (last / "filters_check.json").read_bytes()
+
+    def test_help_lists_every_command_and_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for word in ["--config", "--out", "--seed", "--workers", *cli._COMMANDS]:
+            assert word in text
+
+
 class TestMalformedFields:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_2_without_a_traceback(self, case, tmp_path, capsys):
@@ -221,6 +307,18 @@ class TestMalformedFields:
         # also when --seed overrides it
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "4"]) == 2
         assert "master_seed must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(c for c in MALFORMED if "-nu-" in c))
+    def test_an_overflowing_nu_is_named(self, case, tmp_path, capsys):
+        command, payload = MALFORMED[case]
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+        assert "problem.nu" in capsys.readouterr().err
+
+    def test_a_large_negative_nu_that_fits_runs_finite(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {**diagonal_config(nu=-100.0), "modes": 32})
+        assert main(["simulate-efficiency", "--config", cfg, "--out", str(out)]) == 0
+        assert_tables_finite(out)
 
     def test_a_negative_master_seed_runs(self, tmp_path):
         cfg = write_config(tmp_path, rates_config(master_seed=-7, replications=2))
@@ -405,6 +503,8 @@ class TestFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), payload)
             code = main([command, "--config", cfg, "--out", str(Path(tmp) / "o")])
-        assert code in (0, 2, 3)
-        if not malformed:
-            assert code == 0
+            assert code in (0, 2, 3)
+            if not malformed:
+                assert code == 0
+            if code == 0:
+                assert_tables_finite(Path(tmp) / "o")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,3 +290,15 @@ class TestInvariantProperties:
     )
     def test_hold_for_landweber_next_to_lambda_one(self, alpha, lams):
         assert_filter_invariants(landweber(), alpha, lams)
+
+    def test_landweber_at_the_smallest_alpha_is_warning_free(self):
+        # 1/alpha, N log1p(-lam) and the unused Taylor term overflow there,
+        # each to the intended value
+        alpha, lams = 5e-324, np.array([1.0 - 1e-12, 0.5, 1e-300, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, q = assert_filter_invariants(landweber(), alpha, lams)
+            for want_s, scalar in ((True, s), (False, q)):
+                pairs = _pair_values(landweber(), np.full(lams.size + 1, alpha), np.append(lams, 0.0), want_s)
+                assert pairs.tobytes() == scalar.tobytes()
+        assert np.all(s[:-1] == 1.0) and q[-1] == np.finfo(float).max  # q(0) = N

@@ -315,6 +315,11 @@ class TestRunEfficiencyExperiment:
         with pytest.raises(ValueError):
             DiagonalDescriptor(n=n, a=a)
 
+    @pytest.mark.parametrize("n, nu", [(32, -150.0), (32, -300.0), (2, -2000.0), (32, math.nan)])
+    def test_descriptor_refuses_a_nu_whose_truth_overflows(self, n, nu):
+        with pytest.raises(ValueError, match="nu"):
+            DiagonalDescriptor(n=n, nu=nu)
+
     def test_ratios_in_unit_band(self):
         config = ExperimentConfig(
             problem=DiagonalDescriptor(n=50, a=4.0, nu=4.0),

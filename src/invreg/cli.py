@@ -90,10 +90,12 @@ def _load_config(command: str, path: str) -> dict:
 
 
 def _integer(value, name: str, least: int) -> int:
-    """An integer config value of at least ``least``; floats, bools and
-    strings are refused rather than truncated."""
+    """An integer config value of at least ``least`` that a float can hold;
+    floats, bools and strings are refused rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if value > sys.float_info.max:  # the value is not printed: it may have hundreds of digits
+        raise ConfigError(f"{name} must be at most the largest float, {sys.float_info.max!r}")
     return value
 
 
@@ -214,25 +216,25 @@ def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, 
     (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_simulate_rates(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_simulate_rates(cfg, output, seed: int, workers: int) -> list[Path]:
     config = _experiment_config(cfg, seed, "green")
     table = run_rate_experiment(config, workers=workers)
-    risk_path = out_dir / "risk_table.csv"
-    per_rep_path = out_dir / "per_rep_errors.csv"
+    risk_path = output("risk_table.csv")
+    per_rep_path = output("per_rep_errors.csv")
     emit_risk_table(table, risk_path)
     emit_per_rep_errors(table, per_rep_path)
     return [risk_path, per_rep_path]
 
 
-def _cmd_simulate_efficiency(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_simulate_efficiency(cfg, output, seed: int, workers: int) -> list[Path]:
     config = _experiment_config(cfg, seed, "diagonal")
     table = run_efficiency_experiment(config, workers=workers)
-    path = out_dir / "efficiency.csv"
+    path = output("efficiency.csv")
     emit_efficiency_table(table, path)
     return [path]
 
 
-def _cmd_score_curve(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_score_curve(cfg, output, seed: int, workers: int) -> list[Path]:
     descriptor = _parse_problem(cfg)
     spec = _parse_filter(cfg["filter"])
     sigma = _sigmas(cfg)[0]
@@ -247,7 +249,7 @@ def _cmd_score_curve(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
         problem = descriptor.build(sigma, substream_seed(seed, 1))
     obs = sample_observations(problem, substream_seed(seed, 0))
     pairs = zip(grid.values, GridScorer(problem.eigenvalues, sigma, spec, grid).pred_scores(obs))
-    path = out_dir / "score_curve.csv"
+    path = output("score_curve.csv")
     emit_score_curve(pairs, path)
     return [path]
 
@@ -272,7 +274,7 @@ def _rate_samples(path, risk: str) -> list[RateSample]:
     return [RateSample.from_errors(sigma, g[risk]) for sigma, g in groups.items()]
 
 
-def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_rate_test(cfg, output, seed: int, workers: int) -> list[Path]:
     block = cfg["rate_test"]
     if not isinstance(block, dict):
         raise ConfigError('"rate_test" must be an object')
@@ -289,7 +291,7 @@ def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     if not isinstance(block["errors_csv"], str):
         raise ConfigError(f'rate_test.errors_csv must be a path string, got {block["errors_csv"]!r}')
     result = rate_test(_rate_samples(block["errors_csv"], risk), theta_target)
-    path = out_dir / "rate_test.json"
+    path = output("rate_test.json")
     path.write_text(
         json.dumps(
             {
@@ -308,9 +310,9 @@ def _cmd_rate_test(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
     return [path]
 
 
-def _cmd_filters_check(cfg, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_filters_check(cfg, output, seed: int, workers: int) -> list[Path]:
     report = run_filter_checks(_integer(cfg.get("pairs", 1000), "pairs", 1), seed)
-    path = out_dir / "filters_check.json"
+    path = output("filters_check.json")
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if report["total_violations"]:
         raise NumericFailure(f'{report["total_violations"]} filter invariant violations')
@@ -339,12 +341,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()
+    out_dir = Path(args.out)
+
+    def output(name: str) -> Path:
+        # a command asks for its output paths only once its config is
+        # accepted, so a refused run leaves no directory behind
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir / name
+
     try:
         cfg = _load_config(args.command, args.config)
         seed = _master_seed(args.command, cfg, args.seed)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](cfg, out_dir, seed, max(1, args.workers))
+        outputs = _COMMANDS[args.command](cfg, output, seed, max(1, args.workers))
     except ConfigError as exc:
         print(f"invreg: config error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,11 @@ tables are bit-identical for any worker count.
 A noise level's replications are sampled and scored in batches of at most
 ``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300): the oracle (for a
 fresh truth per replication) and the pred rule score a whole batch over one
-s-block, and the Lepskii rule then runs per replication.  The three
+s-block, and the Lepskii rule then runs per replication.  The oracle and
+pred grid indices come from ``GridScorer.batch_*_picks``, which scores
+exactly only the grid rows near the minimum; the indices are those of the
+exact scores, so the tables are the same bytes as with every row scored
+exactly, for any BLAS thread count.  The three
 squared errors are read from the estimate rows that Lepskii compares, so
 no estimate is evaluated a second time.  A single replication
 (:func:`replicate_once`) is a batch of one through the same code.
@@ -99,6 +103,7 @@ class ExperimentConfig:
     replications: int
     grid_ratio: float = 1.2
     master_seed: int = 0
+    _grids: tuple[ParameterGrid, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
@@ -108,11 +113,14 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replications for standard errors")
         if not self.grid_ratio > 1:
             raise ValueError("grid_ratio must exceed 1")
-        self.grids()  # raises if a noise level leaves no grid below lambda_1
+        # raises if a noise level leaves no grid below lambda_1
+        grids = tuple(build_grid(sigma, self.problem.lambda_max, self.grid_ratio) for sigma in self.sigmas)
+        object.__setattr__(self, "_grids", grids)
 
     def grids(self) -> list[ParameterGrid]:
-        """The candidate grid of each noise level, up to the problem's lambda_1."""
-        return [build_grid(sigma, self.problem.lambda_max, self.grid_ratio) for sigma in self.sigmas]
+        """The candidate grid of each noise level, up to the problem's lambda_1,
+        built once with the config."""
+        return list(self._grids)
 
 
 @dataclass(frozen=True)
@@ -154,7 +162,7 @@ def _score_batch(
     Pred scores the whole batch over one s-block; Lepskii then runs per
     replication, and the three errors are read from its estimate rows.
     """
-    pred_idx = np.argmin(scorer.batch_pred_scores(values), axis=1)
+    pred_idx = scorer.batch_pred_picks(values)
     return [
         scorer.lepskii_errors(y, f, (int(o), int(p)))[1]
         for y, f, o, p in zip(values, truths, oracle_idx, pred_idx)
@@ -215,7 +223,7 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
     rows = []
     for i, (sigma, problem, grid) in enumerate(zip(config.sigmas, problems, grids)):
         scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
-        oracle_idx = scorer.oracle(problem.truth_coeffs).grid_index
+        oracle_idx = scorer.batch_oracle_picks(problem.truth_coeffs[None])[0]
         root = np.sqrt(problem.eigenvalues)
         sigma_stream = substream_seed(config.master_seed, i)
         triples = []
@@ -265,7 +273,7 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
                 rep_stream = substream_seed(sigma_stream, j)
                 truths[r] = _diagonal_truth(decay, substream_seed(rep_stream, 0))
                 values[r] = _observe(root, truths[r], sigma, substream_seed(rep_stream, 1))
-            oracle_idx = np.argmin(scorer.batch_oracle_scores(truths), axis=1)
+            oracle_idx = scorer.batch_oracle_picks(truths)
             triples += _score_batch(scorer, truths, values, oracle_idx)
         triples = np.array(triples)
         # average the per-replication oracle fractions err_or / err_rule:

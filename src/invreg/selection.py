@@ -16,7 +16,7 @@ import numpy as np
 
 from .filters import FilterSpec, _check_args, _evaluate, _row_blocks
 from .model import Observations, SpectralProblem
-from .risk import _accumulate_rows
+from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
 __all__ = [
     "ParameterGrid",
@@ -83,7 +83,13 @@ class GridScorer:
     largest grid of a run can serve the scorers of all its noise levels.
     The oracle and pred scores take an (R, n) batch of truths or
     observations and form the s-block once for the whole batch; a single
-    truth or observation is a batch of one.  The Lepskii rule takes one
+    truth or observation is a batch of one.  The ``batch_*_picks`` methods
+    return only each row's grid index: one matrix-vector product per row
+    gives approximate scores with a rigorous rounding margin, and only the
+    grid rows that may hold the minimum are scored exactly, through the
+    same code as ``batch_*_scores``, so the indices equal the first
+    minimum of the exact scores for any BLAS summation order (see
+    ``_picks``).  The Lepskii rule takes one
     observation and can return the squared errors of any grid estimates,
     read from its own estimate rows.  No K x n block outlives a call, and
     the buffer makes a scorer unsafe to share between threads.
@@ -140,15 +146,14 @@ class GridScorer:
         idx = int(np.argmin(scores))  # first minimum = smallest index
         return Selection(float(self.grid.values[idx]), idx, rule, float(scores[idx]))
 
-    def _weighted_row_sums(self, terms, rows: np.ndarray) -> np.ndarray:
-        """Entry (r, i) := sum over modes of terms(s_i) * rows[r]^2, for an
-        (R, n) batch of ``rows``.
+    def _terms(self, pred: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The buffer rewritten to the mode weights of one rule's score, and
+        that score's K-vector offset: (s^2 - 2s, 2 sigma^2 sum s) for pred,
+        ((1 - s)^2, sigma^2 sum lambda q^2) for the oracle.
 
-        The s-block is formed once for the whole batch and rewritten in
-        place by ``terms`` one row block at a time; one row-block scratch
-        array serves as the temporary of ``terms`` and then holds each
-        weighted row block while it is summed, so the batch costs no second
-        K x n array.
+        The s-block is formed once and rewritten in place one row block at a
+        time, with one row-block scratch array as the temporary of the terms;
+        the scratch is freed before the block is weighted.
         """
         block = self._block(True)
         if self._pred_offset is None:
@@ -156,19 +161,90 @@ class GridScorer:
         blocks = _row_blocks(*block.shape)
         scratch = np.empty_like(block[blocks[0]])
         for b in blocks:
-            terms(block[b], scratch[: len(block[b])])
-        sums = np.empty((len(rows), len(block)))
-        for r, row in enumerate(rows):
-            weight = row**2
-            for b in blocks:
-                part = np.multiply(block[b], weight, out=scratch[: len(block[b])])
-                sums[r, b] = _accumulate_rows(part)
-        return sums
+            (_pred_terms if pred else _bias_terms)(block[b], scratch[: len(block[b])])
+        return block, (self._pred_offset if pred else self._variance)
+
+    @staticmethod
+    def _exact(block: np.ndarray, offset: np.ndarray, grid_rows, weights: np.ndarray, weight_rows) -> np.ndarray:
+        """Entry j := the exact score of grid row grid_rows[j] under the mode
+        weights weights[weight_rows[j]]: the sum of the weighted block row as
+        risk._accumulate forms it, plus the row's offset.
+
+        This is the one place where a score is formed; the batch scores and
+        the picks both read it, so they agree bit for bit.
+        """
+        scores = np.empty(len(grid_rows))
+        # the gathered block rows and their weights together fill one row block
+        for b in _row_blocks(len(grid_rows), 2 * block.shape[1]):
+            part = block[grid_rows[b]]
+            part *= weights[weight_rows[b]]
+            scores[b] = _accumulate_rows(part)
+        scores += offset[grid_rows]
+        return scores
+
+    def _scores(self, pred: bool, rows: np.ndarray) -> np.ndarray:
+        """Entry (r, i) := the exact score of grid row i for row r of an
+        (R, n) batch of truths (oracle) or observations (pred)."""
+        block, offset = self._terms(pred)
+        k = len(block)
+        grid_rows = np.tile(np.arange(k), len(rows))
+        weight_rows = np.repeat(np.arange(len(rows)), k)
+        return self._exact(block, offset, grid_rows, rows**2, weight_rows).reshape(len(rows), k)
+
+    def _picks(self, pred: bool, rows: np.ndarray) -> np.ndarray:
+        """np.argmin(self._scores(pred, rows), axis=1), scoring exactly only
+        the grid rows that may hold each minimum.
+
+        Per row r, one product block @ r^2 plus the offset gives approximate
+        scores a_i.  All terms of a sum have one sign ((1 - s)^2 >= 0, and
+        s^2 - 2s <= 0 on [0, 1]), so a_i and the exact score, each n rounded
+        products summed in some order (pairwise, fsum, or a BLAS kernel with
+        FMA and any thread split), are both within about n u |a_i| of the
+        true sum, u = 2^-53, plus n 2^-1074 from underflow; adding the offset
+        rounds each once more.  The margin 4 (n + 2) u (|a_i| + |offset_i|)
+        + 4 n 2^-1074 is twice that, which also covers the rounding of the
+        margin and of a_i +- margin.  A grid row whose lower end lies above
+        the smallest upper end cannot hold the minimum; the others are
+        scored exactly, and the first minimum among them is the first
+        minimum of all grid rows.  If a lower end is not finite (a NaN or
+        infinite row, or a sum that overflows), every grid row is scored
+        exactly.
+        """
+        block, offset = self._terms(pred)
+        n = block.shape[1]
+        weights = rows**2
+        approx = np.empty((len(rows), len(block)))
+        for r, weight in enumerate(weights):
+            # one matrix-vector product per row: a matrix product's pack
+            # buffers would raise the peak memory of a run
+            np.dot(block, weight, out=approx[r])
+        approx += offset
+        slack = 4.0 * (n + 2) * 2.0**-53
+        margin = np.abs(approx)
+        margin += np.abs(offset)
+        margin *= slack
+        margin += 4.0 * n * 2.0**-1074
+        lower = approx - margin
+        upper = np.add(approx, margin, out=margin)
+        candidates = lower <= upper.min(axis=1, keepdims=True)
+        # a NaN or infinite a_i makes its lower end NaN or infinite; an upper
+        # end that alone overflows only widens the candidates
+        candidates[~np.isfinite(lower).all(axis=1)] = True
+        weight_rows, grid_rows = np.nonzero(candidates)
+        # rows left unscored stay above every candidate's exact score
+        scores = np.full(approx.shape, np.inf)
+        scores[weight_rows, grid_rows] = self._exact(block, offset, grid_rows, weights, weight_rows)
+        return np.argmin(scores, axis=1)
 
     def batch_oracle_scores(self, truths: np.ndarray) -> np.ndarray:
         """Exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2 at
         every grid point (columns) for each truth f of an (R, n) batch (rows)."""
-        return self._weighted_row_sums(_bias_terms, self._check(truths, 2)) + self._variance
+        return self._scores(False, self._check(truths, 2))
+
+    def batch_oracle_picks(self, truths: np.ndarray) -> np.ndarray:
+        """The oracle's grid index for each truth of an (R, n) batch: the
+        first minimum of its row of :meth:`batch_oracle_scores`."""
+        return self._picks(False, self._check(truths, 2))
 
     def oracle(self, truth_coeffs: np.ndarray) -> Selection:
         """Minimize the exact direct risk; a batch of one truth."""
@@ -177,7 +253,12 @@ class GridScorer:
     def batch_pred_scores(self, values: np.ndarray) -> np.ndarray:
         """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
         point (columns) for each observation Y of an (R, n) batch (rows)."""
-        return self._weighted_row_sums(_pred_terms, self._check(values, 2)) + self._pred_offset
+        return self._scores(True, self._check(values, 2))
+
+    def batch_pred_picks(self, values: np.ndarray) -> np.ndarray:
+        """The pred rule's grid index for each observation of an (R, n)
+        batch: the first minimum of its row of :meth:`batch_pred_scores`."""
+        return self._picks(True, self._check(values, 2))
 
     def pred_scores(self, obs: Observations) -> np.ndarray:
         """The empirical score of one observation at every grid point."""
@@ -228,7 +309,9 @@ class GridScorer:
         errors = []
         for i in (*picks, best):
             diff = coeff[i] - truth
-            errors.append(float(diff @ diff))
+            # BLAS threads a dot product this wide, so its bits would follow the thread count
+            wide = diff.size >= _COMPENSATED_FROM
+            errors.append(_accumulate(diff * diff) if wide else float(diff @ diff))
         return best, errors
 
 

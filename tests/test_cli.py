@@ -180,6 +180,8 @@ MALFORMED = {
     "rates-m-overflow": ("simulate-rates", rates_config(filter={"family": "iterated_tikhonov", "m": 10**400})),
     "efficiency-nu-overflow": ("simulate-efficiency", {**diagonal_config(nu=-300.0), "modes": 32}),
     "efficiency-nu-squared-overflow": ("simulate-efficiency", {**diagonal_config(nu=-150.0), "modes": 32}),
+    "score-curve-modes-overflow": ("score-curve", score_curve_config(problem={"kind": "diagonal"}, modes=10**400)),
+    "efficiency-modes-overflow": ("simulate-efficiency", {**diagonal_config(), "modes": 10**400}),
 }
 
 
@@ -313,6 +315,19 @@ class TestMalformedFields:
         command, payload = MALFORMED[case]
         assert main([command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
         assert "problem.nu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_refused_run_leaves_no_out_directory(self, case, tmp_path):
+        command, payload = MALFORMED[case]
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(c for c in MALFORMED if "-modes-overflow" in c))
+    def test_modes_beyond_float_range_are_named(self, case, tmp_path, capsys):
+        command, payload = MALFORMED[case]
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: modes must be at most the largest float" in capsys.readouterr().err
 
     def test_a_large_negative_nu_that_fits_runs_finite(self, tmp_path):
         out = tmp_path / "o"

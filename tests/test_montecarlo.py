@@ -96,6 +96,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(grid_ratio=1.0)
 
+    def test_grids_are_built_once_with_the_config(self, monkeypatch):
+        import invreg.montecarlo
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_grid(*args)
+
+        monkeypatch.setattr(invreg.montecarlo, "build_grid", counting)
+        config = small_config()
+        first, second = config.grids(), config.grids()
+        assert len(calls) == len(config.sigmas)
+        expected = [build_grid(s, config.problem.lambda_max, config.grid_ratio) for s in config.sigmas]
+        for grids in (first, second):
+            assert [g.values.tobytes() for g in grids] == [g.values.tobytes() for g in expected]
+
 
 class TestReplicateOnce:
     def test_same_seed_same_triple(self):

@@ -342,6 +342,87 @@ class TestGridScorer:
             assert pred[r].tobytes() == scorer.batch_pred_scores(values[r : r + 1])[0].tobytes()
             assert oracle[r].tobytes() == scorer.batch_oracle_scores(truths[r : r + 1])[0].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2500),
+        k=st.integers(1, 120),
+        batch=st.integers(1, 6),
+        family=st.integers(0, 4),
+        zero_rows=st.sets(st.integers(0, 5)),
+        zero_share=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_picks_are_the_first_minimum_of_the_exact_scores(
+        self, n, k, batch, family, zero_rows, zero_share, seed
+    ):
+        rng = np.random.default_rng(seed)
+        eig = np.sort(rng.uniform(1e-6, 1.0, size=n))[::-1]
+        sigma = 10.0 ** rng.uniform(-6, -1)
+        grid = ParameterGrid(1.2, sigma**2 * 1.2 ** np.arange(k))
+        scorer = GridScorer(eig, sigma, ALL_FAMILIES(m=3)[family], grid)
+        rows = []
+        for scale in (1.0, sigma):  # truths, then observations of the noise's size
+            block = rng.normal(0.0, scale, size=(batch, n))
+            # zeros within a row move the pairwise sums' rounding against a
+            # BLAS product's, so near-ties of the two orders come up
+            block[rng.uniform(size=block.shape) < zero_share] = 0.0
+            block[[r for r in zero_rows if r < batch]] = 0.0
+            rows.append(block)
+        truths, values = rows
+        oracle = scorer.batch_oracle_picks(truths)
+        pred = scorer.batch_pred_picks(values)
+        assert oracle.tolist() == np.argmin(scorer.batch_oracle_scores(truths), axis=1).tolist()
+        assert pred.tolist() == np.argmin(scorer.batch_pred_scores(values), axis=1).tolist()
+
+    def test_exact_ties_go_to_the_smallest_index(self, monkeypatch):
+        # spectral cut-off: s is 0 or 1, so grid points with no eigenvalue
+        # between them have the same s-row and exactly the same score
+        eig = 2.0 ** -np.arange(0.0, 40.0, 4.0)
+        sigma = 2.0**-20
+        grid = build_grid(sigma, 1.0, 1.05)
+        scorer = GridScorer(eig, sigma, spectral_cutoff(), grid)
+        rescored = []
+        exact = GridScorer._exact
+
+        def counting(block, offset, grid_rows, weights, weight_rows):
+            rescored.extend(np.bincount(weight_rows, minlength=len(weights)))
+            return exact(block, offset, grid_rows, weights, weight_rows)
+
+        monkeypatch.setattr(GridScorer, "_exact", staticmethod(counting))
+        rng = np.random.default_rng(3)
+        truths = np.zeros((4, eig.size))
+        truths[:, 5:] = rng.normal(0.0, 1e-3, size=(4, eig.size - 5))
+        values = truths + sigma * rng.normal(size=truths.shape)
+        picks = [scorer.batch_oracle_picks(truths), scorer.batch_pred_picks(values)]
+        # each pick re-scored the tied rows, not every row
+        assert len(rescored) == 8 and all(1 < count < len(grid) for count in rescored)
+        scores = [scorer.batch_oracle_scores(truths), scorer.batch_pred_scores(values)]
+        for rule_picks, rule_scores in zip(picks, scores):
+            for pick, row in zip(rule_picks, rule_scores):
+                tied = np.flatnonzero(row == row.min())
+                assert len(tied) > 1 and pick == tied[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_approximate_scores_fall_back_to_the_exact_scores(self, bad):
+        # 1e200 squares to inf; through mode 4 the cut-off pred scores are
+        # -inf at the grid points up to lambda_4 and NaN (0 * inf) above it,
+        # so the first minimum is not at index 0
+        eig = 2.0 ** -np.arange(0.0, 40.0, 4.0)
+        sigma = 2.0**-20
+        grid = build_grid(sigma, 1.0, 1.05)
+        for spec in (spectral_cutoff(), tikhonov()):
+            scorer = GridScorer(eig, sigma, spec, grid)
+            rows = np.full((2, eig.size), 1e-3)
+            rows[0, 4] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                results = (
+                    (scorer.batch_oracle_picks(rows), scorer.batch_oracle_scores(rows)),
+                    (scorer.batch_pred_picks(rows), scorer.batch_pred_scores(rows)),
+                )
+            for picks, scores in results:
+                assert not np.isfinite(scores[0]).all()
+                assert picks.tolist() == np.argmin(scores, axis=1).tolist()
+
     @pytest.mark.parametrize(
         "spec, eigenvalues, alphas",
         [

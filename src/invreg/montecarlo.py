@@ -9,7 +9,9 @@ tables are bit-identical for any worker count.
 A noise level's replications are sampled and scored in batches of at most
 ``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300): the oracle (for a
 fresh truth per replication) and the pred rule score a whole batch over one
-s-block, and the Lepskii rule then runs per replication.  The oracle and
+s-block, and the Lepskii rule then runs per replication, each batch
+forming its data-free rows sqrt(lambda) q once where the shared buffer has
+rows to spare (``GridScorer.batch_lepskii_errors``).  The oracle and
 pred grid indices come from ``GridScorer.batch_*_picks``, which scores
 exactly only the grid rows near the minimum; the indices are those of the
 exact scores, so the tables are the same bytes as with every row scored
@@ -17,8 +19,10 @@ exactly, for any BLAS thread count.  The three
 squared errors are read from the estimate rows that Lepskii compares, so
 no estimate is evaluated a second time.  A single replication
 (:func:`replicate_once`) is a batch of one through the same code.
-The efficiency study builds the eigenvalues, their square roots and the
-truth decay k^{-nu} once per run; a replication draws only its truth and noise.
+The rate study builds its problem once per run (only sigma changes between
+noise levels), and the efficiency study builds the eigenvalues, their
+square roots and the truth decay k^{-nu} once per run; a replication draws
+only its truth and noise.
 """
 
 from __future__ import annotations
@@ -152,21 +156,17 @@ class EfficiencyTable:
     rows: tuple[EfficiencyRow, ...]
 
 
-def _score_batch(
-    scorer: GridScorer, truths: np.ndarray, values: np.ndarray, oracle_idx
-) -> list[list[float]]:
+def _score_batch(scorer: GridScorer, truths: np.ndarray, values: np.ndarray, oracle_idx) -> np.ndarray:
     """Squared errors [err_or, err_pred, err_lep] of each replication of a
-    batch: row r of ``values`` observes the truth in row r of ``truths``,
-    whose oracle grid index is ``oracle_idx[r]``.
+    batch (rows): row r of ``values`` observes the truth in row r of
+    ``truths``, whose oracle grid index is ``oracle_idx[r]``.
 
     Pred scores the whole batch over one s-block; Lepskii then runs per
-    replication, and the three errors are read from its estimate rows.
+    replication over the batch's data-free rows, and the three errors are
+    read from its estimate rows.
     """
-    pred_idx = scorer.batch_pred_picks(values)
-    return [
-        scorer.lepskii_errors(y, f, (int(o), int(p)))[1]
-        for y, f, o, p in zip(values, truths, oracle_idx, pred_idx)
-    ]
+    picks = np.stack([oracle_idx, scorer.batch_pred_picks(values)], axis=1)
+    return scorer.batch_lepskii_errors(values, truths, picks)[1]
 
 
 def replicate_once(
@@ -201,7 +201,7 @@ def replicate_once(
         raise ValueError("oracle selection is not a point of this grid")
     obs = sample_observations(problem, replicate_seed)
     (errors,) = _score_batch(scorer, problem.truth_coeffs[None], obs.values[None], [oracle.grid_index])
-    return tuple(errors)
+    return tuple(errors.tolist())
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -216,25 +216,26 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
     """
     if not isinstance(config.problem, GreenDescriptor):
         raise ValueError("rate experiments use the green problem descriptor")
-    problems = [config.problem.build(sigma) for sigma in config.sigmas]
+    # the problem does not depend on the noise level, so one serves them all
+    problem = config.problem.build(config.sigmas[0])
+    root = np.sqrt(problem.eigenvalues)
     grids = config.grids()
     # one scratch block for the largest grid serves every noise level
-    buffer = np.empty((max(map(len, grids)), config.problem.n_modes))
+    buffer = np.empty((max(map(len, grids)), problem.n_modes))
     rows = []
-    for i, (sigma, problem, grid) in enumerate(zip(config.sigmas, problems, grids)):
-        scorer = GridScorer(problem.eigenvalues, problem.sigma, config.filter_spec, grid, buffer)
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):
+        scorer = GridScorer(problem.eigenvalues, sigma, config.filter_spec, grid, buffer)
         oracle_idx = scorer.batch_oracle_picks(problem.truth_coeffs[None])[0]
-        root = np.sqrt(problem.eigenvalues)
         sigma_stream = substream_seed(config.master_seed, i)
-        triples = []
+        batches = []
         for batch in _row_blocks(config.replications, problem.n_modes):
             reps = range(config.replications)[batch]
             values = np.empty((len(reps), problem.n_modes))
             for r, j in enumerate(reps):
-                values[r] = _observe(root, problem.truth_coeffs, problem.sigma, substream_seed(sigma_stream, j))
+                values[r] = _observe(root, problem.truth_coeffs, sigma, substream_seed(sigma_stream, j))
             truths = np.broadcast_to(problem.truth_coeffs, values.shape)
-            triples += _score_batch(scorer, truths, values, [oracle_idx] * len(reps))
-        triples = np.array(triples)
+            batches.append(_score_batch(scorer, truths, values, [oracle_idx] * len(reps)))
+        triples = np.concatenate(batches)
         (r_or, se_or) = _mean_se(triples[:, 0])
         (r_pred, se_pred) = _mean_se(triples[:, 1])
         (r_lep, se_lep) = _mean_se(triples[:, 2])
@@ -264,7 +265,7 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
     for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):
         sigma_stream = substream_seed(config.master_seed, i)
         scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer)
-        triples = []
+        batches = []
         for batch in _row_blocks(config.replications, config.problem.n):
             reps = range(config.replications)[batch]
             truths = np.empty((len(reps), config.problem.n))
@@ -274,8 +275,8 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
                 truths[r] = _diagonal_truth(decay, substream_seed(rep_stream, 0))
                 values[r] = _observe(root, truths[r], sigma, substream_seed(rep_stream, 1))
             oracle_idx = scorer.batch_oracle_picks(truths)
-            triples += _score_batch(scorer, truths, values, oracle_idx)
-        triples = np.array(triples)
+            batches.append(_score_batch(scorer, truths, values, oracle_idx))
+        triples = np.concatenate(batches)
         # average the per-replication oracle fractions err_or / err_rule:
         # the plain ratio of mean risks is dominated by the rare deep minima
         # of the empirical score (heavy right tail of err_pred) and says

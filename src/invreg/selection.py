@@ -23,6 +23,7 @@ __all__ = [
     "Selection",
     "GridScorer",
     "build_grid",
+    "grid_size",
     "choose_oracle",
     "choose_pred",
     "choose_lepskii",
@@ -54,8 +55,9 @@ class Selection:
     score: float
 
 
-def build_grid(sigma: float, lambda_max: float, ratio: float) -> ParameterGrid:
-    """Grid {sigma^2 r^j : j = 0..K} with K = floor(log(lambda_max/sigma^2)/log r)."""
+def grid_size(sigma: float, lambda_max: float, ratio: float) -> int:
+    """The number K + 1 of points of ``build_grid(sigma, lambda_max, ratio)``,
+    K = floor(log(lambda_max/sigma^2)/log r), found without building the grid."""
     if not ratio > 1:
         raise ValueError("ratio must exceed 1")
     if not (sigma > 0 and lambda_max > 0):
@@ -64,8 +66,12 @@ def build_grid(sigma: float, lambda_max: float, ratio: float) -> ParameterGrid:
         raise ValueError("sigma^2 must be below lambda_max (empty grid range)")
     if sigma**2 == 0.0 or math.isinf(lambda_max / sigma**2):
         raise ValueError("lambda_max / sigma^2 overflows (grid range not representable)")
-    k_max = math.floor(math.log(lambda_max / sigma**2) / math.log(ratio))
-    values = sigma**2 * ratio ** np.arange(k_max + 1, dtype=float)
+    return math.floor(math.log(lambda_max / sigma**2) / math.log(ratio)) + 1
+
+
+def build_grid(sigma: float, lambda_max: float, ratio: float) -> ParameterGrid:
+    """Grid {sigma^2 r^j : j = 0..K} with K = floor(log(lambda_max/sigma^2)/log r)."""
+    values = sigma**2 * ratio ** np.arange(grid_size(sigma, lambda_max, ratio), dtype=float)
     return ParameterGrid(ratio=float(ratio), values=values)
 
 
@@ -89,10 +95,15 @@ class GridScorer:
     grid rows that may hold the minimum are scored exactly, through the
     same code as ``batch_*_scores``, so the indices equal the first
     minimum of the exact scores for any BLAS summation order (see
-    ``_picks``).  The Lepskii rule takes one
-    observation and can return the squared errors of any grid estimates,
-    read from its own estimate rows.  No K x n block outlives a call, and
-    the buffer makes a scorer unsafe to share between threads.
+    ``_picks``).  The Lepskii rule takes an (R, n) batch of observations
+    and can return the squared errors of any grid estimates, read from its
+    own estimate rows.  A buffer with more rows than the grid lends its
+    spare rows, up to K of them, to each Lepskii call, which forms the
+    first rows of the data-free sqrt(lambda) q there once per batch (see
+    ``batch_lepskii_errors``).  No K x n block outlives a call: each call
+    fills the rows it reads, so scorers of other noise levels may share
+    the buffer, and the buffer makes a scorer unsafe to share between
+    threads.
     """
 
     def __init__(
@@ -116,7 +127,13 @@ class GridScorer:
         eig.setflags(write=False)
         self.eigenvalues, self.sigma, self.spec, self.grid = eig, sigma, spec, grid
         self._buf = buffer[:k]
-        self._blocks = [(column[b], self._buf[b]) for b in _row_blocks(k, n)]
+        # a Lepskii call keeps its first rows of sqrt(lambda) q in the rows of
+        # the buffer beyond this grid's, up to k of them
+        self._cache = buffer[k : 2 * k]
+        c = len(self._cache)
+        self._blocks = _row_views(column, self._buf)
+        self._cache_blocks = _row_views(column[:c], self._cache)
+        self._rest_blocks = _row_views(column[c:], self._buf[c:])
         self._root = np.sqrt(eig)
         self._strictly_lower = np.tri(k, k, -1, dtype=bool)
         # sum lambda q^2 per alpha feeds both the oracle and the thresholds
@@ -128,9 +145,10 @@ class GridScorer:
         self._thresholds_sq = np.array([(4.0 * sigma * math.sqrt(v)) ** 2 for v in lq2])
         self._pred_offset = None
 
-    def _block(self, want_s: bool) -> np.ndarray:
-        """Row i of the buffer := s_value or filter_value at grid.values[i], bit for bit."""
-        for alphas, out in self._blocks:
+    def _block(self, want_s: bool, blocks=None) -> np.ndarray:
+        """Row i of the buffer := s_value or filter_value at grid.values[i],
+        bit for bit, in row blocks; given ``blocks``, only their rows."""
+        for alphas, out in self._blocks if blocks is None else blocks:
             _evaluate(self.spec, alphas, self.eigenvalues, want_s, out)
         return self._buf
 
@@ -282,37 +300,77 @@ class GridScorer:
         self, values: np.ndarray, truth: np.ndarray | None = None, picks: tuple[int, ...] = ()
     ) -> tuple[int, list[float]]:
         """Lepskii's grid index for the observation ``values`` and, given the
-        ``truth``, the squared errors ||f_hat - f||^2 of the estimates at the
-        grid indices ``picks`` and at Lepskii's index, in that order.
+        ``truth``, the squared errors of the estimates at the grid indices
+        ``picks`` and at Lepskii's index, in that order; a batch of one."""
+        truths = None if truth is None else self._check(truth, 1)[None]
+        best, errors = self.batch_lepskii_errors(self._check(values, 1)[None], truths, [picks])
+        return int(best[0]), errors[0].tolist()
+
+    def batch_lepskii_errors(
+        self, values: np.ndarray, truths: np.ndarray | None = None, picks=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lepskii's grid index for each observation of an (R, n) batch and,
+        given the (R, n) ``truths``, an (R, P + 1) array of squared errors
+        ||f_hat - f||^2: row r holds those of the estimates at the P grid
+        indices ``picks[r]`` and then at Lepskii's index.
 
         Row i of the block that Lepskii compares is sqrt(lambda) q Y at
         grid.values[i], the same product as ``model.estimate_coefficients``
         bit for bit, so the errors are read from it before the buffer is
-        reused and no estimate is evaluated twice.
+        reused and no estimate is evaluated twice.  The rows
+        sqrt(lambda) q do not depend on the data: the first c of them,
+        c = min(K, rows of the buffer beyond this grid's), are formed once
+        per call in those spare rows, and each replication multiplies them
+        by Y; only the other K - c rows are evaluated per replication.
         """
-        values = self._check(values, 1)
-        # row i holds f_hat at grid.values[i]
-        coeff = self._block(False)
-        coeff *= self._root
-        coeff *= values
-        gram = coeff @ coeff.T
-        sq_norm = gram.diagonal().copy()
-        dist_sq = sq_norm[:, None] + sq_norm
-        gram *= 2.0
-        dist_sq -= gram
-        # i is admissible unless some j < i lies beyond threshold j
-        beyond = dist_sq > self._thresholds_sq
-        beyond &= self._strictly_lower
-        best = int(np.flatnonzero(~beyond.any(axis=1))[-1])
-        if truth is None:
-            return best, []
-        errors = []
-        for i in (*picks, best):
-            diff = coeff[i] - truth
-            # BLAS threads a dot product this wide, so its bits would follow the thread count
-            wide = diff.size >= _COMPENSATED_FROM
-            errors.append(_accumulate(diff * diff) if wide else float(diff @ diff))
+        values = self._check(values, 2)
+        if truths is not None:
+            truths = self._check(truths, 2)
+            if len(truths) != len(values):
+                raise ValueError("expected one truth per observation")
+        picks = [()] * len(values) if picks is None else picks
+        cache, k = self._cache, len(self._buf)
+        self._block(False, self._cache_blocks)
+        cache *= self._root
+        # row i of coeff holds f_hat at grid.values[i]
+        coeff = self._buf
+        head, rest = coeff[: len(cache)], coeff[len(cache) :]
+        # the K x K arrays are allocated once per call, not per replication
+        gram, dist_sq, beyond = np.empty((k, k)), np.empty((k, k)), np.empty((k, k), dtype=bool)
+        best = np.empty(len(values), dtype=int)
+        errors = np.empty((len(values), 0 if truths is None else np.shape(picks)[-1] + 1))
+        for r, y in enumerate(values):
+            np.multiply(cache, y, out=head)
+            self._block(False, self._rest_blocks)
+            rest *= self._root
+            rest *= y
+            np.matmul(coeff, coeff.T, out=gram)
+            sq_norm = gram.diagonal().copy()
+            # sq_norm[i] + sq_norm[j] in two passes: one broadcast add into
+            # dist_sq would buffer both of its operands
+            np.copyto(dist_sq, sq_norm[:, None])
+            dist_sq += sq_norm
+            gram *= 2.0
+            dist_sq -= gram
+            # i is admissible unless some j < i lies beyond threshold j
+            np.greater(dist_sq, self._thresholds_sq, out=beyond)
+            beyond &= self._strictly_lower
+            best[r] = np.flatnonzero(~beyond.any(axis=1))[-1]
+            if truths is None:
+                continue
+            truth = truths[r]
+            for e, i in enumerate((*picks[r], best[r])):
+                diff = coeff[i] - truth
+                # BLAS threads a dot product this wide, so its bits would follow the thread count
+                wide = diff.size >= _COMPENSATED_FROM
+                errors[r, e] = _accumulate(diff * diff) if wide else diff @ diff
         return best, errors
+
+
+def _row_views(column: np.ndarray, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(alphas, rows) per row block of ``rows``, whose row i belongs to the
+    alpha in row i of ``column``."""
+    return [(column[b], rows[b]) for b in _row_blocks(*rows.shape)]
 
 
 def _bias_terms(s: np.ndarray, scratch: np.ndarray) -> None:

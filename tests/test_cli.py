@@ -182,6 +182,13 @@ MALFORMED = {
     "efficiency-nu-squared-overflow": ("simulate-efficiency", {**diagonal_config(nu=-150.0), "modes": 32}),
     "score-curve-modes-overflow": ("score-curve", score_curve_config(problem={"kind": "diagonal"}, modes=10**400)),
     "efficiency-modes-overflow": ("simulate-efficiency", {**diagonal_config(), "modes": 10**400}),
+    # 1 + 2^-52, the smallest ratio above 1: a few 10^16 grid points, refused
+    # from the closed-form grid size before any grid array is built
+    "rates-grid-ratio-just-above-one": ("simulate-rates", rates_config(grid_ratio=1.0 + 2.0**-52)),
+    "efficiency-grid-ratio-just-above-one": (
+        "simulate-efficiency", {**diagonal_config(), "modes": 8, "grid_ratio": 1.0 + 2.0**-52}
+    ),
+    "score-curve-grid-ratio-just-above-one": ("score-curve", score_curve_config(modes=8, grid_ratio=1.0 + 2.0**-52)),
 }
 
 
@@ -226,7 +233,7 @@ class TestScorerBudget:
         config = ExperimentConfig(DiagonalDescriptor(n=300), tikhonov(), (1e-3,), 2, grid_ratio=1.0001)
         (k,) = [len(grid) for grid in config.grids()]
         assert k == 138163
-        assert cli._scorer_bytes(300, config.grids()) == (k * 300 + 3 * k * k) * 8 > cli._SCORER_BUDGET
+        assert cli._scorer_bytes(300, [k]) == (k * 300 + 3 * k * k) * 8 > cli._SCORER_BUDGET
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -240,7 +247,7 @@ class TestScorerBudget:
         # a small config against a budget set just below its own footprint
         problem = cli._parse_problem(payload)
         grids = [build_grid(s, problem.lambda_max, payload.get("grid_ratio", 1.2)) for s in payload["sigmas"]]
-        need = cli._scorer_bytes(32, grids)
+        need = cli._scorer_bytes(32, map(len, grids))
         cfg = write_config(tmp_path, payload)
         monkeypatch.setattr(cli, "_SCORER_BUDGET", need)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "at")]) == 0
@@ -328,6 +335,12 @@ class TestMalformedFields:
         command, payload = MALFORMED[case]
         assert main([command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
         assert "config error: modes must be at most the largest float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(c for c in MALFORMED if "-grid-ratio-just-above-one" in c))
+    def test_a_grid_ratio_just_above_one_is_named(self, case, tmp_path, capsys):
+        command, payload = MALFORMED[case]
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+        assert "(grid_ratio = 1.0000000000000002), over the budget" in capsys.readouterr().err
 
     def test_a_large_negative_nu_that_fits_runs_finite(self, tmp_path):
         out = tmp_path / "o"
@@ -470,10 +483,13 @@ JUNK = st.sampled_from([None, True, -1, 0, 1, 2.5, 200.0, "x", "12", [], [1e-3],
 
 @st.composite
 def fuzz_runs(draw):
-    """(command, config, malformed): a config of at most 32 modes and 3
-    replications, malformed if its problem kind does not suit the command
-    and, in about half the draws, by one field replaced with junk, one
-    required key dropped or one unknown key added."""
+    """(command, config, malformed, over_budget): a config of at most 32
+    modes and 3 replications, malformed if its problem kind does not suit
+    the command and, in about half the draws, by one field replaced with
+    junk, one required key dropped or one unknown key added.  In a few
+    draws the grid ratio lies in (1, 1 + 1e-6]: the grid then has at least
+    46000 points, so its scorer is over the memory budget (``over_budget``)
+    unless junk replaced the ratio."""
     command = draw(st.sampled_from(["simulate-rates", "simulate-efficiency", "score-curve"]))
     kind = draw(st.sampled_from(["green", "diagonal"]))
     mismatch = {"simulate-rates": "diagonal", "simulate-efficiency": "green"}.get(command) == kind
@@ -492,7 +508,9 @@ def fuzz_runs(draw):
         "filter": spec,
         "sigmas": [math.sqrt(lambda_1) * 10.0**e for e in draw(exponents)],
         "modes": draw(st.integers(1, 32)),
-        "grid_ratio": draw(st.floats(1.1, 4.0)),
+        "grid_ratio": draw(
+            st.floats(1.0, 1.0 + 1e-6, exclude_min=True) if draw(st.integers(0, 9)) == 7 else st.floats(1.1, 4.0)
+        ),
         "master_seed": draw(st.integers(-(2**63), 2**64)),
     }
     if command != "score-curve":
@@ -507,18 +525,22 @@ def fuzz_runs(draw):
         del cfg[draw(st.sampled_from(sorted({"problem", "filter", "sigmas", "replications"} & set(cfg))))]
     elif fault == "extra":
         cfg["workers"] = 2
-    return command, cfg, mismatch or fault is not None
+    ratio = cfg.get("grid_ratio")
+    over_budget = isinstance(ratio, float) and 1.0 < ratio <= 1.0 + 1e-6
+    return command, cfg, mismatch or fault is not None or over_budget, over_budget
 
 
 class TestFuzz:
     @settings(max_examples=150)
     @given(fuzz_runs())
     def test_random_configs_exit_0_2_or_3(self, run):
-        command, payload, malformed = run
+        command, payload, malformed, over_budget = run
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), payload)
             code = main([command, "--config", cfg, "--out", str(Path(tmp) / "o")])
             assert code in (0, 2, 3)
+            if over_budget:
+                assert code == 2
             if not malformed:
                 assert code == 0
             if code == 0:

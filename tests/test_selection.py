@@ -308,6 +308,62 @@ class TestGridScorer:
                 expected.append(float(diff @ diff))
             assert np.array(errors).tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
+    def test_a_lepskii_batch_equals_each_replication_alone_bitwise(self, spec):
+        # a buffer of exactly K rows keeps no rows of sqrt(lambda) q (c = 0);
+        # K + K/2 rows keep half of them, and 2K rows or more keep all
+        for p in (
+            make_diagonal_problem(300, 4.0, 4.0, 1e-4, seed=3),
+            make_green_problem(1024, GreenTruth.HAT, 2.0**-18, frame="discrete"),
+            make_green_problem(10240, GreenTruth.INDICATOR, 2.0**-15, frame="discrete"),  # the fsum path
+        ):
+            grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+            k = len(grid)
+            values, truths = batch_rows(p, 3)
+            picks = np.array([[0, k // 2], [k - 1, 1], [k // 3, k // 3]])
+            alone = GridScorer(p.eigenvalues, p.sigma, spec, grid)
+            expected = [alone.lepskii_errors(values[r], truths[r], tuple(picks[r])) for r in range(3)]
+            for rows in (k, k + k // 2, 2 * k, 2 * k + 7):
+                scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid, np.empty((rows, p.n_modes)))
+                best, errors = scorer.batch_lepskii_errors(values, truths, picks)
+                assert best.tolist() == [index for index, _ in expected]
+                assert errors.tobytes() == np.array([errs for _, errs in expected]).tobytes()
+                assert scorer.batch_lepskii_errors(values)[0].tolist() == best.tolist()
+
+    def test_interleaved_scorers_on_one_buffer_read_no_stale_rows(self):
+        # the smaller grid keeps its rows of sqrt(lambda) q in buffer rows
+        # that the larger grid's calls overwrite in between
+        problems = [make_green_problem(1024, GreenTruth.HAT, s, frame="discrete") for s in (2.0**-15, 2.0**-21)]
+        grids = [build_grid(p.sigma, float(p.eigenvalues[0]), 1.2) for p in problems]
+        buffer = np.empty((max(map(len, grids)), 1024))
+        cases = []
+        for p, grid, spec in zip(problems, grids, (tikhonov(), showalter())):
+            shared = GridScorer(p.eigenvalues, p.sigma, spec, grid, buffer)
+            alone = GridScorer(p.eigenvalues, p.sigma, spec, grid)
+            values, truths = batch_rows(p, 3)
+            picks = np.stack([alone.batch_oracle_picks(truths), alone.batch_pred_picks(values)], axis=1)
+            expected = alone.batch_lepskii_errors(values, truths, picks)
+            cases.append((shared, values, truths, picks, expected))
+        assert 0 < len(cases[0][0]._cache) < len(grids[0])
+        for _ in range(2):
+            for shared, values, truths, picks, (best, errors) in cases:
+                got_best, got_errors = shared.batch_lepskii_errors(values, truths, picks)
+                assert got_best.tolist() == best.tolist() and got_errors.tobytes() == errors.tobytes()
+                assert shared.batch_pred_picks(values).tolist() == picks[:, 1].tolist()
+
+    def test_a_lepskii_batch_rejects_rows_of_the_wrong_shape(self):
+        p = random_problem(np.random.default_rng(4))
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        for values, truths in (
+            (np.ones(p.n_modes), None),
+            (np.ones((2, p.n_modes + 1)), None),
+            (np.ones((2, p.n_modes)), np.ones((3, p.n_modes))),
+            (np.ones((2, p.n_modes)), np.ones((2, p.n_modes - 1))),
+        ):
+            with pytest.raises(ValueError):
+                scorer.batch_lepskii_errors(values, truths, [(0,), (0,)])
+
     def test_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(2))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)

@@ -28,12 +28,13 @@ from .montecarlo import (
     DiagonalDescriptor,
     ExperimentConfig,
     GreenDescriptor,
+    _check_grids,
     run_efficiency_experiment,
     run_rate_experiment,
 )
 from .problems import NumericFailure, TestFunction
 from .ratetest import DegenerateVarianceError, RateSample, SingularDesignError, rate_test
-from .selection import GridScorer, build_grid, grid_size
+from .selection import GridScorer, build_grid
 from .tables import (
     emit_efficiency_table,
     emit_per_rep_errors,
@@ -171,47 +172,13 @@ def _master_seed(command: str, cfg: dict, seed_override) -> int:
     return seed if seed_override is None else seed_override
 
 
-# the most memory one noise level's scorer may take, in bytes
-_SCORER_BUDGET = 1 << 30
-
-
-def _scorer_bytes(n: int, sizes) -> int:
-    """Bytes of the float64 arrays of the scorer of the largest of grids of
-    ``sizes`` points over n modes: its K x n buffer and the three K x K
-    arrays of a Lepskii call."""
-    k = max(sizes)
-    return (k * n + 3 * k * k) * 8
-
-
-def _check_budget(problem, sigmas, ratio: float) -> None:
-    """Refuse a grid whose scorer would not fit the memory budget, from the
-    closed-form grid sizes: no grid is built first, so a ``grid_ratio`` just
-    above 1 is refused before it allocates anything."""
-    if not ratio > 1:
-        raise ConfigError(f"grid_ratio must exceed 1, got {ratio!r}")
-    sizes = []
-    for sigma in sigmas:
-        try:  # also refuses a noise level that leaves an empty grid
-            sizes.append(grid_size(sigma, problem.lambda_max, ratio))
-        except ValueError as exc:
-            raise ConfigError(f"sigma = {sigma!r}: {exc}") from exc
-    n = problem.n_modes if isinstance(problem, GreenDescriptor) else problem.n
-    need = _scorer_bytes(n, sizes)
-    if need > _SCORER_BUDGET:
-        raise ConfigError(
-            f"the scorer needs {need} bytes at {n} modes and {max(sizes)} grid points"
-            f" (grid_ratio = {ratio!r}), over the budget of {_SCORER_BUDGET}"
-        )
-
-
 def _experiment_config(cfg: dict, seed: int, kind: str) -> ExperimentConfig:
     problem, spec = _parse_problem(cfg), _parse_filter(cfg["filter"])
     if cfg["problem"]["kind"] != kind:
         raise ConfigError(f'this command needs problem.kind "{kind}", got {cfg["problem"]["kind"]!r}')
     sigmas, replications = _sigmas(cfg), _integer(cfg["replications"], "replications", 2)
     ratio = _real(cfg.get("grid_ratio", 1.2), "grid_ratio")
-    _check_budget(problem, sigmas, ratio)
-    try:
+    try:  # the config checks its grid sizes against the scorer budget
         return ExperimentConfig(problem, spec, sigmas, replications, ratio, seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -253,7 +220,10 @@ def _cmd_score_curve(cfg, output, seed: int, workers: int) -> list[Path]:
     spec = _parse_filter(cfg["filter"])
     sigma = _sigmas(cfg)[0]
     ratio = _real(cfg.get("grid_ratio", 1.2), "grid_ratio")
-    _check_budget(descriptor, [sigma], ratio)
+    try:  # refused from the closed-form grid size, before the grid is built
+        _check_grids(descriptor, [sigma], ratio)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     grid = build_grid(sigma, descriptor.lambda_max, ratio)
     if isinstance(descriptor, GreenDescriptor):
         problem = descriptor.build(sigma)

@@ -10,15 +10,18 @@ A noise level's replications are sampled and scored in batches of at most
 ``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300): the oracle (for a
 fresh truth per replication) and the pred rule score a whole batch over one
 s-block, and the Lepskii rule then runs per replication, each batch
-forming its data-free rows sqrt(lambda) q once where the shared buffer has
-rows to spare (``GridScorer.batch_lepskii_errors``).  The oracle and
-pred grid indices come from ``GridScorer.batch_*_picks``, which scores
-exactly only the grid rows near the minimum; the indices are those of the
-exact scores, so the tables are the same bytes as with every row scored
-exactly, for any BLAS thread count.  The three
-squared errors are read from the estimate rows that Lepskii compares, so
-no estimate is evaluated a second time.  A single replication
-(:func:`replicate_once`) is a batch of one through the same code.
+forming its data-free rows sqrt(lambda) q once, in float32, in the shared
+buffer (``GridScorer.batch_lepskii_errors``).  The oracle and pred grid
+indices come from ``GridScorer.batch_*_picks``, which scores exactly only
+the grid rows near the minimum, and Lepskii's from a float32 gram with a
+rigorous rounding margin, falling back to the float64 test where that
+margin cannot decide; the indices are those of the exact tests, so the
+tables are the same bytes as with every row scored exactly in float64,
+and none of these picks but a Lepskii fallback's depends on the BLAS
+thread count.  The three squared errors are read from the
+estimate rows at the three picked grid points, evaluated once per batch.
+A single replication (:func:`replicate_once`) is a batch of one through
+the same code.
 The rate study builds its problem once per run (only sigma changes between
 noise levels), and the efficiency study builds the eigenvalues, their
 square roots and the truth decay k^{-nu} once per run; a replication draws
@@ -36,7 +39,7 @@ import numpy as np
 from .filters import FilterSpec, _row_blocks
 from .model import SpectralProblem, _observe, sample_observations, substream_seed
 from .problems import TestFunction, _diagonal_spectrum, _diagonal_truth, make_diagonal_problem, make_green_problem
-from .selection import GridScorer, ParameterGrid, Selection, build_grid
+from .selection import GridScorer, ParameterGrid, Selection, build_grid, grid_size
 
 __all__ = [
     "GreenDescriptor",
@@ -99,6 +102,40 @@ class DiagonalDescriptor:
 ProblemDescriptor = Union[GreenDescriptor, DiagonalDescriptor]
 
 
+# the most memory one noise level's scorer may take, in bytes
+_SCORER_BUDGET = 1 << 30
+
+
+def _scorer_bytes(n: int, sizes) -> int:
+    """Bytes of the arrays of the scorer of the largest of grids of
+    ``sizes`` points over n modes: its K x n float64 buffer and, per grid
+    point pair, its strictly-lower mask and a Lepskii call's float64
+    square, float32 gram and mask."""
+    k = max(sizes)
+    return k * n * 8 + k * k * (1 + 8 + 4 + 1)
+
+
+def _check_grids(problem: ProblemDescriptor, sigmas, ratio: float) -> None:
+    """Refuse a grid ratio, or a noise level, whose grid is empty or whose
+    scorer would not fit the memory budget, from the closed-form grid sizes
+    (``selection.grid_size``), so no grid is built first."""
+    if not ratio > 1:
+        raise ValueError(f"grid_ratio must exceed 1, got {ratio!r}")
+    sizes = []
+    for sigma in sigmas:
+        try:
+            sizes.append(grid_size(sigma, problem.lambda_max, ratio))
+        except ValueError as exc:
+            raise ValueError(f"sigma = {sigma!r}: {exc}") from exc
+    n = problem.n_modes if isinstance(problem, GreenDescriptor) else problem.n
+    need = _scorer_bytes(n, sizes)
+    if need > _SCORER_BUDGET:
+        raise ValueError(
+            f"the scorer needs {need} bytes at {n} modes and {max(sizes)} grid points"
+            f" (grid_ratio = {ratio!r}), over the budget of {_SCORER_BUDGET}"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemDescriptor
@@ -115,9 +152,7 @@ class ExperimentConfig:
             raise ValueError("sigmas must be nonempty, finite and positive")
         if self.replications < 2:
             raise ValueError("need at least 2 replications for standard errors")
-        if not self.grid_ratio > 1:
-            raise ValueError("grid_ratio must exceed 1")
-        # raises if a noise level leaves no grid below lambda_1
+        _check_grids(self.problem, self.sigmas, self.grid_ratio)
         grids = tuple(build_grid(sigma, self.problem.lambda_max, self.grid_ratio) for sigma in self.sigmas)
         object.__setattr__(self, "_grids", grids)
 
@@ -162,8 +197,8 @@ def _score_batch(scorer: GridScorer, truths: np.ndarray, values: np.ndarray, ora
     ``truths``, whose oracle grid index is ``oracle_idx[r]``.
 
     Pred scores the whole batch over one s-block; Lepskii then runs per
-    replication over the batch's data-free rows, and the three errors are
-    read from its estimate rows.
+    replication over the batch's float32 data-free rows, and the three
+    errors are read from the estimate rows at the picked grid points.
     """
     picks = np.stack([oracle_idx, scorer.batch_pred_picks(values)], axis=1)
     return scorer.batch_lepskii_errors(values, truths, picks)[1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterSpec, _check_args, _evaluate, _row_blocks
+from .filters import _BLOCK, FilterSpec, _check_args, _evaluate, _row_blocks
 from .model import Observations, SpectralProblem
 from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
@@ -96,10 +96,12 @@ class GridScorer:
     same code as ``batch_*_scores``, so the indices equal the first
     minimum of the exact scores for any BLAS summation order (see
     ``_picks``).  The Lepskii rule takes an (R, n) batch of observations
-    and can return the squared errors of any grid estimates, read from its
-    own estimate rows.  A buffer with more rows than the grid lends its
-    spare rows, up to K of them, to each Lepskii call, which forms the
-    first rows of the data-free sqrt(lambda) q there once per batch (see
+    and can return the squared errors of any grid estimates.  It forms the
+    data-free rows sqrt(lambda) q once per batch, as float32 rows in the
+    first half of the buffer's bytes, and decides each replication from a
+    float32 gram with a rigorous rounding margin, so the indices equal
+    those of the float64 test for any BLAS summation order; a replication
+    it cannot certify takes the float64 test (see
     ``batch_lepskii_errors``).  No K x n block outlives a call: each call
     fills the rows it reads, so scorers of other noise levels may share
     the buffer, and the buffer makes a scorer unsafe to share between
@@ -127,13 +129,7 @@ class GridScorer:
         eig.setflags(write=False)
         self.eigenvalues, self.sigma, self.spec, self.grid = eig, sigma, spec, grid
         self._buf = buffer[:k]
-        # a Lepskii call keeps its first rows of sqrt(lambda) q in the rows of
-        # the buffer beyond this grid's, up to k of them
-        self._cache = buffer[k : 2 * k]
-        c = len(self._cache)
-        self._blocks = _row_views(column, self._buf)
-        self._cache_blocks = _row_views(column[:c], self._cache)
-        self._rest_blocks = _row_views(column[c:], self._buf[c:])
+        self._blocks = [(column[b], self._buf[b]) for b in _row_blocks(k, n)]
         self._root = np.sqrt(eig)
         self._strictly_lower = np.tri(k, k, -1, dtype=bool)
         # sum lambda q^2 per alpha feeds both the oracle and the thresholds
@@ -145,10 +141,10 @@ class GridScorer:
         self._thresholds_sq = np.array([(4.0 * sigma * math.sqrt(v)) ** 2 for v in lq2])
         self._pred_offset = None
 
-    def _block(self, want_s: bool, blocks=None) -> np.ndarray:
+    def _block(self, want_s: bool) -> np.ndarray:
         """Row i of the buffer := s_value or filter_value at grid.values[i],
-        bit for bit, in row blocks; given ``blocks``, only their rows."""
-        for alphas, out in self._blocks if blocks is None else blocks:
+        bit for bit, in row blocks."""
+        for alphas, out in self._blocks:
             _evaluate(self.spec, alphas, self.eigenvalues, want_s, out)
         return self._buf
 
@@ -314,63 +310,218 @@ class GridScorer:
         ||f_hat - f||^2: row r holds those of the estimates at the P grid
         indices ``picks[r]`` and then at Lepskii's index.
 
-        Row i of the block that Lepskii compares is sqrt(lambda) q Y at
-        grid.values[i], the same product as ``model.estimate_coefficients``
-        bit for bit, so the errors are read from it before the buffer is
-        reused and no estimate is evaluated twice.  The rows
-        sqrt(lambda) q do not depend on the data: the first c of them,
-        c = min(K, rows of the buffer beyond this grid's), are formed once
-        per call in those spare rows, and each replication multiplies them
-        by Y; only the other K - c rows are evaluated per replication.
+        Each index is that of the float64 test of ``_exact_pick``:
+        ``_certified_pick`` decides it from float32 rows formed once per
+        call, whatever order that test's syrk sums in, and a replication it
+        cannot certify (or any replication, if the rows do not fit float32)
+        takes the float64 test, after which the float32 rows are formed
+        again.  The estimate rows at the picked and chosen grid points are
+        then evaluated for the whole batch, as
+        ``model.estimate_coefficients`` forms them bit for bit, and the
+        errors are read from them (``_errors``).
         """
         values = self._check(values, 2)
         if truths is not None:
             truths = self._check(truths, 2)
             if len(truths) != len(values):
                 raise ValueError("expected one truth per observation")
-        picks = [()] * len(values) if picks is None else picks
-        cache, k = self._cache, len(self._buf)
-        self._block(False, self._cache_blocks)
-        cache *= self._root
-        # row i of coeff holds f_hat at grid.values[i]
-        coeff = self._buf
-        head, rest = coeff[: len(cache)], coeff[len(cache) :]
-        # the K x K arrays are allocated once per call, not per replication
-        gram, dist_sq, beyond = np.empty((k, k)), np.empty((k, k)), np.empty((k, k), dtype=bool)
+        k = len(self._buf)
+        # the K x K arrays of a call: a float64 square, the float32 gram,
+        # whose bytes the float64 test borrows as rows of distances, and a mask
+        square, beyond = np.empty((k, k)), np.empty((k, k), dtype=bool)
+        scratch = np.empty(-(-k * k // 2))
+        gram = scratch.view(np.float32)[: k * k].reshape(k, k)
+        # a NaN propagates through max and min and fails every range test
+        y_max = np.maximum(values.max(axis=1), -values.min(axis=1))
         best = np.empty(len(values), dtype=int)
-        errors = np.empty((len(values), 0 if truths is None else np.shape(picks)[-1] + 1))
+        rows = None
         for r, y in enumerate(values):
-            np.multiply(cache, y, out=head)
-            self._block(False, self._rest_blocks)
-            rest *= self._root
-            rest *= y
-            np.matmul(coeff, coeff.T, out=gram)
-            sq_norm = gram.diagonal().copy()
-            # sq_norm[i] + sq_norm[j] in two passes: one broadcast add into
-            # dist_sq would buffer both of its operands
-            np.copyto(dist_sq, sq_norm[:, None])
+            if rows is None:
+                rows = self._float32_rows()
+            best[r] = self._certified_pick(rows, y, y_max[r], square, gram, beyond) if rows else -1
+            if best[r] < 0:
+                best[r] = self._exact_pick(y, square, scratch, beyond)
+                if rows:  # the float64 rows overwrote them
+                    rows = None
+        if truths is None:
+            return best, np.empty((len(values), 0))
+        picks = [()] * len(values) if picks is None else picks
+        index = np.empty((len(values), np.shape(picks)[-1] + 1), dtype=int)
+        index[:, :-1] = picks
+        index[:, -1] = best
+        return best, self._errors(values, truths, index)
+
+    def _exact_pick(self, y: np.ndarray, square: np.ndarray, scratch: np.ndarray, beyond: np.ndarray) -> int:
+        """Lepskii's index for the observation y by the float64 test: the
+        last grid row i whose squared distance fl(fl(G_ii + G_jj) - 2 G_ij)
+        to every row j < i is at most threshold j, G the gram (one syrk) of
+        the estimate rows sqrt(lambda) q y.  The distances are formed a few
+        rows at a time in ``scratch``."""
+        coeff = self._block(False)
+        coeff *= self._root
+        coeff *= y
+        np.matmul(coeff, coeff.T, out=square)
+        sq_norm = square.diagonal().copy()
+        square *= 2.0
+        k = len(coeff)
+        step = max(1, len(scratch) // k)
+        for lo in range(0, k, step):
+            dist_sq = scratch[: min(step, k - lo) * k].reshape(-1, k)
+            np.copyto(dist_sq, sq_norm[lo : lo + len(dist_sq), None])
             dist_sq += sq_norm
-            gram *= 2.0
-            dist_sq -= gram
-            # i is admissible unless some j < i lies beyond threshold j
-            np.greater(dist_sq, self._thresholds_sq, out=beyond)
-            beyond &= self._strictly_lower
-            best[r] = np.flatnonzero(~beyond.any(axis=1))[-1]
-            if truths is None:
-                continue
-            truth = truths[r]
-            for e, i in enumerate((*picks[r], best[r])):
-                diff = coeff[i] - truth
-                # BLAS threads a dot product this wide, so its bits would follow the thread count
-                wide = diff.size >= _COMPENSATED_FROM
-                errors[r, e] = _accumulate(diff * diff) if wide else diff @ diff
-        return best, errors
+            dist_sq -= square[lo : lo + len(dist_sq)]
+            np.greater(dist_sq, self._thresholds_sq, out=beyond[lo : lo + len(dist_sq)])
+        # i is admissible unless some j < i lies beyond threshold j
+        beyond &= self._strictly_lower
+        return int(np.flatnonzero(~beyond.any(axis=1))[-1])
+
+    def _float32_rows(self):
+        """(E, work, e_max, p_m, thresholds) for ``_certified_pick``, or
+        False if the grid has one point or a row of sqrt(lambda) q is not
+        finite or not well inside float32 range.
+
+        E holds the float32 rows fl32(p_i - p_m), p_i = fl(sqrt(lambda) q_i)
+        at grid.values[i] and m = K // 2, in the first half of the buffer's
+        bytes; ``work`` is the second half, as float32 rows; e_max bounds |E|.
+        The p_i are evaluated a row block at a time in the last rows of the
+        buffer, beyond the bytes of E.  ``thresholds`` are the squared
+        thresholds as the lower and the upper test compare them.
+        """
+        k, n = self._buf.shape
+        step = min(k // 2, max(1, _BLOCK // n))
+        # B's constant assumes A < 1/4, which holds below 2^20 modes
+        if step == 0 or n >= 2**20:
+            return False
+        flat = self._buf.reshape(-1).view(np.float32)
+        rows, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
+        centre = _evaluate(self.spec, self.grid.values[k // 2], self.eigenvalues, False, np.empty(n))
+        centre *= self._root
+        top = 0.0
+        for lo in range(0, k, step):
+            part = self._buf[k - step :][: k - lo]
+            _evaluate(self.spec, self.grid.values[lo : lo + len(part), None], self.eigenvalues, False, part)
+            part *= self._root
+            high, low = part.max(), part.min()
+            if not (high < _ROW_LIMIT and low > -_ROW_LIMIT):
+                return False
+            top = max(top, high, -low)
+            part -= centre
+            rows[lo : lo + len(part)] = part
+        t = self._thresholds_sq
+        thresholds = t * ((1.0 + 2.0**-48) / (2.0 - 2.0 * _KAPPA)), t * ((1.0 - 2.0**-48) / (2.0 + 2.0 * _KAPPA))
+        return rows, work, 2.0 * top, centre, thresholds
+
+    def _certified_pick(self, rows, y: np.ndarray, y_max: float, square, gram, beyond) -> int:
+        """Lepskii's index for the observation y, |y| <= y_max, equal to that
+        of ``_exact_pick``, from the float32 rows of ``_float32_rows``; -1
+        if it cannot be certified.
+
+        Notation: u = 2^-53, v = 2^-24, t32 = 2^-126; c_i = fl(p_i y) is row
+        i of the float64 test and a_i = fl32(E_i fl32(y)); g is the float32
+        gram of the a_i, S_i = g_ii, and N = ||a_i||^2 + ||a_j||^2.  The
+        float64 test compares its distance Dh_ij with t_j; let
+        D_ij = ||c_i - c_j||^2 and D32_ij = ||a_i - a_j||^2, exactly.
+
+        1. Rows.  c_i - c_m = a_i - e_i with ||e_i|| <= 4v ||a_i|| + rho:
+           an entry of a_i is (p_i - p_m) y rounded three times in float32
+           and once in float64, c_i and c_m are rounded once each (the
+           2u ||p_m y|| in rho), and an underflowing cast or product, flushed
+           to zero or not, is off by less than t32, which rho collects with
+           sqrt(n) e_max and sqrt(n) y_max.  So |sqrt(D) - sqrt(D32)| <= sig
+           = 4v (||a_i|| + ||a_j||) + 2 rho, and 2 sig sqrt(D32) <= kappa D32
+           + sig^2 / kappa gives (1 - kappa) D32 - sig^2 / kappa <= D
+           <= (1 + kappa) D32 + (1 + 1/kappa) sig^2, sig^2 <= 2^-42 N + 8 rho^2.
+        2. Gram.  In any summation order, with FMA or not, g_ij is within
+           g32 (||a_i||^2 + ||a_j||^2) / 2 + 2 n t32 of a_i . a_j, g32 =
+           n v / (1 - n v); so D32 is within 2 g32 N + 8 n t32 of
+           S_i + S_j - 2 g_ij, and N <= (S_i + S_j + 4 n t32) / (1 - g32).
+        3. The float64 test.  Likewise Dh is within g64 C + 5 n 2^-1022 of
+           D, g64 = 2 n u / (1 - n u) + 3.01 u (the syrk, then the sum and
+           the difference), with C = ||c_i||^2 + ||c_j||^2 <= 4.01 N
+           + 8 rho^2 + 4 ||c_m||^2.
+
+        So Dh_ij lies within (1 -+ kappa -+ A)(S_i + S_j) - 2 (1 -+ kappa)
+        g_ij -+ B, A and B from ``_rounding``.  Row i
+        is certainly beyond threshold j where the lower end exceeds t_j, so
+        every row above the last row that is certainly beyond no threshold
+        of a lower row (the candidate) is inadmissible in the float64 test
+        too; the candidate is its index if every upper end of the
+        candidate's row stays at most t_j.  The tests are divided by
+        2 (1 -+ kappa) and compare g_ij with float64 sums, whose rounding
+        the 2^-48 in A and in the thresholds covers.
+        """
+        e32, work, e_max, centre, (beyond_sq, within_sq) = rows
+        k, n = work.shape
+        if not y_max < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0)):
+            return -1
+        np.multiply(e32, y.astype(np.float32), out=work)
+        np.matmul(work, work.T, out=gram)
+        s = gram.diagonal().astype(float)
+        centre_y = centre * y
+        a, b = _rounding(n, e_max, float(centre_y @ centre_y), y_max)
+        # row i is certainly beyond threshold j where g_ij - high_j < low_i
+        low = s * ((1.0 - _KAPPA - a) / (2.0 - 2.0 * _KAPPA))
+        high = low - beyond_sq
+        high -= b / (2.0 - 2.0 * _KAPPA)
+        np.copyto(square, gram)
+        square -= high
+        np.less(square, low[:, None], out=beyond)
+        beyond &= self._strictly_lower
+        cand = k - 1 - int(np.argmin(beyond.any(axis=1)[::-1]))
+        # the candidate is certified where g_cj >= up_j for every j < cand
+        up = s[:cand] * ((1.0 + _KAPPA + a) / (2.0 + 2.0 * _KAPPA))
+        up += (s[cand] * (1.0 + _KAPPA + a) + b) / (2.0 + 2.0 * _KAPPA)
+        up -= within_sq[:cand]
+        return cand if np.greater_equal(gram[cand, :cand], up).all() else -1
+
+    def _errors(self, values: np.ndarray, truths: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Entry (r, e) := ||f_hat - truths[r]||^2 for the estimate
+        sqrt(lambda) q Y at grid.values[index[r, e]], Y = values[r].
+
+        The estimate rows of as many replications as fit are evaluated in
+        the buffer at a time (in a small array if one replication's rows do
+        not fit).
+        """
+        width, n = index.shape[1], self.eigenvalues.size
+        rows = self._buf if len(self._buf) >= width else np.empty((width, n))
+        step = len(rows) // width
+        # BLAS threads a dot product this wide, so its bits would follow the thread count
+        wide = n >= _COMPENSATED_FROM
+        errors = np.empty(index.shape)
+        for lo in range(0, len(values), step):
+            reps = slice(lo, lo + step)
+            alphas = self.grid.values[index[reps].reshape(-1), None]
+            est = rows[: len(alphas)]
+            _evaluate(self.spec, alphas, self.eigenvalues, False, est)
+            est *= self._root
+            per_rep = est.reshape(-1, width, n)
+            per_rep *= values[reps, None]
+            per_rep -= truths[reps, None]
+            errors[reps] = np.reshape([_accumulate(d * d) if wide else d @ d for d in est], (-1, width))
+        return errors
 
 
-def _row_views(column: np.ndarray, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(alphas, rows) per row block of ``rows``, whose row i belongs to the
-    alpha in row i of ``column``."""
-    return [(column[b], rows[b]) for b in _row_blocks(*rows.shape)]
+# Lepskii's certified float32 test (GridScorer._certified_pick): the split
+# constant, and the bounds that keep every float32 product and gram entry
+# finite: |p_i|, |y| < 2^63 and |E| |y| sqrt(n) < 2^60, so ||a_i||^2 <= 2^120
+_KAPPA = 2.0**-20
+_ROW_LIMIT, _GRAM_LIMIT = 2.0**63, 2.0**60
+
+
+def _rounding(n: int, e_max: float, centre_y_sq: float, y_max: float) -> tuple[float, float]:
+    """The relative and absolute terms A and B of the certified Lepskii test
+    at n modes, for |E| <= e_max and |y| <= y_max, with ||p_m y||^2 summed
+    in float64 to ``centre_y_sq``: from steps 1 to 3 of
+    ``GridScorer._certified_pick``, A is the factor of N over 1 - g32, plus
+    2^-48, and B the rest, with 1 % to spare."""
+    g32 = n * 2.0**-24 / (1.0 - n * 2.0**-24)
+    g64 = 2.0 * n * 2.0**-53 / (1.0 - n * 2.0**-53) + 3.01 * 2.0**-53
+    a = (2.0 * (1.0 + _KAPPA) * g32 + (1.0 + 1.0 / _KAPPA) * 2.0**-42 + 4.01 * g64) / (1.0 - g32) + 2.0**-48
+    cm_sq = 1.01 * centre_y_sq + 2.0 * n * 2.0**-1022
+    rho = 2.02 * 2.0**-53 * math.sqrt(cm_sq) + 2.1 * 2.0**-126 * math.sqrt(n) * (e_max + y_max + 1.0)
+    underflow = 9.1 * n * 2.0**-126 + 5.0 * n * 2.0**-1022
+    b = 1.01 * (underflow + 8.0 * (2.0 + 1.0 / _KAPPA) * rho * rho + 4.01 * g64 * cm_sq)
+    return a, b
 
 
 def _bias_terms(s: np.ndarray, scratch: np.ndarray) -> None:

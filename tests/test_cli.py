@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invreg
-from invreg import cli
+from invreg import cli, montecarlo
 from invreg.cli import main
 from invreg.filters import tikhonov
 from invreg.montecarlo import DiagonalDescriptor, ExperimentConfig
-from invreg.selection import build_grid
+from invreg.selection import build_grid, grid_size
 from invreg.tables import parse_per_rep_errors, parse_risk_table
 
 
@@ -229,11 +229,12 @@ def assert_tables_finite(out_dir):
 
 class TestScorerBudget:
     def test_footprint_of_a_fine_grid_is_over_the_budget(self):
-        # computed from the grids only; no scorer is built
-        config = ExperimentConfig(DiagonalDescriptor(n=300), tikhonov(), (1e-3,), 2, grid_ratio=1.0001)
-        (k,) = [len(grid) for grid in config.grids()]
+        # computed from the closed-form grid size; no grid or scorer is built
+        k = grid_size(1e-3, 1.0, 1.0001)
         assert k == 138163
-        assert cli._scorer_bytes(300, [k]) == (k * 300 + 3 * k * k) * 8 > cli._SCORER_BUDGET
+        assert montecarlo._scorer_bytes(300, [k]) == k * 300 * 8 + k * k * 14 > montecarlo._SCORER_BUDGET
+        with pytest.raises(ValueError, match=f"at 300 modes and {k} grid points \\(grid_ratio = 1.0001\\)"):
+            ExperimentConfig(DiagonalDescriptor(n=300), tikhonov(), (1e-3,), 2, grid_ratio=1.0001)
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -247,11 +248,11 @@ class TestScorerBudget:
         # a small config against a budget set just below its own footprint
         problem = cli._parse_problem(payload)
         grids = [build_grid(s, problem.lambda_max, payload.get("grid_ratio", 1.2)) for s in payload["sigmas"]]
-        need = cli._scorer_bytes(32, map(len, grids))
+        need = montecarlo._scorer_bytes(32, map(len, grids))
         cfg = write_config(tmp_path, payload)
-        monkeypatch.setattr(cli, "_SCORER_BUDGET", need)
+        monkeypatch.setattr(montecarlo, "_SCORER_BUDGET", need)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "at")]) == 0
-        monkeypatch.setattr(cli, "_SCORER_BUDGET", need - 1)
+        monkeypatch.setattr(montecarlo, "_SCORER_BUDGET", need - 1)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "over")]) == 2
         assert f"the scorer needs {need} bytes" in capsys.readouterr().err
 

@@ -17,7 +17,7 @@ from invreg.montecarlo import (
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import _diagonal_spectrum, _diagonal_truth, make_diagonal_problem, make_green_problem
 from invreg.risk import direct_risk, empirical_prediction_risk
-from invreg.selection import GridScorer, build_grid, choose_lepskii, choose_oracle
+from invreg.selection import GridScorer, build_grid, choose_lepskii, choose_oracle, grid_size
 
 
 def ten_mode_problem(sigma=0.05):
@@ -95,6 +95,17 @@ class TestExperimentConfig:
     def test_rejects_flat_ratio(self):
         with pytest.raises(ValueError):
             small_config(grid_ratio=1.0)
+
+    def test_a_grid_ratio_just_above_one_is_refused_before_any_grid_is_built(self, monkeypatch):
+        import invreg.montecarlo
+
+        def refuse(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(invreg.montecarlo, "build_grid", refuse)
+        k = grid_size(1e-2, 1.0, 1 + 2**-52)
+        with pytest.raises(ValueError, match=f"{k} grid points \\(grid_ratio = 1.0000000000000002\\), over the budget"):
+            ExperimentConfig(DiagonalDescriptor(8), tikhonov(), (1e-2,), 2, grid_ratio=1 + 2**-52)
 
     def test_grids_are_built_once_with_the_config(self, monkeypatch):
         import invreg.montecarlo
@@ -282,6 +293,28 @@ class TestBatches:
         finally:
             tracemalloc.stop()
         assert peak - buffer_bytes <= 0.75 * 2**20
+
+    def test_the_benchmark_hat_config_certifies_its_lepskii_picks(self, monkeypatch):
+        # the rates-hat benchmark config: a replication that the float32
+        # test cannot certify pays for the float64 test on top of it
+        outcomes = []
+        certify = GridScorer._certified_pick
+
+        def recording(self, *args):
+            best = certify(self, *args)
+            outcomes.append(best >= 0)
+            return best
+
+        monkeypatch.setattr(GridScorer, "_certified_pick", recording)
+        run_rate_experiment(
+            small_config(
+                problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
+                sigmas=tuple(2.0**-k for k in range(15, 22)),
+                replications=10,
+                master_seed=20240901,
+            )
+        )
+        assert len(outcomes) == 70 and sum(outcomes) >= 0.99 * len(outcomes)
 
 
 class TestRunRateExperiment:

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -15,7 +17,14 @@ from invreg.model import (
     sample_observations,
     substream_seed,
 )
-from invreg.risk import _accumulate_rows, direct_risk, empirical_prediction_risk, lepskii_threshold
+from invreg.risk import (
+    _COMPENSATED_FROM,
+    _accumulate,
+    _accumulate_rows,
+    direct_risk,
+    empirical_prediction_risk,
+    lepskii_threshold,
+)
 from invreg.selection import (
     GridScorer,
     ParameterGrid,
@@ -102,6 +111,53 @@ def batch_rows(p, count=4):
     truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((count, p.n_modes)))
     truths[0] = p.truth_coeffs
     return values, truths
+
+
+@functools.cache
+def lepskii_problem(n):
+    """The diagonal problem at 300 modes, the Green hat problem at 1024 and
+    the Green indicator problem (the fsum path) at 10240."""
+    if n == 300:
+        return make_diagonal_problem(300, 4.0, 4.0, 1e-4, seed=3)
+    truth = GreenTruth.HAT if n == 1024 else GreenTruth.INDICATOR
+    return make_green_problem(n, truth, 2.0**-15, frame="discrete")
+
+
+def estimate_rows(scorer, y):
+    eig = scorer.eigenvalues
+    return np.array([np.sqrt(eig) * filter_value(scorer.spec, a, eig) * y for a in scorer.grid.values])
+
+
+def exact_lepskii(scorer, y):
+    """Lepskii's index by the float64 test: one syrk of the estimate rows,
+    then fl(fl(G_ii + G_jj) - 2 G_ij) against each squared threshold."""
+    coeff = estimate_rows(scorer, y)
+    gram = coeff @ coeff.T
+    sq_norm = gram.diagonal().copy()
+    beyond = (sq_norm[:, None] + sq_norm) - 2.0 * gram > scorer._thresholds_sq
+    beyond &= np.tri(len(coeff), k=-1, dtype=bool)
+    return int(np.flatnonzero(~beyond.any(axis=1))[-1])
+
+
+def threshold_ratios(scorer, y):
+    """Entry i := the largest ||f_i - f_j||^2 / threshold_j^2 over j < i."""
+    coeff = estimate_rows(scorer, y)
+    ratios = []
+    for i in range(len(coeff)):
+        dist_sq = ((coeff[i] - coeff[:i]) ** 2).sum(axis=1)
+        ratios.append(max(dist_sq / scorer._thresholds_sq[:i], default=0.0))
+    return ratios
+
+
+def estimate_errors(scorer, values, truths, index):
+    """Entry (r, e) := ||f_hat - truths[r]||^2 at grid index index[r, e], as
+    the scorer must sum it."""
+    errors = np.empty(index.shape)
+    for r, e in np.ndindex(index.shape):
+        eig, alpha = scorer.eigenvalues, float(scorer.grid.values[index[r, e]])
+        diff = np.sqrt(eig) * filter_value(scorer.spec, alpha, eig) * values[r] - truths[r]
+        errors[r, e] = _accumulate(diff * diff) if diff.size >= _COMPENSATED_FROM else diff @ diff
+    return errors
 
 
 def random_problem(rng, max_modes=20):
@@ -310,8 +366,8 @@ class TestGridScorer:
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
     def test_a_lepskii_batch_equals_each_replication_alone_bitwise(self, spec):
-        # a buffer of exactly K rows keeps no rows of sqrt(lambda) q (c = 0);
-        # K + K/2 rows keep half of them, and 2K rows or more keep all
+        # the float32 rows of a call take the bytes of the grid's K buffer
+        # rows, whatever rows lie beyond them
         for p in (
             make_diagonal_problem(300, 4.0, 4.0, 1e-4, seed=3),
             make_green_problem(1024, GreenTruth.HAT, 2.0**-18, frame="discrete"),
@@ -331,8 +387,8 @@ class TestGridScorer:
                 assert scorer.batch_lepskii_errors(values)[0].tolist() == best.tolist()
 
     def test_interleaved_scorers_on_one_buffer_read_no_stale_rows(self):
-        # the smaller grid keeps its rows of sqrt(lambda) q in buffer rows
-        # that the larger grid's calls overwrite in between
+        # each call builds its float32 rows in the shared buffer, and the
+        # other grid's calls overwrite them in between
         problems = [make_green_problem(1024, GreenTruth.HAT, s, frame="discrete") for s in (2.0**-15, 2.0**-21)]
         grids = [build_grid(p.sigma, float(p.eigenvalues[0]), 1.2) for p in problems]
         buffer = np.empty((max(map(len, grids)), 1024))
@@ -344,7 +400,7 @@ class TestGridScorer:
             picks = np.stack([alone.batch_oracle_picks(truths), alone.batch_pred_picks(values)], axis=1)
             expected = alone.batch_lepskii_errors(values, truths, picks)
             cases.append((shared, values, truths, picks, expected))
-        assert 0 < len(cases[0][0]._cache) < len(grids[0])
+        assert len(grids[0]) < len(grids[1]) == len(buffer)
         for _ in range(2):
             for shared, values, truths, picks, (best, errors) in cases:
                 got_best, got_errors = shared.batch_lepskii_errors(values, truths, picks)
@@ -363,6 +419,98 @@ class TestGridScorer:
         ):
             with pytest.raises(ValueError):
                 scorer.batch_lepskii_errors(values, truths, [(0,), (0,)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([300, 1024, 10240]),
+        family=st.integers(0, 4),
+        sigma_exponent=st.floats(-21.0, -7.0),
+        buffer=st.sampled_from(["K", "3K/2", "2K + 7"]),
+        tie=st.sampled_from([None, -1e-6, -1e-9, 1e-9, 1e-6]),
+        level=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certified_lepskii_picks_equal_the_exact_test_bitwise(
+        self, n, family, sigma_exponent, buffer, tie, level, seed
+    ):
+        p = lepskii_problem(n)
+        sigma = 2.0**sigma_exponent
+        spec = ALL_FAMILIES(m=3)[family]
+        grid = build_grid(sigma, float(p.eigenvalues[0]), 1.2)
+        k = len(grid)
+        rows = {"K": k, "3K/2": k + k // 2, "2K + 7": 2 * k + 7}[buffer]
+        scorer = GridScorer(p.eigenvalues, sigma, spec, grid, np.empty((rows, n)))
+        rng = np.random.default_rng(seed)
+        truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((3, n)))
+        values = np.sqrt(p.eigenvalues) * truths + sigma * rng.standard_normal((3, n))
+        if tie is not None:
+            # scale the last row so that a grid row that may decide the pick
+            # lies within a relative `tie` of its largest threshold ratio
+            ratios = threshold_ratios(scorer, values[2])
+            deciding = [i for i in range(1, k) if 0 < ratios[i] < min(ratios[i + 1 :], default=np.inf)]
+            if deciding:
+                values[2] *= math.sqrt((1.0 + tie) / ratios[deciding[level % len(deciding)]])
+        picks = rng.integers(0, k, size=(3, 2))
+        best, errors = scorer.batch_lepskii_errors(values, truths, picks)
+        expected = [exact_lepskii(scorer, y) for y in values]
+        assert best.tolist() == expected
+        assert errors.tobytes() == estimate_errors(scorer, values, truths, np.column_stack([picks, best])).tobytes()
+
+    def test_the_rows_are_rebuilt_after_a_fallback(self, monkeypatch):
+        p = lepskii_problem(1024)
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        values, truths = batch_rows(p, 6)
+        picks = [(0, r) for r in range(6)]
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        certified = scorer.batch_lepskii_errors(values, truths, picks)
+        calls = []
+        certify = GridScorer._certified_pick
+
+        def every_other(self, *args):
+            calls.append(len(calls) % 2 == 0)
+            return certify(self, *args) if calls[-1] else -1
+
+        monkeypatch.setattr(GridScorer, "_certified_pick", every_other)
+        best, errors = scorer.batch_lepskii_errors(values, truths, picks)
+        assert len(calls) == 6
+        assert best.tolist() == certified[0].tolist() == [exact_lepskii(scorer, y) for y in values]
+        assert errors.tobytes() == certified[1].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e39, 2.0**62])
+    def test_rows_outside_float32_range_take_the_exact_test(self, bad, monkeypatch):
+        # 1e39 is beyond float32 range, and 2^62 is inside it but would
+        # overflow the float32 gram
+        p = lepskii_problem(300)
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        values, truths = batch_rows(p, 3)
+        values[1, 7] = bad
+        outcomes = []
+        certify = GridScorer._certified_pick
+
+        def recording(self, *args):
+            outcomes.append(certify(self, *args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(GridScorer, "_certified_pick", recording)
+        for spec in (tikhonov(), spectral_cutoff()):
+            outcomes.clear()
+            scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
+            with np.errstate(invalid="ignore") if math.isinf(bad) else contextlib.nullcontext():
+                best, errors = scorer.batch_lepskii_errors(values, truths, [(0,)] * 3)
+                expected = [exact_lepskii(scorer, y) for y in values]
+            assert outcomes[1] == -1 and outcomes[0] >= 0 and outcomes[-1] >= 0
+            assert best.tolist() == expected
+            assert np.isfinite(errors[0]).all() and np.isfinite(errors[2]).all()
+
+    def test_rows_of_sqrt_lambda_q_outside_float32_range_take_the_exact_test(self, monkeypatch):
+        # at lambda = alpha = 1e-40, sqrt(lambda) q = 1/(2 sqrt(alpha)) = 5e19,
+        # beyond the 2^63 that the float32 rows allow
+        eig = np.array([1.0, 1e-40, 0.0])
+        grid = ParameterGrid(1.2, 1e-40 * 1.2 ** np.arange(8))
+        scorer = GridScorer(eig, 1e-20, tikhonov(), grid)
+        monkeypatch.setattr(GridScorer, "_certified_pick", lambda *args: pytest.fail("certified"))
+        values = np.array([[1.0, 1e-14, 1e-15], [0.5, -2e-15, 0.0]])
+        assert scorer.batch_lepskii_errors(values)[0].tolist() == [exact_lepskii(scorer, y) for y in values]
 
     def test_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(2))

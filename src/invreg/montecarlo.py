@@ -13,9 +13,10 @@ s-block, and the Lepskii rule then runs per replication, each batch
 forming its data-free rows sqrt(lambda) q once, in float32, in the shared
 buffer (``GridScorer.batch_lepskii_errors``).  The oracle and pred grid
 indices come from ``GridScorer.batch_*_picks``, which scores exactly only
-the grid rows near the minimum, and Lepskii's from a float32 gram with a
-rigorous rounding margin, falling back to the float64 test where that
-margin cannot decide; the indices are those of the exact tests, so the
+the grid rows near the minimum, and Lepskii's from a few float32 gram
+columns near the last certified index, each entry with a rigorous
+rounding margin, falling back to the float64 test where the margins cannot
+decide; the indices are those of the exact tests, so the
 tables are the same bytes as with every row scored exactly in float64,
 and none of these picks but a Lepskii fallback's depends on the BLAS
 thread count.  The three squared errors are read from the
@@ -109,8 +110,8 @@ _SCORER_BUDGET = 1 << 30
 def _scorer_bytes(n: int, sizes) -> int:
     """Bytes of the arrays of the scorer of the largest of grids of
     ``sizes`` points over n modes: its K x n float64 buffer and, per grid
-    point pair, its strictly-lower mask and a Lepskii call's float64
-    square, float32 gram and mask."""
+    point pair, its strictly-lower mask and a Lepskii fallback's float64
+    square, float64 distance rows (half a square) and mask."""
     k = max(sizes)
     return k * n * 8 + k * k * (1 + 8 + 4 + 1)
 

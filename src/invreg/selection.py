@@ -98,11 +98,14 @@ class GridScorer:
     ``_picks``).  The Lepskii rule takes an (R, n) batch of observations
     and can return the squared errors of any grid estimates.  It forms the
     data-free rows sqrt(lambda) q once per batch, as float32 rows in the
-    first half of the buffer's bytes, and decides each replication from a
-    float32 gram with a rigorous rounding margin, so the indices equal
-    those of the float64 test for any BLAS summation order; a replication
-    it cannot certify takes the float64 test (see
-    ``batch_lepskii_errors``).  No K x n block outlives a call: each call
+    first half of the buffer's bytes, centred at the scorer's last
+    certified Lepskii index, and decides each replication from a few
+    float32 gram columns around that index, each entry with its own
+    rigorous rounding margin, so the indices equal those
+    of the float64 test for any BLAS summation order; a replication it
+    cannot certify takes the float64 test (see ``batch_lepskii_errors``).
+    The last certified index is the only state a call leaves behind, and
+    it changes no output.  No K x n block outlives a call: each call
     fills the rows it reads, so scorers of other noise levels may share
     the buffer, and the buffer makes a scorer unsafe to share between
     threads.
@@ -132,6 +135,7 @@ class GridScorer:
         self._blocks = [(column[b], self._buf[b]) for b in _row_blocks(k, n)]
         self._root = np.sqrt(eig)
         self._strictly_lower = np.tri(k, k, -1, dtype=bool)
+        self._last_pick = k // 2
         # sum lambda q^2 per alpha feeds both the oracle and the thresholds
         q2 = self._block(False)
         np.square(q2, out=q2)
@@ -312,13 +316,19 @@ class GridScorer:
 
         Each index is that of the float64 test of ``_exact_pick``:
         ``_certified_pick`` decides it from float32 rows formed once per
-        call, whatever order that test's syrk sums in, and a replication it
-        cannot certify (or any replication, if the rows do not fit float32)
-        takes the float64 test, after which the float32 rows are formed
-        again.  The estimate rows at the picked and chosen grid points are
-        then evaluated for the whole batch, as
-        ``model.estimate_coefficients`` forms them bit for bit, and the
-        errors are read from them (``_errors``).
+        call, whatever order that test's syrk sums in.  It reads only the
+        gram columns near a guess, the scorer's last certified index (K // 2
+        before the first), plus a row or a column per candidate: every
+        rounding bound holds for each gram entry by itself, whatever kernel
+        or summation order formed it, so a certified index is the float64
+        test's whichever columns were read.  A replication it cannot
+        certify (or any replication, if the rows do not fit float32) takes
+        the float64 test, whose K x K arrays are allocated at a call's first
+        fallback, after which the float32 rows are formed again.  ``picks``
+        must be an (R, P) array of integer grid indices.  The estimate rows
+        at the picked and chosen grid points are then evaluated for the
+        whole batch, as ``model.estimate_coefficients`` forms them bit for
+        bit, and the errors are read from them (``_errors``).
         """
         values = self._check(values, 2)
         if truths is not None:
@@ -326,27 +336,30 @@ class GridScorer:
             if len(truths) != len(values):
                 raise ValueError("expected one truth per observation")
         k = len(self._buf)
-        # the K x K arrays of a call: a float64 square, the float32 gram,
-        # whose bytes the float64 test borrows as rows of distances, and a mask
-        square, beyond = np.empty((k, k)), np.empty((k, k), dtype=bool)
-        scratch = np.empty(-(-k * k // 2))
-        gram = scratch.view(np.float32)[: k * k].reshape(k, k)
+        picks = np.empty((len(values), 0), dtype=int) if picks is None else np.asarray(picks)
+        if picks.ndim != 2 or len(picks) != len(values):
+            raise ValueError(f"expected picks of shape ({len(values)}, P)")
+        if picks.size and not (np.issubdtype(picks.dtype, np.integer) and 0 <= picks.min() <= picks.max() < k):
+            raise ValueError(f"picks must be integer grid indices in [0, {k})")
         # a NaN propagates through max and min and fails every range test
         y_max = np.maximum(values.max(axis=1), -values.min(axis=1))
         best = np.empty(len(values), dtype=int)
-        rows = None
+        rows = exact = None
         for r, y in enumerate(values):
             if rows is None:
-                rows = self._float32_rows()
-            best[r] = self._certified_pick(rows, y, y_max[r], square, gram, beyond) if rows else -1
-            if best[r] < 0:
-                best[r] = self._exact_pick(y, square, scratch, beyond)
-                if rows:  # the float64 rows overwrote them
-                    rows = None
+                rows = self._float32_rows(self._last_pick)
+            best[r] = self._certified_pick(rows, y, y_max[r], self._last_pick) if rows else -1
+            if best[r] >= 0:
+                self._last_pick = int(best[r])
+                continue
+            if exact is None:  # the float64 test's arrays, on a call's first fallback
+                exact = np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty((k, k), dtype=bool)
+            best[r] = self._exact_pick(y, *exact)
+            if rows:  # the float64 rows overwrote them
+                rows = None
         if truths is None:
             return best, np.empty((len(values), 0))
-        picks = [()] * len(values) if picks is None else picks
-        index = np.empty((len(values), np.shape(picks)[-1] + 1), dtype=int)
+        index = np.empty((len(values), picks.shape[1] + 1), dtype=int)
         index[:, :-1] = picks
         index[:, -1] = best
         return best, self._errors(values, truths, index)
@@ -364,25 +377,25 @@ class GridScorer:
         sq_norm = square.diagonal().copy()
         square *= 2.0
         k = len(coeff)
-        step = max(1, len(scratch) // k)
-        for lo in range(0, k, step):
-            dist_sq = scratch[: min(step, k - lo) * k].reshape(-1, k)
-            np.copyto(dist_sq, sq_norm[lo : lo + len(dist_sq), None])
-            dist_sq += sq_norm
+        for lo in range(0, k, len(scratch)):
+            dist_sq = scratch[: k - lo]
+            np.add(sq_norm[lo : lo + len(dist_sq), None], sq_norm, out=dist_sq)
             dist_sq -= square[lo : lo + len(dist_sq)]
             np.greater(dist_sq, self._thresholds_sq, out=beyond[lo : lo + len(dist_sq)])
         # i is admissible unless some j < i lies beyond threshold j
         beyond &= self._strictly_lower
         return int(np.flatnonzero(~beyond.any(axis=1))[-1])
 
-    def _float32_rows(self):
+    def _float32_rows(self, m: int):
         """(E, work, e_max, p_m, thresholds) for ``_certified_pick``, or
         False if the grid has one point or a row of sqrt(lambda) q is not
         finite or not well inside float32 range.
 
         E holds the float32 rows fl32(p_i - p_m), p_i = fl(sqrt(lambda) q_i)
-        at grid.values[i] and m = K // 2, in the first half of the buffer's
-        bytes; ``work`` is the second half, as float32 rows; e_max bounds |E|.
+        at grid.values[i], in the first half of the buffer's bytes; ``work``
+        is the second half, as float32 rows; e_max bounds |E|.  The margins
+        of ``_certified_pick`` grow with ||a_i||, so a centre row m near the
+        picks narrows them where the picks are decided.
         The p_i are evaluated a row block at a time in the last rows of the
         buffer, beyond the bytes of E.  ``thresholds`` are the squared
         thresholds as the lower and the upper test compare them.
@@ -394,7 +407,7 @@ class GridScorer:
             return False
         flat = self._buf.reshape(-1).view(np.float32)
         rows, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
-        centre = _evaluate(self.spec, self.grid.values[k // 2], self.eigenvalues, False, np.empty(n))
+        centre = _evaluate(self.spec, self.grid.values[m], self.eigenvalues, False, np.empty(n))
         centre *= self._root
         top = 0.0
         for lo in range(0, k, step):
@@ -411,14 +424,17 @@ class GridScorer:
         thresholds = t * ((1.0 + 2.0**-48) / (2.0 - 2.0 * _KAPPA)), t * ((1.0 - 2.0**-48) / (2.0 + 2.0 * _KAPPA))
         return rows, work, 2.0 * top, centre, thresholds
 
-    def _certified_pick(self, rows, y: np.ndarray, y_max: float, square, gram, beyond) -> int:
+    def _certified_pick(self, rows, y: np.ndarray, y_max: float, guess: int) -> int:
         """Lepskii's index for the observation y, |y| <= y_max, equal to that
-        of ``_exact_pick``, from the float32 rows of ``_float32_rows``; -1
-        if it cannot be certified.
+        of ``_exact_pick``, from the float32 rows of ``_float32_rows`` and a
+        few of their gram columns around the row ``guess``; -1 if it cannot
+        be certified.
 
         Notation: u = 2^-53, v = 2^-24, t32 = 2^-126; c_i = fl(p_i y) is row
-        i of the float64 test and a_i = fl32(E_i fl32(y)); g is the float32
-        gram of the a_i, S_i = g_ii, and N = ||a_i||^2 + ||a_j||^2.  The
+        i of the float64 test and a_i = fl32(E_i fl32(y)); g_ij is a float32
+        sum of the n products of a_i and a_j, formed by any kernel in any
+        order (a block of gram columns, one column, or the pass that forms
+        every S_i = g_ii), and N = ||a_i||^2 + ||a_j||^2.  The
         float64 test compares its distance Dh_ij with t_j; let
         D_ij = ||c_i - c_j||^2 and D32_ij = ||a_i - a_j||^2, exactly.
 
@@ -431,7 +447,8 @@ class GridScorer:
            = 4v (||a_i|| + ||a_j||) + 2 rho, and 2 sig sqrt(D32) <= kappa D32
            + sig^2 / kappa gives (1 - kappa) D32 - sig^2 / kappa <= D
            <= (1 + kappa) D32 + (1 + 1/kappa) sig^2, sig^2 <= 2^-42 N + 8 rho^2.
-        2. Gram.  In any summation order, with FMA or not, g_ij is within
+        2. Gram.  Each entry by itself: in any summation order, with FMA or
+           not, g_ij is within
            g32 (||a_i||^2 + ||a_j||^2) / 2 + 2 n t32 of a_i . a_j, g32 =
            n v / (1 - n v); so D32 is within 2 g32 N + 8 n t32 of
            S_i + S_j - 2 g_ij, and N <= (S_i + S_j + 4 n t32) / (1 - g32).
@@ -441,12 +458,20 @@ class GridScorer:
            + 8 rho^2 + 4 ||c_m||^2.
 
         So Dh_ij lies within (1 -+ kappa -+ A)(S_i + S_j) - 2 (1 -+ kappa)
-        g_ij -+ B, A and B from ``_rounding``.  Row i
-        is certainly beyond threshold j where the lower end exceeds t_j, so
-        every row above the last row that is certainly beyond no threshold
-        of a lower row (the candidate) is inadmissible in the float64 test
-        too; the candidate is its index if every upper end of the
-        candidate's row stays at most t_j.  The tests are divided by
+        g_ij -+ B, A and B from ``_rounding``.  Row i is certainly beyond
+        threshold j where the lower end exceeds t_j, and is then
+        inadmissible in the float64 test too.  The scan marks such rows
+        from the gram columns j of a window [guess - 6, guess + 2], then
+        takes the last unmarked row as the candidate and forms its row of
+        the gram.  If the candidate is certainly beyond some threshold j, it
+        is marked, and so is every row above j that column j shows
+        certainly beyond (j the threshold the candidate exceeds most, often
+        the pick, which marks most rows above it), and the scan goes on.
+        Otherwise every row above the candidate is marked, and the
+        candidate is the index if every upper end of its row stays at most
+        t_j.  Each bound holds entry by entry, so no gram entry outside the
+        columns read is needed, and the guess, which sets how many columns
+        are read, changes no certified index.  The tests are divided by
         2 (1 -+ kappa) and compare g_ij with float64 sums, whose rounding
         the 2^-48 in A and in the thresholds covers.
         """
@@ -455,24 +480,37 @@ class GridScorer:
         if not y_max < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0)):
             return -1
         np.multiply(e32, y.astype(np.float32), out=work)
-        np.matmul(work, work.T, out=gram)
-        s = gram.diagonal().astype(float)
+        s = np.einsum("ij,ij->i", work, work).astype(float)
         centre_y = centre * y
         a, b = _rounding(n, e_max, float(centre_y @ centre_y), y_max)
         # row i is certainly beyond threshold j where g_ij - high_j < low_i
         low = s * ((1.0 - _KAPPA - a) / (2.0 - 2.0 * _KAPPA))
         high = low - beyond_sq
         high -= b / (2.0 - 2.0 * _KAPPA)
-        np.copyto(square, gram)
-        square -= high
-        np.less(square, low[:, None], out=beyond)
-        beyond &= self._strictly_lower
-        cand = k - 1 - int(np.argmin(beyond.any(axis=1)[::-1]))
-        # the candidate is certified where g_cj >= up_j for every j < cand
-        up = s[:cand] * ((1.0 + _KAPPA + a) / (2.0 + 2.0 * _KAPPA))
-        up += (s[cand] * (1.0 + _KAPPA + a) + b) / (2.0 + 2.0 * _KAPPA)
-        up -= within_sq[:cand]
-        return cand if np.greater_equal(gram[cand, :cand], up).all() else -1
+        lo, hi = max(0, guess - 6), min(k, guess + 3)
+        window = _gram_columns(work, slice(lo, k), slice(lo, hi)) - high[lo:hi]
+        beyond = window < low[lo:, None]
+        beyond &= self._strictly_lower[lo:, lo:hi]
+        marked = np.zeros(k, dtype=bool)
+        marked[lo:] = beyond.any(axis=1)
+        while True:
+            # the candidate is the last row not marked certainly beyond
+            cand = k - 1 - int(np.argmin(marked[::-1]))
+            row = _gram_columns(work, slice(0, cand), cand)
+            slack = row - high[:cand]
+            j = int(np.argmin(slack)) if cand else 0
+            if cand and slack[j] < low[cand]:
+                # the candidate is beyond threshold j, the row it exceeds
+                # most; column j marks the other rows above j beyond it
+                marked[cand] = True
+                column = np.subtract(_gram_columns(work, slice(j + 1, k), j), high[j], dtype=float)
+                marked[j + 1 :] |= column < low[j + 1 :]
+                continue
+            # the candidate is certified where g_cj >= up_j for every j < cand
+            up = s[:cand] * ((1.0 + _KAPPA + a) / (2.0 + 2.0 * _KAPPA))
+            up += (s[cand] * (1.0 + _KAPPA + a) + b) / (2.0 + 2.0 * _KAPPA)
+            up -= within_sq[:cand]
+            return cand if np.greater_equal(row, up).all() else -1
 
     def _errors(self, values: np.ndarray, truths: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Entry (r, e) := ||f_hat - truths[r]||^2 for the estimate
@@ -506,6 +544,12 @@ class GridScorer:
 # finite: |p_i|, |y| < 2^63 and |E| |y| sqrt(n) < 2^60, so ||a_i||^2 <= 2^120
 _KAPPA = 2.0**-20
 _ROW_LIMIT, _GRAM_LIMIT = 2.0**63, 2.0**60
+
+
+def _gram_columns(work: np.ndarray, rows: slice, columns) -> np.ndarray:
+    """The float32 gram entries a_i . a_j of the rows a = ``work`` for i in
+    ``rows`` and j in ``columns`` (a slice, or one index for one column)."""
+    return work[rows] @ work[columns].T
 
 
 def _rounding(n: int, e_max: float, centre_y_sq: float, y_max: float) -> tuple[float, float]:

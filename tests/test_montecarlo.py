@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from invreg import selection
 from invreg.filters import ALL_FAMILIES, tikhonov
 from invreg.model import SpectralProblem, _observe, estimate_coefficients, sample_observations, substream_seed
 from invreg.montecarlo import (
@@ -315,6 +316,37 @@ class TestBatches:
             )
         )
         assert len(outcomes) == 70 and sum(outcomes) >= 0.99 * len(outcomes)
+
+    def test_the_benchmark_hat_config_reads_a_few_gram_columns_per_pick(self, monkeypatch):
+        # each certified replication reads a window of gram columns around
+        # the last certified pick and a row or column per candidate, never
+        # the whole K x K float32 gram
+        replications, columns = [], []
+        certify, gram_columns = GridScorer._certified_pick, selection._gram_columns
+
+        def recording(self, *args):
+            replications.append(len(columns))
+            best = certify(self, *args)
+            assert best >= 0
+            return best
+
+        def counting(work, rows, cols):
+            out = gram_columns(work, rows, cols)
+            columns.append(out.shape[1] if out.ndim == 2 else 1)
+            assert columns[-1] < len(work)
+            return out
+
+        monkeypatch.setattr(GridScorer, "_certified_pick", recording)
+        monkeypatch.setattr(selection, "_gram_columns", counting)
+        run_rate_experiment(
+            small_config(
+                problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
+                sigmas=tuple(2.0**-k for k in range(15, 22)),
+                replications=10,
+                master_seed=20240901,
+            )
+        )
+        assert len(replications) == 70 and sum(columns) <= 16 * len(replications)
 
 
 class TestRunRateExperiment:

@@ -34,6 +34,7 @@ from invreg.selection import (
     choose_oracle,
     choose_pred,
 )
+from invreg.selection import _GRAM_LIMIT, _KAPPA, _ROW_LIMIT, _rounding
 
 
 def naive_oracle(problem, spec, grid):
@@ -137,6 +138,28 @@ def exact_lepskii(scorer, y):
     beyond = (sq_norm[:, None] + sq_norm) - 2.0 * gram > scorer._thresholds_sq
     beyond &= np.tri(len(coeff), k=-1, dtype=bool)
     return int(np.flatnonzero(~beyond.any(axis=1))[-1])
+
+
+def full_gram_lepskii(scorer, rows, y):
+    """The certified test over the whole float32 gram of the rows
+    a_i = fl32(E_i fl32(y)), E from ``scorer._float32_rows``: the last row
+    that no lower row shows certainly beyond, if all its upper ends stay
+    within their thresholds; -1 otherwise, or if y is out of range."""
+    e32, _, e_max, centre, (beyond_sq, within_sq) = rows
+    k, n = e32.shape
+    if not np.abs(y).max() < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0)):
+        return -1
+    work = e32 * y.astype(np.float32)
+    gram = (work @ work.T).astype(float)
+    s = gram.diagonal().copy()
+    a, b = _rounding(n, e_max, float((centre * y) @ (centre * y)), float(np.abs(y).max()))
+    low = s * ((1.0 - _KAPPA - a) / (2.0 - 2.0 * _KAPPA))
+    high = low - beyond_sq - b / (2.0 - 2.0 * _KAPPA)
+    beyond = (gram - high < low[:, None]) & np.tri(k, k, -1, dtype=bool)
+    cand = int(np.flatnonzero(~beyond.any(axis=1))[-1])
+    up = s[:cand] * ((1.0 + _KAPPA + a) / (2.0 + 2.0 * _KAPPA))
+    up += (s[cand] * (1.0 + _KAPPA + a) + b) / (2.0 + 2.0 * _KAPPA) - within_sq[:cand]
+    return cand if (gram[cand, :cand] >= up).all() else -1
 
 
 def threshold_ratios(scorer, y):
@@ -420,6 +443,23 @@ class TestGridScorer:
             with pytest.raises(ValueError):
                 scorer.batch_lepskii_errors(values, truths, [(0,), (0,)])
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [[(0,)], [(-1,)] * 3, [(0.7,)] * 3, [(51,)] * 3],
+        ids=["one row for three", "negative", "fraction", "K"],
+    )
+    def test_a_lepskii_batch_rejects_malformed_picks(self, malformed):
+        p = make_diagonal_problem(300, 4.0, 4.0, 1e-2, seed=3)
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        assert len(grid) == 51
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        values, truths = batch_rows(p, 3)
+        with pytest.raises(ValueError, match="picks"):
+            scorer.batch_lepskii_errors(values, truths, malformed)
+        if len(malformed) == 3:
+            with pytest.raises(ValueError, match="picks"):
+                scorer.lepskii_errors(values[0], truths[0], malformed[0])
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.sampled_from([300, 1024, 10240]),
@@ -428,10 +468,11 @@ class TestGridScorer:
         buffer=st.sampled_from(["K", "3K/2", "2K + 7"]),
         tie=st.sampled_from([None, -1e-6, -1e-9, 1e-9, 1e-6]),
         level=st.integers(0, 2**16),
+        guess=st.sampled_from(["0", "K - 1", "pick - 10", "pick + 10", "random"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_certified_lepskii_picks_equal_the_exact_test_bitwise(
-        self, n, family, sigma_exponent, buffer, tie, level, seed
+        self, n, family, sigma_exponent, buffer, tie, level, guess, seed
     ):
         p = lepskii_problem(n)
         sigma = 2.0**sigma_exponent
@@ -455,6 +496,16 @@ class TestGridScorer:
         expected = [exact_lepskii(scorer, y) for y in values]
         assert best.tolist() == expected
         assert errors.tobytes() == estimate_errors(scorer, values, truths, np.column_stack([picks, best])).tobytes()
+        # the guess sets the window of gram columns and, as the scorer's last
+        # pick, the centre of the rows: it may cost a certificate only where
+        # the whole float32 gram could not give one either
+        for y, pick in zip(values, expected):
+            g = {"0": 0, "K - 1": k - 1, "pick - 10": pick - 10, "pick + 10": pick + 10}.get(guess)
+            g = int(np.clip(rng.integers(0, k) if g is None else g, 0, k - 1))
+            rows = scorer._float32_rows(g)
+            if rows:
+                certified = scorer._certified_pick(rows, y, float(np.abs(y).max()), g)
+                assert certified == pick or certified == full_gram_lepskii(scorer, rows, y) == -1
 
     def test_the_rows_are_rebuilt_after_a_fallback(self, monkeypatch):
         p = lepskii_problem(1024)

@@ -1,0 +1,263 @@
+"""Lepskii's certified float32 test (``GridScorer._certified_picks``): the
+rounding bounds that tie float32 gram entries of the rows E_i = fl32(p_i -
+p_m), p_i = fl(sqrt(lambda) q_i) at grid.values[i], to the float64 test of
+``GridScorer._exact_pick``, and the scan that certifies a batch from them.
+
+Notation: u = 2^-53, v = 2^-24, t32 = 2^-126; c_i = fl(p_i y) is row
+i of the float64 test, w = fl32(fl(y^2)), and x_ij = sum_k E_ik
+E_jk y_k^2, exactly, so D32_ij = x_ii + x_jj - 2 x_ij = ||(E_i -
+E_j) y||^2 and N = x_ii + x_jj.  The float64 test compares its
+distance Dh_ij with t_j; let D_ij = ||c_i - c_j||^2, exactly.
+
+1. Rows.  (c_i - c_m) - E_i y has norm at most 1.01 v ||E_i y|| +
+   rho: E_i is p_i - p_m rounded in float64 and then in float32,
+   c_i and c_m are rounded once each (the 2u ||p_m y|| in rho), and
+   a cast that underflows, flushed to zero or not, is off by less
+   than t32 (the sqrt(n) y_max t32 in rho).  So |sqrt(D) -
+   sqrt(D32)| <= sig = 1.01 v (sqrt(x_ii) + sqrt(x_jj)) + 2 rho, and
+   2 sig sqrt(D32) <= kappa D32 + sig^2 / kappa gives (1 - kappa) D32
+   - sig^2 / kappa <= D <= (1 + kappa) D32 + (1 + 1/kappa) sig^2,
+   sig^2 <= 2^-45 N + 8 rho^2.
+2. Gram.  An entry g_ij is a float32 sum of the n products of E_i
+   and fl32(E_j w), and S_i one of the n products of fl32(E_i^2) and
+   w, formed by any kernel in any order, with FMA or not.  Each term
+   carries at most n + 3 roundings (y^2, its cast, the product with
+   E_j or the square of E_i, and the n of the product and the sums),
+   so by itself each entry is within g32 (x_ii + x_jj) / 2 + U of
+   x_ij, g32 = (n + 3) v / (1 - (n + 3) v), |E_ik E_jk| <= (E_ik^2 +
+   E_jk^2) / 2; U = 1.1 n t32 (e_max^2 + e_max + y_max^2 + 2)
+   collects what underflow loses in w, in the products and in the
+   sums.  So D32 is within 2 g32 N + 4 U of S_i + S_j - 2 g_ij, and N
+   <= (S_i + S_j + 2 U) / (1 - g32).
+3. The float64 test.  Dh is within g64 C + 5 n 2^-1022 of D, g64 = 2
+   n u / (1 - n u) + 3.01 u (the syrk, then the sum and the
+   difference), with C = ||c_i||^2 + ||c_j||^2 <= 4.01 N + 8 rho^2 +
+   4 ||c_m||^2.
+
+So Dh_ij lies within (1 -+ kappa -+ A)(S_i + S_j) - 2 (1 -+ kappa) g_ij -+
+B, A and B from ``_rounding``.  Row i is certainly beyond threshold j where
+the lower end exceeds t_j, and is then inadmissible in the float64 test too;
+the last row not certainly beyond is the index if every upper end of its
+row stays at most t_j.  Each bound holds entry by entry, so a certified
+index is the float64 test's whichever entries were formed, by whichever
+product and in whichever order: a window of columns certifies the same
+index as the whole gram would, or none.  ``_scan`` forms one window of
+gram entries near the guess for the whole batch, then one column per
+undecided replication per round, each product for as many replications as
+fit the float32 ``work`` rows.  The tests are divided by 2 (1 -+ kappa) and
+compare g_ij with float64 sums, whose rounding the 2^-48 in A and in the
+thresholds covers.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# the split constant; the bounds that keep every float32 square, product
+# and gram sum finite (|p_i|, |y| < 2^62, so |E| <= 2^63, and
+# |E| |y| sqrt(n) < 2^60); the rounds of single columns a replication may
+# read after the window
+_KAPPA = 2.0**-20
+_ROW_LIMIT, _GRAM_LIMIT = 2.0**62, 2.0**60
+_ROUNDS = 16
+
+
+def _certify(e32, work, p_max, centre, y, y_max, thresholds_sq, guess: int) -> np.ndarray:
+    """The certified Lepskii index of each observation of the (R, n) batch
+    y, |y| <= y_max, -1 where it is not certified: E in ``e32`` centred at
+    row ``guess``, p_m = ``centre``, |p_i| <= p_max, the float32 ``work``
+    rows and the squared thresholds t_j.
+
+    Nothing is certified if a p_i or the replication's y lies out of range
+    (a NaN fails every test), or at 2^20 modes or more, where B's constant
+    no longer holds.  The batch is certified at most n replications at a
+    time, so the (rows, replications) arrays of the test hold no more
+    entries than the K x n buffer.
+    """
+    n = e32.shape[1]
+    best = np.full(len(y), -1)
+    e_max = 2.0 * p_max
+    if not (p_max < _ROW_LIMIT and n < 2**20):
+        return best
+    fits = np.flatnonzero(y_max < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0)))
+    centre_y = np.empty(n)
+    for at in range(0, len(fits), n):
+        reps = fits[at : at + n]
+        part = y[at : at + n] if len(fits) == len(y) else y[reps]
+        centre_y_sq = np.array([np.dot(np.multiply(row, centre, out=centre_y), centre_y) for row in part])
+        a, b = _rounding(n, e_max, centre_y_sq, y_max[reps])
+        w = np.square(part, out=np.empty(part.shape, dtype=np.float32))
+        # every S_i of every replication from one product of the data-free squares
+        np.square(e32, out=work)
+        bounds = _bounds(_gram_columns(work, w).astype(float), a, b, thresholds_sq)
+        best[reps] = _scan(e32, work, w, bounds, guess)
+        del bounds  # before the next chunk forms its own
+    return best
+
+
+def _bounds(s, a, b, thresholds_sq):
+    """(low, high, up, top), the (rows, replications) arrays of the
+    certified test, from S_i as a float64 (rows, replications) array, A and
+    B from ``_rounding`` and the squared thresholds t_j: row i is certainly
+    beyond threshold j where g_ij - high_j < low_i, and a candidate c is
+    certified where g_cj - up_j >= top_c for every j < c."""
+    beyond_sq = thresholds_sq * ((1.0 + 2.0**-48) / (2.0 - 2.0 * _KAPPA))
+    within_sq = thresholds_sq * ((1.0 - 2.0**-48) / (2.0 + 2.0 * _KAPPA))
+    low = s * ((1.0 - _KAPPA - a) / (2.0 - 2.0 * _KAPPA))
+    high = low - beyond_sq[:, None]
+    high -= b / (2.0 - 2.0 * _KAPPA)
+    up = s * ((1.0 + _KAPPA + a) / (2.0 + 2.0 * _KAPPA))
+    up -= within_sq[:, None]
+    top = (s * (1.0 + _KAPPA + a) + b) / (2.0 + 2.0 * _KAPPA)
+    return low, high, up, top
+
+
+def _gram_columns(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The float32 gram entries of the float32 rows in ``rows`` (rows, E_i
+    or fl32(E_i^2)) against those in ``columns`` (columns, fl32(E_j w) or
+    w).
+
+    The sgemm is tiled into products of at most 10^6 multiply-adds, which
+    OpenBLAS runs without its packing buffers: their pages would raise the
+    peak memory of a run, and these thin products run faster without them.
+    """
+    n = rows.shape[1]
+    out = np.empty((len(rows), len(columns)), dtype=np.float32)
+    step = max(1, 10**6 // n)
+    for i in range(0, len(rows), step):
+        part = rows[i : i + step]
+        width = max(1, 10**6 // (len(part) * n))
+        for j in range(0, len(columns), width):
+            np.matmul(part, columns[j : j + width].T, out=out[i : i + step, j : j + width])
+    return out
+
+
+def _scan(e32: np.ndarray, work: np.ndarray, w: np.ndarray, bounds, guess: int) -> np.ndarray:
+    """The certified Lepskii index of each replication of a batch, -1 where
+    it is not certified; replication r has the squared observation w[r]
+    and the columns bounds[...][:, r] of ``_certify``.
+
+    Row ``guess`` is the centre of the rows, E_guess = 0, so its gram
+    column is 0 and marks for free the rows above it that lie beyond its
+    threshold.  A window around a centre g then marks row i certainly
+    beyond where one of its gram entries shows it: the rows [g - 8, g + 6)
+    against the columns [g - 8, g + 2], and the rows above them against
+    column g.  Rows more than three above the pick are beyond the pick's
+    threshold and its neighbours', and the few just above it are beyond
+    one a few rows below it, so with g near the pick the last unmarked
+    row, the candidate, is the pick.  A column below the pick leaves those
+    few rows unmarked, so the window is centred 3 below the median
+    candidate of the free column, if that lies above the guess.  Then each
+    round reads one whole column per undecided replication: that of its
+    candidate, or that of the witness of a candidate just found beyond (the
+    threshold it exceeds most), so a candidate far from the window costs
+    rounds, not a second window.  The column of a candidate c is also row c: it shows c
+    beyond some lower threshold, and c is marked, or within them all, and
+    c is decided by the upper-end certificate on the same entries.  A
+    witness's column marks the rows above it that it shows beyond.  A
+    replication still undecided after ``_ROUNDS`` rounds is not certified.
+    The products of a window or a round are formed for as many
+    replications at a time as fit the ``work`` rows; the tests run on
+    (rows, replications) arrays.
+    """
+    low, high, up, top = bounds
+    k, n = e32.shape
+    reps = np.arange(len(w))
+    marked = np.zeros((k, len(w)), dtype=bool)
+    marked[guess + 1 :] = low[guess + 1 :] > -high[guess]
+    candidate = k - 1 - np.argmin(marked[::-1], axis=0)
+    # the median by sorted(): the first numpy sort of a process raises its
+    # peak memory by 0.4 to 0.6 MB
+    median = sorted(candidate.tolist())[len(w) // 2]
+    _window(e32, work, w, low, high, marked, max(guess, median - 3))
+    candidate = k - 1 - np.argmin(marked[::-1], axis=0)
+    rows = np.arange(k)[:, None]
+    best = np.full(len(w), -1)
+    read, witnessing, open_ = candidate, np.zeros(len(w), dtype=bool), np.ones(len(w), dtype=bool)
+    gram = np.empty((k, len(w)), dtype=np.float32)
+    for _ in range(_ROUNDS):
+        chunks = np.flatnonzero(open_)
+        for at in range(0, len(chunks), k):
+            chunk = chunks[at : at + k]
+            part = np.take(e32, read[chunk], axis=0, out=work[: len(chunk)])
+            part *= w[chunk]
+            gram[:, chunk] = _gram_columns(e32, part)
+        below = rows < read
+        if witnessing.any():
+            # the rows above a witness j that column j shows beyond threshold j
+            beyond = gram - high[read, reps] < low
+            beyond &= ~below
+            beyond[:, ~witnessing] = False
+            marked |= beyond
+            candidate = k - 1 - np.argmin(marked[::-1], axis=0)
+        # row j against every threshold below it, the most exceeded first
+        slack = gram - high
+        slack[~below] = np.inf
+        witness = np.argmin(slack, axis=0)
+        at_candidate = open_ & (candidate == read)
+        rejected = at_candidate & (slack[witness, reps] < low[read, reps])
+        # a candidate within every threshold below it is decided here
+        decided = at_candidate & ~rejected
+        if decided.any():
+            slack = np.subtract(gram, up, out=slack)
+            slack[~below] = np.inf
+            best[decided] = np.where(slack.min(axis=0) >= top[read, reps], read, -1)[decided]
+            open_ &= ~decided
+            if not open_.any():
+                break
+        marked[read[rejected], reps[rejected]] = True
+        witnessing = rejected
+        read = np.where(rejected, witness, candidate)
+    return best
+
+
+def _window(e32, work, w, low, high, marked, g: int) -> None:
+    """Mark the rows that the window of ``_scan`` around the centre g shows
+    certainly beyond, for every replication."""
+    k, n = e32.shape
+    lo, hi, end = max(0, g - 8), min(k, g + 3), min(k, g + 6)
+    band = np.empty((end - lo, len(w), hi - lo), dtype=np.float32)
+    above = np.empty((k - end, len(w)), dtype=np.float32)
+    step = k // (hi - lo)
+    for at in range(0, len(w), step):
+        reps = slice(at, at + step)
+        columns = work[: min(step, len(w) - at) * (hi - lo)].reshape(-1, hi - lo, n)
+        np.multiply(e32[lo:hi], w[reps, None], out=columns)
+        band[:, reps] = _gram_columns(e32[lo:end], columns.reshape(-1, n)).reshape(end - lo, -1, hi - lo)
+        above[:, reps] = _gram_columns(e32[end:], columns[:, g - lo])
+    beyond = band - high[lo:hi].T < low[lo:end, :, None]
+    beyond &= (np.arange(lo, end)[:, None] > np.arange(lo, hi))[:, None]
+    marked[lo:end] |= beyond.any(axis=2)
+    marked[end:] |= above - high[g] < low[end:]
+
+
+def _rounding(n: int, e_max: float, centre_y_sq, y_max) -> tuple[float, np.ndarray]:
+    """The relative and absolute terms A and B of the certified Lepskii test
+    at n modes, for |E| <= e_max and |y| <= y_max, with ||p_m y||^2 summed
+    in float64 to ``centre_y_sq`` (B per entry of ``centre_y_sq`` and
+    ``y_max``): from steps 1 to 3 above, A is the factor of N over 1 - g32,
+    plus 2^-48, and B the rest, with 1 % to spare."""
+    g32, underflow = _gram_error(n, e_max, y_max)
+    cm_sq = 1.01 * np.asarray(centre_y_sq) + 2.0 * n * 2.0**-1022
+    rho = _row_error(n, cm_sq, y_max)
+    g64 = 2.0 * n * 2.0**-53 / (1.0 - n * 2.0**-53) + 3.01 * 2.0**-53
+    a = (2.0 * (1.0 + _KAPPA) * g32 + (1.0 + 1.0 / _KAPPA) * 2.0**-45 + 4.01 * g64) / (1.0 - g32) + 2.0**-48
+    b = 1.01 * (4.6 * underflow + 5.0 * n * 2.0**-1022 + 8.0 * (2.0 + 1.0 / _KAPPA) * rho * rho + 4.01 * g64 * cm_sq)
+    return a, b
+
+
+def _row_error(n: int, cm_sq, y_max):
+    """Step 1's rho: (c_i - c_m) - E_i y has norm at most 1.01 v ||E_i y||
+    + rho, for ||c_m||^2 <= cm_sq and |y| <= y_max."""
+    return 2.02 * 2.0**-53 * np.sqrt(cm_sq) + 1.1 * 2.0**-126 * math.sqrt(n) * (np.asarray(y_max) + 1.0)
+
+
+def _gram_error(n: int, e_max: float, y_max):
+    """Step 2's (g32, U): each float32 gram entry g_ij (or S_i = g_ii) is
+    within g32 (x_ii + x_jj) / 2 + U of x_ij, for |E| <= e_max and |y| <=
+    y_max."""
+    g32 = (n + 3) * 2.0**-24 / (1.0 - (n + 3) * 2.0**-24)
+    underflow = 1.1 * n * 2.0**-126 * (e_max * e_max + e_max + np.square(y_max) + 2.0)
+    return g32, underflow

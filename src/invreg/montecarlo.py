@@ -7,19 +7,20 @@ noise level scored through one :class:`~invreg.selection.GridScorer`, so
 tables are bit-identical for any worker count.
 
 A noise level's replications are sampled and scored in batches of at most
-``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300): the oracle (for a
-fresh truth per replication) and the pred rule score a whole batch over one
-s-block, and the Lepskii rule then runs per replication, each batch
-forming its data-free rows sqrt(lambda) q once, in float32, in the shared
-buffer (``GridScorer.batch_lepskii_errors``).  The oracle and pred grid
-indices come from ``GridScorer.batch_*_picks``, which scores exactly only
-the grid rows near the minimum, and Lepskii's from a few float32 gram
-columns near the last certified index, each entry with a rigorous
-rounding margin, falling back to the float64 test where the margins cannot
-decide; the indices are those of the exact tests, so the
-tables are the same bytes as with every row scored exactly in float64,
-and none of these picks but a Lepskii fallback's depends on the BLAS
-thread count.  The three squared errors are read from the
+``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300).  The oracle (for a
+fresh truth per replication, or once per noise level for the rate study's
+fixed truth, in its first batch) and the pred rule pick their grid points
+from one (1 - s)^2 block per batch (``GridScorer.batch_picks``), which
+scores exactly only the grid rows near each minimum.  The Lepskii rule
+then certifies the whole batch at once (``GridScorer.batch_lepskii_errors``):
+each batch forms its data-free rows sqrt(lambda) q once, in float32, in the
+shared buffer, and one window of float32 gram entries near the last
+certified index, with a column per candidate, decide every replication,
+each entry with a rigorous rounding margin, falling back to the float64
+test where the margins cannot decide.  The indices are those of the exact
+tests, so the tables are the same bytes as with every row scored exactly
+in float64, and none of these picks but a Lepskii fallback's depends on
+the BLAS thread count.  The three squared errors are read from the
 estimate rows at the three picked grid points, evaluated once per batch.
 A single replication (:func:`replicate_once`) is a batch of one through
 the same code.
@@ -192,17 +193,18 @@ class EfficiencyTable:
     rows: tuple[EfficiencyRow, ...]
 
 
-def _score_batch(scorer: GridScorer, truths: np.ndarray, values: np.ndarray, oracle_idx) -> np.ndarray:
+def _score_batch(scorer: GridScorer, truths: np.ndarray, values: np.ndarray, oracle_idx, pred_idx) -> np.ndarray:
     """Squared errors [err_or, err_pred, err_lep] of each replication of a
     batch (rows): row r of ``values`` observes the truth in row r of
-    ``truths``, whose oracle grid index is ``oracle_idx[r]``.
+    ``truths``, and its oracle and pred grid indices are ``oracle_idx[r]``
+    and ``pred_idx[r]`` (both from ``GridScorer.batch_picks``, over one
+    (1 - s)^2 block).
 
-    Pred scores the whole batch over one s-block; Lepskii then runs per
-    replication over the batch's float32 data-free rows, and the three
-    errors are read from the estimate rows at the picked grid points.
+    Lepskii certifies the whole batch at once from float32 gram products
+    of its data-free rows (``GridScorer.batch_lepskii_errors``), and the
+    three errors are read from the estimate rows at the picked grid points.
     """
-    picks = np.stack([oracle_idx, scorer.batch_pred_picks(values)], axis=1)
-    return scorer.batch_lepskii_errors(values, truths, picks)[1]
+    return scorer.batch_lepskii_errors(values, truths, np.stack([oracle_idx, pred_idx], axis=1))[1]
 
 
 def replicate_once(
@@ -231,12 +233,17 @@ def replicate_once(
         and np.array_equal(scorer.eigenvalues, problem.eigenvalues)
     ):
         raise ValueError("scorer was built for another problem, filter or grid")
-    if oracle is None:
-        oracle = scorer.oracle(problem.truth_coeffs)
-    elif not (0 <= oracle.grid_index < len(grid) and grid.values[oracle.grid_index] == oracle.alpha):
+    if oracle is not None and not (
+        0 <= oracle.grid_index < len(grid) and grid.values[oracle.grid_index] == oracle.alpha
+    ):
         raise ValueError("oracle selection is not a point of this grid")
     obs = sample_observations(problem, replicate_seed)
-    (errors,) = _score_batch(scorer, problem.truth_coeffs[None], obs.values[None], [oracle.grid_index])
+    # the oracle pick, if not given, comes from the pred rule's block
+    truths = problem.truth_coeffs[None]
+    oracle_idx, pred_idx = scorer.batch_picks(truths if oracle is None else truths[:0], obs.values[None])
+    if oracle is not None:
+        oracle_idx = [oracle.grid_index]
+    (errors,) = _score_batch(scorer, truths, obs.values[None], oracle_idx, pred_idx)
     return tuple(errors.tolist())
 
 
@@ -261,8 +268,9 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
     rows = []
     for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):
         scorer = GridScorer(problem.eigenvalues, sigma, config.filter_spec, grid, buffer)
-        oracle_idx = scorer.batch_oracle_picks(problem.truth_coeffs[None])[0]
         sigma_stream = substream_seed(config.master_seed, i)
+        # the first batch's block also gives the oracle pick of the fixed truth
+        oracle_truths = problem.truth_coeffs[None]
         batches = []
         for batch in _row_blocks(config.replications, problem.n_modes):
             reps = range(config.replications)[batch]
@@ -270,7 +278,10 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
             for r, j in enumerate(reps):
                 values[r] = _observe(root, problem.truth_coeffs, sigma, substream_seed(sigma_stream, j))
             truths = np.broadcast_to(problem.truth_coeffs, values.shape)
-            batches.append(_score_batch(scorer, truths, values, [oracle_idx] * len(reps)))
+            oracle, pred_idx = scorer.batch_picks(oracle_truths, values)
+            if len(oracle):
+                oracle_idx, oracle_truths = oracle[0], oracle_truths[:0]
+            batches.append(_score_batch(scorer, truths, values, [oracle_idx] * len(reps), pred_idx))
         triples = np.concatenate(batches)
         (r_or, se_or) = _mean_se(triples[:, 0])
         (r_pred, se_pred) = _mean_se(triples[:, 1])
@@ -310,8 +321,7 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
                 rep_stream = substream_seed(sigma_stream, j)
                 truths[r] = _diagonal_truth(decay, substream_seed(rep_stream, 0))
                 values[r] = _observe(root, truths[r], sigma, substream_seed(rep_stream, 1))
-            oracle_idx = scorer.batch_oracle_picks(truths)
-            batches.append(_score_batch(scorer, truths, values, oracle_idx))
+            batches.append(_score_batch(scorer, truths, values, *scorer.batch_picks(truths, values)))
         triples = np.concatenate(batches)
         # average the per-replication oracle fractions err_or / err_rule:
         # the plain ratio of mean risks is dominated by the rare deep minima

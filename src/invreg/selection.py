@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _BLOCK, FilterSpec, _check_args, _evaluate, _row_blocks
+from .lepskii import _certify
 from .model import Observations, SpectralProblem
 from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
@@ -89,26 +90,27 @@ class GridScorer:
     largest grid of a run can serve the scorers of all its noise levels.
     The oracle and pred scores take an (R, n) batch of truths or
     observations and form the s-block once for the whole batch; a single
-    truth or observation is a batch of one.  The ``batch_*_picks`` methods
-    return only each row's grid index: one matrix-vector product per row
-    gives approximate scores with a rigorous rounding margin, and only the
-    grid rows that may hold the minimum are scored exactly, through the
-    same code as ``batch_*_scores``, so the indices equal the first
-    minimum of the exact scores for any BLAS summation order (see
-    ``_picks``).  The Lepskii rule takes an (R, n) batch of observations
-    and can return the squared errors of any grid estimates.  It forms the
+    truth or observation is a batch of one.  The picks return only each
+    row's grid index: ``batch_picks`` forms one (1 - s)^2 block for the
+    oracle's truths and pred's observations alike, one matrix-vector
+    product per row gives approximate scores with a rigorous rounding
+    margin, and only the grid rows that may hold the minimum are scored
+    exactly, through the same code as ``batch_*_scores``, so the indices
+    equal the first minimum of the exact scores for any BLAS summation
+    order.  The Lepskii rule takes an (R, n) batch of observations and can
+    return the squared errors of any grid estimates.  It forms the
     data-free rows sqrt(lambda) q once per batch, as float32 rows in the
     first half of the buffer's bytes, centred at the scorer's last
-    certified Lepskii index, and decides each replication from a few
-    float32 gram columns around that index, each entry with its own
-    rigorous rounding margin, so the indices equal those
-    of the float64 test for any BLAS summation order; a replication it
-    cannot certify takes the float64 test (see ``batch_lepskii_errors``).
-    The last certified index is the only state a call leaves behind, and
-    it changes no output.  No K x n block outlives a call: each call
-    fills the rows it reads, so scorers of other noise levels may share
-    the buffer, and the buffer makes a scorer unsafe to share between
-    threads.
+    certified Lepskii index, and certifies the whole batch at once from
+    float32 gram products of those rows with the squared observations,
+    around that index, each entry with its own rigorous rounding margin,
+    so the indices equal those of the float64 test for any BLAS summation
+    order; a replication it cannot certify takes the float64 test (see
+    ``batch_lepskii_errors``).  The last certified index is the only state
+    a call leaves behind, and it changes no output.  No K x n block
+    outlives a call: each call fills the rows it reads, so scorers of
+    other noise levels may share the buffer, and the buffer makes a scorer
+    unsafe to share between threads.
     """
 
     def __init__(
@@ -135,7 +137,7 @@ class GridScorer:
         self._blocks = [(column[b], self._buf[b]) for b in _row_blocks(k, n)]
         self._root = np.sqrt(eig)
         self._strictly_lower = np.tri(k, k, -1, dtype=bool)
-        self._last_pick = k // 2
+        self._last_pick = None
         # sum lambda q^2 per alpha feeds both the oracle and the thresholds
         q2 = self._block(False)
         np.square(q2, out=q2)
@@ -164,23 +166,20 @@ class GridScorer:
         idx = int(np.argmin(scores))  # first minimum = smallest index
         return Selection(float(self.grid.values[idx]), idx, rule, float(scores[idx]))
 
-    def _terms(self, pred: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The buffer rewritten to the mode weights of one rule's score, and
-        that score's K-vector offset: (s^2 - 2s, 2 sigma^2 sum s) for pred,
-        ((1 - s)^2, sigma^2 sum lambda q^2) for the oracle.
-
-        The s-block is formed once and rewritten in place one row block at a
-        time, with one row-block scratch array as the temporary of the terms;
-        the scratch is freed before the block is weighted.
-        """
+    def _s_block(self) -> np.ndarray:
+        """The buffer filled with the s-block; the first one a scorer forms
+        also gives the pred offset 2 sigma^2 sum s."""
         block = self._block(True)
         if self._pred_offset is None:
             self._pred_offset = 2.0 * self.sigma**2 * _accumulate_rows(block)
-        blocks = _row_blocks(*block.shape)
-        scratch = np.empty_like(block[blocks[0]])
-        for b in blocks:
-            (_pred_terms if pred else _bias_terms)(block[b], scratch[: len(block[b])])
-        return block, (self._pred_offset if pred else self._variance)
+        return block
+
+    def _terms(self) -> np.ndarray:
+        """The buffer rewritten to the oracle's mode weights (1 - s)^2, from
+        which ``batch_picks`` also takes pred's approximate scores."""
+        block = self._s_block()
+        np.subtract(1.0, block, out=block)
+        return np.square(block, out=block)
 
     @staticmethod
     def _exact(block: np.ndarray, offset: np.ndarray, grid_rows, weights: np.ndarray, weight_rows) -> np.ndarray:
@@ -200,48 +199,83 @@ class GridScorer:
         scores += offset[grid_rows]
         return scores
 
+    def _pred_exact(self, grid_rows, weights: np.ndarray, weight_rows) -> np.ndarray:
+        """``_exact`` of the pred terms s^2 - 2s, with s evaluated again at
+        the alphas of the distinct ``grid_rows`` in the first buffer rows."""
+        present = np.zeros(len(self._buf), dtype=bool)
+        present[grid_rows] = True
+        rows, index = np.flatnonzero(present), np.cumsum(present)[grid_rows] - 1
+        block = self._buf[: len(rows)]
+        for b in _row_blocks(*block.shape):
+            _evaluate(self.spec, self.grid.values[rows[b], None], self.eigenvalues, True, block[b])
+        return self._exact(_pred_terms(block), self._pred_offset[rows], index, weights, weight_rows)
+
     def _scores(self, pred: bool, rows: np.ndarray) -> np.ndarray:
         """Entry (r, i) := the exact score of grid row i for row r of an
         (R, n) batch of truths (oracle) or observations (pred)."""
-        block, offset = self._terms(pred)
+        if pred:
+            block, offset = _pred_terms(self._s_block()), self._pred_offset
+        else:
+            block, offset = self._terms(), self._variance
         k = len(block)
         grid_rows = np.tile(np.arange(k), len(rows))
         weight_rows = np.repeat(np.arange(len(rows)), k)
         return self._exact(block, offset, grid_rows, rows**2, weight_rows).reshape(len(rows), k)
 
-    def _picks(self, pred: bool, rows: np.ndarray) -> np.ndarray:
-        """np.argmin(self._scores(pred, rows), axis=1), scoring exactly only
-        the grid rows that may hold each minimum.
+    def batch_picks(self, truths: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The oracle's grid index for each truth of an (R, n) batch and the
+        pred rule's for each observation of an (R', n) batch: the first
+        minimum of each row of :meth:`batch_oracle_scores` and
+        :meth:`batch_pred_scores`, from one (1 - s)^2 block for both.
 
-        Per row r, one product block @ r^2 plus the offset gives approximate
-        scores a_i.  All terms of a sum have one sign ((1 - s)^2 >= 0, and
-        s^2 - 2s <= 0 on [0, 1]), so a_i and the exact score, each n rounded
-        products summed in some order (pairwise, fsum, or a BLAS kernel with
-        FMA and any thread split), are both within about n u |a_i| of the
-        true sum, u = 2^-53, plus n 2^-1074 from underflow; adding the offset
-        rounds each once more.  The margin 4 (n + 2) u (|a_i| + |offset_i|)
-        + 4 n 2^-1074 is twice that, which also covers the rounding of the
-        margin and of a_i +- margin.  A grid row whose lower end lies above
-        the smallest upper end cannot hold the minimum; the others are
-        scored exactly, and the first minimum among them is the first
-        minimum of all grid rows.  If a lower end is not finite (a NaN or
-        infinite row, or a sum that overflows), every grid row is scored
-        exactly.
+        Per row r (a truth f or an observation y), one product of the block
+        with r^2 gives t_i = sum (1 - s)^2 r^2.  The oracle's approximate
+        score a_i is t_i plus its offset; pred's is t_i - ||y||^2 plus its
+        offset, since s^2 - 2s = (1 - s)^2 - 1.  Let u = 2^-53, g = (n + 2)
+        u / (1 - (n + 2) u), and Y = ||y||^2 as summed (Y = 0 for a truth).
+        A sum of n products of terms rounded twice (1 - s and its square,
+        or s^2 - 2s), in any order, with FMA or not, is within g times the
+        sum of the terms' magnitudes of the exact sum over the float s and
+        r^2, plus n 2^-1074 from underflow.  The oracle's exact score sums
+        the same terms as t_i, all >= 0, so t_i and it lie within g t_i <=
+        g a_i of that sum.  For pred, t_i is within g T of T = sum (1 - s)^2
+        y^2, Y within g Y of its sum, and the exact score within g (Y - T)
+        of sum (s^2 - 2s) y^2, since |s^2 - 2s| = 1 - (1 - s)^2 on [0, 1];
+        so a_i lies within 2 g Y of it.  Subtracting Y and adding the offset
+        round by 3 u (|a_i| + |offset_i|) at most.  So the margin 5 (n + 3) u
+        (|a_i| + |offset_i| + Y) + 8 n 2^-1074 is at least twice the
+        distance of a_i from the exact score, which also covers the
+        rounding of the margin and of a_i +- margin.  A grid row whose lower
+        end lies above the smallest upper end cannot hold the minimum; the
+        others are scored exactly (pred's from s evaluated again at their
+        alphas, in the operation order of ``batch_pred_scores``), and the
+        first minimum among them is the first minimum of all grid rows.  If
+        a lower end is not finite (a NaN or infinite row, or a sum that
+        overflows), every grid row is scored exactly.
         """
-        block, offset = self._terms(pred)
-        n = block.shape[1]
-        weights = rows**2
-        approx = np.empty((len(rows), len(block)))
+        truths, values = self._check(truths, 2), self._check(values, 2)
+        block = self._terms()
+        m, n = len(truths), block.shape[1]
+        weights = np.empty((m + len(values), n))
+        np.square(truths, out=weights[:m])
+        np.square(values, out=weights[m:])
+        terms = np.empty((len(weights), len(block)))
         for r, weight in enumerate(weights):
             # one matrix-vector product per row: a matrix product's pack
             # buffers would raise the peak memory of a run
-            np.dot(block, weight, out=approx[r])
+            np.dot(block, weight, out=terms[r])
+        shift = np.zeros((len(weights), 1))
+        shift[m:, 0] = weights[m:].sum(axis=1)
+        offset = np.empty_like(terms)
+        offset[:m] = self._variance
+        offset[m:] = self._pred_offset
+        approx = terms - shift
         approx += offset
-        slack = 4.0 * (n + 2) * 2.0**-53
         margin = np.abs(approx)
         margin += np.abs(offset)
-        margin *= slack
-        margin += 4.0 * n * 2.0**-1074
+        margin += shift
+        margin *= 5.0 * (n + 3) * 2.0**-53
+        margin += 8.0 * n * 2.0**-1074
         lower = approx - margin
         upper = np.add(approx, margin, out=margin)
         candidates = lower <= upper.min(axis=1, keepdims=True)
@@ -251,8 +285,17 @@ class GridScorer:
         weight_rows, grid_rows = np.nonzero(candidates)
         # rows left unscored stay above every candidate's exact score
         scores = np.full(approx.shape, np.inf)
-        scores[weight_rows, grid_rows] = self._exact(block, offset, grid_rows, weights, weight_rows)
-        return np.argmin(scores, axis=1)
+        split = np.searchsorted(weight_rows, m)
+        oracle, pred = slice(0, split), slice(split, None)
+        # the oracle rows read the block before pred's rows overwrite it
+        if m:
+            scores[weight_rows[oracle], grid_rows[oracle]] = self._exact(
+                block, self._variance, grid_rows[oracle], weights, weight_rows[oracle]
+            )
+        if len(values):
+            scores[weight_rows[pred], grid_rows[pred]] = self._pred_exact(grid_rows[pred], weights, weight_rows[pred])
+        best = np.argmin(scores, axis=1)
+        return best[:m], best[m:]
 
     def batch_oracle_scores(self, truths: np.ndarray) -> np.ndarray:
         """Exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2 at
@@ -262,7 +305,7 @@ class GridScorer:
     def batch_oracle_picks(self, truths: np.ndarray) -> np.ndarray:
         """The oracle's grid index for each truth of an (R, n) batch: the
         first minimum of its row of :meth:`batch_oracle_scores`."""
-        return self._picks(False, self._check(truths, 2))
+        return self.batch_picks(truths, np.empty((0, self.eigenvalues.size)))[0]
 
     def oracle(self, truth_coeffs: np.ndarray) -> Selection:
         """Minimize the exact direct risk; a batch of one truth."""
@@ -276,7 +319,7 @@ class GridScorer:
     def batch_pred_picks(self, values: np.ndarray) -> np.ndarray:
         """The pred rule's grid index for each observation of an (R, n)
         batch: the first minimum of its row of :meth:`batch_pred_scores`."""
-        return self._picks(True, self._check(values, 2))
+        return self.batch_picks(np.empty((0, self.eigenvalues.size)), values)[1]
 
     def pred_scores(self, obs: Observations) -> np.ndarray:
         """The empirical score of one observation at every grid point."""
@@ -315,20 +358,21 @@ class GridScorer:
         indices ``picks[r]`` and then at Lepskii's index.
 
         Each index is that of the float64 test of ``_exact_pick``:
-        ``_certified_pick`` decides it from float32 rows formed once per
-        call, whatever order that test's syrk sums in.  It reads only the
-        gram columns near a guess, the scorer's last certified index (K // 2
-        before the first), plus a row or a column per candidate: every
-        rounding bound holds for each gram entry by itself, whatever kernel
-        or summation order formed it, so a certified index is the float64
-        test's whichever columns were read.  A replication it cannot
-        certify (or any replication, if the rows do not fit float32) takes
-        the float64 test, whose K x K arrays are allocated at a call's first
-        fallback, after which the float32 rows are formed again.  ``picks``
-        must be an (R, P) array of integer grid indices.  The estimate rows
-        at the picked and chosen grid points are then evaluated for the
-        whole batch, as ``model.estimate_coefficients`` forms them bit for
-        bit, and the errors are read from them (``_errors``).
+        ``_certified_picks`` decides the whole batch at once from float32
+        rows formed once per call, whatever order that test's syrk sums in.
+        It forms only one window of gram entries near a guess, the scorer's
+        last certified index (K // 2 before the first), and a column per
+        candidate, for all replications in each product: every rounding
+        bound holds for each gram entry by itself, whatever kernel or
+        summation order formed it, so a certified index is the float64
+        test's whichever entries were formed.  The replications it cannot
+        certify (all of them, if the rows do not fit float32) then take the
+        float64 test, whose K x K arrays are allocated at a call's first
+        fallback.  ``picks`` must be an (R, P) array of integer grid
+        indices.  The estimate rows at the picked and chosen grid points are
+        then evaluated for the whole batch, as
+        ``model.estimate_coefficients`` forms them bit for bit, and the
+        errors are read from them (``_errors``).
         """
         values = self._check(values, 2)
         if truths is not None:
@@ -343,20 +387,12 @@ class GridScorer:
             raise ValueError(f"picks must be integer grid indices in [0, {k})")
         # a NaN propagates through max and min and fails every range test
         y_max = np.maximum(values.max(axis=1), -values.min(axis=1))
-        best = np.empty(len(values), dtype=int)
-        rows = exact = None
-        for r, y in enumerate(values):
-            if rows is None:
-                rows = self._float32_rows(self._last_pick)
-            best[r] = self._certified_pick(rows, y, y_max[r], self._last_pick) if rows else -1
-            if best[r] >= 0:
-                self._last_pick = int(best[r])
-                continue
+        best = self._certified_picks(values, y_max)
+        exact = None
+        for r in np.flatnonzero(best < 0):
             if exact is None:  # the float64 test's arrays, on a call's first fallback
                 exact = np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty((k, k), dtype=bool)
-            best[r] = self._exact_pick(y, *exact)
-            if rows:  # the float64 rows overwrote them
-                rows = None
+            best[r] = self._exact_pick(values[r], *exact)
         if truths is None:
             return best, np.empty((len(values), 0))
         index = np.empty((len(values), picks.shape[1] + 1), dtype=int)
@@ -387,23 +423,22 @@ class GridScorer:
         return int(np.flatnonzero(~beyond.any(axis=1))[-1])
 
     def _float32_rows(self, m: int):
-        """(E, work, e_max, p_m, thresholds) for ``_certified_pick``, or
-        False if the grid has one point or a row of sqrt(lambda) q is not
-        finite or not well inside float32 range.
+        """(E, work, p_max, p_m) for ``lepskii._certify``, or False if the
+        grid has one point.
 
         E holds the float32 rows fl32(p_i - p_m), p_i = fl(sqrt(lambda) q_i)
         at grid.values[i], in the first half of the buffer's bytes; ``work``
-        is the second half, as float32 rows; e_max bounds |E|.  The margins
-        of ``_certified_pick`` grow with ||a_i||, so a centre row m near the
-        picks narrows them where the picks are decided.
-        The p_i are evaluated a row block at a time in the last rows of the
-        buffer, beyond the bytes of E.  ``thresholds`` are the squared
-        thresholds as the lower and the upper test compare them.
+        is the second half, as float32 rows; p_max bounds |p_i| (NaN if a
+        p_i is, and then E is not used).  Row m is evaluated as p_m bit for
+        bit (``filters._evaluate``), so E_m = 0.  The margins of the test
+        grow with S_i = ||E_i y||^2, so a centre row m near the picks
+        narrows them where the picks are decided.  The p_i are evaluated a
+        row block at a time in the last rows of the buffer, beyond the
+        bytes of E.
         """
         k, n = self._buf.shape
         step = min(k // 2, max(1, _BLOCK // n))
-        # B's constant assumes A < 1/4, which holds below 2^20 modes
-        if step == 0 or n >= 2**20:
+        if step == 0:
             return False
         flat = self._buf.reshape(-1).view(np.float32)
         rows, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
@@ -414,103 +449,33 @@ class GridScorer:
             part = self._buf[k - step :][: k - lo]
             _evaluate(self.spec, self.grid.values[lo : lo + len(part), None], self.eigenvalues, False, part)
             part *= self._root
-            high, low = part.max(), part.min()
-            if not (high < _ROW_LIMIT and low > -_ROW_LIMIT):
-                return False
-            top = max(top, high, -low)
-            part -= centre
-            rows[lo : lo + len(part)] = part
-        t = self._thresholds_sq
-        thresholds = t * ((1.0 + 2.0**-48) / (2.0 - 2.0 * _KAPPA)), t * ((1.0 - 2.0**-48) / (2.0 + 2.0 * _KAPPA))
-        return rows, work, 2.0 * top, centre, thresholds
+            top = np.maximum(top, np.maximum(part.max(), -part.min()))
+            # rows out of float32 range are refused through p_max
+            with np.errstate(over="ignore", invalid="ignore"):
+                part -= centre
+                rows[lo : lo + len(part)] = part
+        return rows, work, top, centre
 
-    def _certified_pick(self, rows, y: np.ndarray, y_max: float, guess: int) -> int:
-        """Lepskii's index for the observation y, |y| <= y_max, equal to that
-        of ``_exact_pick``, from the float32 rows of ``_float32_rows`` and a
-        few of their gram columns around the row ``guess``; -1 if it cannot
-        be certified.
+    def _certified_picks(self, values: np.ndarray, y_max: np.ndarray) -> np.ndarray:
+        """Lepskii's index for each observation of an (R, n) batch, |y| <=
+        y_max, equal to that of ``_exact_pick``, from the float32 rows of
+        ``_float32_rows`` and a few of their gram entries; -1 where it
+        cannot be certified (``lepskii._certify``, which derives the bounds
+        and checks their range).
 
-        Notation: u = 2^-53, v = 2^-24, t32 = 2^-126; c_i = fl(p_i y) is row
-        i of the float64 test and a_i = fl32(E_i fl32(y)); g_ij is a float32
-        sum of the n products of a_i and a_j, formed by any kernel in any
-        order (a block of gram columns, one column, or the pass that forms
-        every S_i = g_ii), and N = ||a_i||^2 + ||a_j||^2.  The
-        float64 test compares its distance Dh_ij with t_j; let
-        D_ij = ||c_i - c_j||^2 and D32_ij = ||a_i - a_j||^2, exactly.
-
-        1. Rows.  c_i - c_m = a_i - e_i with ||e_i|| <= 4v ||a_i|| + rho:
-           an entry of a_i is (p_i - p_m) y rounded three times in float32
-           and once in float64, c_i and c_m are rounded once each (the
-           2u ||p_m y|| in rho), and an underflowing cast or product, flushed
-           to zero or not, is off by less than t32, which rho collects with
-           sqrt(n) e_max and sqrt(n) y_max.  So |sqrt(D) - sqrt(D32)| <= sig
-           = 4v (||a_i|| + ||a_j||) + 2 rho, and 2 sig sqrt(D32) <= kappa D32
-           + sig^2 / kappa gives (1 - kappa) D32 - sig^2 / kappa <= D
-           <= (1 + kappa) D32 + (1 + 1/kappa) sig^2, sig^2 <= 2^-42 N + 8 rho^2.
-        2. Gram.  Each entry by itself: in any summation order, with FMA or
-           not, g_ij is within
-           g32 (||a_i||^2 + ||a_j||^2) / 2 + 2 n t32 of a_i . a_j, g32 =
-           n v / (1 - n v); so D32 is within 2 g32 N + 8 n t32 of
-           S_i + S_j - 2 g_ij, and N <= (S_i + S_j + 4 n t32) / (1 - g32).
-        3. The float64 test.  Likewise Dh is within g64 C + 5 n 2^-1022 of
-           D, g64 = 2 n u / (1 - n u) + 3.01 u (the syrk, then the sum and
-           the difference), with C = ||c_i||^2 + ||c_j||^2 <= 4.01 N
-           + 8 rho^2 + 4 ||c_m||^2.
-
-        So Dh_ij lies within (1 -+ kappa -+ A)(S_i + S_j) - 2 (1 -+ kappa)
-        g_ij -+ B, A and B from ``_rounding``.  Row i is certainly beyond
-        threshold j where the lower end exceeds t_j, and is then
-        inadmissible in the float64 test too.  The scan marks such rows
-        from the gram columns j of a window [guess - 6, guess + 2], then
-        takes the last unmarked row as the candidate and forms its row of
-        the gram.  If the candidate is certainly beyond some threshold j, it
-        is marked, and so is every row above j that column j shows
-        certainly beyond (j the threshold the candidate exceeds most, often
-        the pick, which marks most rows above it), and the scan goes on.
-        Otherwise every row above the candidate is marked, and the
-        candidate is the index if every upper end of its row stays at most
-        t_j.  Each bound holds entry by entry, so no gram entry outside the
-        columns read is needed, and the guess, which sets how many columns
-        are read, changes no certified index.  The tests are divided by
-        2 (1 -+ kappa) and compare g_ij with float64 sums, whose rounding
-        the 2^-48 in A and in the thresholds covers.
+        The rows are centred at the guess, the last certified index (K // 2
+        before the first), which then becomes the next guess.
         """
-        e32, work, e_max, centre, (beyond_sq, within_sq) = rows
-        k, n = work.shape
-        if not y_max < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0)):
-            return -1
-        np.multiply(e32, y.astype(np.float32), out=work)
-        s = np.einsum("ij,ij->i", work, work).astype(float)
-        centre_y = centre * y
-        a, b = _rounding(n, e_max, float(centre_y @ centre_y), y_max)
-        # row i is certainly beyond threshold j where g_ij - high_j < low_i
-        low = s * ((1.0 - _KAPPA - a) / (2.0 - 2.0 * _KAPPA))
-        high = low - beyond_sq
-        high -= b / (2.0 - 2.0 * _KAPPA)
-        lo, hi = max(0, guess - 6), min(k, guess + 3)
-        window = _gram_columns(work, slice(lo, k), slice(lo, hi)) - high[lo:hi]
-        beyond = window < low[lo:, None]
-        beyond &= self._strictly_lower[lo:, lo:hi]
-        marked = np.zeros(k, dtype=bool)
-        marked[lo:] = beyond.any(axis=1)
-        while True:
-            # the candidate is the last row not marked certainly beyond
-            cand = k - 1 - int(np.argmin(marked[::-1]))
-            row = _gram_columns(work, slice(0, cand), cand)
-            slack = row - high[:cand]
-            j = int(np.argmin(slack)) if cand else 0
-            if cand and slack[j] < low[cand]:
-                # the candidate is beyond threshold j, the row it exceeds
-                # most; column j marks the other rows above j beyond it
-                marked[cand] = True
-                column = np.subtract(_gram_columns(work, slice(j + 1, k), j), high[j], dtype=float)
-                marked[j + 1 :] |= column < low[j + 1 :]
-                continue
-            # the candidate is certified where g_cj >= up_j for every j < cand
-            up = s[:cand] * ((1.0 + _KAPPA + a) / (2.0 + 2.0 * _KAPPA))
-            up += (s[cand] * (1.0 + _KAPPA + a) + b) / (2.0 + 2.0 * _KAPPA)
-            up -= within_sq[:cand]
-            return cand if np.greater_equal(row, up).all() else -1
+        k = len(self._buf)
+        guess = k // 2 if self._last_pick is None else self._last_pick
+        rows = self._float32_rows(guess)
+        if not rows:
+            return np.full(len(values), -1)
+        best = _certify(*rows, values, y_max, self._thresholds_sq, guess)
+        certified = best[best >= 0]
+        if len(certified):
+            self._last_pick = int(certified[-1])
+        return best
 
     def _errors(self, values: np.ndarray, truths: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Entry (r, e) := ||f_hat - truths[r]||^2 for the estimate
@@ -539,46 +504,17 @@ class GridScorer:
         return errors
 
 
-# Lepskii's certified float32 test (GridScorer._certified_pick): the split
-# constant, and the bounds that keep every float32 product and gram entry
-# finite: |p_i|, |y| < 2^63 and |E| |y| sqrt(n) < 2^60, so ||a_i||^2 <= 2^120
-_KAPPA = 2.0**-20
-_ROW_LIMIT, _GRAM_LIMIT = 2.0**63, 2.0**60
-
-
-def _gram_columns(work: np.ndarray, rows: slice, columns) -> np.ndarray:
-    """The float32 gram entries a_i . a_j of the rows a = ``work`` for i in
-    ``rows`` and j in ``columns`` (a slice, or one index for one column)."""
-    return work[rows] @ work[columns].T
-
-
-def _rounding(n: int, e_max: float, centre_y_sq: float, y_max: float) -> tuple[float, float]:
-    """The relative and absolute terms A and B of the certified Lepskii test
-    at n modes, for |E| <= e_max and |y| <= y_max, with ||p_m y||^2 summed
-    in float64 to ``centre_y_sq``: from steps 1 to 3 of
-    ``GridScorer._certified_pick``, A is the factor of N over 1 - g32, plus
-    2^-48, and B the rest, with 1 % to spare."""
-    g32 = n * 2.0**-24 / (1.0 - n * 2.0**-24)
-    g64 = 2.0 * n * 2.0**-53 / (1.0 - n * 2.0**-53) + 3.01 * 2.0**-53
-    a = (2.0 * (1.0 + _KAPPA) * g32 + (1.0 + 1.0 / _KAPPA) * 2.0**-42 + 4.01 * g64) / (1.0 - g32) + 2.0**-48
-    cm_sq = 1.01 * centre_y_sq + 2.0 * n * 2.0**-1022
-    rho = 2.02 * 2.0**-53 * math.sqrt(cm_sq) + 2.1 * 2.0**-126 * math.sqrt(n) * (e_max + y_max + 1.0)
-    underflow = 9.1 * n * 2.0**-126 + 5.0 * n * 2.0**-1022
-    b = 1.01 * (underflow + 8.0 * (2.0 + 1.0 / _KAPPA) * rho * rho + 4.01 * g64 * cm_sq)
-    return a, b
-
-
-def _bias_terms(s: np.ndarray, scratch: np.ndarray) -> None:
-    """(1 - s)^2 in place."""
-    np.subtract(1.0, s, out=s)
-    np.square(s, out=s)
-
-
-def _pred_terms(s: np.ndarray, scratch: np.ndarray) -> None:
-    """s^2 - 2s in place, with 2s taken in ``scratch``."""
-    np.multiply(s, 2.0, out=scratch)
-    np.square(s, out=s)
-    s -= scratch
+def _pred_terms(block: np.ndarray) -> np.ndarray:
+    """The s-block rewritten in place to s^2 - 2s, one row block at a time,
+    with 2s taken in one row-block scratch array."""
+    blocks = _row_blocks(*block.shape)
+    scratch = np.empty_like(block[blocks[0]])
+    for b in blocks:
+        s, twice = block[b], scratch[: len(block[b])]
+        np.multiply(s, 2.0, out=twice)
+        np.square(s, out=s)
+        s -= twice
+    return block
 
 
 def choose_oracle(problem: SpectralProblem, spec: FilterSpec, grid: ParameterGrid) -> Selection:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invreg import selection
+from invreg import lepskii
 from invreg.filters import ALL_FAMILIES, tikhonov
 from invreg.model import SpectralProblem, _observe, estimate_coefficients, sample_observations, substream_seed
 from invreg.montecarlo import (
@@ -299,14 +299,14 @@ class TestBatches:
         # the rates-hat benchmark config: a replication that the float32
         # test cannot certify pays for the float64 test on top of it
         outcomes = []
-        certify = GridScorer._certified_pick
+        certify = GridScorer._certified_picks
 
         def recording(self, *args):
             best = certify(self, *args)
-            outcomes.append(best >= 0)
+            outcomes.extend(best >= 0)
             return best
 
-        monkeypatch.setattr(GridScorer, "_certified_pick", recording)
+        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
         run_rate_experiment(
             small_config(
                 problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
@@ -318,26 +318,27 @@ class TestBatches:
         assert len(outcomes) == 70 and sum(outcomes) >= 0.99 * len(outcomes)
 
     def test_the_benchmark_hat_config_reads_a_few_gram_columns_per_pick(self, monkeypatch):
-        # each certified replication reads a window of gram columns around
-        # the last certified pick and a row or column per candidate, never
-        # the whole K x K float32 gram
-        replications, columns = [], []
-        certify, gram_columns = GridScorer._certified_pick, selection._gram_columns
+        # a batch reads a window of gram entries near its picks and a
+        # column per candidate, never the whole K x K float32 gram: at most
+        # 16 columns' worth of entries (16 K) per replication, and no
+        # product as wide as K columns of K rows
+        replications, entries = [], []
+        certify, gram_columns = GridScorer._certified_picks, lepskii._gram_columns
 
-        def recording(self, *args):
-            replications.append(len(columns))
-            best = certify(self, *args)
-            assert best >= 0
+        def recording(self, values, y_max):
+            replications.extend([len(self._buf)] * len(values))
+            best = certify(self, values, y_max)
+            assert (best >= 0).all()
             return best
 
-        def counting(work, rows, cols):
-            out = gram_columns(work, rows, cols)
-            columns.append(out.shape[1] if out.ndim == 2 else 1)
-            assert columns[-1] < len(work)
+        def counting(rows, columns):
+            out = gram_columns(rows, columns)
+            entries.append(out.size)
+            assert out.size < replications[-1] ** 2
             return out
 
-        monkeypatch.setattr(GridScorer, "_certified_pick", recording)
-        monkeypatch.setattr(selection, "_gram_columns", counting)
+        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
+        monkeypatch.setattr(lepskii, "_gram_columns", counting)
         run_rate_experiment(
             small_config(
                 problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
@@ -346,7 +347,7 @@ class TestBatches:
                 master_seed=20240901,
             )
         )
-        assert len(replications) == 70 and sum(columns) <= 16 * len(replications)
+        assert len(replications) == 70 and sum(entries) <= 16 * sum(replications)
 
 
 class TestRunRateExperiment:

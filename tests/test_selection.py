@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from invreg.selection import (
     choose_oracle,
     choose_pred,
 )
-from invreg.selection import _GRAM_LIMIT, _KAPPA, _ROW_LIMIT, _rounding
+from invreg import lepskii
+from invreg.lepskii import _GRAM_LIMIT, _ROW_LIMIT, _bounds, _rounding
 
 
 def naive_oracle(problem, spec, grid):
@@ -141,25 +143,24 @@ def exact_lepskii(scorer, y):
 
 
 def full_gram_lepskii(scorer, rows, y):
-    """The certified test over the whole float32 gram of the rows
-    a_i = fl32(E_i fl32(y)), E from ``scorer._float32_rows``: the last row
-    that no lower row shows certainly beyond, if all its upper ends stay
-    within their thresholds; -1 otherwise, or if y is out of range."""
-    e32, _, e_max, centre, (beyond_sq, within_sq) = rows
+    """The certified test over the whole float32 gram of the rows E from
+    ``scorer._float32_rows``, in the products of the batched test: g_ij =
+    E_i . fl32(E_j w) and S_i = fl32(E_i^2) . w, w = fl32(y^2).  The last
+    row that no lower row shows certainly beyond, if all its upper ends
+    stay within their thresholds; -1 otherwise, or if y is out of range."""
+    e32, _, p_max, centre = rows
     k, n = e32.shape
-    if not np.abs(y).max() < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0)):
+    e_max = 2.0 * p_max
+    if not (p_max < _ROW_LIMIT and np.abs(y).max() < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0))):
         return -1
-    work = e32 * y.astype(np.float32)
-    gram = (work @ work.T).astype(float)
-    s = gram.diagonal().copy()
+    w = np.square(y).astype(np.float32)
+    gram = ((e32 * w) @ e32.T).astype(float)
+    s = (np.square(e32) @ w).astype(float)
     a, b = _rounding(n, e_max, float((centre * y) @ (centre * y)), float(np.abs(y).max()))
-    low = s * ((1.0 - _KAPPA - a) / (2.0 - 2.0 * _KAPPA))
-    high = low - beyond_sq - b / (2.0 - 2.0 * _KAPPA)
+    low, high, up, top = (x[:, 0] for x in _bounds(s[:, None], a, b, scorer._thresholds_sq))
     beyond = (gram - high < low[:, None]) & np.tri(k, k, -1, dtype=bool)
     cand = int(np.flatnonzero(~beyond.any(axis=1))[-1])
-    up = s[:cand] * ((1.0 + _KAPPA + a) / (2.0 + 2.0 * _KAPPA))
-    up += (s[cand] * (1.0 + _KAPPA + a) + b) / (2.0 + 2.0 * _KAPPA) - within_sq[:cand]
-    return cand if (gram[cand, :cand] >= up).all() else -1
+    return cand if (gram[cand, :cand] - up[:cand] >= top[cand]).all() else -1
 
 
 def threshold_ratios(scorer, y):
@@ -496,18 +497,22 @@ class TestGridScorer:
         expected = [exact_lepskii(scorer, y) for y in values]
         assert best.tolist() == expected
         assert errors.tobytes() == estimate_errors(scorer, values, truths, np.column_stack([picks, best])).tobytes()
-        # the guess sets the window of gram columns and, as the scorer's last
-        # pick, the centre of the rows: it may cost a certificate only where
+        # the guess, set as the scorer's last pick, places the window of gram
+        # entries and centres the rows: it may cost a certificate only where
         # the whole float32 gram could not give one either
-        for y, pick in zip(values, expected):
-            g = {"0": 0, "K - 1": k - 1, "pick - 10": pick - 10, "pick + 10": pick + 10}.get(guess)
-            g = int(np.clip(rng.integers(0, k) if g is None else g, 0, k - 1))
-            rows = scorer._float32_rows(g)
-            if rows:
-                certified = scorer._certified_pick(rows, y, float(np.abs(y).max()), g)
-                assert certified == pick or certified == full_gram_lepskii(scorer, rows, y) == -1
+        g = {"0": 0, "K - 1": k - 1, "pick - 10": expected[0] - 10, "pick + 10": expected[0] + 10}.get(guess)
+        scorer._last_pick = int(np.clip(rng.integers(0, k) if g is None else g, 0, k - 1))
+        rows = scorer._float32_rows(scorer._last_pick)
+        if rows:
+            y_max = np.abs(values).max(axis=1)
+            certified = scorer._certified_picks(values, y_max)
+            for y, pick, got in zip(values, expected, certified):
+                assert got == pick or got == full_gram_lepskii(scorer, rows, y) == -1
 
     def test_the_rows_are_rebuilt_after_a_fallback(self, monkeypatch):
+        # the float64 test of a replication the batch could not certify
+        # overwrites the float32 rows, so it runs after the whole batch is
+        # certified, and the next call forms the rows again
         p = lepskii_problem(1024)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         values, truths = batch_rows(p, 6)
@@ -515,34 +520,40 @@ class TestGridScorer:
         scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
         certified = scorer.batch_lepskii_errors(values, truths, picks)
         calls = []
-        certify = GridScorer._certified_pick
+        certify = GridScorer._certified_picks
 
         def every_other(self, *args):
-            calls.append(len(calls) % 2 == 0)
-            return certify(self, *args) if calls[-1] else -1
+            best = certify(self, *args)
+            for r in range(len(best)):
+                calls.append(len(calls) % 2 == 0)
+                best[r] = best[r] if calls[-1] else -1
+            return best
 
-        monkeypatch.setattr(GridScorer, "_certified_pick", every_other)
+        monkeypatch.setattr(GridScorer, "_certified_picks", every_other)
         best, errors = scorer.batch_lepskii_errors(values, truths, picks)
         assert len(calls) == 6
         assert best.tolist() == certified[0].tolist() == [exact_lepskii(scorer, y) for y in values]
         assert errors.tobytes() == certified[1].tobytes()
+        again = scorer.batch_lepskii_errors(values, truths, picks)
+        assert again[0].tolist() == best.tolist() and again[1].tobytes() == errors.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e39, 2.0**62])
     def test_rows_outside_float32_range_take_the_exact_test(self, bad, monkeypatch):
-        # 1e39 is beyond float32 range, and 2^62 is inside it but would
-        # overflow the float32 gram
+        # 1e39 is beyond float32 range, and 2^62 is inside it but at the
+        # limit that keeps the float32 squares and gram sums finite
         p = lepskii_problem(300)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         values, truths = batch_rows(p, 3)
         values[1, 7] = bad
         outcomes = []
-        certify = GridScorer._certified_pick
+        certify = GridScorer._certified_picks
 
         def recording(self, *args):
-            outcomes.append(certify(self, *args))
-            return outcomes[-1]
+            best = certify(self, *args)
+            outcomes.extend(best.tolist())
+            return best
 
-        monkeypatch.setattr(GridScorer, "_certified_pick", recording)
+        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
         for spec in (tikhonov(), spectral_cutoff()):
             outcomes.clear()
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
@@ -553,15 +564,74 @@ class TestGridScorer:
             assert best.tolist() == expected
             assert np.isfinite(errors[0]).all() and np.isfinite(errors[2]).all()
 
+    @pytest.mark.parametrize("bad", [math.nan, 2.0**62])
+    def test_a_row_outside_float32_range_mid_batch_leaves_the_other_picks(self, bad, monkeypatch):
+        # a batch of nine with the bad row in the middle: that row alone
+        # takes the float64 test, and the others keep the picks and errors
+        # they have in a batch without it
+        p = lepskii_problem(1024)
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        values, truths = batch_rows(p, 9)
+        clean = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid).batch_lepskii_errors(values, truths)
+        values[4, 100] = bad
+        outcomes = []
+        certify = GridScorer._certified_picks
+
+        def recording(self, *args):
+            best = certify(self, *args)
+            outcomes.extend(best.tolist())
+            return best
+
+        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        best, errors = scorer.batch_lepskii_errors(values, truths)
+        assert [r for r, got in enumerate(outcomes) if got < 0] == [4]
+        assert best[4] == exact_lepskii(scorer, values[4])
+        others = [0, 1, 2, 3, 5, 6, 7, 8]
+        assert best[others].tolist() == clean[0][others].tolist() == outcomes[:4] + outcomes[5:]
+        assert errors[others].tobytes() == clean[1][others].tobytes()
+
     def test_rows_of_sqrt_lambda_q_outside_float32_range_take_the_exact_test(self, monkeypatch):
         # at lambda = alpha = 1e-40, sqrt(lambda) q = 1/(2 sqrt(alpha)) = 5e19,
-        # beyond the 2^63 that the float32 rows allow
+        # beyond the 2^62 that the float32 rows allow
         eig = np.array([1.0, 1e-40, 0.0])
         grid = ParameterGrid(1.2, 1e-40 * 1.2 ** np.arange(8))
         scorer = GridScorer(eig, 1e-20, tikhonov(), grid)
-        monkeypatch.setattr(GridScorer, "_certified_pick", lambda *args: pytest.fail("certified"))
+        certify = GridScorer._certified_picks
+
+        def refusing(self, *args):
+            best = certify(self, *args)
+            if (best >= 0).any():
+                pytest.fail("certified")
+            return best
+
+        monkeypatch.setattr(GridScorer, "_certified_picks", refusing)
+        monkeypatch.setattr(lepskii, "_gram_columns", lambda *args: pytest.fail("gram formed"))
         values = np.array([[1.0, 1e-14, 1e-15], [0.5, -2e-15, 0.0]])
         assert scorer.batch_lepskii_errors(values)[0].tolist() == [exact_lepskii(scorer, y) for y in values]
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_a_large_batch_at_few_modes_certifies_in_chunks(self, n):
+        # a batch at 8 or 32 modes may hold 4096 or 1024 replications; the
+        # certified test takes at most n of them at a time, so 500 take
+        # little more memory than n do: a few arrays of one entry per
+        # replication, not (rows, replications) arrays of all 500
+        p = make_diagonal_problem(n, 4.0, 4.0, 1e-6, 0)
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        rng = np.random.default_rng(1)
+        values = np.sqrt(p.eigenvalues) * p.truth_coeffs + p.sigma * rng.standard_normal((500, n))
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer.batch_lepskii_errors(values[:n])
+        peaks = []
+        for batch in (values[:n], values):
+            tracemalloc.start()
+            try:
+                best = scorer.batch_lepskii_errors(batch)[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(grid) > 100 and best[::50].tolist() == [exact_lepskii(scorer, y) for y in values[::50]]
+        assert peaks[1] - peaks[0] <= 64 * len(values)
 
     def test_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(2))
@@ -626,8 +696,16 @@ class TestGridScorer:
         truths, values = rows
         oracle = scorer.batch_oracle_picks(truths)
         pred = scorer.batch_pred_picks(values)
-        assert oracle.tolist() == np.argmin(scorer.batch_oracle_scores(truths), axis=1).tolist()
-        assert pred.tolist() == np.argmin(scorer.batch_pred_scores(values), axis=1).tolist()
+        expected = (
+            np.argmin(scorer.batch_oracle_scores(truths), axis=1),
+            np.argmin(scorer.batch_pred_scores(values), axis=1),
+        )
+        assert oracle.tolist() == expected[0].tolist()
+        assert pred.tolist() == expected[1].tolist()
+        # both rules from one block, as the efficiency study picks them: the
+        # oracle rows read the block before pred's exact rows overwrite it
+        both = scorer.batch_picks(truths[1:], values)
+        assert both[0].tolist() == expected[0][1:].tolist() and both[1].tolist() == expected[1].tolist()
 
     def test_exact_ties_go_to_the_smallest_index(self, monkeypatch):
         # spectral cut-off: s is 0 or 1, so grid points with no eigenvalue

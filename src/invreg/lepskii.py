@@ -1,7 +1,7 @@
 """Lepskii's certified float32 test (``GridScorer._certified_picks``): the
 rounding bounds that tie float32 gram entries of the rows E_i = fl32(p_i -
 p_m), p_i = fl(sqrt(lambda) q_i) at grid.values[i], to the float64 test of
-``GridScorer._exact_pick``, and the scan that certifies a batch from them.
+``_exact_test``, and the scan that certifies a batch from them.
 
 Notation: u = 2^-53, v = 2^-24, t32 = 2^-126; c_i = fl(p_i y) is row
 i of the float64 test, w = fl32(fl(y^2)), and x_ij = sum_k E_ik
@@ -95,6 +95,27 @@ def _certify(e32, work, p_max, centre, y, y_max, thresholds_sq, guess: int) -> n
         best[reps] = _scan(e32, work, w, bounds, guess)
         del bounds  # before the next chunk forms its own
     return best
+
+
+def _exact_test(coeff: np.ndarray, thresholds_sq, square, scratch, beyond, lower) -> int:
+    """Lepskii's index by the float64 test: the last of the estimate rows
+    ``coeff`` whose squared distance fl(fl(G_ii + G_jj) - 2 G_ij) to every
+    row j < i is at most threshold j, G their gram (one syrk) in the K x K
+    ``square``.  The distances are formed a few rows at a time in
+    ``scratch``; ``beyond`` is a K x K boolean array and ``lower`` marks the
+    pairs j < i."""
+    np.matmul(coeff, coeff.T, out=square)
+    sq_norm = square.diagonal().copy()
+    square *= 2.0
+    k = len(coeff)
+    for lo in range(0, k, len(scratch)):
+        dist_sq = scratch[: k - lo]
+        np.add(sq_norm[lo : lo + len(dist_sq), None], sq_norm, out=dist_sq)
+        dist_sq -= square[lo : lo + len(dist_sq)]
+        np.greater(dist_sq, thresholds_sq, out=beyond[lo : lo + len(dist_sq)])
+    # i is admissible unless some j < i lies beyond threshold j
+    beyond &= lower
+    return int(np.flatnonzero(~beyond.any(axis=1))[-1])
 
 
 def _bounds(s, a, b, thresholds_sq):

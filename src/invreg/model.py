@@ -4,11 +4,16 @@ The problem Y_k = sqrt(lambda_k) f_k + sigma xi_k is stored through the
 eigenvalues of T*T, the truth coefficients and the per-coordinate noise
 level.  Sampling is fully deterministic given an explicit seed; substream
 seeds for replicated experiments are derived with a SplitMix64 mix so
-results do not depend on worker count or scheduling.
+results do not depend on worker count or scheduling.  A study derives the
+seeds of many replications at once, and the words numpy's SeedSequence
+hashes each into (``_cell_words``), and builds each replication's PCG64
+generator from its words (``_generators``): the stream of PCG64(seed),
+without hashing one seed at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +95,10 @@ class EstimateCoefficients:
         object.__setattr__(self, "values", vals)
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+def _splitmix64(z):
+    """SplitMix64's output function of the state z + gamma, for a Python int
+    below 2^64 or, entry by entry, a 1-d uint64 array (which wraps)."""
+    z = (z + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -107,7 +114,8 @@ def substream_seed(master_seed: int, index: int) -> int:
     the index advances the state by the golden-ratio increment, so nearby
     indices decorrelate and the mapping is not symmetric in its arguments.
     Replication results therefore depend only on (master_seed, index),
-    never on worker count or scheduling.
+    never on worker count or scheduling.  Two 1-d uint64 arrays give the
+    seed of each pair of their entries.
     """
     state = (_splitmix64(master_seed & _MASK64) + (index & _MASK64) * _GAMMA) & _MASK64
     return _splitmix64(state)
@@ -120,14 +128,111 @@ def sample_observations(problem: SpectralProblem, replicate_seed: int) -> Observ
     normal variates are numpy's ziggurat transform of that uniform stream.
     Identical seeds give bit-identical observations.
     """
-    root = np.sqrt(problem.eigenvalues)
-    return Observations(_observe(root, problem.truth_coeffs, problem.sigma, replicate_seed))
+    signal = np.sqrt(problem.eigenvalues) * problem.truth_coeffs
+    return Observations(_noisy(signal, problem.sigma, iter([_generator(replicate_seed)]), 1)[0])
 
 
-def _observe(root: np.ndarray, truth: np.ndarray, sigma: float, replicate_seed: int) -> np.ndarray:
-    """The values of :func:`sample_observations` for root = sqrt(eigenvalues), without a problem."""
-    rng = np.random.Generator(np.random.PCG64(replicate_seed & _MASK64))
-    return root * truth + sigma * rng.standard_normal(truth.size)
+def _noisy(signal: np.ndarray, sigma: float, generators, count: int) -> np.ndarray:
+    """(count, n) observations fl(signal) + fl(sigma xi): row r draws its
+    noise xi from the next of ``generators``, and ``signal`` is an (n,) or
+    (count, n) array of sqrt(lambda) f."""
+    noise = np.empty((count, signal.shape[-1]))
+    for row in noise:
+        next(generators).standard_normal(out=row)
+    noise *= sigma
+    noise += signal
+    return noise
+
+
+def _generator(seed: int):
+    """numpy's PCG64 generator of one seed, reduced mod 2^64."""
+    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+
+
+def _hash_constants(value: int, multiplier: int, count: int) -> np.ndarray:
+    """(2, count, 1) uint32: the xor constants h_t and the multipliers
+    h_(t+1) = h_t multiplier mod 2^32, h_0 = value, of SeedSequence's
+    successive hashes, which do not depend on the entropy."""
+    h = [value]
+    for _ in range(count):
+        h.append(h[-1] * multiplier & 0xFFFFFFFF)
+    return np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
+
+
+# numpy.random.SeedSequence's constants: mix_entropy hashes 16 times over a
+# pool of four uint32 words, and generate_state 8 times, once per word
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash ((w ^ h_t) h_(t+1)) ^ (. >> 16) mod 2^32 of
+    uint32 words (rows), with one pair of ``constants`` per row."""
+    out = words ^ constants[0]
+    out *= constants[1]
+    out ^= out >> np.uint32(16)
+    return out
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """(len(seeds), 4) uint64: ``SeedSequence(s).generate_state(4, np.uint64)``
+    for each entry s of a uint64 array, the words PCG64(s) is seeded from.
+
+    SeedSequence reads s as the uint32 words [s mod 2^32, s >> 32] (one word
+    if s < 2^32, where the second is 0 anyway) and pads them with zeros to
+    its pool of four.  Its hashes are replayed here in numpy's order for all
+    seeds at once: mixing source row i into the other three pool rows
+    changes only those rows, so it is one step.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & np.uint64(0xFFFFFFFF), seeds >> np.uint64(32)
+    pool = _hash(pool, _MIX_HASH[:, :4])
+    for i in range(4):
+        rest = [j for j in range(4) if j != i]
+        mixed = _MIX_L * pool[rest] - _MIX_R * _hash(pool[i], _MIX_HASH[:, 4 + 3 * i : 7 + 3 * i])
+        pool[rest] = mixed ^ mixed >> np.uint32(16)
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
+    # uint64 word k joins uint32 words 2k (low) and 2k + 1 (high)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+# seeds hashed at a time, so the hashing's memory does not grow with a run
+_SEED_CHUNK = 1024
+
+
+def _cell_words(master_seed: int, shape: tuple[int, ...]):
+    """Yield the ``_seed_words`` row of every cell (i, j, ...) of an array of
+    ``shape``, in C order: the seed of cell (i, j, ...) is
+    substream_seed(...substream_seed(substream_seed(master_seed, i), j)...).
+    The seeds and their words are computed ``_SEED_CHUNK`` cells at a time."""
+    size = math.prod(shape)
+    for lo in range(0, size, _SEED_CHUNK):
+        seeds = np.full(min(_SEED_CHUNK, size - lo), np.uint64(master_seed & _MASK64))
+        for index in np.unravel_index(np.arange(lo, lo + len(seeds)), shape):
+            seeds = substream_seed(seeds, index.astype(np.uint64))
+        yield from _seed_words(seeds)
+
+
+class _SeedWords:
+    """A SeedSequence stand-in that hands PCG64 the precomputed words of its seed."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        """The words, which PCG64 asks for as generate_state(4, np.uint64)."""
+        return self.words
+
+
+def _generators(words):
+    """numpy's PCG64 generator of each row of (rows, 4) uint64 ``words`` (the
+    ``_seed_words`` of its seed), built as it is reached."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    # registered at the first draw, so that importing the package leaves numpy.random unloaded
+    ISeedSequence.register(_SeedWords)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
 
 
 def estimate_coefficients(

@@ -4,7 +4,12 @@ Every replication gets its own substream seed derived from
 (master_seed, noise-level index, replication index) via the SplitMix64 mix
 in :mod:`invreg.model`.  Replications run serially in index order, each
 noise level scored through one :class:`~invreg.selection.GridScorer`, so
-tables are bit-identical for any worker count.
+tables are bit-identical for any worker count.  Both studies run through
+one loop (``_study``), the only place where a batch is seeded and drawn:
+the seeds of a run's replications, and the words numpy's SeedSequence
+derives from each, are computed in numpy integer arithmetic a chunk at a
+time (``model._cell_words``), and each replication's PCG64 generator is
+built from its words, so its stream is that of PCG64(seed).
 
 A noise level's replications are sampled and scored in batches of at most
 ``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300).  The oracle (for a
@@ -32,6 +37,7 @@ only its truth and noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -39,8 +45,8 @@ from typing import Union
 import numpy as np
 
 from .filters import FilterSpec, _row_blocks
-from .model import SpectralProblem, _observe, sample_observations, substream_seed
-from .problems import TestFunction, _diagonal_spectrum, _diagonal_truth, make_diagonal_problem, make_green_problem
+from .model import SpectralProblem, _cell_words, _generators, _noisy, sample_observations
+from .problems import TestFunction, _diagonal_spectrum, _diagonal_truths, make_diagonal_problem, make_green_problem
 from .selection import GridScorer, ParameterGrid, Selection, build_grid, grid_size
 
 __all__ = [
@@ -111,8 +117,8 @@ _SCORER_BUDGET = 1 << 30
 def _scorer_bytes(n: int, sizes) -> int:
     """Bytes of the arrays of the scorer of the largest of grids of
     ``sizes`` points over n modes: its K x n float64 buffer and, per grid
-    point pair, its strictly-lower mask and a Lepskii fallback's float64
-    square, float64 distance rows (half a square) and mask."""
+    point pair, a Lepskii fallback's strictly-lower mask, float64 square,
+    float64 distance rows (half a square) and mask."""
     k = max(sizes)
     return k * n * 8 + k * k * (1 + 8 + 4 + 1)
 
@@ -251,6 +257,42 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
+def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.ndarray | None = None):
+    """Yield the (sigma, triples) of each noise level of a run, triples the
+    (R, 3) squared errors [err_or, err_pred, err_lep] of its replications.
+
+    The one study loop: each noise level scores its replications with one
+    scorer, in batches of at most ``filters._BLOCK // n``, and
+    ``draw(sigma, words)`` draws a batch's (truths, values) from the
+    (replications, streams, 4) seed words of its replications (``model._cell_words``
+    over the noise levels, the replications and, for a fresh truth per
+    replication, its truth and noise streams).  Given the fixed ``truth``,
+    a replication has one stream, and the oracle picks once per noise
+    level, from its first batch's block.
+    """
+    grids = config.grids()
+    # one scratch block for the largest grid serves every noise level
+    buffer = np.empty((max(map(len, grids)), eigenvalues.size))
+    streams = 1 if truth is not None else 2
+    shape = (len(config.sigmas), config.replications) + ((2,) if truth is None else ())
+    cells = _cell_words(config.master_seed, shape)
+    for sigma, grid in zip(config.sigmas, grids):
+        scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer)
+        oracle_truths = None if truth is None else truth[None]
+        batches = []
+        for batch in _row_blocks(config.replications, eigenvalues.size):
+            count = len(range(config.replications)[batch])
+            words = np.fromiter(itertools.islice(cells, count * streams), (np.uint64, 4), count * streams)
+            truths, values = draw(sigma, words.reshape(count, streams, 4))
+            oracle_idx, pred_idx = scorer.batch_picks(truths if truth is None else oracle_truths, values)
+            if truth is not None:
+                if len(oracle_idx):
+                    fixed_idx, oracle_truths = oracle_idx[0], oracle_truths[:0]
+                oracle_idx = np.full(count, fixed_idx)
+            batches.append(_score_batch(scorer, truths, values, oracle_idx, pred_idx))
+        yield sigma, np.concatenate(batches)
+
+
 def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable:
     """Risk table over config.sigmas for a fixed truth (Figure-2 style study).
 
@@ -261,37 +303,17 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
         raise ValueError("rate experiments use the green problem descriptor")
     # the problem does not depend on the noise level, so one serves them all
     problem = config.problem.build(config.sigmas[0])
-    root = np.sqrt(problem.eigenvalues)
-    grids = config.grids()
-    # one scratch block for the largest grid serves every noise level
-    buffer = np.empty((max(map(len, grids)), problem.n_modes))
+    truth = problem.truth_coeffs
+    signal = np.sqrt(problem.eigenvalues) * truth
+
+    def draw(sigma, words):
+        values = _noisy(signal, sigma, _generators(words[:, 0]), len(words))
+        return np.broadcast_to(truth, values.shape), values
+
     rows = []
-    for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):
-        scorer = GridScorer(problem.eigenvalues, sigma, config.filter_spec, grid, buffer)
-        sigma_stream = substream_seed(config.master_seed, i)
-        # the first batch's block also gives the oracle pick of the fixed truth
-        oracle_truths = problem.truth_coeffs[None]
-        batches = []
-        for batch in _row_blocks(config.replications, problem.n_modes):
-            reps = range(config.replications)[batch]
-            values = np.empty((len(reps), problem.n_modes))
-            for r, j in enumerate(reps):
-                values[r] = _observe(root, problem.truth_coeffs, sigma, substream_seed(sigma_stream, j))
-            truths = np.broadcast_to(problem.truth_coeffs, values.shape)
-            oracle, pred_idx = scorer.batch_picks(oracle_truths, values)
-            if len(oracle):
-                oracle_idx, oracle_truths = oracle[0], oracle_truths[:0]
-            batches.append(_score_batch(scorer, truths, values, [oracle_idx] * len(reps), pred_idx))
-        triples = np.concatenate(batches)
-        (r_or, se_or) = _mean_se(triples[:, 0])
-        (r_pred, se_pred) = _mean_se(triples[:, 1])
-        (r_lep, se_lep) = _mean_se(triples[:, 2])
-        rows.append(
-            RiskRow(
-                sigma, r_or, se_or, r_pred, se_pred, r_lep, se_lep,
-                per_rep={"or": triples[:, 0], "pred": triples[:, 1], "lep": triples[:, 2]},
-            )
-        )
+    for sigma, triples in _study(config, problem.eigenvalues, draw, truth):
+        stats = [x for errors in triples.T for x in _mean_se(errors)]
+        rows.append(RiskRow(sigma, *stats, per_rep=dict(zip(("or", "pred", "lep"), triples.T))))
     return RiskTable(tuple(rows))
 
 
@@ -306,23 +328,13 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
         raise ValueError("efficiency experiments use the diagonal problem descriptor")
     eigenvalues, decay = _diagonal_spectrum(config.problem.n, config.problem.a, config.problem.nu)
     root = np.sqrt(eigenvalues)
-    grids = config.grids()
-    buffer = np.empty((max(map(len, grids)), config.problem.n))
+
+    def draw(sigma, words):
+        truths = _diagonal_truths(decay, _generators(words[:, 0]), len(words))
+        return truths, _noisy(root * truths, sigma, _generators(words[:, 1]), len(words))
+
     rows = []
-    for i, (sigma, grid) in enumerate(zip(config.sigmas, grids)):
-        sigma_stream = substream_seed(config.master_seed, i)
-        scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer)
-        batches = []
-        for batch in _row_blocks(config.replications, config.problem.n):
-            reps = range(config.replications)[batch]
-            truths = np.empty((len(reps), config.problem.n))
-            values = np.empty_like(truths)
-            for r, j in enumerate(reps):
-                rep_stream = substream_seed(sigma_stream, j)
-                truths[r] = _diagonal_truth(decay, substream_seed(rep_stream, 0))
-                values[r] = _observe(root, truths[r], sigma, substream_seed(rep_stream, 1))
-            batches.append(_score_batch(scorer, truths, values, *scorer.batch_picks(truths, values)))
-        triples = np.concatenate(batches)
+    for sigma, triples in _study(config, eigenvalues, draw):
         # average the per-replication oracle fractions err_or / err_rule:
         # the plain ratio of mean risks is dominated by the rare deep minima
         # of the empirical score (heavy right tail of err_pred) and says

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _BLOCK, FilterSpec, _check_args, _evaluate, _row_blocks
-from .lepskii import _certify
+from .lepskii import _certify, _exact_test
 from .model import Observations, SpectralProblem
 from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
@@ -136,7 +136,6 @@ class GridScorer:
         self._buf = buffer[:k]
         self._blocks = [(column[b], self._buf[b]) for b in _row_blocks(k, n)]
         self._root = np.sqrt(eig)
-        self._strictly_lower = np.tri(k, k, -1, dtype=bool)
         self._last_pick = None
         # sum lambda q^2 per alpha feeds both the oracle and the thresholds
         q2 = self._block(False)
@@ -251,9 +250,22 @@ class GridScorer:
         alphas, in the operation order of ``batch_pred_scores``), and the
         first minimum among them is the first minimum of all grid rows.  If
         a lower end is not finite (a NaN or infinite row, or a sum that
-        overflows), every grid row is scored exactly.
+        overflows), every grid row is scored exactly.  The rows are picked
+        for at most n at a time, each time from a new block, so that the
+        (rows, K) arrays of the picks hold no more entries than the K x n
+        buffer.
         """
         truths, values = self._check(truths, 2), self._check(values, 2)
+        m, n = len(truths), self.eigenvalues.size
+        picks = np.empty(m + len(values), dtype=int)
+        for lo in range(0, len(picks), n):
+            hi = lo + n
+            picks[lo:hi] = self._picks(truths[lo:hi], values[max(lo - m, 0) : max(hi - m, 0)])
+        return picks[:m], picks[m:]
+
+    def _picks(self, truths: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The grid indices of ``batch_picks`` for the truths and then the
+        observations, from one (1 - s)^2 block."""
         block = self._terms()
         m, n = len(truths), block.shape[1]
         weights = np.empty((m + len(values), n))
@@ -294,8 +306,7 @@ class GridScorer:
             )
         if len(values):
             scores[weight_rows[pred], grid_rows[pred]] = self._pred_exact(grid_rows[pred], weights, weight_rows[pred])
-        best = np.argmin(scores, axis=1)
-        return best[:m], best[m:]
+        return np.argmin(scores, axis=1)
 
     def batch_oracle_scores(self, truths: np.ndarray) -> np.ndarray:
         """Exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2 at
@@ -391,7 +402,8 @@ class GridScorer:
         exact = None
         for r in np.flatnonzero(best < 0):
             if exact is None:  # the float64 test's arrays, on a call's first fallback
-                exact = np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty((k, k), dtype=bool)
+                lower = np.tri(k, k, -1, dtype=bool)
+                exact = np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty_like(lower), lower
             best[r] = self._exact_pick(values[r], *exact)
         if truths is None:
             return best, np.empty((len(values), 0))
@@ -400,27 +412,14 @@ class GridScorer:
         index[:, -1] = best
         return best, self._errors(values, truths, index)
 
-    def _exact_pick(self, y: np.ndarray, square: np.ndarray, scratch: np.ndarray, beyond: np.ndarray) -> int:
-        """Lepskii's index for the observation y by the float64 test: the
-        last grid row i whose squared distance fl(fl(G_ii + G_jj) - 2 G_ij)
-        to every row j < i is at most threshold j, G the gram (one syrk) of
-        the estimate rows sqrt(lambda) q y.  The distances are formed a few
-        rows at a time in ``scratch``."""
+    def _exact_pick(self, y: np.ndarray, *arrays) -> int:
+        """Lepskii's index for the observation y by the float64 test
+        (``lepskii._exact_test``) of the estimate rows sqrt(lambda) q y,
+        formed in the buffer."""
         coeff = self._block(False)
         coeff *= self._root
         coeff *= y
-        np.matmul(coeff, coeff.T, out=square)
-        sq_norm = square.diagonal().copy()
-        square *= 2.0
-        k = len(coeff)
-        for lo in range(0, k, len(scratch)):
-            dist_sq = scratch[: k - lo]
-            np.add(sq_norm[lo : lo + len(dist_sq), None], sq_norm, out=dist_sq)
-            dist_sq -= square[lo : lo + len(dist_sq)]
-            np.greater(dist_sq, self._thresholds_sq, out=beyond[lo : lo + len(dist_sq)])
-        # i is admissible unless some j < i lies beyond threshold j
-        beyond &= self._strictly_lower
-        return int(np.flatnonzero(~beyond.any(axis=1))[-1])
+        return _exact_test(coeff, self._thresholds_sq, *arrays)
 
     def _float32_rows(self, m: int):
         """(E, work, p_max, p_m) for ``lepskii._certify``, or False if the

@@ -15,9 +15,25 @@ import invreg
 from invreg import cli, montecarlo
 from invreg.cli import main
 from invreg.filters import tikhonov
-from invreg.montecarlo import DiagonalDescriptor, ExperimentConfig
+from invreg.model import substream_seed
+from invreg.montecarlo import (
+    DiagonalDescriptor,
+    EfficiencyRow,
+    EfficiencyTable,
+    ExperimentConfig,
+    GreenDescriptor,
+    RiskRow,
+    RiskTable,
+    replicate_once,
+)
 from invreg.selection import build_grid, grid_size
-from invreg.tables import parse_per_rep_errors, parse_risk_table
+from invreg.tables import (
+    emit_efficiency_table,
+    emit_per_rep_errors,
+    emit_risk_table,
+    parse_per_rep_errors,
+    parse_risk_table,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -372,6 +388,74 @@ class TestMalformedFields:
         csv_path.write_text(PER_REP_HEADER + PER_REP_ROWS)
         cfg = write_config(tmp_path, {"rate_test": {"errors_csv": str(csv_path), "theta_target": 0.75}})
         assert main(["rate-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def scalar_tables(config, out):
+    """Write the tables of a simulate command from one ``replicate_once``
+    per replication, seeded with scalar ``substream_seed`` calls."""
+    rate = isinstance(config.problem, GreenDescriptor)
+    rows = []
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
+        stream, triples = substream_seed(config.master_seed, i), []
+        for j in range(config.replications):
+            seed = substream_seed(stream, j)
+            if rate:
+                problem, noise_seed = config.problem.build(sigma), seed
+            else:
+                problem = config.problem.build(sigma, substream_seed(seed, 0))
+                noise_seed = substream_seed(seed, 1)
+            triples.append(replicate_once(problem, config.filter_spec, grid, noise_seed))
+        t = np.array(triples)
+        if rate:
+            stats = [montecarlo._mean_se(t[:, c]) for c in range(3)]
+            per_rep = {"or": t[:, 0], "pred": t[:, 1], "lep": t[:, 2]}
+            rows.append(RiskRow(sigma, *[x for pair in stats for x in pair], per_rep=per_rep))
+        else:
+            rows.append(EfficiencyRow(sigma, float(np.mean(t[:, 0] / t[:, 1])), float(np.mean(t[:, 0] / t[:, 2]))))
+    out.mkdir()
+    if rate:
+        emit_risk_table(RiskTable(tuple(rows)), out / "risk_table.csv")
+        emit_per_rep_errors(RiskTable(tuple(rows)), out / "per_rep_errors.csv")
+    else:
+        emit_efficiency_table(EfficiencyTable(tuple(rows)), out / "efficiency.csv")
+
+
+class TestOutOfRangeSeeds:
+    """A master seed outside [0, 2^64) is taken mod 2^64, as substream_seed
+    takes it, in the batched seeding of the study loop too."""
+
+    @pytest.mark.parametrize("where, seed", [("config", -1), ("config", 2**64 + 5), ("argv", -1)])
+    @pytest.mark.parametrize("command", ["simulate-rates", "simulate-efficiency"])
+    def test_the_tables_are_those_of_the_scalar_seeds(self, command, where, seed, tmp_path):
+        if command == "simulate-rates":
+            payload, kind = rates_config(replications=6), "green"
+        else:
+            payload = {**diagonal_config(), "sigmas": [1e-2, 1e-3], "modes": 40, "replications": 6, "master_seed": 5}
+            kind = "diagonal"
+        argv = [command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]
+        if where == "config":
+            payload["master_seed"] = seed
+            argv[2] = write_config(tmp_path, payload)
+        else:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "o" / "metadata.json").read_text())["master_seed"] == seed
+        scalar_tables(cli._experiment_config(payload, seed, kind), tmp_path / "scalar")
+        names = sorted(p.name for p in (tmp_path / "scalar").iterdir())
+        assert names and all(
+            (tmp_path / "o" / name).read_bytes() == (tmp_path / "scalar" / name).read_bytes() for name in names
+        )
+
+
+class TestImportCost:
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy.random is loaded at the first draw, so the import's time
+        # and memory do not pay for it
+        src = str(Path(invreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, invreg.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120, capture_output=True)
+        assert result.stdout.decode().strip() == "[]"
 
 
 class TestSimulateEfficiency:

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from invreg import model
 from invreg.filters import spectral_cutoff, tikhonov
 from invreg.model import (
     EstimateCoefficients,
     Observations,
     SpectralProblem,
+    _cell_words,
+    _generators,
+    _seed_words,
     estimate_coefficients,
     sample_observations,
     substream_seed,
@@ -82,6 +88,53 @@ class TestSubstreamSeed:
         for j in (0, 1, 2**63, 2**64 - 1):
             s = substream_seed(j, j)
             assert 0 <= s < 2**64
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def sequence_words(seed):
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+class TestSeedWords:
+    """The study loop seeds its generators from words computed for many
+    seeds at once; they must be numpy's, or every stream changes."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_words_equal_seed_sequence(self, seeds):
+        seeds = seeds + EDGE_SEEDS
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        assert words.tolist() == [sequence_words(s).tolist() for s in seeds]
+
+    @pytest.mark.parametrize("master", [-1, -7, -(2**63), 2**64, 2**64 + 5, 2**70 + 3])
+    def test_substream_seed_of_uint64_arrays_is_that_of_python_ints(self, master):
+        index = [0, 1, 2, 3, 1000, 2**32, 2**63, 2**64 - 1]
+        masters = np.full(len(index), master & (2**64 - 1), dtype=np.uint64)
+        got = substream_seed(masters, np.array(index, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.tolist() == [substream_seed(master, j) for j in index]
+
+    @pytest.mark.parametrize("master", [-1, -7, -(2**63), 0, 2**64, 2**64 + 5, 2**70 + 3])
+    @pytest.mark.parametrize("shape", [(50,), (3, 5), (3, 5, 2)])
+    def test_cell_words_are_the_words_of_the_nested_substream_seeds(self, master, shape, monkeypatch):
+        # the master seed is taken mod 2^64, as substream_seed takes it; a
+        # small chunk makes the cells span several chunks
+        monkeypatch.setattr(model, "_SEED_CHUNK", 7)
+        expected = []
+        for index in np.ndindex(*shape):
+            seed = master
+            for i in index:
+                seed = substream_seed(seed, i)
+            expected.append(sequence_words(seed).tolist())
+        assert [words.tolist() for words in _cell_words(master, shape)] == expected
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + [20240901])
+    def test_a_generator_from_words_gives_the_pcg64_stream(self, seed):
+        (rng,) = _generators(sequence_words(seed)[None])
+        reference = np.random.Generator(np.random.PCG64(seed))
+        for draw in (lambda g: g.integers(0, 2, size=301), lambda g: g.standard_normal(300)):
+            assert draw(rng).tobytes() == draw(reference).tobytes()
 
 
 class TestSampleObservations:

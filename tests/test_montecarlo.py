@@ -6,7 +6,15 @@ import pytest
 
 from invreg import lepskii
 from invreg.filters import ALL_FAMILIES, tikhonov
-from invreg.model import SpectralProblem, _observe, estimate_coefficients, sample_observations, substream_seed
+from invreg.model import (
+    SpectralProblem,
+    _generators,
+    _noisy,
+    _seed_words,
+    estimate_coefficients,
+    sample_observations,
+    substream_seed,
+)
 from invreg.montecarlo import (
     DiagonalDescriptor,
     ExperimentConfig,
@@ -16,7 +24,7 @@ from invreg.montecarlo import (
     run_rate_experiment,
 )
 from invreg.problems import TestFunction as GreenTruth
-from invreg.problems import _diagonal_spectrum, _diagonal_truth, make_diagonal_problem, make_green_problem
+from invreg.problems import _diagonal_spectrum, _diagonal_truths, make_diagonal_problem, make_green_problem
 from invreg.risk import direct_risk, empirical_prediction_risk
 from invreg.selection import GridScorer, build_grid, choose_lepskii, choose_oracle, grid_size
 
@@ -200,17 +208,17 @@ class TestReplicateOnce:
 class TestEfficiencyDraws:
     @pytest.mark.parametrize("n", [1, 300, 1024])
     def test_truth_and_noise_equal_the_problem_and_its_observations_bytewise(self, n):
-        # the efficiency study draws each replication through these helpers
-        # from a spectrum built once per run
+        # the efficiency study draws each batch through these helpers, from
+        # generators built from seed words and a spectrum built once per run
         eigenvalues, decay = _diagonal_spectrum(n, 4.0, 4.0)
-        root = np.sqrt(eigenvalues)
+        seeds = np.arange(33, dtype=np.uint64)
+        truths = _diagonal_truths(decay, _generators(_seed_words(seeds)), 33)
+        noisy = _noisy(np.sqrt(eigenvalues) * truths, 1e-3, _generators(_seed_words(seeds + np.uint64(1000))), 33)
         for seed in range(33):
             p = make_diagonal_problem(n, 4.0, 4.0, 1e-3, seed)
-            truth = _diagonal_truth(decay, seed)
-            assert truth.tobytes() == p.truth_coeffs.tobytes()
+            assert truths[seed].tobytes() == p.truth_coeffs.tobytes()
             assert eigenvalues.tobytes() == p.eigenvalues.tobytes()
-            noisy = _observe(root, truth, 1e-3, seed + 1000)
-            assert noisy.tobytes() == sample_observations(p, seed + 1000).values.tobytes()
+            assert noisy[seed].tobytes() == sample_observations(p, seed + 1000).values.tobytes()
 
 
 class TestBatches:

@@ -115,6 +115,19 @@ class TestMakeDiagonalProblem:
         b = make_diagonal_problem(50, 3.0, 2.0, 0.1, seed=7)
         np.testing.assert_array_equal(a.truth_coeffs, b.truth_coeffs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 300, 1023])
+    def test_truth_is_drawn_by_integers_then_standard_normal(self, n):
+        # the sign bits are read from raw PCG64 outputs; they must be the
+        # bits Generator.integers(0, 2) draws, and leave the normals' stream
+        # where integers leaves it
+        decay = np.arange(1, n + 1, dtype=float) ** -4.0
+        for seed in (0, 1, 7, 2**32, 2**64 - 1):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+            expected = signs * decay * (1.0 + 0.1 * rng.standard_normal(n))
+            got = make_diagonal_problem(n, 4.0, 4.0, 0.1, seed).truth_coeffs
+            assert got.tobytes() == expected.tobytes()
+
     def test_second_moment(self):
         # E f_k^2 = k^{-2 nu} * (1 + 0.1^2); check k=1 over many seeds
         nu = 2.0

@@ -633,6 +633,30 @@ class TestGridScorer:
         assert len(grid) > 100 and best[::50].tolist() == [exact_lepskii(scorer, y) for y in values[::50]]
         assert peaks[1] - peaks[0] <= 64 * len(values)
 
+    def test_a_large_batch_at_few_modes_is_picked_in_chunks(self):
+        # at 8 modes a batch may hold 4096 replications; the picks take at
+        # most n rows at a time, so 500 truths and 500 observations stay
+        # within the bound of the study runs' memory above the buffer
+        p = make_diagonal_problem(8, 4.0, 4.0, 1e-6, 0)
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        rng = np.random.default_rng(3)
+        truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((500, 8)))
+        values = np.sqrt(p.eigenvalues) * truths + p.sigma * rng.standard_normal((500, 8))
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        expected = (
+            np.argmin(scorer.batch_oracle_scores(truths), axis=1),
+            np.argmin(scorer.batch_pred_scores(values), axis=1),
+        )
+        tracemalloc.start()
+        try:
+            oracle, pred = scorer.batch_picks(truths, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 152
+        assert oracle.tolist() == expected[0].tolist() and pred.tolist() == expected[1].tolist()
+        assert peak <= 0.75 * 2**20
+
     def test_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(2))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)

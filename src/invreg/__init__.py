@@ -1,6 +1,9 @@
 """Filter-based regularization of statistical linear inverse problems in the
 Gaussian sequence model, with data-driven parameter selection and a seeded
-Monte Carlo harness for convergence-rate studies."""
+Monte Carlo harness for convergence-rate studies.
+
+The value types (FilterSpec, SpectralProblem, ExperimentConfig, RiskTable
+and the others) are frozen records, built on :class:`invreg._record.Record`."""
 
 __version__ = "0.1.0"
 

@@ -11,9 +11,10 @@ they remain accurate for lambda/alpha down to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "FilterSpec",
@@ -34,8 +35,7 @@ _FAMILIES = ("spectral_cutoff", "tikhonov", "iterated_tikhonov", "landweber", "s
 _TAYLOR_CUT = 1e-8
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(Record):
     """A filter family together with its bound constants and qualification.
 
     ``c_prime`` bounds alpha*|q_alpha|, ``c_double_prime`` bounds
@@ -47,9 +47,10 @@ class FilterSpec:
 
     family: str
     m: int = 1
-    c_prime: float = field(init=False)
-    c_double_prime: float = field(init=False)
-    qualification_index: float = field(init=False)
+    # computed fields: the properties below, shown in the repr
+    c_prime: float
+    c_double_prime: float
+    qualification_index: float
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -57,16 +58,21 @@ class FilterSpec:
         if self.family == "iterated_tikhonov":
             if not (isinstance(self.m, int) and self.m >= 1):
                 raise ValueError("iterated Tikhonov requires integer m >= 1")
-        c_prime = float(self.m) if self.family == "iterated_tikhonov" else 1.0
+            float(self.m)  # the constants are float(m): an m beyond float range raises OverflowError
+
+    @property
+    def c_prime(self) -> float:
+        return float(self.m) if self.family == "iterated_tikhonov" else 1.0
+
+    @property
+    def c_double_prime(self) -> float:
+        return 1.0
+
+    @property
+    def qualification_index(self) -> float:
         if self.family == "tikhonov":
-            qual = 1.0
-        elif self.family == "iterated_tikhonov":
-            qual = float(self.m)
-        else:
-            qual = math.inf
-        object.__setattr__(self, "c_prime", c_prime)
-        object.__setattr__(self, "c_double_prime", 1.0)
-        object.__setattr__(self, "qualification_index", qual)
+            return 1.0
+        return float(self.m) if self.family == "iterated_tikhonov" else math.inf
 
 
 def spectral_cutoff() -> FilterSpec:

@@ -14,10 +14,10 @@ without hashing one seed at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .filters import FilterSpec, filter_value
 
 __all__ = [
@@ -32,8 +32,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SpectralProblem:
+class SpectralProblem(Record):
     """Eigenvalues of T*T (non-increasing, > 0), truth coefficients, noise level."""
 
     eigenvalues: np.ndarray
@@ -65,8 +64,7 @@ class SpectralProblem:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
-class Observations:
+class Observations(Record):
     """One realization of the sequence model."""
 
     values: np.ndarray
@@ -83,8 +81,7 @@ class Observations:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class EstimateCoefficients:
+class EstimateCoefficients(Record):
     """Coefficients of the regularized estimate in the eigenbasis."""
 
     values: np.ndarray

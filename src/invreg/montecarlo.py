@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
+from ._record import Field, Record
 from .filters import FilterSpec, _row_blocks
 from .model import SpectralProblem, _cell_words, _generators, _noisy, sample_observations
 from .problems import TestFunction, _diagonal_spectrum, _diagonal_truths, make_diagonal_problem, make_green_problem
@@ -63,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GreenDescriptor:
+class GreenDescriptor(Record):
     truth: TestFunction
     n_modes: int = 1024
     # the discrete frame keeps the sigma ladder on the scale of a
@@ -85,8 +84,7 @@ class GreenDescriptor:
 _LOG_TRUTH_NORM_LIMIT = math.log(np.finfo(float).max / 1e4)
 
 
-@dataclass(frozen=True)
-class DiagonalDescriptor:
+class DiagonalDescriptor(Record):
     n: int = 300
     a: float = 4.0
     nu: float = 4.0
@@ -144,15 +142,13 @@ def _check_grids(problem: ProblemDescriptor, sigmas, ratio: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     problem: ProblemDescriptor
     filter_spec: FilterSpec
     sigmas: tuple[float, ...]
     replications: int
     grid_ratio: float = 1.2
     master_seed: int = 0
-    _grids: tuple[ParameterGrid, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
@@ -161,6 +157,7 @@ class ExperimentConfig:
         if self.replications < 2:
             raise ValueError("need at least 2 replications for standard errors")
         _check_grids(self.problem, self.sigmas, self.grid_ratio)
+        # not a field: equality and the repr leave the grids out
         grids = tuple(build_grid(sigma, self.problem.lambda_max, self.grid_ratio) for sigma in self.sigmas)
         object.__setattr__(self, "_grids", grids)
 
@@ -170,8 +167,7 @@ class ExperimentConfig:
         return list(self._grids)
 
 
-@dataclass(frozen=True)
-class RiskRow:
+class RiskRow(Record):
     sigma: float
     r_or: float
     se_or: float
@@ -179,23 +175,20 @@ class RiskRow:
     se_pred: float
     r_lep: float
     se_lep: float
-    per_rep: dict = field(default_factory=dict, compare=False)
+    per_rep: dict = Field(default_factory=dict, compare=False)
 
 
-@dataclass(frozen=True)
-class RiskTable:
+class RiskTable(Record):
     rows: tuple[RiskRow, ...]
 
 
-@dataclass(frozen=True)
-class EfficiencyRow:
+class EfficiencyRow(Record):
     sigma: float
     eff_pred: float
     eff_lep: float
 
 
-@dataclass(frozen=True)
-class EfficiencyTable:
+class EfficiencyTable(Record):
     rows: tuple[EfficiencyRow, ...]
 
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .model import SpectralProblem, _generator
 
 __all__ = [
@@ -47,8 +47,7 @@ class TestFunction(enum.Enum):
     INDICATOR = "indicator"
 
 
-@dataclass(frozen=True)
-class DenseSymmetricMatrix:
+class DenseSymmetricMatrix(Record):
     entries: np.ndarray
 
     def __post_init__(self) -> None:

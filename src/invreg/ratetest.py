@@ -10,9 +10,10 @@ rate slower than the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "DegenerateVarianceError",
@@ -34,8 +35,7 @@ class SingularDesignError(ValueError):
     """All noise levels coincide; the slope is not identifiable."""
 
 
-@dataclass(frozen=True)
-class RateSample:
+class RateSample(Record):
     """Per-noise-level sample: sigma, raw errors, their mean and delta estimate."""
 
     sigma: float
@@ -49,8 +49,7 @@ class RateSample:
         return cls(float(sigma), errors, float(np.mean(errors)), estimate_delta(errors))
 
 
-@dataclass(frozen=True)
-class RateTestResult:
+class RateTestResult(Record):
     theta_hat: float
     rho_hat: float
     statistic: float

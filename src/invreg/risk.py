@@ -8,10 +8,10 @@ deterministic across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .filters import FilterSpec, filter_value, s_value
 from .model import Observations, SpectralProblem
 
@@ -39,8 +39,7 @@ def _accumulate_rows(block: np.ndarray) -> np.ndarray:
     return np.sum(block, axis=1)
 
 
-@dataclass(frozen=True)
-class RiskDecomposition:
+class RiskDecomposition(Record):
     bias_term: float
     variance_term: float
 

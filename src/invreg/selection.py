@@ -10,10 +10,10 @@ functions of :mod:`invreg.risk` bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .filters import _BLOCK, FilterSpec, _check_args, _evaluate, _row_blocks
 from .lepskii import _certify, _exact_test
 from .model import Observations, SpectralProblem
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParameterGrid:
+class ParameterGrid(Record):
     """Geometric candidate set sigma^2 * ratio^j, j = 0..K, capped at lambda_1."""
 
     ratio: float
@@ -48,8 +47,7 @@ class ParameterGrid:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(Record):
     alpha: float
     grid_index: int
     rule: str  # oracle | pred | lepskii | apriori
@@ -74,6 +72,11 @@ def build_grid(sigma: float, lambda_max: float, ratio: float) -> ParameterGrid:
     """Grid {sigma^2 r^j : j = 0..K} with K = floor(log(lambda_max/sigma^2)/log r)."""
     values = sigma**2 * ratio ** np.arange(grid_size(sigma, lambda_max, ratio), dtype=float)
     return ParameterGrid(ratio=float(ratio), values=values)
+
+
+# the fewest rows GridScorer.batch_picks picks at a time: at a few modes,
+# n rows a time would pay a call's fixed cost for every row or two
+_PICK_ROWS = 32
 
 
 class GridScorer:
@@ -251,22 +254,28 @@ class GridScorer:
         first minimum among them is the first minimum of all grid rows.  If
         a lower end is not finite (a NaN or infinite row, or a sum that
         overflows), every grid row is scored exactly.  The rows are picked
-        for at most n at a time, each time from a new block, so that the
-        (rows, K) arrays of the picks hold no more entries than the K x n
-        buffer.
+        for at most max(n, ``_PICK_ROWS``) at a time, so that the (rows, K)
+        arrays of the picks hold no more entries than the K x n buffer or
+        ``_PICK_ROWS`` grid-sized rows.  One block serves the chunks of
+        truths until a chunk holds observations, whose exact scores
+        overwrite the block; the next chunk forms it again.
         """
         truths, values = self._check(truths, 2), self._check(values, 2)
-        m, n = len(truths), self.eigenvalues.size
+        m, step = len(truths), max(self.eigenvalues.size, _PICK_ROWS)
         picks = np.empty(m + len(values), dtype=int)
-        for lo in range(0, len(picks), n):
-            hi = lo + n
-            picks[lo:hi] = self._picks(truths[lo:hi], values[max(lo - m, 0) : max(hi - m, 0)])
+        block = None
+        for lo in range(0, len(picks), step):
+            hi = lo + step
+            if block is None:
+                block = self._terms()
+            picks[lo:hi] = self._picks(block, truths[lo:hi], values[max(lo - m, 0) : max(hi - m, 0)])
+            if hi > m:  # pred's exact scores overwrite the block
+                block = None
         return picks[:m], picks[m:]
 
-    def _picks(self, truths: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def _picks(self, block: np.ndarray, truths: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The grid indices of ``batch_picks`` for the truths and then the
-        observations, from one (1 - s)^2 block."""
-        block = self._terms()
+        observations, from the (1 - s)^2 ``block``."""
         m, n = len(truths), block.shape[1]
         weights = np.empty((m + len(values), n))
         np.square(truths, out=weights[:m])

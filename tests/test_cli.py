@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -448,14 +449,35 @@ class TestOutOfRangeSeeds:
 
 
 class TestImportCost:
+    @staticmethod
+    def loaded_after_import(prefix: str) -> str:
+        """The sorted names of the modules starting with ``prefix`` that a
+        fresh interpreter holds after ``import invreg.cli``."""
+        src = str(Path(invreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = f"import sys, invreg.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120, capture_output=True)
+        return result.stdout.decode().strip()
+
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
         # numpy.random is loaded at the first draw, so the import's time
         # and memory do not pay for it
-        src = str(Path(invreg.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, invreg.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-        result = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120, capture_output=True)
-        assert result.stdout.decode().strip() == "[]"
+        assert self.loaded_after_import("numpy.random") == "[]"
+
+    def test_importing_the_cli_leaves_dataclasses_unloaded(self):
+        # the record types share the methods of invreg._record, so creating
+        # them compiles no code; numpy does not import dataclasses either
+        assert self.loaded_after_import("dataclasses") == "[]"
+
+    def test_every_module_stays_below_the_parser_token_cliff(self):
+        # CPython's parser keeps a module's tokens in an array that doubles
+        # when a 4097th token arrives, which adds a few hundred KB to the
+        # peak of compiling the module from source; comments and NL tokens
+        # never reach the parser
+        for path in sorted(Path(invreg.__file__).parent.glob("*.py")):
+            with tokenize.open(path) as f:
+                kinds = [t.type for t in tokenize.generate_tokens(f.readline)]
+            assert sum(kind not in (tokenize.COMMENT, tokenize.NL) for kind in kinds) < 4096, path.name
 
 
 class TestSimulateEfficiency:

@@ -657,6 +657,31 @@ class TestGridScorer:
         assert oracle.tolist() == expected[0].tolist() and pred.tolist() == expected[1].tolist()
         assert peak <= 0.75 * 2**20
 
+    def test_a_large_batch_at_one_mode_forms_few_blocks(self, monkeypatch):
+        # one block serves every chunk of truths, and a chunk takes at least
+        # _PICK_ROWS rows, not one row per mode
+        p = make_diagonal_problem(1, 4.0, 4.0, 1e-6, 0)
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
+        rng = np.random.default_rng(4)
+        truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((500, 1)))
+        values = np.sqrt(p.eigenvalues) * truths + p.sigma * rng.standard_normal((500, 1))
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        expected = (
+            np.argmin(scorer.batch_oracle_scores(truths), axis=1),
+            np.argmin(scorer.batch_pred_scores(values), axis=1),
+        )
+        formed = []
+        terms = GridScorer._terms
+        monkeypatch.setattr(GridScorer, "_terms", lambda self: formed.append(1) or terms(self))
+        assert scorer.batch_oracle_picks(truths).tolist() == expected[0].tolist()
+        assert len(formed) == 1
+        oracle, pred = scorer.batch_picks(truths, values)
+        assert oracle.tolist() == expected[0].tolist() and pred.tolist() == expected[1].tolist()
+        # 1000 rows in 32 chunks of at most 32: one block serves chunks 0-15
+        # (the last of them the first to hold observations), and each of
+        # the 16 later chunks forms its own
+        assert len(formed) == 1 + 1 + 16
+
     def test_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(2))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)

@@ -19,7 +19,6 @@ from .filters import (
     tikhonov,
 )
 from .model import (
-    EstimateCoefficients,
     Observations,
     SpectralProblem,
     estimate_coefficients,
@@ -68,7 +67,4 @@ from .selection import (
     Selection,
     apriori_alpha_polynomial,
     build_grid,
-    choose_lepskii,
-    choose_oracle,
-    choose_pred,
 )

@@ -1,8 +1,10 @@
 """Command-line front end: ``invreg <command> --config c.json --out dir``.
 
 Commands: simulate-rates, simulate-efficiency, rate-test, score-curve,
-filters-check.  Configs are strict JSON (unknown keys are rejected, since a
-typo in a scientific config silently changes the experiment).  Each run
+filters-check.  Configs are strict JSON: every field is a row of one table
+(``_FIELDS``: the commands that take it, its type, its bounds or choices
+and its default), and unknown fields are rejected, since a typo in a
+scientific config silently changes the experiment.  Each run
 writes its tables plus a metadata sidecar with the config echo, effective
 seed, package version and wall time.
 
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 malformed config, 3 numeric or I/O failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .checks import run_filter_checks
-from .filters import FilterSpec
+from .filters import _FAMILIES, FilterSpec
 from .model import sample_observations, substream_seed
 from .montecarlo import (
     DiagonalDescriptor,
@@ -50,25 +53,110 @@ class ConfigError(Exception):
     pass
 
 
-_SCHEMAS = {
-    "simulate-rates": {
-        "required": {"problem", "filter", "sigmas", "replications"},
-        "optional": {"grid_ratio", "master_seed", "modes"},
-    },
-    "simulate-efficiency": {
-        "required": {"problem", "filter", "sigmas", "replications"},
-        "optional": {"grid_ratio", "master_seed", "modes"},
-    },
-    "score-curve": {
-        "required": {"problem", "filter", "sigmas"},
-        "optional": {"grid_ratio", "master_seed", "modes"},
-    },
-    "rate-test": {"required": {"rate_test"}, "optional": set()},
-    "filters-check": {"required": set(), "optional": {"pairs", "master_seed"}},
+def _default(owner, name: str):
+    """The default of field ``name`` of a record type, or of parameter ``name`` of a function."""
+    if isinstance(owner, type):
+        return owner._defaults[name]
+    return inspect.signature(owner).parameters[name].default
+
+
+_STUDIES = ("simulate-rates", "simulate-efficiency", "score-curve")
+_REQUIRED = object()
+# the defaults of the fields that take one per problem kind or per command
+_MODES = {"green": _default(GreenDescriptor, "n_modes"), "diagonal": _default(DiagonalDescriptor, "n")}
+_SEEDS = dict.fromkeys(_STUDIES, _default(ExperimentConfig, "master_seed"))
+_SEEDS["filters-check"] = _default(run_filter_checks, "seed")
+
+# Every config field by dotted name: (where, type, rule, default).  A field
+# is read for the commands and problem kinds in ``where``, a block's fields
+# only if the block is.  ``rule`` is the least value of a number or the
+# choices of a string.  A float is finite; an int with a least value must
+# also be at most the largest float; a list is a nonempty list of floats,
+# and a dict a block of fields.  A default given per command or problem
+# kind is a dict, and a default that a library record or function holds is
+# read from it.  A block comes before its fields, and problem.kind before
+# the fields of a kind.
+_FIELDS = {
+    "problem": (_STUDIES, dict, None, _REQUIRED),
+    "problem.kind": (_STUDIES, str, ("green", "diagonal"), _REQUIRED),
+    "problem.truth": (("green",), str, tuple(t.value for t in TestFunction), "hat"),
+    "problem.frame": (("green",), str, ("analytic", "discrete"), _default(GreenDescriptor, "frame")),
+    "problem.a": (("diagonal",), float, 0.0, _default(DiagonalDescriptor, "a")),  # so that lambda_1 = 1
+    "problem.nu": (("diagonal",), float, None, _default(DiagonalDescriptor, "nu")),
+    "filter": (_STUDIES, dict, None, _REQUIRED),
+    "filter.family": (_STUDIES, str, _FAMILIES, _REQUIRED),
+    "filter.m": (_STUDIES, int, 1, _default(FilterSpec, "m")),
+    "sigmas": (_STUDIES, list, None, _REQUIRED),
+    "replications": (_STUDIES[:2], int, 2, _REQUIRED),
+    "modes": (_STUDIES, int, 1, _MODES),
+    "grid_ratio": (_STUDIES, float, None, _default(ExperimentConfig, "grid_ratio")),
+    "master_seed": (tuple(_SEEDS), int, None, _SEEDS),
+    "pairs": (("filters-check",), int, 1, _default(run_filter_checks, "pairs_per_family")),
+    "rate_test": (("rate-test",), dict, None, _REQUIRED),
+    "rate_test.errors_csv": (("rate-test",), str, None, _REQUIRED),
+    "rate_test.risk": (("rate-test",), str, ("or", "pred", "lep"), "pred"),
+    "rate_test.theta_target": (("rate-test",), float, None, _REQUIRED),
 }
 
 
-def _load_config(command: str, path: str) -> dict:
+def _check(name: str, kind: type, rule, value):
+    """``value`` if config field ``name`` may take it: of the field's type
+    and within its rule; a float field's value as a float, a list's as a
+    tuple.  Bools and strings are never numbers, and a float never an int."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is list:
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{name} must be a nonempty list of numbers, got {value!r}")
+        return tuple(_check(f"{name}[{i}]", float, None, v) for i, v in enumerate(value))
+    if kind is float:  # a NaN fails the first comparison, and an int too large for a float too
+        if not (number and abs(value) <= sys.float_info.max and (rule is None or value >= rule)):
+            bound = "" if rule is None else f" of at least {rule}"
+            raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+        return float(value)
+    if kind is int:
+        if not (number and isinstance(value, int) and (rule is None or value >= rule)):
+            bound = "" if rule is None else f" of at least {rule}"
+            raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+        if rule is not None and value > sys.float_info.max:  # not printed: it may have hundreds of digits
+            raise ConfigError(f"{name} must be at most the largest float, {sys.float_info.max!r}")
+        return value
+    if not isinstance(value, kind) or (rule is not None and value not in rule):
+        expected = f"one of {list(rule)}" if rule else "an object" if kind is dict else "a string"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
+def _fields(command: str, cfg: dict) -> dict:
+    """The value of every config field of ``command`` by dotted name: the
+    config's, checked against ``_FIELDS``, or the field's default."""
+    # "" names the config itself, the block of the top-level fields
+    tags, known, missing, values = {command}, {""}, [], {"": cfg}
+    for name, (where, kind, rule, default) in _FIELDS.items():
+        block, _, key = name.rpartition(".")
+        if tags.isdisjoint(where) or block not in values:
+            continue
+        known.add(name)
+        if key in values[block]:
+            values[name] = _check(name, kind, rule, values[block][key])
+            if name == "problem.kind":
+                tags.add(values[name])
+        elif default is _REQUIRED:
+            missing.append(name)
+        else:
+            values[name] = default[(tags & default.keys()).pop()] if isinstance(default, dict) else default
+    unknown = [
+        name
+        for block in known
+        if isinstance(values.get(block), dict)
+        for name in (f"{block}.{key}" if block else key for key in values[block])
+        if name not in known
+    ]
+    if unknown or missing:
+        raise ConfigError(f"config fields unknown: {sorted(unknown)}, missing: {missing}")
+    return values
+
+
+def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -79,109 +167,35 @@ def _load_config(command: str, path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    schema = _SCHEMAS[command]
-    keys = set(cfg)
-    unknown = keys - schema["required"] - schema["optional"]
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    missing = schema["required"] - keys
-    if missing:
-        raise ConfigError(f"{path}: missing config keys: {sorted(missing)}")
     return cfg
 
 
-def _integer(value, name: str, least: int) -> int:
-    """An integer config value of at least ``least`` that a float can hold;
-    floats, bools and strings are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
-    if value > sys.float_info.max:  # the value is not printed: it may have hundreds of digits
-        raise ConfigError(f"{name} must be at most the largest float, {sys.float_info.max!r}")
-    return value
-
-
-def _real(value, name: str, least: float = -math.inf) -> float:
-    """A finite number of at least ``least``; bools and strings are refused."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and value >= least):
-        bound = "" if least == -math.inf else f" of at least {least}"
-        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
-    return float(value)
-
-
-def _sigmas(cfg: dict) -> tuple[float, ...]:
-    sigmas = cfg["sigmas"]
-    if not isinstance(sigmas, list) or not sigmas:
-        raise ConfigError(f"sigmas must be a nonempty list, got {sigmas!r}")
-    return tuple(_real(s, "each sigma") for s in sigmas)
-
-
-def _parse_filter(block) -> FilterSpec:
-    if not isinstance(block, dict) or "family" not in block:
-        raise ConfigError('"filter" must be an object with a "family" field')
-    extra = set(block) - {"family", "m"}
-    if extra:
-        raise ConfigError(f'unknown "filter" fields: {sorted(extra)}')
+def _checked(build, *args, prefix: str = ""):
+    """build(*args), whose ValueError is a config error."""
     try:
-        return FilterSpec(block["family"], m=block.get("m", 1))
-    except (ValueError, OverflowError) as exc:  # OverflowError: an m beyond float range
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_problem(cfg: dict):
-    block = cfg["problem"]
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError('"problem" must be an object with a "kind" field')
-    kind = block["kind"]
-    if kind == "green":
-        extra = set(block) - {"kind", "truth", "frame"}
-        if extra:
-            raise ConfigError(f'unknown "problem" fields: {sorted(extra)}')
-        try:
-            truth = TestFunction(block.get("truth", "hat"))
-        except ValueError as exc:
-            raise ConfigError(f'unknown truth {block.get("truth")!r}') from exc
-        frame = block.get("frame", "discrete")
-        if frame not in ("analytic", "discrete"):
-            raise ConfigError(f'problem.frame must be "analytic" or "discrete", got {frame!r}')
-        return GreenDescriptor(truth=truth, n_modes=_integer(cfg.get("modes", 1024), "modes", 1), frame=frame)
-    if kind == "diagonal":
-        extra = set(block) - {"kind", "a", "nu"}
-        if extra:
-            raise ConfigError(f'unknown "problem" fields: {sorted(extra)}')
-        try:  # also refuses an a whose k^(-2a) underflows to 0 and a nu whose truth overflows
-            return DiagonalDescriptor(
-                n=_integer(cfg.get("modes", 300), "modes", 1),
-                a=_real(block.get("a", 4.0), "problem.a", 0.0),  # so that lambda_1 = 1
-                nu=_real(block.get("nu", 4.0), "problem.nu"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"problem.{exc}") from exc
-    raise ConfigError(f'unknown problem kind {kind!r}')
-
-
-# master seed when neither --seed nor the config sets one; 0 otherwise
-_DEFAULT_SEEDS = {"filters-check": 20240901}
-
-
-def _master_seed(command: str, cfg: dict, seed_override) -> int:
-    """The seed a command runs with and records; a config's seed must be an integer even if overridden."""
-    seed = cfg.get("master_seed", _DEFAULT_SEEDS.get(command, 0))
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"master_seed must be an integer, got {seed!r}")
-    return seed if seed_override is None else seed_override
-
-
-def _experiment_config(cfg: dict, seed: int, kind: str) -> ExperimentConfig:
-    problem, spec = _parse_problem(cfg), _parse_filter(cfg["filter"])
-    if cfg["problem"]["kind"] != kind:
-        raise ConfigError(f'this command needs problem.kind "{kind}", got {cfg["problem"]["kind"]!r}')
-    sigmas, replications = _sigmas(cfg), _integer(cfg["replications"], "replications", 2)
-    ratio = _real(cfg.get("grid_ratio", 1.2), "grid_ratio")
-    try:  # the config checks its grid sizes against the scorer budget
-        return ExperimentConfig(problem, spec, sigmas, replications, ratio, seed)
+        return build(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(prefix + str(exc)) from exc
+
+
+def _problem(fields: dict):
+    if fields["problem.kind"] == "green":
+        return GreenDescriptor(TestFunction(fields["problem.truth"]), fields["modes"], fields["problem.frame"])
+    # also refuses an a whose k^(-2a) underflows to 0 and a nu whose truth overflows
+    return _checked(DiagonalDescriptor, fields["modes"], fields["problem.a"], fields["problem.nu"], prefix="problem.")
+
+
+def _filter(fields: dict) -> FilterSpec:
+    return FilterSpec(fields["filter.family"], fields["filter.m"])
+
+
+def _experiment_config(fields: dict, seed: int, kind: str) -> ExperimentConfig:
+    problem, spec = _problem(fields), _filter(fields)
+    if fields["problem.kind"] != kind:
+        raise ConfigError(f'this command needs problem.kind "{kind}", got {fields["problem.kind"]!r}')
+    # the config checks its grid sizes against the scorer budget
+    args = problem, spec, fields["sigmas"], fields["replications"], fields["grid_ratio"], seed
+    return _checked(ExperimentConfig, *args)
 
 
 def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, t0: float, outputs) -> None:
@@ -197,8 +211,8 @@ def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, 
     (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_simulate_rates(cfg, output, seed: int, workers: int) -> list[Path]:
-    config = _experiment_config(cfg, seed, "green")
+def _cmd_simulate_rates(fields, output, seed: int, workers: int) -> list[Path]:
+    config = _experiment_config(fields, seed, "green")
     table = run_rate_experiment(config, workers=workers)
     risk_path = output("risk_table.csv")
     per_rep_path = output("per_rep_errors.csv")
@@ -207,32 +221,28 @@ def _cmd_simulate_rates(cfg, output, seed: int, workers: int) -> list[Path]:
     return [risk_path, per_rep_path]
 
 
-def _cmd_simulate_efficiency(cfg, output, seed: int, workers: int) -> list[Path]:
-    config = _experiment_config(cfg, seed, "diagonal")
+def _cmd_simulate_efficiency(fields, output, seed: int, workers: int) -> list[Path]:
+    config = _experiment_config(fields, seed, "diagonal")
     table = run_efficiency_experiment(config, workers=workers)
     path = output("efficiency.csv")
     emit_efficiency_table(table, path)
     return [path]
 
 
-def _cmd_score_curve(cfg, output, seed: int, workers: int) -> list[Path]:
-    descriptor = _parse_problem(cfg)
-    spec = _parse_filter(cfg["filter"])
-    sigma = _sigmas(cfg)[0]
-    ratio = _real(cfg.get("grid_ratio", 1.2), "grid_ratio")
-    try:  # refused from the closed-form grid size, before the grid is built
-        _check_grids(descriptor, [sigma], ratio)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _cmd_score_curve(fields, output, seed: int, workers: int) -> list[Path]:
+    descriptor, spec = _problem(fields), _filter(fields)
+    sigma, ratio = fields["sigmas"][0], fields["grid_ratio"]
+    # refused from the closed-form grid size, before the grid is built
+    _checked(_check_grids, descriptor, [sigma], ratio)
     grid = build_grid(sigma, descriptor.lambda_max, ratio)
     if isinstance(descriptor, GreenDescriptor):
         problem = descriptor.build(sigma)
     else:
         problem = descriptor.build(sigma, substream_seed(seed, 1))
     obs = sample_observations(problem, substream_seed(seed, 0))
-    pairs = zip(grid.values, GridScorer(problem.eigenvalues, sigma, spec, grid).pred_scores(obs))
+    scores = GridScorer(problem.eigenvalues, sigma, spec, grid).batch_pred_scores(obs.values[None])[0]
     path = output("score_curve.csv")
-    emit_score_curve(pairs, path)
+    emit_score_curve(zip(grid.values, scores), path)
     return [path]
 
 
@@ -256,23 +266,9 @@ def _rate_samples(path, risk: str) -> list[RateSample]:
     return [RateSample.from_errors(sigma, g[risk]) for sigma, g in groups.items()]
 
 
-def _cmd_rate_test(cfg, output, seed: int, workers: int) -> list[Path]:
-    block = cfg["rate_test"]
-    if not isinstance(block, dict):
-        raise ConfigError('"rate_test" must be an object')
-    extra = set(block) - {"errors_csv", "risk", "theta_target"}
-    if extra:
-        raise ConfigError(f'unknown "rate_test" fields: {sorted(extra)}')
-    for key in ("errors_csv", "theta_target"):
-        if key not in block:
-            raise ConfigError(f'"rate_test" block requires {key!r}')
-    risk = block.get("risk", "pred")
-    if risk not in ("or", "pred", "lep"):
-        raise ConfigError(f'rate_test.risk must be one of or/pred/lep, got {risk!r}')
-    theta_target = _real(block["theta_target"], "rate_test.theta_target")
-    if not isinstance(block["errors_csv"], str):
-        raise ConfigError(f'rate_test.errors_csv must be a path string, got {block["errors_csv"]!r}')
-    result = rate_test(_rate_samples(block["errors_csv"], risk), theta_target)
+def _cmd_rate_test(fields, output, seed: int, workers: int) -> list[Path]:
+    risk = fields["rate_test.risk"]
+    result = rate_test(_rate_samples(fields["rate_test.errors_csv"], risk), fields["rate_test.theta_target"])
     path = output("rate_test.json")
     path.write_text(
         json.dumps(
@@ -292,8 +288,8 @@ def _cmd_rate_test(cfg, output, seed: int, workers: int) -> list[Path]:
     return [path]
 
 
-def _cmd_filters_check(cfg, output, seed: int, workers: int) -> list[Path]:
-    report = run_filter_checks(_integer(cfg.get("pairs", 1000), "pairs", 1), seed)
+def _cmd_filters_check(fields, output, seed: int, workers: int) -> list[Path]:
+    report = run_filter_checks(fields["pairs"], seed)
     path = output("filters_check.json")
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if report["total_violations"]:
@@ -332,9 +328,11 @@ def main(argv=None) -> int:
         return out_dir / name
 
     try:
-        cfg = _load_config(args.command, args.config)
-        seed = _master_seed(args.command, cfg, args.seed)
-        outputs = _COMMANDS[args.command](cfg, output, seed, max(1, args.workers))
+        cfg = _load_config(args.config)
+        fields = _fields(args.command, cfg)
+        # a config's master seed is checked even if --seed overrides it; rate-test draws nothing and records 0
+        seed = fields.get("master_seed", 0) if args.seed is None else args.seed
+        outputs = _COMMANDS[args.command](fields, output, seed, max(1, args.workers))
     except ConfigError as exc:
         print(f"invreg: config error: {exc}", file=sys.stderr)
         return 2

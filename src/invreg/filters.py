@@ -11,6 +11,7 @@ they remain accurate for lambda/alpha down to machine precision.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -55,10 +56,16 @@ class FilterSpec(Record):
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown filter family: {self.family!r}")
-        if self.family == "iterated_tikhonov":
-            if not (isinstance(self.m, int) and self.m >= 1):
-                raise ValueError("iterated Tikhonov requires integer m >= 1")
-            float(self.m)  # the constants are float(m): an m beyond float range raises OverflowError
+        # every family takes an integer m of at least 1 (a numpy integer too,
+        # not a bool), stored as int
+        try:
+            m = None if isinstance(self.m, bool) else operator.index(self.m)
+        except TypeError:
+            m = None
+        if m is None or m < 1:
+            raise ValueError(f"m must be an integer of at least 1, got {self.m!r}")
+        float(m)  # the constants are float(m): an m beyond float range raises OverflowError
+        object.__setattr__(self, "m", m)
 
     @property
     def c_prime(self) -> float:

@@ -23,7 +23,6 @@ from .filters import FilterSpec, filter_value
 __all__ = [
     "SpectralProblem",
     "Observations",
-    "EstimateCoefficients",
     "substream_seed",
     "sample_observations",
     "estimate_coefficients",
@@ -79,17 +78,6 @@ class Observations(Record):
     @property
     def problem_length(self) -> int:
         return self.values.size
-
-
-class EstimateCoefficients(Record):
-    """Coefficients of the regularized estimate in the eigenbasis."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
 
 def _splitmix64(z):
@@ -232,11 +220,10 @@ def _generators(words):
     return (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
 
 
-def estimate_coefficients(
-    problem: SpectralProblem, spec: FilterSpec, alpha: float, obs: Observations
-) -> EstimateCoefficients:
-    """Regularized estimate (f_hat)_k = sqrt(lambda_k) q_alpha(lambda_k) Y_k."""
+def estimate_coefficients(problem: SpectralProblem, spec: FilterSpec, alpha: float, obs: Observations) -> np.ndarray:
+    """The coefficients (f_hat)_k = sqrt(lambda_k) q_alpha(lambda_k) Y_k of
+    the regularized estimate in the eigenbasis."""
     if obs.problem_length != problem.n_modes:
         raise ValueError("observations length does not match problem")
     q = filter_value(spec, alpha, problem.eigenvalues)
-    return EstimateCoefficients(np.sqrt(problem.eigenvalues) * q * obs.values)
+    return np.sqrt(problem.eigenvalues) * q * obs.values

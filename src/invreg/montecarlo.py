@@ -192,20 +192,6 @@ class EfficiencyTable(Record):
     rows: tuple[EfficiencyRow, ...]
 
 
-def _score_batch(scorer: GridScorer, truths: np.ndarray, values: np.ndarray, oracle_idx, pred_idx) -> np.ndarray:
-    """Squared errors [err_or, err_pred, err_lep] of each replication of a
-    batch (rows): row r of ``values`` observes the truth in row r of
-    ``truths``, and its oracle and pred grid indices are ``oracle_idx[r]``
-    and ``pred_idx[r]`` (both from ``GridScorer.batch_picks``, over one
-    (1 - s)^2 block).
-
-    Lepskii certifies the whole batch at once from float32 gram products
-    of its data-free rows (``GridScorer.batch_lepskii_errors``), and the
-    three errors are read from the estimate rows at the picked grid points.
-    """
-    return scorer.batch_lepskii_errors(values, truths, np.stack([oracle_idx, pred_idx], axis=1))[1]
-
-
 def replicate_once(
     problem: SpectralProblem,
     spec: FilterSpec,
@@ -242,7 +228,7 @@ def replicate_once(
     oracle_idx, pred_idx = scorer.batch_picks(truths if oracle is None else truths[:0], obs.values[None])
     if oracle is not None:
         oracle_idx = [oracle.grid_index]
-    (errors,) = _score_batch(scorer, truths, obs.values[None], oracle_idx, pred_idx)
+    _, (errors,) = scorer.batch_lepskii_errors(obs.values[None], truths, np.stack([oracle_idx, pred_idx], axis=1))
     return tuple(errors.tolist())
 
 
@@ -282,7 +268,8 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
                 if len(oracle_idx):
                     fixed_idx, oracle_truths = oracle_idx[0], oracle_truths[:0]
                 oracle_idx = np.full(count, fixed_idx)
-            batches.append(_score_batch(scorer, truths, values, oracle_idx, pred_idx))
+            # Lepskii's pick, and the squared errors at the three picks
+            batches.append(scorer.batch_lepskii_errors(values, truths, np.stack([oracle_idx, pred_idx], axis=1))[1])
         yield sigma, np.concatenate(batches)
 
 

@@ -2,9 +2,10 @@
 
 The grid discretizes [sigma^2, lambda_1] geometrically with a ratio r > 1.
 All rules are deterministic: score ties on the grid are resolved toward the
-smallest index.  The oracle, pred and Lepskii rules score the whole grid at
-once through a :class:`GridScorer`, whose scores equal the per-alpha
-functions of :mod:`invreg.risk` bit for bit.
+smallest index.  The oracle, pred and Lepskii rules score the whole grid
+for a batch of replications at once through the batch methods of a
+:class:`GridScorer`, whose scores equal the per-alpha functions of
+:mod:`invreg.risk` bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from ._record import Record
 from .filters import _BLOCK, FilterSpec, _check_args, _evaluate, _row_blocks
 from .lepskii import _certify, _exact_test
-from .model import Observations, SpectralProblem
 from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
 __all__ = [
@@ -25,9 +25,6 @@ __all__ = [
     "GridScorer",
     "build_grid",
     "grid_size",
-    "choose_oracle",
-    "choose_pred",
-    "choose_lepskii",
     "apriori_alpha_polynomial",
 ]
 
@@ -163,10 +160,6 @@ class GridScorer:
         if rows.ndim != ndim or rows.shape[-1] != self.eigenvalues.size:
             raise ValueError(f"expected a {ndim}-d array of {self.eigenvalues.size} modes per row")
         return rows
-
-    def _pick(self, scores: np.ndarray, rule: str) -> Selection:
-        idx = int(np.argmin(scores))  # first minimum = smallest index
-        return Selection(float(self.grid.values[idx]), idx, rule, float(scores[idx]))
 
     def _s_block(self) -> np.ndarray:
         """The buffer filled with the s-block; the first one a scorer forms
@@ -327,10 +320,6 @@ class GridScorer:
         first minimum of its row of :meth:`batch_oracle_scores`."""
         return self.batch_picks(truths, np.empty((0, self.eigenvalues.size)))[0]
 
-    def oracle(self, truth_coeffs: np.ndarray) -> Selection:
-        """Minimize the exact direct risk; a batch of one truth."""
-        return self._pick(self.batch_oracle_scores(self._check(truth_coeffs, 1)[None])[0], "oracle")
-
     def batch_pred_scores(self, values: np.ndarray) -> np.ndarray:
         """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
         point (columns) for each observation Y of an (R, n) batch (rows)."""
@@ -341,34 +330,6 @@ class GridScorer:
         batch: the first minimum of its row of :meth:`batch_pred_scores`."""
         return self.batch_picks(np.empty((0, self.eigenvalues.size)), values)[1]
 
-    def pred_scores(self, obs: Observations) -> np.ndarray:
-        """The empirical score of one observation at every grid point."""
-        return self.batch_pred_scores(obs.values[None])[0]
-
-    def pred(self, obs: Observations) -> Selection:
-        """Minimize the empirical prediction-risk score."""
-        return self._pick(self.pred_scores(obs), "pred")
-
-    def lepskii(self, obs: Observations) -> Selection:
-        """Balancing rule: largest grid alpha whose estimate stays within the
-        noise threshold of every less-regularized estimate.
-
-        The smallest grid value is admissible vacuously, so the rule always
-        returns an index; the deciding score is the selected alpha itself.
-        """
-        best = self.lepskii_errors(obs.values)[0]
-        return Selection(float(self.grid.values[best]), best, "lepskii", float(self.grid.values[best]))
-
-    def lepskii_errors(
-        self, values: np.ndarray, truth: np.ndarray | None = None, picks: tuple[int, ...] = ()
-    ) -> tuple[int, list[float]]:
-        """Lepskii's grid index for the observation ``values`` and, given the
-        ``truth``, the squared errors of the estimates at the grid indices
-        ``picks`` and at Lepskii's index, in that order; a batch of one."""
-        truths = None if truth is None else self._check(truth, 1)[None]
-        best, errors = self.batch_lepskii_errors(self._check(values, 1)[None], truths, [picks])
-        return int(best[0]), errors[0].tolist()
-
     def batch_lepskii_errors(
         self, values: np.ndarray, truths: np.ndarray | None = None, picks=None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -376,6 +337,10 @@ class GridScorer:
         given the (R, n) ``truths``, an (R, P + 1) array of squared errors
         ||f_hat - f||^2: row r holds those of the estimates at the P grid
         indices ``picks[r]`` and then at Lepskii's index.
+
+        Lepskii's balancing rule picks the largest grid index whose estimate
+        stays within the noise threshold of every less-regularized estimate;
+        index 0 is admissible vacuously, so every observation gets an index.
 
         Each index is that of the float64 test of ``_exact_pick``:
         ``_certified_picks`` decides the whole batch at once from float32
@@ -523,33 +488,6 @@ def _pred_terms(block: np.ndarray) -> np.ndarray:
         np.square(s, out=s)
         s -= twice
     return block
-
-
-def choose_oracle(problem: SpectralProblem, spec: FilterSpec, grid: ParameterGrid) -> Selection:
-    """Minimize the exact direct risk over the grid (needs the truth)."""
-    return GridScorer(problem.eigenvalues, problem.sigma, spec, grid).oracle(problem.truth_coeffs)
-
-
-def choose_pred(
-    eigenvalues: np.ndarray,
-    sigma: float,
-    spec: FilterSpec,
-    grid: ParameterGrid,
-    obs: Observations,
-) -> Selection:
-    """Minimize the empirical prediction-risk score over the grid."""
-    return GridScorer(eigenvalues, sigma, spec, grid).pred(obs)
-
-
-def choose_lepskii(
-    eigenvalues: np.ndarray,
-    sigma: float,
-    spec: FilterSpec,
-    grid: ParameterGrid,
-    obs: Observations,
-) -> Selection:
-    """Lepskii balancing rule over the grid; see :meth:`GridScorer.lepskii`."""
-    return GridScorer(eigenvalues, sigma, spec, grid).lepskii(obs)
 
 
 def apriori_alpha_polynomial(a: float, c_a: float, b: float, sigma: float) -> float:

@@ -1,3 +1,8 @@
+import ast
+import io
+import tokenize
+from pathlib import Path
+
 from hypothesis import settings
 
 # every property test draws the same examples on every run and keeps no
@@ -7,10 +12,37 @@ settings.load_profile("invreg")
 
 ACCEPTANCE_LINES = []
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "invreg"
+# CPython's parser array doubles when a module's 4097th token arrives
+TOKEN_CLIFF = 4096
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
 
 def record_acceptance(line):
     ACCEPTANCE_LINES.append(line)
     print(line)
+
+
+def code_lines(text: str) -> int:
+    """The lines of a module that hold code: not blank, not only a comment,
+    and not part of a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def parser_tokens(text: str) -> int:
+    """The tokens of a module that reach CPython's parser: comments and NL tokens do not."""
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    return sum(token.type not in (tokenize.COMMENT, tokenize.NL) for token in tokens)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -18,3 +50,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    # the size of src/: code lines as ROADMAP counts them, and parser tokens
+    terminalreporter.section("src/invreg code lines and parser tokens")
+    total = 0
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines, tokens = code_lines(text), parser_tokens(text)
+        total += lines
+        terminalreporter.write_line(f"{path.name:<16}{lines:>5} lines{tokens:>7} tokens of {TOKEN_CLIFF}")
+    terminalreporter.write_line(f"{'total':<16}{total:>5} lines")

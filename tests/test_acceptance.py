@@ -25,7 +25,7 @@ from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import discretize_integral_operator, make_green_problem, symmetric_eigenvalues
 from invreg.ratetest import RateSample, normal_cdf, rate_test, weighted_slope_fit
 from invreg.risk import direct_risk, empirical_prediction_risk, prediction_risk
-from invreg.selection import build_grid, choose_lepskii, choose_oracle, choose_pred
+from invreg.selection import GridScorer, build_grid
 from invreg.tables import emit_efficiency_table, emit_per_rep_errors, emit_risk_table
 
 from conftest import record_acceptance
@@ -234,11 +234,10 @@ def test_criterion_8_selection_oracles():
                 for j in range(i)
             ):
                 naive_lep = i
-        got = (
-            choose_oracle(p, spec, grid).grid_index,
-            choose_pred(eig, sigma, spec, grid, obs).grid_index,
-            choose_lepskii(eig, sigma, spec, grid, obs).grid_index,
-        )
+        # the picks as the studies make them, from one scorer
+        scorer = GridScorer(eig, sigma, spec, grid)
+        oracle, pred = scorer.batch_picks(p.truth_coeffs[None], obs.values[None])
+        got = (int(oracle[0]), int(pred[0]), int(scorer.batch_lepskii_errors(obs.values[None])[0][0]))
         if got != (naive_or, naive_pr, naive_lep):
             mismatches += 1
     verdict(8, mismatches == 0, f"{mismatches}/{trials} disagreements with naive-scan selections")

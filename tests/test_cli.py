@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import invreg
 from invreg import cli, montecarlo
 from invreg.cli import main
-from invreg.filters import tikhonov
+from invreg.checks import run_filter_checks
+from invreg.filters import FilterSpec, tikhonov
 from invreg.model import substream_seed
 from invreg.montecarlo import (
     DiagonalDescriptor,
@@ -27,6 +28,7 @@ from invreg.montecarlo import (
     RiskTable,
     replicate_once,
 )
+from invreg.problems import TestFunction as GreenTruth
 from invreg.selection import build_grid, grid_size
 from invreg.tables import (
     emit_efficiency_table,
@@ -195,6 +197,13 @@ MALFORMED = {
     "efficiency-a-underflow": ("simulate-efficiency", diagonal_config(a=200.0)),
     "score-curve-a-underflow": ("score-curve", score_curve_config(problem={"kind": "diagonal", "a": 200.0})),
     "rates-m-overflow": ("simulate-rates", rates_config(filter={"family": "iterated_tikhonov", "m": 10**400})),
+    # every family takes m, and checks it
+    "rates-m-string": ("simulate-rates", rates_config(filter={"family": "tikhonov", "m": "abc"})),
+    "rates-m-zero": ("simulate-rates", rates_config(filter={"family": "tikhonov", "m": 0})),
+    "rates-m-fraction": ("simulate-rates", rates_config(filter={"family": "tikhonov", "m": 2.5})),
+    "rates-m-bool": ("simulate-rates", rates_config(filter={"family": "tikhonov", "m": True})),
+    # an integer beyond float range where a float is expected
+    "rates-grid-ratio-huge-integer": ("simulate-rates", rates_config(grid_ratio=10**400)),
     "efficiency-nu-overflow": ("simulate-efficiency", {**diagonal_config(nu=-300.0), "modes": 32}),
     "efficiency-nu-squared-overflow": ("simulate-efficiency", {**diagonal_config(nu=-150.0), "modes": 32}),
     "score-curve-modes-overflow": ("score-curve", score_curve_config(problem={"kind": "diagonal"}, modes=10**400)),
@@ -263,7 +272,7 @@ class TestScorerBudget:
     )
     def test_a_scorer_over_the_budget_exits_2(self, command, payload, tmp_path, capsys, monkeypatch):
         # a small config against a budget set just below its own footprint
-        problem = cli._parse_problem(payload)
+        problem = cli._problem(cli._fields(command, payload))
         grids = [build_grid(s, problem.lambda_max, payload.get("grid_ratio", 1.2)) for s in payload["sigmas"]]
         need = montecarlo._scorer_bytes(32, map(len, grids))
         cfg = write_config(tmp_path, payload)
@@ -348,6 +357,12 @@ class TestMalformedFields:
         assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", sorted(c for c in MALFORMED if "-m-" in c))
+    def test_a_malformed_m_is_named(self, case, tmp_path, capsys):
+        command, payload = MALFORMED[case]
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: filter.m must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(c for c in MALFORMED if "-modes-overflow" in c))
     def test_modes_beyond_float_range_are_named(self, case, tmp_path, capsys):
         command, payload = MALFORMED[case]
@@ -389,6 +404,63 @@ class TestMalformedFields:
         csv_path.write_text(PER_REP_HEADER + PER_REP_ROWS)
         cfg = write_config(tmp_path, {"rate_test": {"errors_csv": str(csv_path), "theta_target": 0.75}})
         assert main(["rate-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def valid_config(tmp_path, where):
+    """(command, config) of a valid run of the first command or problem kind of ``where``."""
+    if where[0] == "rate-test":
+        csv_path = tmp_path / "errors.csv"
+        csv_path.write_text(PER_REP_HEADER + PER_REP_ROWS)
+        return "rate-test", {"rate_test": {"errors_csv": str(csv_path), "theta_target": 0.75}}
+    if where[0] == "filters-check":
+        return "filters-check", {"pairs": 20}
+    if where[0] in ("diagonal", "simulate-efficiency"):
+        return "simulate-efficiency", {**diagonal_config(), "modes": 8}
+    return "simulate-rates", rates_config(replications=2)
+
+
+def bad_values(kind, rule):
+    """A bool, a value of another type and, where the field has a range, a
+    value outside it."""
+    values = [True, 5 if kind is str else "x"]
+    if kind is str and rule:
+        values.append("x")
+    elif kind in (int, float):
+        values.append(rule - 1 if rule is not None else 2.5 if kind is int else math.inf)
+    elif kind is list:
+        values.append([1e-2, math.nan])
+    return values
+
+
+class TestFieldTable:
+    """Each field of the CLI's field table refuses a value of the wrong type
+    or out of range with exit code 2 and a message that names it."""
+
+    @pytest.mark.parametrize("name", sorted(cli._FIELDS))
+    def test_every_field_refuses_a_malformed_value(self, name, tmp_path, capsys):
+        where, kind, rule, _ = cli._FIELDS[name]
+        command, payload = valid_config(tmp_path, where)
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "valid")]) == 0
+        for i, bad in enumerate(bad_values(kind, rule)):
+            block = payload
+            *parents, key = name.split(".")
+            for parent in parents:
+                block = block[parent]
+            block[key] = bad
+            out = tmp_path / f"o{i}"
+            capsys.readouterr()
+            assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2, bad
+            assert f"invreg: config error: {name}" in capsys.readouterr().err, bad
+            assert not out.exists()
+
+    def test_omitted_fields_take_the_library_defaults(self):
+        green = {"problem": {"kind": "green"}, "filter": {"family": "tikhonov"}, "sigmas": [1e-2], "replications": 2}
+        fields = cli._fields("simulate-rates", green)
+        expected = ExperimentConfig(GreenDescriptor(GreenTruth.HAT), FilterSpec("tikhonov"), (1e-2,), 2)
+        assert cli._experiment_config(fields, fields["master_seed"], "green") == expected
+        assert cli._problem(cli._fields("simulate-efficiency", diagonal_config())) == DiagonalDescriptor()
+        checks = cli._fields("filters-check", {})
+        assert (checks["pairs"], checks["master_seed"]) == run_filter_checks.__defaults__
 
 
 def scalar_tables(config, out):
@@ -441,7 +513,7 @@ class TestOutOfRangeSeeds:
             argv += ["--seed", str(seed)]
         assert main(argv) == 0
         assert json.loads((tmp_path / "o" / "metadata.json").read_text())["master_seed"] == seed
-        scalar_tables(cli._experiment_config(payload, seed, kind), tmp_path / "scalar")
+        scalar_tables(cli._experiment_config(cli._fields(command, payload), seed, kind), tmp_path / "scalar")
         names = sorted(p.name for p in (tmp_path / "scalar").iterdir())
         assert names and all(
             (tmp_path / "o" / name).read_bytes() == (tmp_path / "scalar" / name).read_bytes() for name in names
@@ -577,6 +649,16 @@ class TestFiltersCheckCommand:
         assert meta["master_seed"] == 20240901
         report = (default / "filters_check.json").read_bytes()
         assert report == (explicit / "filters_check.json").read_bytes()
+
+    def test_a_negative_seed_runs(self, tmp_path):
+        # taken mod 2^64, as the studies take it
+        cfg = write_config(tmp_path, {"pairs": 50, "master_seed": -3})
+        negative, wrapped = tmp_path / "negative", tmp_path / "wrapped"
+        assert main(["filters-check", "--config", cfg, "--out", str(negative)]) == 0
+        assert main(["filters-check", "--config", cfg, "--out", str(wrapped), "--seed", str(2**64 - 3)]) == 0
+        assert json.loads((negative / "metadata.json").read_text())["master_seed"] == -3
+        report = (negative / "filters_check.json").read_bytes()
+        assert report == (wrapped / "filters_check.json").read_bytes()
 
     def test_non_integer_seed_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"pairs": 50, "master_seed": "soon"})

@@ -54,6 +54,21 @@ class TestConstants:
         with pytest.raises(ValueError):
             FilterSpec("ridge")
 
+    @pytest.mark.parametrize("family", [spec.family for spec in ALL_FAMILIES()])
+    def test_every_family_takes_an_integer_m_of_at_least_one(self, family):
+        # a numpy integer is an integer, and is stored as int; a bool, a
+        # float (even a whole one) and a string are not
+        spec = FilterSpec(family, m=np.int64(3))
+        assert spec.m == 3 and type(spec.m) is int
+        assert spec == FilterSpec(family, m=3) and hash(spec) == hash(FilterSpec(family, m=3))
+        for bad in (True, False, 3.0, np.float64(2.0), "3", None, 0, -2):
+            with pytest.raises(ValueError, match="m must be an integer of at least 1"):
+                FilterSpec(family, m=bad)
+
+    def test_iterated_tikhonov_of_a_numpy_integer(self):
+        assert iterated_tikhonov(np.int64(3)) == iterated_tikhonov(3)
+        assert iterated_tikhonov(np.int64(3)).c_prime == 3.0
+
 
 class TestFilterValue:
     def test_tikhonov_half(self):

@@ -26,7 +26,7 @@ from invreg.montecarlo import (
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import _diagonal_spectrum, _diagonal_truths, make_diagonal_problem, make_green_problem
 from invreg.risk import direct_risk, empirical_prediction_risk
-from invreg.selection import GridScorer, build_grid, choose_lepskii, choose_oracle, grid_size
+from invreg.selection import GridScorer, Selection, build_grid, grid_size
 
 
 def ten_mode_problem(sigma=0.05):
@@ -55,12 +55,21 @@ def per_replication_triple(problem, spec, grid, replicate_seed):
     pred = np.argmin(
         [empirical_prediction_risk(problem.eigenvalues, problem.sigma, spec, a, obs) for a in grid.values]
     )
-    lep = choose_lepskii(problem.eigenvalues, problem.sigma, spec, grid, obs).grid_index
+    lep = GridScorer(problem.eigenvalues, problem.sigma, spec, grid).batch_lepskii_errors(obs.values[None])[0][0]
     errors = []
     for i in (oracle, pred, lep):
-        diff = estimate_coefficients(problem, spec, float(grid.values[i]), obs).values - problem.truth_coeffs
+        diff = estimate_coefficients(problem, spec, float(grid.values[i]), obs) - problem.truth_coeffs
         errors.append(float(diff @ diff))
     return tuple(errors)
+
+
+def oracle_selection(problem, spec, grid):
+    """The oracle's selection that ``replicate_once`` may be given, from
+    the scorer's pick and exact score."""
+    scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
+    index = int(scorer.batch_oracle_picks(problem.truth_coeffs[None])[0])
+    score = scorer.batch_oracle_scores(problem.truth_coeffs[None])[0, index]
+    return Selection(float(grid.values[index]), index, "oracle", float(score))
 
 
 def rate_loop(config):
@@ -176,7 +185,7 @@ class TestReplicateOnce:
     def test_oracle_error_mean_matches_closed_form(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
-        oracle = choose_oracle(p, tikhonov(), grid)
+        oracle = oracle_selection(p, tikhonov(), grid)
         m = 2000
         errs = np.array(
             [replicate_once(p, tikhonov(), grid, substream_seed(21, j), oracle)[0] for j in range(m)]
@@ -200,7 +209,7 @@ class TestReplicateOnce:
     def test_oracle_of_another_grid_rejected(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
-        other = choose_oracle(p, tikhonov(), build_grid(p.sigma, 1.0, 1.5))
+        other = oracle_selection(p, tikhonov(), build_grid(p.sigma, 1.0, 1.5))
         with pytest.raises(ValueError):
             replicate_once(p, tikhonov(), grid, 1, other)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from invreg.filters import FilterSpec, tikhonov
-from invreg.model import EstimateCoefficients, Observations, SpectralProblem
+from invreg.model import Observations, SpectralProblem
 from invreg.montecarlo import (
     DiagonalDescriptor,
     EfficiencyRow,
@@ -67,7 +67,6 @@ CASES = [
         ),
     ),
     Case(Observations, {"values": [1.0, 2.0]}, {}, "Observations(values=array([1., 2.]))", ({"values": [[1.0]]},)),
-    Case(EstimateCoefficients, {"values": [3.0, 4.0]}, {}, "EstimateCoefficients(values=array([3., 4.]))"),
     Case(
         DenseSymmetricMatrix,
         {"entries": [[1.0, 2.0], [2.0, 1.0]]},

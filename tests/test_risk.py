@@ -99,7 +99,7 @@ class TestDirectRisk:
         errs = np.empty(m)
         for j in range(m):
             obs = sample_observations(p, substream_seed(314, j))
-            diff = estimate_coefficients(p, tikhonov(), alpha, obs).values - truth
+            diff = estimate_coefficients(p, tikhonov(), alpha, obs) - truth
             errs[j] = diff @ diff
         se = errs.std(ddof=1) / math.sqrt(m)
         assert abs(errs.mean() - direct_risk(p, tikhonov(), alpha).total) <= 4 * se

@@ -26,17 +26,26 @@ from invreg.risk import (
     empirical_prediction_risk,
     lepskii_threshold,
 )
-from invreg.selection import (
-    GridScorer,
-    ParameterGrid,
-    apriori_alpha_polynomial,
-    build_grid,
-    choose_lepskii,
-    choose_oracle,
-    choose_pred,
-)
+from invreg.selection import GridScorer, ParameterGrid, apriori_alpha_polynomial, build_grid
 from invreg import lepskii
 from invreg.lepskii import _GRAM_LIMIT, _ROW_LIMIT, _bounds, _rounding
+
+
+def oracle_pick(problem, spec, grid):
+    """The oracle's grid index for the truth of ``problem``, picked as the
+    studies pick it (``GridScorer.batch_picks``)."""
+    scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
+    return int(scorer.batch_oracle_picks(problem.truth_coeffs[None])[0])
+
+
+def pred_pick(eigenvalues, sigma, spec, grid, obs):
+    """The pred rule's grid index for ``obs``, picked as the studies pick it."""
+    return int(GridScorer(eigenvalues, sigma, spec, grid).batch_pred_picks(obs.values[None])[0])
+
+
+def lepskii_pick(eigenvalues, sigma, spec, grid, obs):
+    """Lepskii's grid index for ``obs``, certified as the studies certify it."""
+    return int(GridScorer(eigenvalues, sigma, spec, grid).batch_lepskii_errors(obs.values[None])[0][0])
 
 
 def naive_oracle(problem, spec, grid):
@@ -220,21 +229,20 @@ class TestChooseOracle:
     def test_zero_truth_picks_largest_alpha(self):
         p = SpectralProblem([1.0, 0.5, 0.25], [0.0, 0.0, 0.0], 0.05)
         grid = build_grid(p.sigma, 1.0, 1.4)
-        sel = choose_oracle(p, tikhonov(), grid)
-        assert sel.grid_index == len(grid) - 1
+        assert oracle_pick(p, tikhonov(), grid) == len(grid) - 1
 
     def test_vanishing_noise_picks_smallest_alpha(self):
         p = SpectralProblem([1.0, 0.5, 0.25], [1.0, 1.0, 1.0], 1e-12)
         grid = ParameterGrid(1.4, np.array([1e-3, 1.4e-3, 1.96e-3]))
-        sel = choose_oracle(p, tikhonov(), grid)
-        assert sel.grid_index == naive_oracle(p, tikhonov(), grid) == 0
+        assert oracle_pick(p, tikhonov(), grid) == naive_oracle(p, tikhonov(), grid) == 0
 
     def test_alpha_is_grid_member(self):
         p = random_problem(np.random.default_rng(0))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.3)
-        sel = choose_oracle(p, tikhonov(), grid)
-        assert sel.alpha == grid.values[sel.grid_index]
-        assert sel.score <= min(direct_risk(p, tikhonov(), a).total for a in grid.values)
+        index = oracle_pick(p, tikhonov(), grid)
+        score = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid).batch_oracle_scores(p.truth_coeffs[None])[0, index]
+        assert score <= min(direct_risk(p, tikhonov(), a).total for a in grid.values)
+        assert score == direct_risk(p, tikhonov(), grid.values[index]).total
 
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(101)
@@ -242,9 +250,9 @@ class TestChooseOracle:
             p = random_problem(rng)
             grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
             for spec in ALL_FAMILIES(m=2):
-                assert choose_oracle(p, spec, grid).grid_index == naive_oracle(p, spec, grid)
+                assert oracle_pick(p, spec, grid) == naive_oracle(p, spec, grid)
         for p, spec, grid, _ in realistic_cases():
-            assert choose_oracle(p, spec, grid).grid_index == naive_oracle(p, spec, grid)
+            assert oracle_pick(p, spec, grid) == naive_oracle(p, spec, grid)
 
 
 class TestChoosePred:
@@ -252,20 +260,17 @@ class TestChoosePred:
         eig = np.array([1.0, 0.5, 0.25])
         obs = Observations(np.zeros(3))
         grid = build_grid(0.05, 1.0, 1.4)
-        sel = choose_pred(eig, 0.05, tikhonov(), grid, obs)
-        assert sel.grid_index == len(grid) - 1
+        assert pred_pick(eig, 0.05, tikhonov(), grid, obs) == len(grid) - 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         p = random_problem(rng)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.3)
         obs = sample_observations(p, 9)
-        base = choose_pred(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
+        base = pred_pick(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
         for c in (0.1, 7.0):
-            scaled = choose_pred(
-                p.eigenvalues, c * p.sigma, tikhonov(), grid, Observations(c * obs.values)
-            )
-            assert scaled.grid_index == base.grid_index
+            scaled = pred_pick(p.eigenvalues, c * p.sigma, tikhonov(), grid, Observations(c * obs.values))
+            assert scaled == base
 
     def test_tie_breaks_to_smallest_index(self):
         # single mode with spectral cut-off: both alphas below lambda give
@@ -273,13 +278,13 @@ class TestChoosePred:
         eig = np.array([1.0])
         obs = Observations(np.array([1.0]))
         grid = ParameterGrid(2.0, np.array([0.25, 0.5, 2.0]))
-        sel = choose_pred(eig, 0.1, spectral_cutoff(), grid, obs)
+        index = pred_pick(eig, 0.1, spectral_cutoff(), grid, obs)
         scores = [
             empirical_prediction_risk(eig, 0.1, spectral_cutoff(), a, obs)
             for a in grid.values
         ]
         assert scores[0] == scores[1] == min(scores)  # genuine tie exercised
-        assert sel.grid_index == 0
+        assert index == 0
 
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(202)
@@ -288,11 +293,11 @@ class TestChoosePred:
             grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
             obs = sample_observations(p, int(rng.integers(0, 2**32)))
             for spec in ALL_FAMILIES(m=2):
-                got = choose_pred(p.eigenvalues, p.sigma, spec, grid, obs)
-                assert got.grid_index == naive_pred(p.eigenvalues, p.sigma, spec, grid, obs)
+                got = pred_pick(p.eigenvalues, p.sigma, spec, grid, obs)
+                assert got == naive_pred(p.eigenvalues, p.sigma, spec, grid, obs)
         for p, spec, grid, obs in realistic_cases():
-            got = choose_pred(p.eigenvalues, p.sigma, spec, grid, obs)
-            assert got.grid_index == naive_pred(p.eigenvalues, p.sigma, spec, grid, obs)
+            got = pred_pick(p.eigenvalues, p.sigma, spec, grid, obs)
+            assert got == naive_pred(p.eigenvalues, p.sigma, spec, grid, obs)
 
 
 class TestChooseLepskii:
@@ -300,8 +305,7 @@ class TestChooseLepskii:
         eig = np.array([1.0, 0.5, 0.25])
         obs = Observations(np.zeros(3))
         grid = build_grid(0.05, 1.0, 1.4)
-        sel = choose_lepskii(eig, 0.05, tikhonov(), grid, obs)
-        assert sel.grid_index == len(grid) - 1
+        assert lepskii_pick(eig, 0.05, tikhonov(), grid, obs) == len(grid) - 1
 
     def test_index_trend_in_sigma(self):
         # median selected index weakly decreases as sigma decreases
@@ -314,8 +318,7 @@ class TestChooseLepskii:
             frac = []
             for seed in range(200):
                 obs = sample_observations(p, substream_seed(33, seed))
-                sel = choose_lepskii(eig, sigma, tikhonov(), grid, obs)
-                frac.append(sel.grid_index / (len(grid) - 1))
+                frac.append(lepskii_pick(eig, sigma, tikhonov(), grid, obs) / (len(grid) - 1))
             medians.append(float(np.median(frac)))
         assert medians[0] >= medians[1] >= medians[2]
 
@@ -326,11 +329,11 @@ class TestChooseLepskii:
             grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
             obs = sample_observations(p, int(rng.integers(0, 2**32)))
             for spec in ALL_FAMILIES(m=2):
-                got = choose_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
-                assert got.grid_index == naive_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
+                got = lepskii_pick(p.eigenvalues, p.sigma, spec, grid, obs)
+                assert got == naive_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
         for p, spec, grid, obs in realistic_cases():
-            got = choose_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
-            assert got.grid_index == naive_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
+            got = lepskii_pick(p.eigenvalues, p.sigma, spec, grid, obs)
+            assert got == naive_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
 
 
 class TestGridScorer:
@@ -340,18 +343,24 @@ class TestGridScorer:
         problems = [make_green_problem(1024, GreenTruth.HAT, s, frame="discrete") for s in sigmas]
         grids = [build_grid(p.sigma, float(p.eigenvalues[0]), 1.2) for p in problems]
         buffer = np.empty((max(map(len, grids)), 1024))
+
+        def selections(scorer, p, obs):
+            truths, values = p.truth_coeffs[None], obs.values[None]
+            oracle, pred = scorer.batch_picks(truths, values)
+            lep = scorer.batch_lepskii_errors(values)[0]
+            scores = scorer.batch_oracle_scores(truths), scorer.batch_pred_scores(values)
+            return [oracle.tolist(), pred.tolist(), lep.tolist()] + [x.tobytes() for x in scores]
+
         for p, grid in zip(problems, grids):
             shared = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid, buffer)
             for seed in range(3):
                 obs = sample_observations(p, seed)
-                assert shared.oracle(p.truth_coeffs) == choose_oracle(p, tikhonov(), grid)
-                assert shared.pred(obs) == choose_pred(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
-                lep = choose_lepskii(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
-                assert shared.lepskii(obs) == lep
+                fresh = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+                assert selections(shared, p, obs) == selections(fresh, p, obs)
 
     def test_pred_scores_equal_the_scalar_score_bitwise(self):
         for p, spec, grid, obs in realistic_cases():
-            scores = GridScorer(p.eigenvalues, p.sigma, spec, grid).pred_scores(obs)
+            scores = GridScorer(p.eigenvalues, p.sigma, spec, grid).batch_pred_scores(obs.values[None])[0]
             expected = [
                 empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, obs) for a in grid.values
             ]
@@ -380,13 +389,13 @@ class TestGridScorer:
         for p, spec, grid, obs in realistic_cases():
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             picks = (0, len(grid) // 2, len(grid) - 1)
-            best, errors = scorer.lepskii_errors(obs.values, p.truth_coeffs, picks)
-            assert best == scorer.lepskii(obs).grid_index
+            (best,), (errors,) = scorer.batch_lepskii_errors(obs.values[None], p.truth_coeffs[None], [picks])
+            assert best == scorer.batch_lepskii_errors(obs.values[None])[0][0]
             expected = []
             for i in (*picks, best):
-                diff = estimate_coefficients(p, spec, float(grid.values[i]), obs).values - p.truth_coeffs
+                diff = estimate_coefficients(p, spec, float(grid.values[i]), obs) - p.truth_coeffs
                 expected.append(float(diff @ diff))
-            assert np.array(errors).tobytes() == np.array(expected).tobytes()
+            assert errors.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
     def test_a_lepskii_batch_equals_each_replication_alone_bitwise(self, spec):
@@ -402,12 +411,12 @@ class TestGridScorer:
             values, truths = batch_rows(p, 3)
             picks = np.array([[0, k // 2], [k - 1, 1], [k // 3, k // 3]])
             alone = GridScorer(p.eigenvalues, p.sigma, spec, grid)
-            expected = [alone.lepskii_errors(values[r], truths[r], tuple(picks[r])) for r in range(3)]
+            expected = [alone.batch_lepskii_errors(values[r, None], truths[r, None], picks[r, None]) for r in range(3)]
             for rows in (k, k + k // 2, 2 * k, 2 * k + 7):
                 scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid, np.empty((rows, p.n_modes)))
                 best, errors = scorer.batch_lepskii_errors(values, truths, picks)
-                assert best.tolist() == [index for index, _ in expected]
-                assert errors.tobytes() == np.array([errs for _, errs in expected]).tobytes()
+                assert best.tolist() == [int(index) for (index,), _ in expected]
+                assert errors.tobytes() == np.concatenate([errs for _, errs in expected]).tobytes()
                 assert scorer.batch_lepskii_errors(values)[0].tolist() == best.tolist()
 
     def test_interleaved_scorers_on_one_buffer_read_no_stale_rows(self):
@@ -459,7 +468,7 @@ class TestGridScorer:
             scorer.batch_lepskii_errors(values, truths, malformed)
         if len(malformed) == 3:
             with pytest.raises(ValueError, match="picks"):
-                scorer.lepskii_errors(values[0], truths[0], malformed[0])
+                scorer.batch_lepskii_errors(values[:1], truths[:1], malformed[:1])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -689,8 +698,8 @@ class TestGridScorer:
         for call, rows in (
             (scorer.batch_pred_scores, np.ones(p.n_modes)),
             (scorer.batch_oracle_scores, np.ones((2, p.n_modes + 1))),
-            (scorer.oracle, np.ones((1, p.n_modes))),
-            (scorer.lepskii_errors, np.ones(p.n_modes - 1)),
+            (scorer.batch_oracle_picks, np.ones(p.n_modes)),
+            (scorer.batch_lepskii_errors, np.ones((1, p.n_modes - 1))),
         ):
             with pytest.raises(ValueError):
                 call(rows)
@@ -826,10 +835,12 @@ class TestGridScorer:
             scorer = GridScorer(eig, p.sigma, spec, grid)
 
             def scores():
+                values, truths = obs.values[None], p.truth_coeffs[None]
+                lepskii = scorer.batch_lepskii_errors(values, truths, [(0, len(grid) - 1)])
                 return (
-                    scorer.batch_pred_scores(obs.values[None]).tobytes(),
-                    scorer.batch_oracle_scores(p.truth_coeffs[None]).tobytes(),
-                    scorer.lepskii_errors(obs.values, p.truth_coeffs, (0, len(grid) - 1)),
+                    scorer.batch_pred_scores(values).tobytes(),
+                    scorer.batch_oracle_scores(truths).tobytes(),
+                    *(x.tobytes() for x in lepskii),
                 )
 
             before = scores()

@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 malformed config, 3 numeric or I/O failure.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -53,19 +52,13 @@ class ConfigError(Exception):
     pass
 
 
-def _default(owner, name: str):
-    """The default of field ``name`` of a record type, or of parameter ``name`` of a function."""
-    if isinstance(owner, type):
-        return owner._defaults[name]
-    return inspect.signature(owner).parameters[name].default
-
-
 _STUDIES = ("simulate-rates", "simulate-efficiency", "score-curve")
 _REQUIRED = object()
+_PAIRS, _CHECK_SEED = run_filter_checks.__defaults__
 # the defaults of the fields that take one per problem kind or per command
-_MODES = {"green": _default(GreenDescriptor, "n_modes"), "diagonal": _default(DiagonalDescriptor, "n")}
-_SEEDS = dict.fromkeys(_STUDIES, _default(ExperimentConfig, "master_seed"))
-_SEEDS["filters-check"] = _default(run_filter_checks, "seed")
+_MODES = {"green": GreenDescriptor._defaults["n_modes"], "diagonal": DiagonalDescriptor._defaults["n"]}
+_SEEDS = dict.fromkeys(_STUDIES, ExperimentConfig._defaults["master_seed"])
+_SEEDS["filters-check"] = _CHECK_SEED
 
 # Every config field by dotted name: (where, type, rule, default).  A field
 # is read for the commands and problem kinds in ``where``, a block's fields
@@ -80,18 +73,18 @@ _FIELDS = {
     "problem": (_STUDIES, dict, None, _REQUIRED),
     "problem.kind": (_STUDIES, str, ("green", "diagonal"), _REQUIRED),
     "problem.truth": (("green",), str, tuple(t.value for t in TestFunction), "hat"),
-    "problem.frame": (("green",), str, ("analytic", "discrete"), _default(GreenDescriptor, "frame")),
-    "problem.a": (("diagonal",), float, 0.0, _default(DiagonalDescriptor, "a")),  # so that lambda_1 = 1
-    "problem.nu": (("diagonal",), float, None, _default(DiagonalDescriptor, "nu")),
+    "problem.frame": (("green",), str, ("analytic", "discrete"), GreenDescriptor._defaults["frame"]),
+    "problem.a": (("diagonal",), float, 0.0, DiagonalDescriptor._defaults["a"]),  # so that lambda_1 = 1
+    "problem.nu": (("diagonal",), float, None, DiagonalDescriptor._defaults["nu"]),
     "filter": (_STUDIES, dict, None, _REQUIRED),
     "filter.family": (_STUDIES, str, _FAMILIES, _REQUIRED),
-    "filter.m": (_STUDIES, int, 1, _default(FilterSpec, "m")),
+    "filter.m": (_STUDIES, int, 1, FilterSpec._defaults["m"]),
     "sigmas": (_STUDIES, list, None, _REQUIRED),
     "replications": (_STUDIES[:2], int, 2, _REQUIRED),
     "modes": (_STUDIES, int, 1, _MODES),
-    "grid_ratio": (_STUDIES, float, None, _default(ExperimentConfig, "grid_ratio")),
+    "grid_ratio": (_STUDIES, float, None, ExperimentConfig._defaults["grid_ratio"]),
     "master_seed": (tuple(_SEEDS), int, None, _SEEDS),
-    "pairs": (("filters-check",), int, 1, _default(run_filter_checks, "pairs_per_family")),
+    "pairs": (("filters-check",), int, 1, _PAIRS),
     "rate_test": (("rate-test",), dict, None, _REQUIRED),
     "rate_test.errors_csv": (("rate-test",), str, None, _REQUIRED),
     "rate_test.risk": (("rate-test",), str, ("or", "pred", "lep"), "pred"),
@@ -142,8 +135,10 @@ def _fields(command: str, cfg: dict) -> dict:
                 tags.add(values[name])
         elif default is _REQUIRED:
             missing.append(name)
+        elif isinstance(default, dict):  # no key matches only if problem.kind is missing, which is reported
+            values.update((name, default[tag]) for tag in tags & default.keys())
         else:
-            values[name] = default[(tags & default.keys()).pop()] if isinstance(default, dict) else default
+            values[name] = default
     unknown = [
         name
         for block in known

@@ -130,6 +130,20 @@ class TestConfigValidation:
         assert main(["simulate-rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "replications" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, name", [(None, "'problem'"), ({}, "'problem.kind'")])
+    def test_a_missing_problem_kind_exits_2_without_modes(self, problem, name, tmp_path, capsys):
+        # the default of modes is the problem kind's, so it has none here
+        payload = rates_config()
+        del payload["modes"]
+        if problem is None:
+            del payload["problem"]
+        else:
+            payload["problem"] = problem
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate-rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"missing: [{name}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"problem": }')
@@ -675,10 +689,10 @@ def fuzz_runs(draw):
     """(command, config, malformed, over_budget): a config of at most 32
     modes and 3 replications, malformed if its problem kind does not suit
     the command and, in about half the draws, by one field replaced with
-    junk, one required key dropped or one unknown key added.  In a few
-    draws the grid ratio lies in (1, 1 + 1e-6]: the grid then has at least
-    46000 points, so its scorer is over the memory budget (``over_budget``)
-    unless junk replaced the ratio."""
+    junk, one required field dropped together with modes, or one unknown
+    key added.  In a few draws the grid ratio lies in (1, 1 + 1e-6]: the
+    grid then has at least 46000 points, so its scorer is over the memory
+    budget (``over_budget``) unless junk replaced the ratio."""
     command = draw(st.sampled_from(["simulate-rates", "simulate-efficiency", "score-curve"]))
     kind = draw(st.sampled_from(["green", "diagonal"]))
     mismatch = {"simulate-rates": "diagonal", "simulate-efficiency": "green"}.get(command) == kind
@@ -711,7 +725,12 @@ def fuzz_runs(draw):
         block = cfg[draw(st.sampled_from(["problem", "filter"]))]
         block[draw(st.sampled_from(sorted(block) + ["m", "extra"]))] = draw(JUNK)
     elif fault == "drop":
-        del cfg[draw(st.sampled_from(sorted({"problem", "filter", "sigmas", "replications"} & set(cfg))))]
+        # one required field, and modes, whose default is the problem kind's
+        required = ["problem", "problem.kind", "filter", "filter.family", "sigmas", "replications"]
+        dropped = draw(st.sampled_from([name for name in required if name != "replications" or name in cfg]))
+        for name in [dropped, "modes"]:
+            block, _, key = name.rpartition(".")
+            del (cfg[block] if block else cfg)[key]
     elif fault == "extra":
         cfg["workers"] = 2
     ratio = cfg.get("grid_ratio")

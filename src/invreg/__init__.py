@@ -31,7 +31,6 @@ from .montecarlo import (
     ExperimentConfig,
     GreenDescriptor,
     RiskTable,
-    replicate_once,
     run_efficiency_experiment,
     run_rate_experiment,
 )
@@ -64,7 +63,6 @@ from .risk import (
 from .selection import (
     GridScorer,
     ParameterGrid,
-    Selection,
     apriori_alpha_polynomial,
     build_grid,
 )

@@ -227,8 +227,9 @@ def _cmd_simulate_efficiency(fields, output, seed: int, workers: int) -> list[Pa
 def _cmd_score_curve(fields, output, seed: int, workers: int) -> list[Path]:
     descriptor, spec = _problem(fields), _filter(fields)
     sigma, ratio = fields["sigmas"][0], fields["grid_ratio"]
-    # refused from the closed-form grid size, before the grid is built
-    _checked(_check_grids, descriptor, [sigma], ratio)
+    # every sigma is a noise level, refused from the closed-form grid size
+    # before the grid is built
+    _checked(_check_grids, descriptor, fields["sigmas"], ratio)
     grid = build_grid(sigma, descriptor.lambda_max, ratio)
     if isinstance(descriptor, GreenDescriptor):
         problem = descriptor.build(sigma)

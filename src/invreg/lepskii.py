@@ -1,7 +1,9 @@
-"""Lepskii's certified float32 test (``GridScorer._certified_picks``): the
-rounding bounds that tie float32 gram entries of the rows E_i = fl32(p_i -
-p_m), p_i = fl(sqrt(lambda) q_i) at grid.values[i], to the float64 test of
-``_exact_test``, and the scan that certifies a batch from them.
+"""Lepskii's rule for a batch of observations (``picks``): the certified
+float32 test, the rounding bounds that tie its float32 gram entries of the
+rows E_i = fl32(p_i - p_m), p_i = fl(sqrt(lambda) q_i) at grid.values[i],
+to the float64 test of ``_exact_test``, the scan that certifies a batch
+from them, and the float64 test itself, which decides what is not
+certified.
 
 Notation: u = 2^-53, v = 2^-24, t32 = 2^-126; c_i = fl(p_i y) is row
 i of the float64 test, w = fl32(fl(y^2)), and x_ij = sum_k E_ik
@@ -55,6 +57,8 @@ import math
 
 import numpy as np
 
+from .filters import _BLOCK
+
 # the split constant; the bounds that keep every float32 square, product
 # and gram sum finite (|p_i|, |y| < 2^62, so |E| <= 2^63, and
 # |E| |y| sqrt(n) < 2^60); the rounds of single columns a replication may
@@ -64,20 +68,102 @@ _ROW_LIMIT, _GRAM_LIMIT = 2.0**62, 2.0**60
 _ROUNDS = 16
 
 
-def _certify(e32, work, p_max, centre, y, y_max, thresholds_sq, guess: int) -> np.ndarray:
-    """The certified Lepskii index of each observation of the (R, n) batch
-    y, |y| <= y_max, -1 where it is not certified: E in ``e32`` centred at
-    row ``guess``, p_m = ``centre``, |p_i| <= p_max, the float32 ``work``
-    rows and the squared thresholds t_j.
+# bytes per grid point pair of the float64 test's arrays (``_fallback``)
+_FALLBACK_BYTES = 8 + 4 + 1 + 1
 
-    Nothing is certified if a p_i or the replication's y lies out of range
-    (a NaN fails every test), or at 2^20 modes or more, where B's constant
-    no longer holds.  The batch is certified at most n replications at a
-    time, so the (rows, replications) arrays of the test hold no more
-    entries than the K x n buffer.
+
+def picks(buffer, thresholds_sq, values, guess: int, rows) -> tuple[np.ndarray, int]:
+    """Lepskii's grid index for each observation of the (R, n) batch
+    ``values``, and the next guess: the last certified index, or ``guess``
+    if none is.
+
+    Lepskii's balancing rule picks the largest grid index whose estimate
+    stays within the noise threshold of every less-regularized estimate;
+    index 0 is admissible vacuously, so every observation gets an index.
+    ``buffer`` is a scorer's K x n float64 scratch, ``thresholds_sq`` its K
+    squared thresholds t_j, and ``rows(at, out)`` writes the rows p_i =
+    fl(sqrt(lambda) q_i) at the grid indices ``at`` into ``out`` and
+    returns it.
+
+    Each index is that of the float64 test of ``_exact_test``: ``_certify``
+    decides the whole batch at once from float32 rows formed once per
+    call, centred at the guess, whatever order that test's syrk sums in.
+    The replications it cannot certify (all of them, if the rows do not
+    fit float32) then take the float64 test, one at a time, in the buffer,
+    with the K x K arrays of ``_fallback``, allocated at a call's first
+    fallback.
     """
-    n = e32.shape[1]
+    # a NaN propagates through max and min and fails every range test
+    y_max = np.maximum(values.max(axis=1), -values.min(axis=1))
+    best = _certify(buffer, thresholds_sq, values, y_max, guess, rows)
+    certified = best[best >= 0]
+    arrays = None
+    for r in np.flatnonzero(best < 0):
+        if arrays is None:
+            arrays = _fallback(len(buffer))
+        coeff = rows(slice(None), buffer)
+        coeff *= values[r]
+        best[r] = _exact_test(coeff, thresholds_sq, *arrays)
+    return best, int(certified[-1]) if len(certified) else guess
+
+
+def _fallback(k: int):
+    """The arrays of ``_exact_test`` at K grid points: the K x K square,
+    distance rows (half a square), the K x K mask and the strictly-lower
+    mask, ``_FALLBACK_BYTES`` per grid point pair."""
+    lower = np.tri(k, k, -1, dtype=bool)
+    return np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty_like(lower), lower
+
+
+def _float32_rows(buffer, m: int, rows):
+    """(E, work, p_max, p_m) for the certified test, or False if the grid
+    has one point.
+
+    E holds the float32 rows fl32(p_i - p_m) in the first half of the
+    bytes of the K x n ``buffer``; ``work`` is the second half, as float32
+    rows; p_max bounds |p_i| (NaN if a p_i is, and then E is not used).
+    Row m is evaluated as p_m bit for bit, so E_m = 0.  The margins of the
+    test grow with S_i = ||E_i y||^2, so a centre row m near the picks
+    narrows them where the picks are decided.  The p_i are written a row
+    block at a time in the last rows of the buffer, beyond the bytes of E.
+    """
+    k, n = buffer.shape
+    step = min(k // 2, max(1, _BLOCK // n))
+    if step == 0:
+        return False
+    flat = buffer.reshape(-1).view(np.float32)
+    e32, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
+    centre = rows([m], np.empty((1, n)))[0]
+    top = 0.0
+    for lo in range(0, k, step):
+        part = rows(slice(lo, lo + step), buffer[k - step :][: k - lo])
+        top = np.maximum(top, np.maximum(part.max(), -part.min()))
+        # rows out of float32 range are refused through p_max
+        with np.errstate(over="ignore", invalid="ignore"):
+            part -= centre
+            e32[lo : lo + len(part)] = part
+    return e32, work, top, centre
+
+
+def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows) -> np.ndarray:
+    """The certified Lepskii index of each observation of the (R, n) batch
+    y, |y| <= y_max, -1 where it is not certified, from the float32 rows
+    centred at row ``guess`` (``_float32_rows``); the other arguments are
+    those of ``picks``.
+
+    Nothing is certified if the grid has one point, if a p_i or the
+    replication's y lies out of range (a NaN fails every test), or at 2^20
+    modes or more, where B's constant no longer holds.  The batch is
+    certified at most n replications at a time, so the (rows,
+    replications) arrays of the test hold no more entries than the K x n
+    buffer.
+    """
     best = np.full(len(y), -1)
+    formed = _float32_rows(buffer, guess, rows)
+    if not formed:
+        return best
+    e32, work, p_max, centre = formed
+    n = e32.shape[1]
     e_max = 2.0 * p_max
     if not (p_max < _ROW_LIMIT and n < 2**20):
         return best

@@ -16,19 +16,13 @@ A noise level's replications are sampled and scored in batches of at most
 fresh truth per replication, or once per noise level for the rate study's
 fixed truth, in its first batch) and the pred rule pick their grid points
 from one (1 - s)^2 block per batch (``GridScorer.batch_picks``), which
-scores exactly only the grid rows near each minimum.  The Lepskii rule
-then certifies the whole batch at once (``GridScorer.batch_lepskii_errors``):
-each batch forms its data-free rows sqrt(lambda) q once, in float32, in the
-shared buffer, and one window of float32 gram entries near the last
-certified index, with a column per candidate, decide every replication,
-each entry with a rigorous rounding margin, falling back to the float64
-test where the margins cannot decide.  The indices are those of the exact
-tests, so the tables are the same bytes as with every row scored exactly
-in float64, and none of these picks but a Lepskii fallback's depends on
-the BLAS thread count.  The three squared errors are read from the
-estimate rows at the three picked grid points, evaluated once per batch.
-A single replication (:func:`replicate_once`) is a batch of one through
-the same code.
+scores exactly only the grid rows near each minimum.  Lepskii's rule then
+picks for the whole batch at once (``GridScorer.batch_lepskii_errors``,
+through ``lepskii.picks``), with the indices of the float64 test.  So the
+tables are the same bytes as with every row scored exactly in float64,
+and none of these picks but a Lepskii fallback's depends on the BLAS
+thread count.  The three squared errors are read from the estimate rows
+at the three picked grid points, evaluated once per batch.
 The rate study builds its problem once per run (only sigma changes between
 noise levels), and the efficiency study builds the eigenvalues, their
 square roots and the truth decay k^{-nu} once per run; a replication draws
@@ -45,9 +39,10 @@ import numpy as np
 
 from ._record import Field, Record
 from .filters import FilterSpec, _row_blocks
-from .model import SpectralProblem, _cell_words, _generators, _noisy, sample_observations
+from .lepskii import _FALLBACK_BYTES
+from .model import SpectralProblem, _cell_words, _generators, _noisy
 from .problems import TestFunction, _diagonal_spectrum, _diagonal_truths, make_diagonal_problem, make_green_problem
-from .selection import GridScorer, ParameterGrid, Selection, build_grid, grid_size
+from .selection import GridScorer, ParameterGrid, build_grid, grid_size
 
 __all__ = [
     "GreenDescriptor",
@@ -57,7 +52,6 @@ __all__ = [
     "RiskTable",
     "EfficiencyRow",
     "EfficiencyTable",
-    "replicate_once",
     "run_rate_experiment",
     "run_efficiency_experiment",
 ]
@@ -114,11 +108,10 @@ _SCORER_BUDGET = 1 << 30
 
 def _scorer_bytes(n: int, sizes) -> int:
     """Bytes of the arrays of the scorer of the largest of grids of
-    ``sizes`` points over n modes: its K x n float64 buffer and, per grid
-    point pair, a Lepskii fallback's strictly-lower mask, float64 square,
-    float64 distance rows (half a square) and mask."""
+    ``sizes`` points over n modes: its K x n float64 buffer and the arrays
+    of a Lepskii fallback (``lepskii._fallback``)."""
     k = max(sizes)
-    return k * n * 8 + k * k * (1 + 8 + 4 + 1)
+    return k * n * 8 + k * k * _FALLBACK_BYTES
 
 
 def _check_grids(problem: ProblemDescriptor, sigmas, ratio: float) -> None:
@@ -190,46 +183,6 @@ class EfficiencyRow(Record):
 
 class EfficiencyTable(Record):
     rows: tuple[EfficiencyRow, ...]
-
-
-def replicate_once(
-    problem: SpectralProblem,
-    spec: FilterSpec,
-    grid: ParameterGrid,
-    replicate_seed: int,
-    oracle: Selection | None = None,
-    scorer: GridScorer | None = None,
-) -> tuple[float, float, float]:
-    """One replication: sample Y, select alpha by each rule, return the
-    squared coefficient-space errors (err_or, err_pred, err_lep).
-
-    The oracle selection is deterministic per problem and may be passed in
-    precomputed, as may the noise level's scorer, which must have been
-    built for this problem's eigenvalues and sigma, ``spec`` and ``grid``.
-    The replication is scored as a batch of one, through the same code as
-    the batches of :func:`run_rate_experiment`.
-    """
-    if scorer is None:
-        scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
-    elif not (
-        scorer.spec == spec
-        and scorer.sigma == problem.sigma
-        and np.array_equal(scorer.grid.values, grid.values)
-        and np.array_equal(scorer.eigenvalues, problem.eigenvalues)
-    ):
-        raise ValueError("scorer was built for another problem, filter or grid")
-    if oracle is not None and not (
-        0 <= oracle.grid_index < len(grid) and grid.values[oracle.grid_index] == oracle.alpha
-    ):
-        raise ValueError("oracle selection is not a point of this grid")
-    obs = sample_observations(problem, replicate_seed)
-    # the oracle pick, if not given, comes from the pred rule's block
-    truths = problem.truth_coeffs[None]
-    oracle_idx, pred_idx = scorer.batch_picks(truths if oracle is None else truths[:0], obs.values[None])
-    if oracle is not None:
-        oracle_idx = [oracle.grid_index]
-    _, (errors,) = scorer.batch_lepskii_errors(obs.values[None], truths, np.stack([oracle_idx, pred_idx], axis=1))
-    return tuple(errors.tolist())
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

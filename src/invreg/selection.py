@@ -14,14 +14,13 @@ import math
 
 import numpy as np
 
+from . import lepskii
 from ._record import Record
-from .filters import _BLOCK, FilterSpec, _check_args, _evaluate, _row_blocks
-from .lepskii import _certify, _exact_test
+from .filters import FilterSpec, _check_args, _evaluate, _row_blocks
 from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
 __all__ = [
     "ParameterGrid",
-    "Selection",
     "GridScorer",
     "build_grid",
     "grid_size",
@@ -42,13 +41,6 @@ class ParameterGrid(Record):
 
     def __len__(self) -> int:
         return self.values.size
-
-
-class Selection(Record):
-    alpha: float
-    grid_index: int
-    rule: str  # oracle | pred | lepskii | apriori
-    score: float
 
 
 def grid_size(sigma: float, lambda_max: float, ratio: float) -> int:
@@ -85,32 +77,22 @@ class GridScorer:
     What does not depend on the data is computed once, as K-vectors: the
     oracle's variance term sigma^2 sum lambda q^2, the squared Lepskii
     thresholds and, from the first s-block a call forms, the pred offset
-    2 sigma^2 sum s.  Each call then
-    fills one K x n scratch buffer in place, so a buffer allocated for the
-    largest grid of a run can serve the scorers of all its noise levels.
-    The oracle and pred scores take an (R, n) batch of truths or
-    observations and form the s-block once for the whole batch; a single
-    truth or observation is a batch of one.  The picks return only each
-    row's grid index: ``batch_picks`` forms one (1 - s)^2 block for the
-    oracle's truths and pred's observations alike, one matrix-vector
-    product per row gives approximate scores with a rigorous rounding
-    margin, and only the grid rows that may hold the minimum are scored
-    exactly, through the same code as ``batch_*_scores``, so the indices
-    equal the first minimum of the exact scores for any BLAS summation
-    order.  The Lepskii rule takes an (R, n) batch of observations and can
-    return the squared errors of any grid estimates.  It forms the
-    data-free rows sqrt(lambda) q once per batch, as float32 rows in the
-    first half of the buffer's bytes, centred at the scorer's last
-    certified Lepskii index, and certifies the whole batch at once from
-    float32 gram products of those rows with the squared observations,
-    around that index, each entry with its own rigorous rounding margin,
-    so the indices equal those of the float64 test for any BLAS summation
-    order; a replication it cannot certify takes the float64 test (see
-    ``batch_lepskii_errors``).  The last certified index is the only state
-    a call leaves behind, and it changes no output.  No K x n block
-    outlives a call: each call fills the rows it reads, so scorers of
-    other noise levels may share the buffer, and the buffer makes a scorer
-    unsafe to share between threads.
+    2 sigma^2 sum s.  Each call then fills one K x n scratch buffer in
+    place, so a buffer allocated for the largest grid of a run can serve
+    the scorers of all its noise levels.  The oracle and pred scores take
+    an (R, n) batch of truths or observations and form the s-block once
+    for the whole batch.  The picks return only each row's grid index:
+    ``batch_picks`` forms one (1 - s)^2 block for the oracle's truths and
+    pred's observations alike and scores exactly only the grid rows that
+    may hold each minimum, so the indices equal the first minimum of the
+    exact scores for any BLAS summation order.  ``batch_lepskii_errors``
+    picks Lepskii's indices for a batch of observations through
+    ``lepskii.picks``, which holds the whole test, and returns the squared
+    errors at any grid indices.  Lepskii's last certified index, the guess
+    of the next call, is the only state a call leaves behind, and it
+    changes no output.  No K x n block outlives a call: each call fills
+    the rows it reads, so scorers of other noise levels may share the
+    buffer, and the buffer makes a scorer unsafe to share between threads.
     """
 
     def __init__(
@@ -129,16 +111,14 @@ class GridScorer:
             buffer = np.empty((k, n))
         if buffer.shape[0] < k or buffer.shape[1:] != (n,) or not buffer.flags.c_contiguous:
             raise ValueError(f"buffer must be C-contiguous with at least {k} rows of {n} modes")
-        column = grid.values[:, None]
-        _check_args(spec, column, eig)
+        _check_args(spec, grid.values[:, None], eig)
         eig.setflags(write=False)
         self.eigenvalues, self.sigma, self.spec, self.grid = eig, sigma, spec, grid
         self._buf = buffer[:k]
-        self._blocks = [(column[b], self._buf[b]) for b in _row_blocks(k, n)]
         self._root = np.sqrt(eig)
-        self._last_pick = None
+        self._guess = k // 2
         # sum lambda q^2 per alpha feeds both the oracle and the thresholds
-        q2 = self._block(False)
+        q2 = self._fill(slice(None), self._buf, False)
         np.square(q2, out=q2)
         q2 *= eig
         lq2 = _accumulate_rows(q2)
@@ -146,12 +126,19 @@ class GridScorer:
         self._thresholds_sq = np.array([(4.0 * sigma * math.sqrt(v)) ** 2 for v in lq2])
         self._pred_offset = None
 
-    def _block(self, want_s: bool) -> np.ndarray:
-        """Row i of the buffer := s_value or filter_value at grid.values[i],
-        bit for bit, in row blocks."""
-        for alphas, out in self._blocks:
-            _evaluate(self.spec, alphas, self.eigenvalues, want_s, out)
-        return self._buf
+    def _fill(self, at, out: np.ndarray, want_s: bool) -> np.ndarray:
+        """Row j of ``out`` := s_value (``want_s``) or filter_value at
+        grid.values[at][j], bit for bit, a row block at a time."""
+        alphas = self.grid.values[at, None]
+        for b in _row_blocks(*out.shape):
+            _evaluate(self.spec, alphas[b], self.eigenvalues, want_s, out[b])
+        return out
+
+    def _rows(self, at, out: np.ndarray) -> np.ndarray:
+        """``out`` := the rows p = fl(sqrt(lambda) q) at grid.values[at]."""
+        out = self._fill(at, out, False)
+        out *= self._root
+        return out
 
     def _check(self, rows, ndim: int) -> np.ndarray:
         """``rows`` as a float array of ``ndim`` dimensions, the last one
@@ -164,7 +151,7 @@ class GridScorer:
     def _s_block(self) -> np.ndarray:
         """The buffer filled with the s-block; the first one a scorer forms
         also gives the pred offset 2 sigma^2 sum s."""
-        block = self._block(True)
+        block = self._fill(slice(None), self._buf, True)
         if self._pred_offset is None:
             self._pred_offset = 2.0 * self.sigma**2 * _accumulate_rows(block)
         return block
@@ -200,9 +187,7 @@ class GridScorer:
         present = np.zeros(len(self._buf), dtype=bool)
         present[grid_rows] = True
         rows, index = np.flatnonzero(present), np.cumsum(present)[grid_rows] - 1
-        block = self._buf[: len(rows)]
-        for b in _row_blocks(*block.shape):
-            _evaluate(self.spec, self.grid.values[rows[b], None], self.eigenvalues, True, block[b])
+        block = self._fill(rows, self._buf[: len(rows)], True)
         return self._exact(_pred_terms(block), self._pred_offset[rows], index, weights, weight_rows)
 
     def _scores(self, pred: bool, rows: np.ndarray) -> np.ndarray:
@@ -315,20 +300,10 @@ class GridScorer:
         every grid point (columns) for each truth f of an (R, n) batch (rows)."""
         return self._scores(False, self._check(truths, 2))
 
-    def batch_oracle_picks(self, truths: np.ndarray) -> np.ndarray:
-        """The oracle's grid index for each truth of an (R, n) batch: the
-        first minimum of its row of :meth:`batch_oracle_scores`."""
-        return self.batch_picks(truths, np.empty((0, self.eigenvalues.size)))[0]
-
     def batch_pred_scores(self, values: np.ndarray) -> np.ndarray:
         """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
         point (columns) for each observation Y of an (R, n) batch (rows)."""
         return self._scores(True, self._check(values, 2))
-
-    def batch_pred_picks(self, values: np.ndarray) -> np.ndarray:
-        """The pred rule's grid index for each observation of an (R, n)
-        batch: the first minimum of its row of :meth:`batch_pred_scores`."""
-        return self.batch_picks(np.empty((0, self.eigenvalues.size)), values)[1]
 
     def batch_lepskii_errors(
         self, values: np.ndarray, truths: np.ndarray | None = None, picks=None
@@ -338,26 +313,12 @@ class GridScorer:
         ||f_hat - f||^2: row r holds those of the estimates at the P grid
         indices ``picks[r]`` and then at Lepskii's index.
 
-        Lepskii's balancing rule picks the largest grid index whose estimate
-        stays within the noise threshold of every less-regularized estimate;
-        index 0 is admissible vacuously, so every observation gets an index.
-
-        Each index is that of the float64 test of ``_exact_pick``:
-        ``_certified_picks`` decides the whole batch at once from float32
-        rows formed once per call, whatever order that test's syrk sums in.
-        It forms only one window of gram entries near a guess, the scorer's
-        last certified index (K // 2 before the first), and a column per
-        candidate, for all replications in each product: every rounding
-        bound holds for each gram entry by itself, whatever kernel or
-        summation order formed it, so a certified index is the float64
-        test's whichever entries were formed.  The replications it cannot
-        certify (all of them, if the rows do not fit float32) then take the
-        float64 test, whose K x K arrays are allocated at a call's first
-        fallback.  ``picks`` must be an (R, P) array of integer grid
-        indices.  The estimate rows at the picked and chosen grid points are
-        then evaluated for the whole batch, as
-        ``model.estimate_coefficients`` forms them bit for bit, and the
-        errors are read from them (``_errors``).
+        The indices are those of ``lepskii.picks``, one call per batch.
+        ``picks`` must be an (R, P) array of integer grid indices.  The
+        estimate rows at the picked and chosen grid points are then
+        evaluated for the whole batch, as ``model.estimate_coefficients``
+        forms them bit for bit, and the errors are read from them
+        (``_errors``).
         """
         values = self._check(values, 2)
         if truths is not None:
@@ -370,85 +331,13 @@ class GridScorer:
             raise ValueError(f"expected picks of shape ({len(values)}, P)")
         if picks.size and not (np.issubdtype(picks.dtype, np.integer) and 0 <= picks.min() <= picks.max() < k):
             raise ValueError(f"picks must be integer grid indices in [0, {k})")
-        # a NaN propagates through max and min and fails every range test
-        y_max = np.maximum(values.max(axis=1), -values.min(axis=1))
-        best = self._certified_picks(values, y_max)
-        exact = None
-        for r in np.flatnonzero(best < 0):
-            if exact is None:  # the float64 test's arrays, on a call's first fallback
-                lower = np.tri(k, k, -1, dtype=bool)
-                exact = np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty_like(lower), lower
-            best[r] = self._exact_pick(values[r], *exact)
+        best, self._guess = lepskii.picks(self._buf, self._thresholds_sq, values, self._guess, self._rows)
         if truths is None:
             return best, np.empty((len(values), 0))
         index = np.empty((len(values), picks.shape[1] + 1), dtype=int)
         index[:, :-1] = picks
         index[:, -1] = best
         return best, self._errors(values, truths, index)
-
-    def _exact_pick(self, y: np.ndarray, *arrays) -> int:
-        """Lepskii's index for the observation y by the float64 test
-        (``lepskii._exact_test``) of the estimate rows sqrt(lambda) q y,
-        formed in the buffer."""
-        coeff = self._block(False)
-        coeff *= self._root
-        coeff *= y
-        return _exact_test(coeff, self._thresholds_sq, *arrays)
-
-    def _float32_rows(self, m: int):
-        """(E, work, p_max, p_m) for ``lepskii._certify``, or False if the
-        grid has one point.
-
-        E holds the float32 rows fl32(p_i - p_m), p_i = fl(sqrt(lambda) q_i)
-        at grid.values[i], in the first half of the buffer's bytes; ``work``
-        is the second half, as float32 rows; p_max bounds |p_i| (NaN if a
-        p_i is, and then E is not used).  Row m is evaluated as p_m bit for
-        bit (``filters._evaluate``), so E_m = 0.  The margins of the test
-        grow with S_i = ||E_i y||^2, so a centre row m near the picks
-        narrows them where the picks are decided.  The p_i are evaluated a
-        row block at a time in the last rows of the buffer, beyond the
-        bytes of E.
-        """
-        k, n = self._buf.shape
-        step = min(k // 2, max(1, _BLOCK // n))
-        if step == 0:
-            return False
-        flat = self._buf.reshape(-1).view(np.float32)
-        rows, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
-        centre = _evaluate(self.spec, self.grid.values[m], self.eigenvalues, False, np.empty(n))
-        centre *= self._root
-        top = 0.0
-        for lo in range(0, k, step):
-            part = self._buf[k - step :][: k - lo]
-            _evaluate(self.spec, self.grid.values[lo : lo + len(part), None], self.eigenvalues, False, part)
-            part *= self._root
-            top = np.maximum(top, np.maximum(part.max(), -part.min()))
-            # rows out of float32 range are refused through p_max
-            with np.errstate(over="ignore", invalid="ignore"):
-                part -= centre
-                rows[lo : lo + len(part)] = part
-        return rows, work, top, centre
-
-    def _certified_picks(self, values: np.ndarray, y_max: np.ndarray) -> np.ndarray:
-        """Lepskii's index for each observation of an (R, n) batch, |y| <=
-        y_max, equal to that of ``_exact_pick``, from the float32 rows of
-        ``_float32_rows`` and a few of their gram entries; -1 where it
-        cannot be certified (``lepskii._certify``, which derives the bounds
-        and checks their range).
-
-        The rows are centred at the guess, the last certified index (K // 2
-        before the first), which then becomes the next guess.
-        """
-        k = len(self._buf)
-        guess = k // 2 if self._last_pick is None else self._last_pick
-        rows = self._float32_rows(guess)
-        if not rows:
-            return np.full(len(values), -1)
-        best = _certify(*rows, values, y_max, self._thresholds_sq, guess)
-        certified = best[best >= 0]
-        if len(certified):
-            self._last_pick = int(certified[-1])
-        return best
 
     def _errors(self, values: np.ndarray, truths: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Entry (r, e) := ||f_hat - truths[r]||^2 for the estimate
@@ -459,17 +348,15 @@ class GridScorer:
         not fit).
         """
         width, n = index.shape[1], self.eigenvalues.size
-        rows = self._buf if len(self._buf) >= width else np.empty((width, n))
-        step = len(rows) // width
+        out = self._buf if len(self._buf) >= width else np.empty((width, n))
+        step = len(out) // width
         # BLAS threads a dot product this wide, so its bits would follow the thread count
         wide = n >= _COMPENSATED_FROM
         errors = np.empty(index.shape)
         for lo in range(0, len(values), step):
             reps = slice(lo, lo + step)
-            alphas = self.grid.values[index[reps].reshape(-1), None]
-            est = rows[: len(alphas)]
-            _evaluate(self.spec, alphas, self.eigenvalues, False, est)
-            est *= self._root
+            at = index[reps].reshape(-1)
+            est = self._rows(at, out[: len(at)])
             per_rep = est.reshape(-1, width, n)
             per_rep *= values[reps, None]
             per_rep -= truths[reps, None]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .montecarlo import EfficiencyRow, EfficiencyTable, RiskRow, RiskTable
+from .montecarlo import EfficiencyTable, RiskTable
 
 __all__ = [
     "RISK_HEADER",
@@ -24,8 +24,6 @@ __all__ = [
     "emit_efficiency_table",
     "emit_score_curve",
     "emit_per_rep_errors",
-    "parse_risk_table",
-    "parse_efficiency_table",
     "parse_per_rep_errors",
 ]
 
@@ -100,14 +98,6 @@ def _read(path, header: str) -> list[list[float]]:
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: {exc}") from exc
     return values
-
-
-def parse_risk_table(path) -> RiskTable:
-    return RiskTable(tuple(RiskRow(*row) for row in _read(path, RISK_HEADER)))
-
-
-def parse_efficiency_table(path) -> EfficiencyTable:
-    return EfficiencyTable(tuple(EfficiencyRow(*row) for row in _read(path, EFFICIENCY_HEADER)))
 
 
 def parse_per_rep_errors(path) -> dict[float, dict[str, np.ndarray]]:

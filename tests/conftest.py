@@ -3,7 +3,11 @@ import io
 import tokenize
 from pathlib import Path
 
+import numpy as np
 from hypothesis import settings
+
+from invreg.model import sample_observations
+from invreg.selection import GridScorer
 
 # every property test draws the same examples on every run and keeps no
 # example database; the settings of a test inherit this profile
@@ -21,6 +25,22 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, to
 def record_acceptance(line):
     ACCEPTANCE_LINES.append(line)
     print(line)
+
+
+def one_replication(problem, spec, grid, replicate_seed, oracle=None, scorer=None):
+    """The squared errors (err_or, err_pred, err_lep) of one replication,
+    scored as a batch of one through the scorer's batch methods: sample Y,
+    pick the oracle's grid index (or take the index ``oracle``) and the pred
+    rule's from one block, then Lepskii's, with the errors at all three."""
+    if scorer is None:
+        scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
+    values = sample_observations(problem, replicate_seed).values[None]
+    truths = problem.truth_coeffs[None]
+    oracle_idx, pred_idx = scorer.batch_picks(truths if oracle is None else truths[:0], values)
+    if oracle is not None:
+        oracle_idx = [oracle]
+    _, (errors,) = scorer.batch_lepskii_errors(values, truths, np.stack([oracle_idx, pred_idx], axis=1))
+    return tuple(errors.tolist())
 
 
 def code_lines(text: str) -> int:

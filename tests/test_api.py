@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import invreg
-from invreg import cli, model, selection
+from invreg import cli, model, montecarlo, selection, tables
 from invreg.selection import GridScorer
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -52,6 +52,12 @@ def test_the_readme_lists_the_public_methods_of_the_scorer():
         (GridScorer, "pred_scores"),
         (GridScorer, "lepskii"),
         (GridScorer, "lepskii_errors"),
+        (montecarlo, "replicate_once"),
+        (selection, "Selection"),
+        (GridScorer, "batch_oracle_picks"),
+        (GridScorer, "batch_pred_picks"),
+        (tables, "parse_risk_table"),
+        (tables, "parse_efficiency_table"),
     ],
 )
 def test_the_single_replication_adapters_are_gone(owner, name):

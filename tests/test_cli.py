@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invreg
-from invreg import cli, montecarlo
+from conftest import one_replication
+from invreg import cli, montecarlo, tables
 from invreg.cli import main
 from invreg.checks import run_filter_checks
 from invreg.filters import FilterSpec, tikhonov
@@ -26,7 +27,6 @@ from invreg.montecarlo import (
     GreenDescriptor,
     RiskRow,
     RiskTable,
-    replicate_once,
 )
 from invreg.problems import TestFunction as GreenTruth
 from invreg.selection import build_grid, grid_size
@@ -35,7 +35,6 @@ from invreg.tables import (
     emit_per_rep_errors,
     emit_risk_table,
     parse_per_rep_errors,
-    parse_risk_table,
 )
 
 
@@ -63,8 +62,8 @@ class TestSimulateRates:
         cfg = write_config(tmp_path, rates_config())
         out = tmp_path / "out"
         assert main(["simulate-rates", "--config", cfg, "--out", str(out)]) == 0
-        table = parse_risk_table(out / "risk_table.csv")
-        assert len(table.rows) == 2
+        rows = tables._read(out / "risk_table.csv", tables.RISK_HEADER)
+        assert len(rows) == 2
         groups = parse_per_rep_errors(out / "per_rep_errors.csv")
         assert all(g["pred"].size == 8 for g in groups.values())
         meta = json.loads((out / "metadata.json").read_text())
@@ -188,6 +187,8 @@ MALFORMED = {
     "score-curve-empty-sigmas": ("score-curve", score_curve_config(sigmas=[])),
     "score-curve-modes-string": ("score-curve", score_curve_config(modes="x")),
     "score-curve-sigma-above-grid": ("score-curve", score_curve_config(sigmas=[0.5])),
+    # only the first sigma is scored, but every one must be a noise level
+    "score-curve-later-sigma-negative": ("score-curve", score_curve_config(sigmas=[0.01, -5.0, 1e300])),
     "rates-sigma-above-grid": ("simulate-rates", rates_config(sigmas=[1e-2, 0.5])),
     "rates-sigma-nan": ("simulate-rates", rates_config(sigmas=[1e-2, math.nan])),
     "rates-sigma-underflow": ("simulate-rates", rates_config(sigmas=[1e-170])),
@@ -478,8 +479,8 @@ class TestFieldTable:
 
 
 def scalar_tables(config, out):
-    """Write the tables of a simulate command from one ``replicate_once``
-    per replication, seeded with scalar ``substream_seed`` calls."""
+    """Write the tables of a simulate command from one batch of one per
+    replication, seeded with scalar ``substream_seed`` calls."""
     rate = isinstance(config.problem, GreenDescriptor)
     rows = []
     for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
@@ -491,7 +492,7 @@ def scalar_tables(config, out):
             else:
                 problem = config.problem.build(sigma, substream_seed(seed, 0))
                 noise_seed = substream_seed(seed, 1)
-            triples.append(replicate_once(problem, config.filter_spec, grid, noise_seed))
+            triples.append(one_replication(problem, config.filter_spec, grid, noise_seed))
         t = np.array(triples)
         if rate:
             stats = [montecarlo._mean_se(t[:, c]) for c in range(3)]

@@ -226,7 +226,8 @@ class TestGridValues:
     def test_rows_equal_scalar_alpha_calls_bitwise(self, spec):
         for lams, alphas in grid_cases():
             for want_s, scalar_alpha in ((False, filter_value), (True, s_value)):
-                block = GridScorer(lams, 1.0, spec, ParameterGrid(1.2, alphas))._block(want_s)
+                scorer = GridScorer(lams, 1.0, spec, ParameterGrid(1.2, alphas))
+                block = scorer._fill(slice(None), scorer._buf, want_s)
                 for alpha, row in zip(alphas, block):
                     assert row.tobytes() == scalar_alpha(spec, alpha, lams).tobytes(), (alpha, want_s)
 

@@ -1,5 +1,5 @@
 """Exact-arithmetic audit of the rounding bounds of the certified Lepskii
-test (``selection.GridScorer._certified_picks``).
+test (``lepskii._certify``, which ``lepskii.picks`` runs for each batch).
 
 Each case builds float64 rows p_i of sqrt(lambda) q, a centre row m and an
 observation y, forms the float32 rows E_i = fl32(p_i - p_m) and the float32
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from invreg.filters import tikhonov
-from invreg.lepskii import _KAPPA, _bounds, _gram_columns, _gram_error, _rounding, _row_error
+from invreg.lepskii import _KAPPA, _bounds, _float32_rows, _gram_columns, _gram_error, _rounding, _row_error
 from invreg.selection import GridScorer, ParameterGrid
 
 V = Fraction(2) ** -24
@@ -43,7 +43,7 @@ def sqrt_above(x: Fraction) -> Fraction:
 
 def audit_rows(p: np.ndarray, m: int, y: np.ndarray):
     """The quantities of the certified test for rows p (float64), centre
-    row m and observation y, as ``_float32_rows`` and
+    row m and observation y, as ``lepskii._float32_rows`` and
     ``lepskii._certify`` form them."""
     e32 = (p - p[m]).astype(np.float32)
     w = np.square(y, out=np.empty(y.shape, dtype=np.float32))
@@ -74,7 +74,7 @@ def gram_forms(e32: np.ndarray, w: np.ndarray):
 
 def float64_distances(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The float64 test's fl(fl(G_ii + G_jj) - 2 G_ij), G the gram of the
-    rows fl(p_i y), as ``GridScorer._exact_pick`` forms it."""
+    rows fl(p_i y), as ``lepskii.picks`` forms them for ``_exact_test``."""
     coeff = p * y
     square = coeff @ coeff.T
     sq_norm = square.diagonal().copy()
@@ -205,7 +205,7 @@ def test_near_ties_agree_with_the_float64_test(tie):
     eig = 1.0 / np.arange(1.0, n + 1.0) ** 2
     grid = ParameterGrid(1.5, 1e-4 * 1.5 ** np.arange(8))
     scorer = GridScorer(eig, 1e-3, tikhonov(), grid)
-    rows = scorer._float32_rows(4)
+    rows = _float32_rows(scorer._buf, 4, scorer._rows)
     e32, _, p_max, centre = rows
     e_max = 2.0 * p_max
     p = np.array([1.0 / (alpha + eig) * np.sqrt(eig) for alpha in grid.values])

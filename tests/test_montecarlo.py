@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import one_replication
 from invreg import lepskii
 from invreg.filters import ALL_FAMILIES, tikhonov
 from invreg.model import (
@@ -19,14 +20,13 @@ from invreg.montecarlo import (
     DiagonalDescriptor,
     ExperimentConfig,
     GreenDescriptor,
-    replicate_once,
     run_efficiency_experiment,
     run_rate_experiment,
 )
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import _diagonal_spectrum, _diagonal_truths, make_diagonal_problem, make_green_problem
 from invreg.risk import direct_risk, empirical_prediction_risk
-from invreg.selection import GridScorer, Selection, build_grid, grid_size
+from invreg.selection import GridScorer, build_grid, grid_size
 
 
 def ten_mode_problem(sigma=0.05):
@@ -63,23 +63,14 @@ def per_replication_triple(problem, spec, grid, replicate_seed):
     return tuple(errors)
 
 
-def oracle_selection(problem, spec, grid):
-    """The oracle's selection that ``replicate_once`` may be given, from
-    the scorer's pick and exact score."""
-    scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
-    index = int(scorer.batch_oracle_picks(problem.truth_coeffs[None])[0])
-    score = scorer.batch_oracle_scores(problem.truth_coeffs[None])[0, index]
-    return Selection(float(grid.values[index]), index, "oracle", float(score))
-
-
 def rate_loop(config):
-    """run_rate_experiment's per_rep arrays as one replicate_once per replication."""
+    """run_rate_experiment's per_rep arrays as one batch of one per replication."""
     out = []
     for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
         problem = config.problem.build(sigma)
         stream = substream_seed(config.master_seed, i)
         triples = [
-            replicate_once(problem, config.filter_spec, grid, substream_seed(stream, j))
+            one_replication(problem, config.filter_spec, grid, substream_seed(stream, j))
             for j in range(config.replications)
         ]
         out.append(np.array(triples))
@@ -87,7 +78,7 @@ def rate_loop(config):
 
 
 def efficiency_loop(config):
-    """run_efficiency_experiment's rows as one replicate_once per replication."""
+    """run_efficiency_experiment's rows as one batch of one per replication."""
     out = []
     for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
         stream = substream_seed(config.master_seed, i)
@@ -95,7 +86,7 @@ def efficiency_loop(config):
         for j in range(config.replications):
             rep_stream = substream_seed(stream, j)
             problem = config.problem.build(sigma, substream_seed(rep_stream, 0))
-            triples.append(replicate_once(problem, config.filter_spec, grid, substream_seed(rep_stream, 1)))
+            triples.append(one_replication(problem, config.filter_spec, grid, substream_seed(rep_stream, 1)))
         t = np.array(triples)
         out.append((float(np.mean(t[:, 0] / t[:, 1])), float(np.mean(t[:, 0] / t[:, 2]))))
     return out
@@ -143,19 +134,21 @@ class TestExperimentConfig:
             assert [g.values.tobytes() for g in grids] == [g.values.tobytes() for g in expected]
 
 
-class TestReplicateOnce:
+class TestOneReplication:
+    """One replication scored as a batch of one (``conftest.one_replication``)."""
+
     def test_same_seed_same_triple(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
-        a = replicate_once(p, tikhonov(), grid, 999)
-        b = replicate_once(p, tikhonov(), grid, 999)
+        a = one_replication(p, tikhonov(), grid, 999)
+        b = one_replication(p, tikhonov(), grid, 999)
         assert a == b
 
     def test_errors_finite_nonnegative(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
         for seed in range(50):
-            triple = replicate_once(p, tikhonov(), grid, substream_seed(8, seed))
+            triple = one_replication(p, tikhonov(), grid, substream_seed(8, seed))
             assert all(math.isfinite(e) and e >= 0.0 for e in triple)
 
     def test_passed_scorer_gives_the_same_triple(self):
@@ -163,21 +156,14 @@ class TestReplicateOnce:
         grid = build_grid(p.sigma, 1.0, 1.3)
         scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
         for seed in range(5):
-            assert replicate_once(p, tikhonov(), grid, seed, scorer=scorer) == replicate_once(
+            assert one_replication(p, tikhonov(), grid, seed, scorer=scorer) == one_replication(
                 p, tikhonov(), grid, seed
             )
-
-    def test_scorer_of_another_problem_rejected(self):
-        p = ten_mode_problem()
-        grid = build_grid(p.sigma, 1.0, 1.3)
-        other = GridScorer(p.eigenvalues, 2 * p.sigma, tikhonov(), grid)
-        with pytest.raises(ValueError):
-            replicate_once(p, tikhonov(), grid, 1, scorer=other)
 
     def test_noise_free_limit_is_bias(self):
         p = ten_mode_problem(sigma=1e-300)
         grid = build_grid(1e-6, 1.0, 1.6)  # avoid the huge sigma^2-anchored grid
-        err_or, err_pred, err_lep = replicate_once(p, tikhonov(), grid, 3)
+        err_or, err_pred, err_lep = one_replication(p, tikhonov(), grid, 3)
         biases = [direct_risk(p, tikhonov(), a).bias_term for a in grid.values]
         assert err_or == pytest.approx(min(biases), rel=1e-10)
         assert err_pred == pytest.approx(min(biases), rel=1e-10)
@@ -185,14 +171,16 @@ class TestReplicateOnce:
     def test_oracle_error_mean_matches_closed_form(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
-        oracle = oracle_selection(p, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        truths = p.truth_coeffs[None]
+        oracle = int(scorer.batch_picks(truths, np.empty((0, p.n_modes)))[0][0])
+        score = scorer.batch_oracle_scores(truths)[0, oracle]
         m = 2000
         errs = np.array(
-            [replicate_once(p, tikhonov(), grid, substream_seed(21, j), oracle)[0] for j in range(m)]
+            [one_replication(p, tikhonov(), grid, substream_seed(21, j), oracle)[0] for j in range(m)]
         )
         se = errs.std(ddof=1) / math.sqrt(m)
-        assert abs(errs.mean() - oracle.score) <= 4 * se
-
+        assert abs(errs.mean() - score) <= 4 * se
 
     def test_equals_the_per_replication_formulas_bitwise(self):
         problems = (
@@ -203,15 +191,8 @@ class TestReplicateOnce:
             grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
             for spec in ALL_FAMILIES(m=3):
                 for seed in (1, 2):
-                    got = np.array(replicate_once(p, spec, grid, seed))
+                    got = np.array(one_replication(p, spec, grid, seed))
                     assert got.tobytes() == np.array(per_replication_triple(p, spec, grid, seed)).tobytes()
-
-    def test_oracle_of_another_grid_rejected(self):
-        p = ten_mode_problem()
-        grid = build_grid(p.sigma, 1.0, 1.3)
-        other = oracle_selection(p, tikhonov(), build_grid(p.sigma, 1.0, 1.5))
-        with pytest.raises(ValueError):
-            replicate_once(p, tikhonov(), grid, 1, other)
 
 
 class TestEfficiencyDraws:
@@ -236,7 +217,7 @@ class TestBatches:
     boundary."""
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
-    def test_rate_per_rep_equals_a_loop_of_replicate_once(self, spec):
+    def test_rate_per_rep_equals_a_loop_of_single_replications(self, spec):
         config = small_config(
             problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
             filter_spec=spec,
@@ -248,7 +229,7 @@ class TestBatches:
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
-    def test_wide_rate_per_rep_equals_a_loop_of_replicate_once(self, spec):
+    def test_wide_rate_per_rep_equals_a_loop_of_single_replications(self, spec):
         # 10240 modes: the math.fsum path, batches of 3 replications
         config = small_config(
             problem=GreenDescriptor(GreenTruth.INDICATOR, n_modes=10240),
@@ -261,7 +242,7 @@ class TestBatches:
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda s: s.family)
-    def test_efficiency_rows_equal_a_loop_of_replicate_once(self, spec):
+    def test_efficiency_rows_equal_a_loop_of_single_replications(self, spec):
         config = ExperimentConfig(
             problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
             filter_spec=spec,
@@ -315,15 +296,20 @@ class TestBatches:
     def test_the_benchmark_hat_config_certifies_its_lepskii_picks(self, monkeypatch):
         # the rates-hat benchmark config: a replication that the float32
         # test cannot certify pays for the float64 test on top of it
-        outcomes = []
-        certify = GridScorer._certified_picks
+        outcomes, batches = [], []
+        certify, picks = lepskii._certify, lepskii.picks
 
-        def recording(self, *args):
-            best = certify(self, *args)
+        def recording(*args):
+            best = certify(*args)
             outcomes.extend(best >= 0)
             return best
 
-        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
+        def counting(buffer, thresholds_sq, values, *args):
+            batches.append(len(values))
+            return picks(buffer, thresholds_sq, values, *args)
+
+        monkeypatch.setattr(lepskii, "_certify", recording)
+        monkeypatch.setattr(lepskii, "picks", counting)
         run_rate_experiment(
             small_config(
                 problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
@@ -333,6 +319,8 @@ class TestBatches:
             )
         )
         assert len(outcomes) == 70 and sum(outcomes) >= 0.99 * len(outcomes)
+        # one Lepskii call per batch: each noise level's 10 replications are one batch
+        assert batches == [10] * 7
 
     def test_the_benchmark_hat_config_reads_a_few_gram_columns_per_pick(self, monkeypatch):
         # a batch reads a window of gram entries near its picks and a
@@ -340,11 +328,11 @@ class TestBatches:
         # 16 columns' worth of entries (16 K) per replication, and no
         # product as wide as K columns of K rows
         replications, entries = [], []
-        certify, gram_columns = GridScorer._certified_picks, lepskii._gram_columns
+        certify, gram_columns = lepskii._certify, lepskii._gram_columns
 
-        def recording(self, values, y_max):
-            replications.extend([len(self._buf)] * len(values))
-            best = certify(self, values, y_max)
+        def recording(buffer, thresholds_sq, values, *args):
+            replications.extend([len(buffer)] * len(values))
+            best = certify(buffer, thresholds_sq, values, *args)
             assert (best >= 0).all()
             return best
 
@@ -354,7 +342,7 @@ class TestBatches:
             assert out.size < replications[-1] ** 2
             return out
 
-        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
+        monkeypatch.setattr(lepskii, "_certify", recording)
         monkeypatch.setattr(lepskii, "_gram_columns", counting)
         run_rate_experiment(
             small_config(

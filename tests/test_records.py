@@ -22,7 +22,7 @@ from invreg.problems import DenseSymmetricMatrix
 from invreg.problems import TestFunction as GreenTruth
 from invreg.ratetest import RateSample, RateTestResult
 from invreg.risk import RiskDecomposition
-from invreg.selection import ParameterGrid, Selection
+from invreg.selection import ParameterGrid
 
 
 class Case(NamedTuple):
@@ -82,13 +82,6 @@ CASES = [
         other={"variance_term": 3.0},
     ),
     Case(ParameterGrid, {"ratio": 1.2, "values": [1.0, 1.2]}, {}, "ParameterGrid(ratio=1.2, values=array([1. , 1.2]))"),
-    Case(
-        Selection,
-        {"alpha": 0.5, "grid_index": 3, "rule": "oracle", "score": 1.5},
-        {},
-        "Selection(alpha=0.5, grid_index=3, rule='oracle', score=1.5)",
-        other={"rule": "pred"},
-    ),
     Case(
         RateSample,
         {"sigma": 0.1, "errors": np.array([1.0, 2.0]), "mean": 1.5, "delta": 0.2},

@@ -31,16 +31,28 @@ from invreg import lepskii
 from invreg.lepskii import _GRAM_LIMIT, _ROW_LIMIT, _bounds, _rounding
 
 
+def oracle_picks(scorer, truths):
+    """The oracle's grid index for each truth of an (R, n) batch, from
+    ``batch_picks`` with no observations."""
+    return scorer.batch_picks(truths, np.empty((0, scorer.eigenvalues.size)))[0]
+
+
+def pred_picks(scorer, values):
+    """The pred rule's grid index for each observation of an (R, n) batch,
+    from ``batch_picks`` with no truths."""
+    return scorer.batch_picks(np.empty((0, scorer.eigenvalues.size)), values)[1]
+
+
 def oracle_pick(problem, spec, grid):
     """The oracle's grid index for the truth of ``problem``, picked as the
     studies pick it (``GridScorer.batch_picks``)."""
     scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
-    return int(scorer.batch_oracle_picks(problem.truth_coeffs[None])[0])
+    return int(oracle_picks(scorer, problem.truth_coeffs[None])[0])
 
 
 def pred_pick(eigenvalues, sigma, spec, grid, obs):
     """The pred rule's grid index for ``obs``, picked as the studies pick it."""
-    return int(GridScorer(eigenvalues, sigma, spec, grid).batch_pred_picks(obs.values[None])[0])
+    return int(pred_picks(GridScorer(eigenvalues, sigma, spec, grid), obs.values[None])[0])
 
 
 def lepskii_pick(eigenvalues, sigma, spec, grid, obs):
@@ -153,7 +165,7 @@ def exact_lepskii(scorer, y):
 
 def full_gram_lepskii(scorer, rows, y):
     """The certified test over the whole float32 gram of the rows E from
-    ``scorer._float32_rows``, in the products of the batched test: g_ij =
+    ``lepskii._float32_rows``, in the products of the batched test: g_ij =
     E_i . fl32(E_j w) and S_i = fl32(E_i^2) . w, w = fl32(y^2).  The last
     row that no lower row shows certainly beyond, if all its upper ends
     stay within their thresholds; -1 otherwise, or if y is out of range."""
@@ -430,7 +442,7 @@ class TestGridScorer:
             shared = GridScorer(p.eigenvalues, p.sigma, spec, grid, buffer)
             alone = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             values, truths = batch_rows(p, 3)
-            picks = np.stack([alone.batch_oracle_picks(truths), alone.batch_pred_picks(values)], axis=1)
+            picks = np.stack(alone.batch_picks(truths, values), axis=1)
             expected = alone.batch_lepskii_errors(values, truths, picks)
             cases.append((shared, values, truths, picks, expected))
         assert len(grids[0]) < len(grids[1]) == len(buffer)
@@ -438,7 +450,7 @@ class TestGridScorer:
             for shared, values, truths, picks, (best, errors) in cases:
                 got_best, got_errors = shared.batch_lepskii_errors(values, truths, picks)
                 assert got_best.tolist() == best.tolist() and got_errors.tobytes() == errors.tobytes()
-                assert shared.batch_pred_picks(values).tolist() == picks[:, 1].tolist()
+                assert pred_picks(shared, values).tolist() == picks[:, 1].tolist()
 
     def test_a_lepskii_batch_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(4))
@@ -510,11 +522,12 @@ class TestGridScorer:
         # entries and centres the rows: it may cost a certificate only where
         # the whole float32 gram could not give one either
         g = {"0": 0, "K - 1": k - 1, "pick - 10": expected[0] - 10, "pick + 10": expected[0] + 10}.get(guess)
-        scorer._last_pick = int(np.clip(rng.integers(0, k) if g is None else g, 0, k - 1))
-        rows = scorer._float32_rows(scorer._last_pick)
+        scorer._guess = int(np.clip(rng.integers(0, k) if g is None else g, 0, k - 1))
+        rows = lepskii._float32_rows(scorer._buf, scorer._guess, scorer._rows)
         if rows:
             y_max = np.abs(values).max(axis=1)
-            certified = scorer._certified_picks(values, y_max)
+            args = scorer._buf, scorer._thresholds_sq, values, y_max, scorer._guess, scorer._rows
+            certified = lepskii._certify(*args)
             for y, pick, got in zip(values, expected, certified):
                 assert got == pick or got == full_gram_lepskii(scorer, rows, y) == -1
 
@@ -529,18 +542,21 @@ class TestGridScorer:
         scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
         certified = scorer.batch_lepskii_errors(values, truths, picks)
         calls = []
-        certify = GridScorer._certified_picks
+        certify = lepskii._certify
 
-        def every_other(self, *args):
-            best = certify(self, *args)
+        def every_other(*args):
+            best = certify(*args)
             for r in range(len(best)):
                 calls.append(len(calls) % 2 == 0)
                 best[r] = best[r] if calls[-1] else -1
             return best
 
-        monkeypatch.setattr(GridScorer, "_certified_picks", every_other)
+        fallback, allocated = lepskii._fallback, []
+        monkeypatch.setattr(lepskii, "_certify", every_other)
+        monkeypatch.setattr(lepskii, "_fallback", lambda k: allocated.append(k) or fallback(k))
         best, errors = scorer.batch_lepskii_errors(values, truths, picks)
-        assert len(calls) == 6
+        # the three fallbacks of the call share the arrays of its first
+        assert len(calls) == 6 and allocated == [len(grid)]
         assert best.tolist() == certified[0].tolist() == [exact_lepskii(scorer, y) for y in values]
         assert errors.tobytes() == certified[1].tobytes()
         again = scorer.batch_lepskii_errors(values, truths, picks)
@@ -555,14 +571,14 @@ class TestGridScorer:
         values, truths = batch_rows(p, 3)
         values[1, 7] = bad
         outcomes = []
-        certify = GridScorer._certified_picks
+        certify = lepskii._certify
 
-        def recording(self, *args):
-            best = certify(self, *args)
+        def recording(*args):
+            best = certify(*args)
             outcomes.extend(best.tolist())
             return best
 
-        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
+        monkeypatch.setattr(lepskii, "_certify", recording)
         for spec in (tikhonov(), spectral_cutoff()):
             outcomes.clear()
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
@@ -584,14 +600,14 @@ class TestGridScorer:
         clean = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid).batch_lepskii_errors(values, truths)
         values[4, 100] = bad
         outcomes = []
-        certify = GridScorer._certified_picks
+        certify = lepskii._certify
 
-        def recording(self, *args):
-            best = certify(self, *args)
+        def recording(*args):
+            best = certify(*args)
             outcomes.extend(best.tolist())
             return best
 
-        monkeypatch.setattr(GridScorer, "_certified_picks", recording)
+        monkeypatch.setattr(lepskii, "_certify", recording)
         scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
         best, errors = scorer.batch_lepskii_errors(values, truths)
         assert [r for r, got in enumerate(outcomes) if got < 0] == [4]
@@ -606,15 +622,15 @@ class TestGridScorer:
         eig = np.array([1.0, 1e-40, 0.0])
         grid = ParameterGrid(1.2, 1e-40 * 1.2 ** np.arange(8))
         scorer = GridScorer(eig, 1e-20, tikhonov(), grid)
-        certify = GridScorer._certified_picks
+        certify = lepskii._certify
 
-        def refusing(self, *args):
-            best = certify(self, *args)
+        def refusing(*args):
+            best = certify(*args)
             if (best >= 0).any():
                 pytest.fail("certified")
             return best
 
-        monkeypatch.setattr(GridScorer, "_certified_picks", refusing)
+        monkeypatch.setattr(lepskii, "_certify", refusing)
         monkeypatch.setattr(lepskii, "_gram_columns", lambda *args: pytest.fail("gram formed"))
         values = np.array([[1.0, 1e-14, 1e-15], [0.5, -2e-15, 0.0]])
         assert scorer.batch_lepskii_errors(values)[0].tolist() == [exact_lepskii(scorer, y) for y in values]
@@ -682,7 +698,7 @@ class TestGridScorer:
         formed = []
         terms = GridScorer._terms
         monkeypatch.setattr(GridScorer, "_terms", lambda self: formed.append(1) or terms(self))
-        assert scorer.batch_oracle_picks(truths).tolist() == expected[0].tolist()
+        assert oracle_picks(scorer, truths).tolist() == expected[0].tolist()
         assert len(formed) == 1
         oracle, pred = scorer.batch_picks(truths, values)
         assert oracle.tolist() == expected[0].tolist() and pred.tolist() == expected[1].tolist()
@@ -698,7 +714,7 @@ class TestGridScorer:
         for call, rows in (
             (scorer.batch_pred_scores, np.ones(p.n_modes)),
             (scorer.batch_oracle_scores, np.ones((2, p.n_modes + 1))),
-            (scorer.batch_oracle_picks, np.ones(p.n_modes)),
+            (functools.partial(oracle_picks, scorer), np.ones(p.n_modes)),
             (scorer.batch_lepskii_errors, np.ones((1, p.n_modes - 1))),
         ):
             with pytest.raises(ValueError):
@@ -752,8 +768,8 @@ class TestGridScorer:
             block[[r for r in zero_rows if r < batch]] = 0.0
             rows.append(block)
         truths, values = rows
-        oracle = scorer.batch_oracle_picks(truths)
-        pred = scorer.batch_pred_picks(values)
+        oracle = oracle_picks(scorer, truths)
+        pred = pred_picks(scorer, values)
         expected = (
             np.argmin(scorer.batch_oracle_scores(truths), axis=1),
             np.argmin(scorer.batch_pred_scores(values), axis=1),
@@ -784,7 +800,7 @@ class TestGridScorer:
         truths = np.zeros((4, eig.size))
         truths[:, 5:] = rng.normal(0.0, 1e-3, size=(4, eig.size - 5))
         values = truths + sigma * rng.normal(size=truths.shape)
-        picks = [scorer.batch_oracle_picks(truths), scorer.batch_pred_picks(values)]
+        picks = [oracle_picks(scorer, truths), pred_picks(scorer, values)]
         # each pick re-scored the tied rows, not every row
         assert len(rescored) == 8 and all(1 < count < len(grid) for count in rescored)
         scores = [scorer.batch_oracle_scores(truths), scorer.batch_pred_scores(values)]
@@ -807,8 +823,8 @@ class TestGridScorer:
             rows[0, 4] = bad
             with np.errstate(over="ignore", invalid="ignore"):
                 results = (
-                    (scorer.batch_oracle_picks(rows), scorer.batch_oracle_scores(rows)),
-                    (scorer.batch_pred_picks(rows), scorer.batch_pred_scores(rows)),
+                    (oracle_picks(scorer, rows), scorer.batch_oracle_scores(rows)),
+                    (pred_picks(scorer, rows), scorer.batch_pred_scores(rows)),
                 )
             for picks, scores in results:
                 assert not np.isfinite(scores[0]).all()

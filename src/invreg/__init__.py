@@ -2,8 +2,10 @@
 Gaussian sequence model, with data-driven parameter selection and a seeded
 Monte Carlo harness for convergence-rate studies.
 
-The value types (FilterSpec, SpectralProblem, ExperimentConfig, RiskTable
-and the others) are frozen records, built on :class:`invreg._record.Record`."""
+The value types (FilterSpec, SpectralProblem, ExperimentConfig, RiskRow
+and the others) are frozen records, built on :class:`invreg._record.Record`.
+A sample of Y is a plain (n,) float array, and a study's table is a tuple
+of its rows."""
 
 __version__ = "0.1.0"
 
@@ -19,7 +21,6 @@ from .filters import (
     tikhonov,
 )
 from .model import (
-    Observations,
     SpectralProblem,
     estimate_coefficients,
     sample_observations,
@@ -27,10 +28,10 @@ from .model import (
 )
 from .montecarlo import (
     DiagonalDescriptor,
-    EfficiencyTable,
+    EfficiencyRow,
     ExperimentConfig,
     GreenDescriptor,
-    RiskTable,
+    RiskRow,
     run_efficiency_experiment,
     run_rate_experiment,
 )

@@ -208,19 +208,19 @@ def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, 
 
 def _cmd_simulate_rates(fields, output, seed: int, workers: int) -> list[Path]:
     config = _experiment_config(fields, seed, "green")
-    table = run_rate_experiment(config, workers=workers)
+    rows = run_rate_experiment(config, workers=workers)
     risk_path = output("risk_table.csv")
     per_rep_path = output("per_rep_errors.csv")
-    emit_risk_table(table, risk_path)
-    emit_per_rep_errors(table, per_rep_path)
+    emit_risk_table(rows, risk_path)
+    emit_per_rep_errors(rows, per_rep_path)
     return [risk_path, per_rep_path]
 
 
 def _cmd_simulate_efficiency(fields, output, seed: int, workers: int) -> list[Path]:
     config = _experiment_config(fields, seed, "diagonal")
-    table = run_efficiency_experiment(config, workers=workers)
+    rows = run_efficiency_experiment(config, workers=workers)
     path = output("efficiency.csv")
-    emit_efficiency_table(table, path)
+    emit_efficiency_table(rows, path)
     return [path]
 
 
@@ -236,7 +236,7 @@ def _cmd_score_curve(fields, output, seed: int, workers: int) -> list[Path]:
     else:
         problem = descriptor.build(sigma, substream_seed(seed, 1))
     obs = sample_observations(problem, substream_seed(seed, 0))
-    scores = GridScorer(problem.eigenvalues, sigma, spec, grid).batch_pred_scores(obs.values[None])[0]
+    scores = GridScorer(problem.eigenvalues, sigma, spec, grid).batch_pred_scores(obs[None])[0]
     path = output("score_curve.csv")
     emit_score_curve(zip(grid.values, scores), path)
     return [path]
@@ -285,7 +285,8 @@ def _cmd_rate_test(fields, output, seed: int, workers: int) -> list[Path]:
 
 
 def _cmd_filters_check(fields, output, seed: int, workers: int) -> list[Path]:
-    report = run_filter_checks(fields["pairs"], seed)
+    # a pair count over the memory budget is refused before anything is drawn
+    report = _checked(run_filter_checks, fields["pairs"], seed)
     path = output("filters_check.json")
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if report["total_violations"]:

@@ -216,10 +216,3 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     step = max(1, _BLOCK // cols)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
-
-def _pair_values(spec: FilterSpec, alphas, lams, want_s: bool) -> np.ndarray:
-    """Element i := s_value (``want_s``) or filter_value of
-    (spec, alphas[i], lams[i]), bit for bit; ``alphas`` has the shape of ``lams``."""
-    alphas = np.asarray(alphas, dtype=float)
-    lams = _check_args(spec, alphas, lams)
-    return _evaluate(spec, alphas, lams, want_s, np.empty_like(lams))

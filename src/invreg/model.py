@@ -22,7 +22,6 @@ from .filters import FilterSpec, filter_value
 
 __all__ = [
     "SpectralProblem",
-    "Observations",
     "substream_seed",
     "sample_observations",
     "estimate_coefficients",
@@ -63,23 +62,6 @@ class SpectralProblem(Record):
         return self.eigenvalues.size
 
 
-class Observations(Record):
-    """One realization of the sequence model."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("observations must be a 1-d sequence")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def problem_length(self) -> int:
-        return self.values.size
-
-
 def _splitmix64(z):
     """SplitMix64's output function of the state z + gamma, for a Python int
     below 2^64 or, entry by entry, a 1-d uint64 array (which wraps)."""
@@ -106,15 +88,18 @@ def substream_seed(master_seed: int, index: int) -> int:
     return _splitmix64(state)
 
 
-def sample_observations(problem: SpectralProblem, replicate_seed: int) -> Observations:
-    """Draw Y_k = sqrt(lambda_k) f_k + sigma xi_k with seeded Gaussian noise.
+def sample_observations(problem: SpectralProblem, replicate_seed: int) -> np.ndarray:
+    """Draw Y_k = sqrt(lambda_k) f_k + sigma xi_k with seeded Gaussian noise,
+    as a read-only (n,) float array.
 
     The noise stream is PCG64 seeded with ``replicate_seed``; the standard
     normal variates are numpy's ziggurat transform of that uniform stream.
     Identical seeds give bit-identical observations.
     """
     signal = np.sqrt(problem.eigenvalues) * problem.truth_coeffs
-    return Observations(_noisy(signal, problem.sigma, iter([_generator(replicate_seed)]), 1)[0])
+    y = _noisy(signal, problem.sigma, iter([_generator(replicate_seed)]), 1)[0]
+    y.setflags(write=False)
+    return y
 
 
 def _noisy(signal: np.ndarray, sigma: float, generators, count: int) -> np.ndarray:
@@ -220,10 +205,11 @@ def _generators(words):
     return (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
 
 
-def estimate_coefficients(problem: SpectralProblem, spec: FilterSpec, alpha: float, obs: Observations) -> np.ndarray:
+def estimate_coefficients(problem: SpectralProblem, spec: FilterSpec, alpha: float, obs: np.ndarray) -> np.ndarray:
     """The coefficients (f_hat)_k = sqrt(lambda_k) q_alpha(lambda_k) Y_k of
-    the regularized estimate in the eigenbasis."""
-    if obs.problem_length != problem.n_modes:
-        raise ValueError("observations length does not match problem")
+    the regularized estimate in the eigenbasis, for (n,) observations ``obs``."""
+    obs = np.asarray(obs, dtype=float)
+    if obs.shape != (problem.n_modes,):
+        raise ValueError("observations must be a 1-d array of the problem's length")
     q = filter_value(spec, alpha, problem.eigenvalues)
-    return np.sqrt(problem.eigenvalues) * q * obs.values
+    return np.sqrt(problem.eigenvalues) * q * obs

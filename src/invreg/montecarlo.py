@@ -49,9 +49,7 @@ __all__ = [
     "DiagonalDescriptor",
     "ExperimentConfig",
     "RiskRow",
-    "RiskTable",
     "EfficiencyRow",
-    "EfficiencyTable",
     "run_rate_experiment",
     "run_efficiency_experiment",
 ]
@@ -102,7 +100,8 @@ class DiagonalDescriptor(Record):
 ProblemDescriptor = Union[GreenDescriptor, DiagonalDescriptor]
 
 
-# the most memory one noise level's scorer may take, in bytes
+# the most memory one noise level's scorer may take, in bytes, and the
+# budget that ``checks.run_filter_checks`` holds its pairs to
 _SCORER_BUDGET = 1 << 30
 
 
@@ -171,18 +170,10 @@ class RiskRow(Record):
     per_rep: dict = Field(default_factory=dict, compare=False)
 
 
-class RiskTable(Record):
-    rows: tuple[RiskRow, ...]
-
-
 class EfficiencyRow(Record):
     sigma: float
     eff_pred: float
     eff_lep: float
-
-
-class EfficiencyTable(Record):
-    rows: tuple[EfficiencyRow, ...]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -226,8 +217,9 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
         yield sigma, np.concatenate(batches)
 
 
-def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable:
-    """Risk table over config.sigmas for a fixed truth (Figure-2 style study).
+def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[RiskRow, ...]:
+    """The risk table's rows over config.sigmas for a fixed truth (Figure-2
+    style study).
 
     Replications run serially; ``workers`` is accepted for compatibility
     and changes nothing.
@@ -247,12 +239,13 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> RiskTable
     for sigma, triples in _study(config, problem.eigenvalues, draw, truth):
         stats = [x for errors in triples.T for x in _mean_se(errors)]
         rows.append(RiskRow(sigma, *stats, per_rep=dict(zip(("or", "pred", "lep"), triples.T))))
-    return RiskTable(tuple(rows))
+    return tuple(rows)
 
 
-def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> EfficiencyTable:
-    """Mean per-replication oracle-risk fractions over config.sigmas with a
-    fresh random truth per replication (Figure-3 style study).
+def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[EfficiencyRow, ...]:
+    """The rows of mean per-replication oracle-risk fractions over
+    config.sigmas with a fresh random truth per replication (Figure-3 style
+    study).
 
     Replications run serially; ``workers`` is accepted for compatibility
     and changes nothing.
@@ -275,4 +268,4 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> Eff
         eff_pred = float(np.mean(triples[:, 0] / triples[:, 1]))
         eff_lep = float(np.mean(triples[:, 0] / triples[:, 2]))
         rows.append(EfficiencyRow(sigma, eff_pred, eff_lep))
-    return EfficiencyTable(tuple(rows))
+    return tuple(rows)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._record import Record
 from .filters import FilterSpec, filter_value, s_value
-from .model import Observations, SpectralProblem
+from .model import SpectralProblem
 
 __all__ = [
     "RiskDecomposition",
@@ -80,20 +80,22 @@ def empirical_prediction_risk(
     sigma: float,
     spec: FilterSpec,
     alpha: float,
-    obs: Observations,
+    obs: np.ndarray,
 ) -> float:
-    """Empirical score r_hat(alpha, Y) = sum s^2 Y^2 - 2 sum s Y^2 + 2 sigma^2 sum s.
+    """Empirical score r_hat(alpha, Y) = sum s^2 Y^2 - 2 sum s Y^2 + 2 sigma^2 sum s
+    of (n,) observations ``obs``.
 
     Unbiased for the prediction risk up to the alpha-independent constant
     sum lambda_k f_k^2.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if obs.problem_length != eigenvalues.size:
-        raise ValueError("observations length does not match eigenvalues")
+    obs = np.asarray(obs, dtype=float)
+    if obs.shape != (eigenvalues.size,):
+        raise ValueError("observations must be a 1-d array of the eigenvalues' length")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     s = s_value(spec, alpha, eigenvalues)
-    y2 = obs.values**2
+    y2 = obs**2
     return _accumulate((s**2 - 2.0 * s) * y2) + 2.0 * sigma**2 * _accumulate(s)
 
 

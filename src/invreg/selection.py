@@ -254,27 +254,11 @@ class GridScorer:
     def _picks(self, block: np.ndarray, truths: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The grid indices of ``batch_picks`` for the truths and then the
         observations, from the (1 - s)^2 ``block``."""
-        m, n = len(truths), block.shape[1]
-        weights = np.empty((m + len(values), n))
+        m = len(truths)
+        weights = np.empty((m + len(values), block.shape[1]))
         np.square(truths, out=weights[:m])
         np.square(values, out=weights[m:])
-        terms = np.empty((len(weights), len(block)))
-        for r, weight in enumerate(weights):
-            # one matrix-vector product per row: a matrix product's pack
-            # buffers would raise the peak memory of a run
-            np.dot(block, weight, out=terms[r])
-        shift = np.zeros((len(weights), 1))
-        shift[m:, 0] = weights[m:].sum(axis=1)
-        offset = np.empty_like(terms)
-        offset[:m] = self._variance
-        offset[m:] = self._pred_offset
-        approx = terms - shift
-        approx += offset
-        margin = np.abs(approx)
-        margin += np.abs(offset)
-        margin += shift
-        margin *= 5.0 * (n + 3) * 2.0**-53
-        margin += 8.0 * n * 2.0**-1074
+        approx, margin = _bounds(block, weights, m, self._variance, self._pred_offset)
         lower = approx - margin
         upper = np.add(approx, margin, out=margin)
         candidates = lower <= upper.min(axis=1, keepdims=True)
@@ -375,6 +359,31 @@ def _pred_terms(block: np.ndarray) -> np.ndarray:
         np.square(s, out=s)
         s -= twice
     return block
+
+
+def _bounds(block: np.ndarray, weights: np.ndarray, m: int, variance: np.ndarray, pred_offset: np.ndarray):
+    """The approximate scores a_i of ``GridScorer.batch_picks`` and their
+    margins, (rows, K) each: row r scores the squared truth (r < m) or
+    observation ``weights[r]`` from the (1 - s)^2 ``block``, with the
+    oracle's ``variance`` or pred's ``pred_offset`` as its offsets."""
+    n = block.shape[1]
+    approx = np.empty((len(weights), len(block)))
+    for r, weight in enumerate(weights):
+        # one matrix-vector product per row: a matrix product's pack
+        # buffers would raise the peak memory of a run
+        np.dot(block, weight, out=approx[r])
+    shift = np.zeros((len(weights), 1))
+    shift[m:, 0] = weights[m:].sum(axis=1)
+    approx -= shift
+    approx[:m] += variance
+    approx[m:] += pred_offset
+    margin = np.abs(approx)
+    margin[:m] += np.abs(variance)
+    margin[m:] += np.abs(pred_offset)
+    margin += shift
+    margin *= 5.0 * (n + 3) * 2.0**-53
+    margin += 8.0 * n * 2.0**-1074
+    return approx, margin
 
 
 def apriori_alpha_polynomial(a: float, c_a: float, b: float, sigma: float) -> float:

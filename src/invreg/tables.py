@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .montecarlo import EfficiencyTable, RiskTable
+from .montecarlo import EfficiencyRow, RiskRow
 
 __all__ = [
     "RISK_HEADER",
@@ -43,23 +43,23 @@ def _write(path, header: str, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def emit_risk_table(table: RiskTable, path) -> None:
-    if not table.rows:
+def emit_risk_table(rows: tuple[RiskRow, ...], path) -> None:
+    if not rows:
         raise ValueError("refusing to emit an empty risk table")
     _write(
         path,
         RISK_HEADER,
         [
             (r.sigma, r.r_or, r.se_or, r.r_pred, r.se_pred, r.r_lep, r.se_lep)
-            for r in table.rows
+            for r in rows
         ],
     )
 
 
-def emit_efficiency_table(table: EfficiencyTable, path) -> None:
-    if not table.rows:
+def emit_efficiency_table(rows: tuple[EfficiencyRow, ...], path) -> None:
+    if not rows:
         raise ValueError("refusing to emit an empty efficiency table")
-    _write(path, EFFICIENCY_HEADER, [(r.sigma, r.eff_pred, r.eff_lep) for r in table.rows])
+    _write(path, EFFICIENCY_HEADER, [(r.sigma, r.eff_pred, r.eff_lep) for r in rows])
 
 
 def emit_score_curve(pairs, path) -> None:
@@ -69,16 +69,16 @@ def emit_score_curve(pairs, path) -> None:
     _write(path, SCORE_HEADER, pairs)
 
 
-def emit_per_rep_errors(table: RiskTable, path) -> None:
-    if not table.rows or any(not r.per_rep for r in table.rows):
+def emit_per_rep_errors(rows: tuple[RiskRow, ...], path) -> None:
+    if not rows or any(not r.per_rep for r in rows):
         raise ValueError("risk table does not retain per-replication errors")
-    rows = []
-    for r in table.rows:
+    lines = []
+    for r in rows:
         for j in range(len(r.per_rep["or"])):
-            rows.append(
+            lines.append(
                 (r.sigma, str(j), r.per_rep["or"][j], r.per_rep["pred"][j], r.per_rep["lep"][j])
             )
-    _write(path, PER_REP_HEADER, rows)
+    _write(path, PER_REP_HEADER, lines)
 
 
 def _read(path, header: str) -> list[list[float]]:

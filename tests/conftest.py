@@ -34,7 +34,7 @@ def one_replication(problem, spec, grid, replicate_seed, oracle=None, scorer=Non
     rule's from one block, then Lepskii's, with the errors at all three."""
     if scorer is None:
         scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
-    values = sample_observations(problem, replicate_seed).values[None]
+    values = sample_observations(problem, replicate_seed)[None]
     truths = problem.truth_coeffs[None]
     oracle_idx, pred_idx = scorer.batch_picks(truths if oracle is None else truths[:0], values)
     if oracle is not None:

@@ -113,7 +113,7 @@ def emitted_digests(table, out_dir, emitters):
 
 
 def rate_check(table, theta_target):
-    samples = [RateSample.from_errors(r.sigma, r.per_rep["pred"]) for r in table.rows]
+    samples = [RateSample.from_errors(r.sigma, r.per_rep["pred"]) for r in table]
     return rate_test(samples, theta_target)
 
 
@@ -167,7 +167,7 @@ def test_criterion_3_rate_indicator(indicator_table):
 def test_criterion_4_oracle_dominance(hat_table, indicator_table):
     worst = -math.inf
     for table in (hat_table, indicator_table):
-        for row in table.rows:
+        for row in table:
             worst = max(
                 worst,
                 row.r_or / (row.r_pred * (1 + 3 * row.se_pred / row.r_pred)),
@@ -179,11 +179,11 @@ def test_criterion_4_oracle_dominance(hat_table, indicator_table):
 
 def test_criterion_5_efficiency(efficiency_table):
     table = efficiency_table
-    in_band = all(0.0 < r.eff_pred <= 1.05 and 0.0 < r.eff_lep <= 1.05 for r in table.rows)
-    small = sorted(table.rows, key=lambda r: r.sigma)[:2]
+    in_band = all(0.0 < r.eff_pred <= 1.05 and 0.0 < r.eff_lep <= 1.05 for r in table)
+    small = sorted(table, key=lambda r: r.sigma)[:2]
     pred_vs_lep = all(r.eff_pred >= r.eff_lep - 0.15 for r in small)
     ok = in_band and pred_vs_lep
-    effs = ", ".join(f"{r.eff_pred:.2f}/{r.eff_lep:.2f}" for r in table.rows)
+    effs = ", ".join(f"{r.eff_pred:.2f}/{r.eff_lep:.2f}" for r in table)
     verdict(5, ok, f"eff_pred/eff_lep per sigma: {effs}; band (0, 1.05], small-sigma margin 0.15")
 
 
@@ -225,7 +225,7 @@ def test_criterion_8_selection_oracles():
         from invreg.risk import lepskii_threshold
         from invreg.filters import filter_value
 
-        ests = [np.sqrt(eig) * filter_value(spec, a, eig) * obs.values for a in grid.values]
+        ests = [np.sqrt(eig) * filter_value(spec, a, eig) * obs for a in grid.values]
         naive_lep = 0
         for i in range(len(grid)):
             if all(
@@ -236,8 +236,8 @@ def test_criterion_8_selection_oracles():
                 naive_lep = i
         # the picks as the studies make them, from one scorer
         scorer = GridScorer(eig, sigma, spec, grid)
-        oracle, pred = scorer.batch_picks(p.truth_coeffs[None], obs.values[None])
-        got = (int(oracle[0]), int(pred[0]), int(scorer.batch_lepskii_errors(obs.values[None])[0][0]))
+        oracle, pred = scorer.batch_picks(p.truth_coeffs[None], obs[None])
+        got = (int(oracle[0]), int(pred[0]), int(scorer.batch_lepskii_errors(obs[None])[0][0]))
         if got != (naive_or, naive_pr, naive_lep):
             mismatches += 1
     verdict(8, mismatches == 0, f"{mismatches}/{trials} disagreements with naive-scan selections")

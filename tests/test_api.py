@@ -58,6 +58,9 @@ def test_the_readme_lists_the_public_methods_of_the_scorer():
         (GridScorer, "batch_pred_picks"),
         (tables, "parse_risk_table"),
         (tables, "parse_efficiency_table"),
+        (model, "Observations"),
+        (montecarlo, "RiskTable"),
+        (montecarlo, "EfficiencyTable"),
     ],
 )
 def test_the_single_replication_adapters_are_gone(owner, name):

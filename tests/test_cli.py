@@ -22,11 +22,9 @@ from invreg.model import substream_seed
 from invreg.montecarlo import (
     DiagonalDescriptor,
     EfficiencyRow,
-    EfficiencyTable,
     ExperimentConfig,
     GreenDescriptor,
     RiskRow,
-    RiskTable,
 )
 from invreg.problems import TestFunction as GreenTruth
 from invreg.selection import build_grid, grid_size
@@ -184,6 +182,7 @@ MALFORMED = {
     "pairs-string": ("filters-check", {"pairs": "abc"}),
     "pairs-fraction": ("filters-check", {"pairs": 2.7}),
     "pairs-bool": ("filters-check", {"pairs": True}),
+    "pairs-beyond-budget": ("filters-check", {"pairs": 2**61}),
     "score-curve-empty-sigmas": ("score-curve", score_curve_config(sigmas=[])),
     "score-curve-modes-string": ("score-curve", score_curve_config(modes="x")),
     "score-curve-sigma-above-grid": ("score-curve", score_curve_config(sigmas=[0.5])),
@@ -502,10 +501,10 @@ def scalar_tables(config, out):
             rows.append(EfficiencyRow(sigma, float(np.mean(t[:, 0] / t[:, 1])), float(np.mean(t[:, 0] / t[:, 2]))))
     out.mkdir()
     if rate:
-        emit_risk_table(RiskTable(tuple(rows)), out / "risk_table.csv")
-        emit_per_rep_errors(RiskTable(tuple(rows)), out / "per_rep_errors.csv")
+        emit_risk_table(tuple(rows), out / "risk_table.csv")
+        emit_per_rep_errors(tuple(rows), out / "per_rep_errors.csv")
     else:
-        emit_efficiency_table(EfficiencyTable(tuple(rows)), out / "efficiency.csv")
+        emit_efficiency_table(tuple(rows), out / "efficiency.csv")
 
 
 class TestOutOfRangeSeeds:

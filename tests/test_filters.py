@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from invreg.filters import (
     ALL_FAMILIES,
     FilterSpec,
-    _pair_values,
+    _check_args,
+    _evaluate,
     filter_value,
     iterated_tikhonov,
     landweber,
@@ -249,13 +250,20 @@ def pair_cases():
     return np.concatenate([alphas, grid_alphas.ravel()]), np.concatenate([lams, grid_lams.ravel()])
 
 
+def pair_values(spec, alphas, lams, want_s):
+    """Element i := s_value (``want_s``) or filter_value of (spec, alphas[i],
+    lams[i]), checked and evaluated as ``run_filter_checks`` evaluates its pairs."""
+    lams = _check_args(spec, alphas, lams)
+    return _evaluate(spec, alphas, lams, want_s, np.empty_like(lams))
+
+
 class TestPairValues:
     @pytest.mark.parametrize("spec", ALL_FAMILIES(m=3), ids=lambda spec: spec.family)
     def test_elements_equal_scalar_calls_bitwise(self, spec):
         alphas, lams = pair_cases()
         for want_s, scalar in ((False, filter_value), (True, s_value)):
             expected = np.array([scalar(spec, a, l) for a, l in zip(alphas, lams)])
-            got = _pair_values(spec, alphas, lams, want_s)
+            got = pair_values(spec, alphas, lams, want_s)
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -270,11 +278,11 @@ class TestPairValues:
     def test_rejects_bad_arguments(self, alphas, lams):
         for spec in ALL_FAMILIES(m=3):
             with pytest.raises(ValueError):
-                _pair_values(spec, np.array(alphas), np.array(lams), False)
+                pair_values(spec, np.array(alphas), np.array(lams), False)
 
     def test_landweber_lambda_above_one_rejected(self):
         with pytest.raises(ValueError):
-            _pair_values(landweber(), np.array([0.5, 0.5]), np.array([0.5, 1.5]), True)
+            pair_values(landweber(), np.array([0.5, 0.5]), np.array([0.5, 1.5]), True)
 
 
 def assert_filter_invariants(spec, alpha, lams):
@@ -315,6 +323,6 @@ class TestInvariantProperties:
             warnings.simplefilter("error")
             s, q = assert_filter_invariants(landweber(), alpha, lams)
             for want_s, scalar in ((True, s), (False, q)):
-                pairs = _pair_values(landweber(), np.full(lams.size + 1, alpha), np.append(lams, 0.0), want_s)
+                pairs = pair_values(landweber(), np.full(lams.size + 1, alpha), np.append(lams, 0.0), want_s)
                 assert pairs.tobytes() == scalar.tobytes()
         assert np.all(s[:-1] == 1.0) and q[-1] == np.finfo(float).max  # q(0) = N

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from invreg import model
 from invreg.filters import spectral_cutoff, tikhonov
 from invreg.model import (
-    Observations,
     SpectralProblem,
     _cell_words,
     _generators,
@@ -18,6 +17,7 @@ from invreg.model import (
     substream_seed,
 )
 from invreg.problems import DenseSymmetricMatrix
+from invreg.risk import empirical_prediction_risk
 from invreg.selection import ParameterGrid
 
 
@@ -55,7 +55,6 @@ class TestSpectralProblem:
         frozen = [
             (SpectralProblem(eig, truth, 0.1).eigenvalues, eig),
             (SpectralProblem(eig, truth, 0.1).truth_coeffs, truth),
-            (Observations(values).values, values),
             (ParameterGrid(1.2, values).values, values),
             (DenseSymmetricMatrix(sym).entries, sym),
         ]
@@ -64,9 +63,34 @@ class TestSpectralProblem:
             assert given.flags.writeable
             given[0] = given[0]  # still assignable by its owner
 
-    def test_observations_must_be_1d(self):
+    def test_sampled_observations_are_read_only(self):
+        obs = sample_observations(small_problem(), 3)
+        assert obs.shape == (4,) and obs.dtype == float
         with pytest.raises(ValueError):
-            Observations(np.zeros((2, 2)))
+            obs[0] = 0.0
+
+    def test_consumers_leave_the_callers_observations_unchanged(self):
+        p = small_problem()
+        values = np.array([0.5, -1.0, 0.25, 2.0])
+        before = values.copy()
+        estimate_coefficients(p, tikhonov(), 0.1, values)
+        empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), 0.1, values)
+        assert values.flags.writeable
+        assert values.tobytes() == before.tobytes()
+        values[0] = values[0]  # still assignable by its owner
+
+
+@pytest.mark.parametrize("values", [np.zeros((2, 2)), np.zeros((1, 4)), np.zeros(3), np.zeros(5), np.float64(1.0)],
+                         ids=["2-d", "row-of-one", "short", "long", "scalar"])
+class TestConsumersRefuseObservationsOfAnotherShape:
+    def test_estimate_coefficients(self, values):
+        with pytest.raises(ValueError, match="observations"):
+            estimate_coefficients(small_problem(), tikhonov(), 0.1, values)
+
+    def test_empirical_prediction_risk(self, values):
+        p = small_problem()
+        with pytest.raises(ValueError, match="observations"):
+            empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), 0.1, values)
 
 
 class TestSubstreamSeed:
@@ -140,26 +164,26 @@ class TestSampleObservations:
         p = small_problem()
         a = sample_observations(p, 123)
         b = sample_observations(p, 123)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         p = small_problem()
         a = sample_observations(p, 123)
         b = sample_observations(p, 124)
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     def test_noise_free_limit(self):
         p = small_problem(sigma=1e-300)
         obs = sample_observations(p, 5)
         expected = np.sqrt(p.eigenvalues) * p.truth_coeffs
-        np.testing.assert_allclose(obs.values, expected, rtol=1e-12, atol=1e-290)
+        np.testing.assert_allclose(obs, expected, rtol=1e-12, atol=1e-290)
 
     def test_first_coordinate_moments(self):
         # mean and variance of Y_1 - sqrt(lambda_1) f_1 over 1e5 draws
         p = small_problem(sigma=0.7)
         n_draws = 100_000
         draws = np.array(
-            [sample_observations(p, substream_seed(99, j)).values[0] for j in range(n_draws)]
+            [sample_observations(p, substream_seed(99, j))[0] for j in range(n_draws)]
         )
         centered = draws - math.sqrt(p.eigenvalues[0]) * p.truth_coeffs[0]
         se_mean = p.sigma / math.sqrt(n_draws)
@@ -170,14 +194,14 @@ class TestSampleObservations:
 class TestEstimateCoefficients:
     def test_zero_observations_give_zero_estimate(self):
         p = small_problem()
-        obs = Observations(np.zeros(4))
+        obs = np.zeros(4)
         est = estimate_coefficients(p, tikhonov(), 0.1, obs)
         np.testing.assert_array_equal(est, np.zeros(4))
 
     def test_single_mode_hand_evaluation(self):
         # sqrt(0.25) * 1/(0.25+0.25) * 2 = 0.5 * 2 * 2 = 2.0
         p = SpectralProblem([0.25], [0.0], 1.0)
-        obs = Observations(np.array([2.0]))
+        obs = np.array([2.0])
         est = estimate_coefficients(p, tikhonov(), 0.25, obs)
         assert est[0] == pytest.approx(2.0, rel=1e-15)
 
@@ -189,6 +213,6 @@ class TestEstimateCoefficients:
 
     def test_length_mismatch_rejected(self):
         p = small_problem()
-        obs = Observations(np.zeros(3))
+        obs = np.zeros(3)
         with pytest.raises(ValueError):
             estimate_coefficients(p, tikhonov(), 0.1, obs)

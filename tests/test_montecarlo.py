@@ -55,7 +55,7 @@ def per_replication_triple(problem, spec, grid, replicate_seed):
     pred = np.argmin(
         [empirical_prediction_risk(problem.eigenvalues, problem.sigma, spec, a, obs) for a in grid.values]
     )
-    lep = GridScorer(problem.eigenvalues, problem.sigma, spec, grid).batch_lepskii_errors(obs.values[None])[0][0]
+    lep = GridScorer(problem.eigenvalues, problem.sigma, spec, grid).batch_lepskii_errors(obs[None])[0][0]
     errors = []
     for i in (oracle, pred, lep):
         diff = estimate_coefficients(problem, spec, float(grid.values[i]), obs) - problem.truth_coeffs
@@ -208,7 +208,7 @@ class TestEfficiencyDraws:
             p = make_diagonal_problem(n, 4.0, 4.0, 1e-3, seed)
             assert truths[seed].tobytes() == p.truth_coeffs.tobytes()
             assert eigenvalues.tobytes() == p.eigenvalues.tobytes()
-            assert noisy[seed].tobytes() == sample_observations(p, seed + 1000).values.tobytes()
+            assert noisy[seed].tobytes() == sample_observations(p, seed + 1000).tobytes()
 
 
 class TestBatches:
@@ -224,7 +224,7 @@ class TestBatches:
             sigmas=(2.0**-15, 2.0**-21),
             replications=35,
         )
-        for row, expected in zip(run_rate_experiment(config).rows, rate_loop(config)):
+        for row, expected in zip(run_rate_experiment(config), rate_loop(config)):
             got = np.stack([row.per_rep["or"], row.per_rep["pred"], row.per_rep["lep"]], axis=1)
             assert got.tobytes() == expected.tobytes()
 
@@ -237,7 +237,7 @@ class TestBatches:
             sigmas=(2.0**-15,),
             replications=4,
         )
-        for row, expected in zip(run_rate_experiment(config).rows, rate_loop(config)):
+        for row, expected in zip(run_rate_experiment(config), rate_loop(config)):
             got = np.stack([row.per_rep["or"], row.per_rep["pred"], row.per_rep["lep"]], axis=1)
             assert got.tobytes() == expected.tobytes()
 
@@ -250,7 +250,7 @@ class TestBatches:
             replications=120,
             master_seed=6,
         )
-        got = [(row.eff_pred, row.eff_lep) for row in run_efficiency_experiment(config).rows]
+        got = [(row.eff_pred, row.eff_lep) for row in run_efficiency_experiment(config)]
         assert np.array(got).tobytes() == np.array(efficiency_loop(config)).tobytes()
 
     @pytest.mark.parametrize(
@@ -358,8 +358,8 @@ class TestBatches:
 class TestRunRateExperiment:
     def test_row_shape_and_aggregation(self):
         table = run_rate_experiment(small_config())
-        assert len(table.rows) == 2
-        for row, sigma in zip(table.rows, (1e-2, 1e-3)):
+        assert len(table) == 2
+        for row, sigma in zip(table, (1e-2, 1e-3)):
             assert row.sigma == sigma
             for key in ("or", "pred", "lep"):
                 assert row.per_rep[key].size == 20
@@ -373,7 +373,7 @@ class TestRunRateExperiment:
     def test_worker_count_independence(self):
         tables = [run_rate_experiment(small_config(), workers=w) for w in (1, 2, 8)]
         for other in tables[1:]:
-            for a, b in zip(tables[0].rows, other.rows):
+            for a, b in zip(tables[0], other):
                 assert (a.sigma, a.r_or, a.se_or, a.r_pred, a.se_pred, a.r_lep, a.se_lep) == (
                     b.sigma, b.r_or, b.se_or, b.r_pred, b.se_pred, b.r_lep, b.se_lep
                 )
@@ -383,11 +383,11 @@ class TestRunRateExperiment:
     def test_master_seed_changes_results(self):
         a = run_rate_experiment(small_config(master_seed=1))
         b = run_rate_experiment(small_config(master_seed=2))
-        assert a.rows[0].r_or != b.rows[0].r_or
+        assert a[0].r_or != b[0].r_or
 
     def test_oracle_dominates_within_noise(self):
         table = run_rate_experiment(small_config(replications=100))
-        for row in table.rows:
+        for row in table:
             assert row.r_or <= row.r_pred * (1 + 3 * row.se_pred / row.r_pred)
             assert row.r_or <= row.r_lep * (1 + 3 * row.se_lep / row.r_lep)
 
@@ -417,7 +417,7 @@ class TestRunEfficiencyExperiment:
             master_seed=6,
         )
         table = run_efficiency_experiment(config)
-        for row in table.rows:
+        for row in table:
             assert 0.0 < row.eff_pred <= 1.05
             assert 0.0 < row.eff_lep <= 1.05
 

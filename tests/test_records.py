@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from invreg.filters import FilterSpec, tikhonov
-from invreg.model import Observations, SpectralProblem
+from invreg.model import SpectralProblem
 from invreg.montecarlo import (
     DiagonalDescriptor,
     EfficiencyRow,
-    EfficiencyTable,
     ExperimentConfig,
     GreenDescriptor,
     RiskRow,
-    RiskTable,
 )
 from invreg.problems import DenseSymmetricMatrix
 from invreg.problems import TestFunction as GreenTruth
@@ -33,10 +31,6 @@ class Case(NamedTuple):
     invalid: tuple = ()  # field overrides that __post_init__ refuses
     other: dict | None = None  # overrides giving an unequal record (hashable records)
     ignored: dict | None = None  # overrides that equality ignores
-
-
-def row(**kw):
-    return RiskRow(0.1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, **kw)
 
 
 _ROW_TEXT = "RiskRow(sigma=0.1, r_or=1.0, se_or=2.0, r_pred=3.0, se_pred=4.0, r_lep=5.0, se_lep=6.0, per_rep={})"
@@ -66,7 +60,6 @@ CASES = [
             {"sigma": 0.0},
         ),
     ),
-    Case(Observations, {"values": [1.0, 2.0]}, {}, "Observations(values=array([1., 2.]))", ({"values": [[1.0]]},)),
     Case(
         DenseSymmetricMatrix,
         {"entries": [[1.0, 2.0], [2.0, 1.0]]},
@@ -142,20 +135,12 @@ CASES = [
         other={"r_lep": 7.0},
         ignored={"per_rep": {"or": (1.0, 2.0)}},
     ),
-    Case(RiskTable, {"rows": (row(),)}, {}, f"RiskTable(rows=({_ROW_TEXT},))", other={"rows": (row(), row())}),
     Case(
         EfficiencyRow,
         {"sigma": 0.1, "eff_pred": 1.0, "eff_lep": 2.0},
         {},
         "EfficiencyRow(sigma=0.1, eff_pred=1.0, eff_lep=2.0)",
         other={"eff_lep": 3.0},
-    ),
-    Case(
-        EfficiencyTable,
-        {"rows": (EfficiencyRow(0.1, 1.0, 2.0),)},
-        {},
-        "EfficiencyTable(rows=(EfficiencyRow(sigma=0.1, eff_pred=1.0, eff_lep=2.0),))",
-        other={"rows": ()},
     ),
 ]
 

@@ -5,7 +5,6 @@ import pytest
 
 from invreg.filters import ALL_FAMILIES, s_value, spectral_cutoff, tikhonov
 from invreg.model import (
-    Observations,
     SpectralProblem,
     estimate_coefficients,
     sample_observations,
@@ -108,7 +107,7 @@ class TestDirectRisk:
 class TestEmpiricalPredictionRisk:
     def test_zero_observations(self):
         p = small_problem()
-        obs = Observations(np.zeros(5))
+        obs = np.zeros(5)
         grid = build_grid(p.sigma, 1.0, 1.5)
         scores = [
             empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), a, obs)
@@ -123,7 +122,7 @@ class TestEmpiricalPredictionRisk:
 
     def test_noise_free_minimized_at_smallest_alpha(self):
         eig = np.array([0.5])
-        obs = Observations(np.array([1.3]))
+        obs = np.array([1.3])
         grid = build_grid(1e-3, 0.5, 1.4)
         scores = [
             empirical_prediction_risk(eig, 0.0, tikhonov(), a, obs) for a in grid.values
@@ -148,7 +147,7 @@ class TestEmpiricalPredictionRisk:
         p = small_problem()
         obs = sample_observations(p, 77)
         c = 3.7
-        scaled = Observations(c * obs.values)
+        scaled = c * obs
         for alpha in (0.05, 0.3):
             base = empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), alpha, obs)
             got = empirical_prediction_risk(p.eigenvalues, c * p.sigma, tikhonov(), alpha, scaled)

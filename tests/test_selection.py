@@ -12,7 +12,6 @@ from invreg.filters import ALL_FAMILIES, filter_value, landweber, s_value, showa
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import make_diagonal_problem, make_green_problem
 from invreg.model import (
-    Observations,
     SpectralProblem,
     estimate_coefficients,
     sample_observations,
@@ -52,12 +51,12 @@ def oracle_pick(problem, spec, grid):
 
 def pred_pick(eigenvalues, sigma, spec, grid, obs):
     """The pred rule's grid index for ``obs``, picked as the studies pick it."""
-    return int(pred_picks(GridScorer(eigenvalues, sigma, spec, grid), obs.values[None])[0])
+    return int(pred_picks(GridScorer(eigenvalues, sigma, spec, grid), obs[None])[0])
 
 
 def lepskii_pick(eigenvalues, sigma, spec, grid, obs):
     """Lepskii's grid index for ``obs``, certified as the studies certify it."""
-    return int(GridScorer(eigenvalues, sigma, spec, grid).batch_lepskii_errors(obs.values[None])[0][0])
+    return int(GridScorer(eigenvalues, sigma, spec, grid).batch_lepskii_errors(obs[None])[0][0])
 
 
 def naive_oracle(problem, spec, grid):
@@ -85,7 +84,7 @@ def naive_lepskii(eigenvalues, sigma, spec, grid, obs):
     for a in grid.values:
         from invreg.filters import filter_value
 
-        estimates.append(problem_like * filter_value(spec, a, eigenvalues) * obs.values)
+        estimates.append(problem_like * filter_value(spec, a, eigenvalues) * obs)
     best = 0
     for i in range(len(grid.values)):
         ok = True
@@ -131,7 +130,7 @@ def batch_rows(p, count=4):
     """``count`` observation rows of ``p`` and as many truth rows: its own
     truth and seeded perturbations of it."""
     rng = np.random.default_rng(p.n_modes)
-    values = np.array([sample_observations(p, 100 + r).values for r in range(count)])
+    values = np.array([sample_observations(p, 100 + r) for r in range(count)])
     truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((count, p.n_modes)))
     truths[0] = p.truth_coeffs
     return values, truths
@@ -270,7 +269,7 @@ class TestChooseOracle:
 class TestChoosePred:
     def test_zero_observations_pick_largest_alpha(self):
         eig = np.array([1.0, 0.5, 0.25])
-        obs = Observations(np.zeros(3))
+        obs = np.zeros(3)
         grid = build_grid(0.05, 1.0, 1.4)
         assert pred_pick(eig, 0.05, tikhonov(), grid, obs) == len(grid) - 1
 
@@ -281,14 +280,14 @@ class TestChoosePred:
         obs = sample_observations(p, 9)
         base = pred_pick(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
         for c in (0.1, 7.0):
-            scaled = pred_pick(p.eigenvalues, c * p.sigma, tikhonov(), grid, Observations(c * obs.values))
+            scaled = pred_pick(p.eigenvalues, c * p.sigma, tikhonov(), grid, c * obs)
             assert scaled == base
 
     def test_tie_breaks_to_smallest_index(self):
         # single mode with spectral cut-off: both alphas below lambda give
         # s = 1 exactly, so the two smallest grid points tie at the minimum
         eig = np.array([1.0])
-        obs = Observations(np.array([1.0]))
+        obs = np.array([1.0])
         grid = ParameterGrid(2.0, np.array([0.25, 0.5, 2.0]))
         index = pred_pick(eig, 0.1, spectral_cutoff(), grid, obs)
         scores = [
@@ -315,7 +314,7 @@ class TestChoosePred:
 class TestChooseLepskii:
     def test_zero_observations_pick_largest_alpha(self):
         eig = np.array([1.0, 0.5, 0.25])
-        obs = Observations(np.zeros(3))
+        obs = np.zeros(3)
         grid = build_grid(0.05, 1.0, 1.4)
         assert lepskii_pick(eig, 0.05, tikhonov(), grid, obs) == len(grid) - 1
 
@@ -357,7 +356,7 @@ class TestGridScorer:
         buffer = np.empty((max(map(len, grids)), 1024))
 
         def selections(scorer, p, obs):
-            truths, values = p.truth_coeffs[None], obs.values[None]
+            truths, values = p.truth_coeffs[None], obs[None]
             oracle, pred = scorer.batch_picks(truths, values)
             lep = scorer.batch_lepskii_errors(values)[0]
             scores = scorer.batch_oracle_scores(truths), scorer.batch_pred_scores(values)
@@ -372,7 +371,7 @@ class TestGridScorer:
 
     def test_pred_scores_equal_the_scalar_score_bitwise(self):
         for p, spec, grid, obs in realistic_cases():
-            scores = GridScorer(p.eigenvalues, p.sigma, spec, grid).batch_pred_scores(obs.values[None])[0]
+            scores = GridScorer(p.eigenvalues, p.sigma, spec, grid).batch_pred_scores(obs[None])[0]
             expected = [
                 empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, obs) for a in grid.values
             ]
@@ -401,8 +400,8 @@ class TestGridScorer:
         for p, spec, grid, obs in realistic_cases():
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             picks = (0, len(grid) // 2, len(grid) - 1)
-            (best,), (errors,) = scorer.batch_lepskii_errors(obs.values[None], p.truth_coeffs[None], [picks])
-            assert best == scorer.batch_lepskii_errors(obs.values[None])[0][0]
+            (best,), (errors,) = scorer.batch_lepskii_errors(obs[None], p.truth_coeffs[None], [picks])
+            assert best == scorer.batch_lepskii_errors(obs[None])[0][0]
             expected = []
             for i in (*picks, best):
                 diff = estimate_coefficients(p, spec, float(grid.values[i]), obs) - p.truth_coeffs
@@ -851,7 +850,7 @@ class TestGridScorer:
             scorer = GridScorer(eig, p.sigma, spec, grid)
 
             def scores():
-                values, truths = obs.values[None], p.truth_coeffs[None]
+                values, truths = obs[None], p.truth_coeffs[None]
                 lepskii = scorer.batch_lepskii_errors(values, truths, [(0, len(grid) - 1)])
                 return (
                     scorer.batch_pred_scores(values).tobytes(),

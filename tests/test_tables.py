@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,10 +7,8 @@ import pytest
 from invreg.filters import ALL_FAMILIES, FilterSpec, filter_value, s_value, tikhonov
 from invreg.montecarlo import (
     EfficiencyRow,
-    EfficiencyTable,
     ExperimentConfig,
     GreenDescriptor,
-    RiskTable,
     run_rate_experiment,
 )
 from invreg import checks
@@ -50,8 +49,8 @@ class TestRiskTableCsv:
         path = tmp_path / "risk.csv"
         emit_risk_table(small_table, path)
         parsed = _read(path, RISK_HEADER)
-        assert len(parsed) == len(small_table.rows)
-        for a, b in zip(small_table.rows, parsed):
+        assert len(parsed) == len(small_table)
+        for a, b in zip(small_table, parsed):
             assert [a.sigma, a.r_or, a.se_or, a.r_pred, a.se_pred, a.r_lep, a.se_lep] == b
 
     def test_rewrite_is_byte_identical(self, small_table, tmp_path):
@@ -62,7 +61,7 @@ class TestRiskTableCsv:
 
     def test_empty_table_refused(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_risk_table(RiskTable(()), tmp_path / "x.csv")
+            emit_risk_table((), tmp_path / "x.csv")
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -76,25 +75,23 @@ class TestPerRepCsv:
         path = tmp_path / "per_rep.csv"
         emit_per_rep_errors(small_table, path)
         groups = parse_per_rep_errors(path)
-        assert list(groups) == [row.sigma for row in small_table.rows]
-        for row in small_table.rows:
+        assert list(groups) == [row.sigma for row in small_table]
+        for row in small_table:
             for key in ("or", "pred", "lep"):
                 np.testing.assert_array_equal(groups[row.sigma][key], row.per_rep[key])
 
 
 class TestEfficiencyCsv:
     def test_round_trip(self, tmp_path):
-        table = EfficiencyTable(
-            (EfficiencyRow(1e-2, 0.9123, 0.811), EfficiencyRow(1e-3, 0.95, 0.9))
-        )
+        table = (EfficiencyRow(1e-2, 0.9123, 0.811), EfficiencyRow(1e-3, 0.95, 0.9))
         path = tmp_path / "eff.csv"
         emit_efficiency_table(table, path)
         assert path.read_text().splitlines()[0] == EFFICIENCY_HEADER
-        assert EfficiencyTable(tuple(EfficiencyRow(*row) for row in _read(path, EFFICIENCY_HEADER))) == table
+        assert tuple(EfficiencyRow(*row) for row in _read(path, EFFICIENCY_HEADER)) == table
 
     def test_empty_refused(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_efficiency_table(EfficiencyTable(()), tmp_path / "x.csv")
+            emit_efficiency_table((), tmp_path / "x.csv")
 
 
 class TestScoreCurveCsv:
@@ -121,6 +118,26 @@ class TestFilterChecks:
             "spectral_cutoff", "tikhonov", "iterated_tikhonov(m=3)", "landweber", "showalter",
         }
         assert families <= set(report)
+
+    def test_traced_peak_stays_below_512_kib(self):
+        # the qualification sweep's blocks are a few rows, not all 25
+        run_filter_checks(pairs_per_family=1000, seed=20240901)
+        tracemalloc.start()
+        try:
+            run_filter_checks(pairs_per_family=1000, seed=20240901)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    def test_pairs_beyond_the_memory_budget_are_refused_before_any_draw(self, monkeypatch):
+        need = 1000 * checks._PAIR_BYTES
+        monkeypatch.setattr(checks, "_SCORER_BUDGET", need)
+        assert run_filter_checks(pairs_per_family=1000, seed=5)["total_violations"] == 0
+        monkeypatch.setattr(checks, "_generator", None)  # a draw would raise TypeError
+        for pairs in (1001, 2**61, 10**12):
+            with pytest.raises(ValueError, match="budget"):
+                run_filter_checks(pairs_per_family=pairs, seed=5)
 
 
 def loop_filter_checks(pairs_per_family, seed, eps=_REL_EPS):

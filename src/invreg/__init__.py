@@ -13,12 +13,7 @@ from .filters import (
     ALL_FAMILIES,
     FilterSpec,
     filter_value,
-    iterated_tikhonov,
-    landweber,
     s_value,
-    showalter,
-    spectral_cutoff,
-    tikhonov,
 )
 from .model import (
     SpectralProblem,
@@ -63,7 +58,6 @@ from .risk import (
 )
 from .selection import (
     GridScorer,
-    ParameterGrid,
     apriori_alpha_polynomial,
     build_grid,
 )

@@ -206,9 +206,9 @@ def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, 
     (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_simulate_rates(fields, output, seed: int, workers: int) -> list[Path]:
+def _cmd_simulate_rates(fields, output, seed: int) -> list[Path]:
     config = _experiment_config(fields, seed, "green")
-    rows = run_rate_experiment(config, workers=workers)
+    rows = run_rate_experiment(config)
     risk_path = output("risk_table.csv")
     per_rep_path = output("per_rep_errors.csv")
     emit_risk_table(rows, risk_path)
@@ -216,15 +216,15 @@ def _cmd_simulate_rates(fields, output, seed: int, workers: int) -> list[Path]:
     return [risk_path, per_rep_path]
 
 
-def _cmd_simulate_efficiency(fields, output, seed: int, workers: int) -> list[Path]:
+def _cmd_simulate_efficiency(fields, output, seed: int) -> list[Path]:
     config = _experiment_config(fields, seed, "diagonal")
-    rows = run_efficiency_experiment(config, workers=workers)
+    rows = run_efficiency_experiment(config)
     path = output("efficiency.csv")
     emit_efficiency_table(rows, path)
     return [path]
 
 
-def _cmd_score_curve(fields, output, seed: int, workers: int) -> list[Path]:
+def _cmd_score_curve(fields, output, seed: int) -> list[Path]:
     descriptor, spec = _problem(fields), _filter(fields)
     sigma, ratio = fields["sigmas"][0], fields["grid_ratio"]
     # every sigma is a noise level, refused from the closed-form grid size
@@ -238,7 +238,7 @@ def _cmd_score_curve(fields, output, seed: int, workers: int) -> list[Path]:
     obs = sample_observations(problem, substream_seed(seed, 0))
     scores = GridScorer(problem.eigenvalues, sigma, spec, grid).batch_pred_scores(obs[None])[0]
     path = output("score_curve.csv")
-    emit_score_curve(zip(grid.values, scores), path)
+    emit_score_curve(zip(grid, scores), path)
     return [path]
 
 
@@ -262,7 +262,7 @@ def _rate_samples(path, risk: str) -> list[RateSample]:
     return [RateSample.from_errors(sigma, g[risk]) for sigma, g in groups.items()]
 
 
-def _cmd_rate_test(fields, output, seed: int, workers: int) -> list[Path]:
+def _cmd_rate_test(fields, output, seed: int) -> list[Path]:
     risk = fields["rate_test.risk"]
     result = rate_test(_rate_samples(fields["rate_test.errors_csv"], risk), fields["rate_test.theta_target"])
     path = output("rate_test.json")
@@ -284,7 +284,7 @@ def _cmd_rate_test(fields, output, seed: int, workers: int) -> list[Path]:
     return [path]
 
 
-def _cmd_filters_check(fields, output, seed: int, workers: int) -> list[Path]:
+def _cmd_filters_check(fields, output, seed: int) -> list[Path]:
     # a pair count over the memory budget is refused before anything is drawn
     report = _checked(run_filter_checks, fields["pairs"], seed)
     path = output("filters_check.json")
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         fields = _fields(args.command, cfg)
         # a config's master seed is checked even if --seed overrides it; rate-test draws nothing and records 0
         seed = fields.get("master_seed", 0) if args.seed is None else args.seed
-        outputs = _COMMANDS[args.command](fields, output, seed, max(1, args.workers))
+        outputs = _COMMANDS[args.command](fields, output, seed)
     except ConfigError as exc:
         print(f"invreg: config error: {exc}", file=sys.stderr)
         return 2

@@ -19,11 +19,6 @@ from ._record import Record
 
 __all__ = [
     "FilterSpec",
-    "spectral_cutoff",
-    "tikhonov",
-    "iterated_tikhonov",
-    "landweber",
-    "showalter",
     "ALL_FAMILIES",
     "filter_value",
     "s_value",
@@ -82,29 +77,9 @@ class FilterSpec(Record):
         return float(self.m) if self.family == "iterated_tikhonov" else math.inf
 
 
-def spectral_cutoff() -> FilterSpec:
-    return FilterSpec("spectral_cutoff")
-
-
-def tikhonov() -> FilterSpec:
-    return FilterSpec("tikhonov")
-
-
-def iterated_tikhonov(m: int) -> FilterSpec:
-    return FilterSpec("iterated_tikhonov", m=m)
-
-
-def landweber() -> FilterSpec:
-    return FilterSpec("landweber")
-
-
-def showalter() -> FilterSpec:
-    return FilterSpec("showalter")
-
-
 def ALL_FAMILIES(m: int = 2) -> list[FilterSpec]:
     """All five families, with the given m for iterated Tikhonov."""
-    return [spectral_cutoff(), tikhonov(), iterated_tikhonov(m), landweber(), showalter()]
+    return [FilterSpec(family, m if family == "iterated_tikhonov" else 1) for family in _FAMILIES]
 
 
 def _check_args(spec: FilterSpec, alpha, lam) -> np.ndarray:

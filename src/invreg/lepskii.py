@@ -1,6 +1,6 @@
 """Lepskii's rule for a batch of observations (``picks``): the certified
 float32 test, the rounding bounds that tie its float32 gram entries of the
-rows E_i = fl32(p_i - p_m), p_i = fl(sqrt(lambda) q_i) at grid.values[i],
+rows E_i = fl32(p_i - p_m), p_i = fl(sqrt(lambda) q_i) at grid[i],
 to the float64 test of ``_exact_test``, the scan that certifies a batch
 from them, and the float64 test itself, which decides what is not
 certified.

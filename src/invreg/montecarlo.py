@@ -3,9 +3,10 @@
 Every replication gets its own substream seed derived from
 (master_seed, noise-level index, replication index) via the SplitMix64 mix
 in :mod:`invreg.model`.  Replications run serially in index order, each
-noise level scored through one :class:`~invreg.selection.GridScorer`, so
-tables are bit-identical for any worker count.  Both studies run through
-one loop (``_study``), the only place where a batch is seeded and drawn:
+noise level scored through one :class:`~invreg.selection.GridScorer` over
+the grid that the run builds for it, so reruns write the same bytes.  Both
+studies run through one loop (``_study``), the only place where a batch is
+seeded and drawn:
 the seeds of a run's replications, and the words numpy's SeedSequence
 derives from each, are computed in numpy integer arithmetic a chunk at a
 time (``model._cell_words``), and each replication's PCG64 generator is
@@ -38,11 +39,12 @@ from typing import Union
 import numpy as np
 
 from ._record import Field, Record
-from .filters import FilterSpec, _row_blocks
+from .filters import _BLOCK, FilterSpec
 from .lepskii import _FALLBACK_BYTES
 from .model import SpectralProblem, _cell_words, _generators, _noisy
-from .problems import TestFunction, _diagonal_spectrum, _diagonal_truths, make_diagonal_problem, make_green_problem
-from .selection import GridScorer, ParameterGrid, build_grid, grid_size
+from .problems import NumericFailure, TestFunction, _diagonal_spectrum, _diagonal_truths
+from .problems import make_diagonal_problem, make_green_problem
+from .selection import GridScorer, build_grid, grid_size
 
 __all__ = [
     "GreenDescriptor",
@@ -101,8 +103,13 @@ ProblemDescriptor = Union[GreenDescriptor, DiagonalDescriptor]
 
 
 # the most memory one noise level's scorer may take, in bytes, and the
-# budget that ``checks.run_filter_checks`` holds its pairs to
+# budget that a run holds its per-replication errors to and
+# ``checks.run_filter_checks`` its pairs
 _SCORER_BUDGET = 1 << 30
+# bytes per replication and noise level that cover a rate study and its
+# per-replication CSV (``tables.emit_per_rep_errors``): tracemalloc reads
+# 42-70 for the run and 475-541 for the CSV from 2e4 replications up
+_REPLICATION_BYTES = 640
 
 
 def _scorer_bytes(n: int, sizes) -> int:
@@ -148,15 +155,13 @@ class ExperimentConfig(Record):
             raise ValueError("sigmas must be nonempty, finite and positive")
         if self.replications < 2:
             raise ValueError("need at least 2 replications for standard errors")
+        need = self.replications * len(self.sigmas) * _REPLICATION_BYTES
+        if need > _SCORER_BUDGET:
+            raise ValueError(
+                f"{self.replications} replications at {len(self.sigmas)} noise levels need {need} bytes,"
+                f" over the budget of {_SCORER_BUDGET}"
+            )
         _check_grids(self.problem, self.sigmas, self.grid_ratio)
-        # not a field: equality and the repr leave the grids out
-        grids = tuple(build_grid(sigma, self.problem.lambda_max, self.grid_ratio) for sigma in self.sigmas)
-        object.__setattr__(self, "_grids", grids)
-
-    def grids(self) -> list[ParameterGrid]:
-        """The candidate grid of each noise level, up to the problem's lambda_1,
-        built once with the config."""
-        return list(self._grids)
 
 
 class RiskRow(Record):
@@ -193,9 +198,10 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
     a replication has one stream, and the oracle picks once per noise
     level, from its first batch's block.
     """
-    grids = config.grids()
+    grids = [build_grid(sigma, config.problem.lambda_max, config.grid_ratio) for sigma in config.sigmas]
     # one scratch block for the largest grid serves every noise level
     buffer = np.empty((max(map(len, grids)), eigenvalues.size))
+    step = max(1, _BLOCK // eigenvalues.size)
     streams = 1 if truth is not None else 2
     shape = (len(config.sigmas), config.replications) + ((2,) if truth is None else ())
     cells = _cell_words(config.master_seed, shape)
@@ -203,8 +209,8 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
         scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer)
         oracle_truths = None if truth is None else truth[None]
         batches = []
-        for batch in _row_blocks(config.replications, eigenvalues.size):
-            count = len(range(config.replications)[batch])
+        for lo in range(0, config.replications, step):
+            count = min(step, config.replications - lo)
             words = np.fromiter(itertools.islice(cells, count * streams), (np.uint64, 4), count * streams)
             truths, values = draw(sigma, words.reshape(count, streams, 4))
             oracle_idx, pred_idx = scorer.batch_picks(truths if truth is None else oracle_truths, values)
@@ -217,13 +223,9 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
         yield sigma, np.concatenate(batches)
 
 
-def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[RiskRow, ...]:
+def run_rate_experiment(config: ExperimentConfig) -> tuple[RiskRow, ...]:
     """The risk table's rows over config.sigmas for a fixed truth (Figure-2
-    style study).
-
-    Replications run serially; ``workers`` is accepted for compatibility
-    and changes nothing.
-    """
+    style study)."""
     if not isinstance(config.problem, GreenDescriptor):
         raise ValueError("rate experiments use the green problem descriptor")
     # the problem does not depend on the noise level, so one serves them all
@@ -242,14 +244,11 @@ def run_rate_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[Ris
     return tuple(rows)
 
 
-def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[EfficiencyRow, ...]:
+def run_efficiency_experiment(config: ExperimentConfig) -> tuple[EfficiencyRow, ...]:
     """The rows of mean per-replication oracle-risk fractions over
     config.sigmas with a fresh random truth per replication (Figure-3 style
-    study).
-
-    Replications run serially; ``workers`` is accepted for compatibility
-    and changes nothing.
-    """
+    study).  A fraction that is not finite (an oracle error and a rule's
+    error that underflow to 0 alike) raises NumericFailure."""
     if not isinstance(config.problem, DiagonalDescriptor):
         raise ValueError("efficiency experiments use the diagonal problem descriptor")
     eigenvalues, decay = _diagonal_spectrum(config.problem.n, config.problem.a, config.problem.nu)
@@ -265,7 +264,10 @@ def run_efficiency_experiment(config: ExperimentConfig, workers: int = 1) -> tup
         # the plain ratio of mean risks is dominated by the rare deep minima
         # of the empirical score (heavy right tail of err_pred) and says
         # nothing about typical behavior
-        eff_pred = float(np.mean(triples[:, 0] / triples[:, 1]))
-        eff_lep = float(np.mean(triples[:, 0] / triples[:, 2]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            eff_pred = float(np.mean(triples[:, 0] / triples[:, 1]))
+            eff_lep = float(np.mean(triples[:, 0] / triples[:, 2]))
+        if not (math.isfinite(eff_pred) and math.isfinite(eff_lep)):
+            raise NumericFailure(f"sigma = {sigma!r}: the efficiencies {eff_pred!r}, {eff_lep!r} are not finite")
         rows.append(EfficiencyRow(sigma, eff_pred, eff_lep))
     return tuple(rows)

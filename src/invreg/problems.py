@@ -39,7 +39,8 @@ __all__ = [
 
 
 class NumericFailure(RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed: an iteration did not converge, or a
+    result is not finite."""
 
 
 class TestFunction(enum.Enum):

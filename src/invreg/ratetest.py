@@ -28,7 +28,8 @@ __all__ = [
 
 
 class DegenerateVarianceError(ValueError):
-    """Per-replication errors have zero spread; the test cannot proceed."""
+    """Per-replication errors have zero spread, or a mean that is zero or not
+    finite; the test cannot proceed."""
 
 
 class SingularDesignError(ValueError):
@@ -46,7 +47,9 @@ class RateSample(Record):
     @classmethod
     def from_errors(cls, sigma: float, errors) -> "RateSample":
         errors = np.asarray(errors, dtype=float)
-        return cls(float(sigma), errors, float(np.mean(errors)), estimate_delta(errors))
+        # first: it refuses a mean that overflows before np.mean below would warn
+        delta = estimate_delta(errors)
+        return cls(float(sigma), errors, float(np.mean(errors)), delta)
 
 
 class RateTestResult(Record):
@@ -63,16 +66,18 @@ class RateTestResult(Record):
 def estimate_delta(errors) -> float:
     """delta_hat = sqrt(sum (e_j - mean)^2) / (sqrt(m) |mean|).
 
-    Scale-free spread of the log mean error; zero spread or zero mean abort
-    rather than fabricate precision.
+    Scale-free spread of the log mean error; zero spread, or a mean that is
+    zero or not finite (one that underflows or overflows), abort rather than
+    fabricate precision.
     """
     errors = np.asarray(errors, dtype=float)
     m = errors.size
     if m < 2:
         raise ValueError("need at least 2 errors to estimate delta")
-    mean = float(np.mean(errors))
-    if mean == 0.0:
-        raise ValueError("mean error is zero; delta is undefined")
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(errors))
+    if mean == 0.0 or not math.isfinite(mean):
+        raise DegenerateVarianceError(f"mean error is {mean!r}; delta is undefined")
     spread = float(np.sum((errors - mean) ** 2))
     if spread == 0.0:
         raise DegenerateVarianceError("errors have zero sample variance")

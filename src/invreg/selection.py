@@ -15,32 +15,15 @@ import math
 import numpy as np
 
 from . import lepskii
-from ._record import Record
 from .filters import FilterSpec, _check_args, _evaluate, _row_blocks
 from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
 __all__ = [
-    "ParameterGrid",
     "GridScorer",
     "build_grid",
     "grid_size",
     "apriori_alpha_polynomial",
 ]
-
-
-class ParameterGrid(Record):
-    """Geometric candidate set sigma^2 * ratio^j, j = 0..K, capped at lambda_1."""
-
-    ratio: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def grid_size(sigma: float, lambda_max: float, ratio: float) -> int:
@@ -57,10 +40,12 @@ def grid_size(sigma: float, lambda_max: float, ratio: float) -> int:
     return math.floor(math.log(lambda_max / sigma**2) / math.log(ratio)) + 1
 
 
-def build_grid(sigma: float, lambda_max: float, ratio: float) -> ParameterGrid:
-    """Grid {sigma^2 r^j : j = 0..K} with K = floor(log(lambda_max/sigma^2)/log r)."""
-    values = sigma**2 * ratio ** np.arange(grid_size(sigma, lambda_max, ratio), dtype=float)
-    return ParameterGrid(ratio=float(ratio), values=values)
+def build_grid(sigma: float, lambda_max: float, ratio: float) -> np.ndarray:
+    """Grid {sigma^2 r^j : j = 0..K} with K = floor(log(lambda_max/sigma^2)/log r),
+    as a read-only (K + 1,) array."""
+    grid = sigma**2 * ratio ** np.arange(grid_size(sigma, lambda_max, ratio), dtype=float)
+    grid.setflags(write=False)
+    return grid
 
 
 # the fewest rows GridScorer.batch_picks picks at a time: at a few modes,
@@ -72,8 +57,9 @@ class GridScorer:
     """Scores every grid point of one noise level under the oracle, pred and
     Lepskii rules.
 
-    The scorer keeps a read-only copy of the eigenvalues and checks its
-    inputs once, at construction; later blocks are evaluated unchecked.
+    The grid is any nonempty 1-d array of alphas.  The scorer keeps
+    read-only copies of it and of the eigenvalues and checks its inputs
+    once, at construction; later blocks are evaluated unchecked.
     What does not depend on the data is computed once, as K-vectors: the
     oracle's variance term sigma^2 sum lambda q^2, the squared Lepskii
     thresholds and, from the first s-block a call forms, the pred offset
@@ -100,19 +86,22 @@ class GridScorer:
         eigenvalues: np.ndarray,
         sigma: float,
         spec: FilterSpec,
-        grid: ParameterGrid,
+        grid: np.ndarray,
         buffer: np.ndarray | None = None,
     ) -> None:
-        eig = np.array(eigenvalues, dtype=float)
+        eig, grid = np.array(eigenvalues, dtype=float), np.array(grid, dtype=float)
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        k, n = len(grid), eig.size
+        if grid.ndim != 1 or not grid.size:
+            raise ValueError(f"grid must be a nonempty 1-d array of alphas, got shape {grid.shape}")
+        k, n = grid.size, eig.size
         if buffer is None:
             buffer = np.empty((k, n))
         if buffer.shape[0] < k or buffer.shape[1:] != (n,) or not buffer.flags.c_contiguous:
             raise ValueError(f"buffer must be C-contiguous with at least {k} rows of {n} modes")
-        _check_args(spec, grid.values[:, None], eig)
+        _check_args(spec, grid[:, None], eig)
         eig.setflags(write=False)
+        grid.setflags(write=False)
         self.eigenvalues, self.sigma, self.spec, self.grid = eig, sigma, spec, grid
         self._buf = buffer[:k]
         self._root = np.sqrt(eig)
@@ -128,24 +117,23 @@ class GridScorer:
 
     def _fill(self, at, out: np.ndarray, want_s: bool) -> np.ndarray:
         """Row j of ``out`` := s_value (``want_s``) or filter_value at
-        grid.values[at][j], bit for bit, a row block at a time."""
-        alphas = self.grid.values[at, None]
+        grid[at][j], bit for bit, a row block at a time."""
+        alphas = self.grid[at, None]
         for b in _row_blocks(*out.shape):
             _evaluate(self.spec, alphas[b], self.eigenvalues, want_s, out[b])
         return out
 
     def _rows(self, at, out: np.ndarray) -> np.ndarray:
-        """``out`` := the rows p = fl(sqrt(lambda) q) at grid.values[at]."""
+        """``out`` := the rows p = fl(sqrt(lambda) q) at grid[at]."""
         out = self._fill(at, out, False)
         out *= self._root
         return out
 
-    def _check(self, rows, ndim: int) -> np.ndarray:
-        """``rows`` as a float array of ``ndim`` dimensions, the last one
-        running over the modes."""
+    def _check(self, rows) -> np.ndarray:
+        """``rows`` as a float (R, n) array, one row per replication."""
         rows = np.asarray(rows, dtype=float)
-        if rows.ndim != ndim or rows.shape[-1] != self.eigenvalues.size:
-            raise ValueError(f"expected a {ndim}-d array of {self.eigenvalues.size} modes per row")
+        if rows.ndim != 2 or rows.shape[1] != self.eigenvalues.size:
+            raise ValueError(f"expected a 2-d array of {self.eigenvalues.size} modes per row")
         return rows
 
     def _s_block(self) -> np.ndarray:
@@ -158,7 +146,7 @@ class GridScorer:
 
     def _terms(self) -> np.ndarray:
         """The buffer rewritten to the oracle's mode weights (1 - s)^2, from
-        which ``batch_picks`` also takes pred's approximate scores."""
+        which the picks also take pred's approximate scores."""
         block = self._s_block()
         np.subtract(1.0, block, out=block)
         return np.square(block, out=block)
@@ -169,8 +157,8 @@ class GridScorer:
         weights weights[weight_rows[j]]: the sum of the weighted block row as
         risk._accumulate forms it, plus the row's offset.
 
-        This is the one place where a score is formed; the batch scores and
-        the picks both read it, so they agree bit for bit.
+        This is the one place where a score is formed; ``_scores`` reads it
+        for the batch scores and the picks alike, so they agree bit for bit.
         """
         scores = np.empty(len(grid_rows))
         # the gathered block rows and their weights together fill one row block
@@ -190,17 +178,23 @@ class GridScorer:
         block = self._fill(rows, self._buf[: len(rows)], True)
         return self._exact(_pred_terms(block), self._pred_offset[rows], index, weights, weight_rows)
 
-    def _scores(self, pred: bool, rows: np.ndarray) -> np.ndarray:
-        """Entry (r, i) := the exact score of grid row i for row r of an
-        (R, n) batch of truths (oracle) or observations (pred)."""
-        if pred:
-            block, offset = _pred_terms(self._s_block()), self._pred_offset
-        else:
-            block, offset = self._terms(), self._variance
-        k = len(block)
-        grid_rows = np.tile(np.arange(k), len(rows))
-        weight_rows = np.repeat(np.arange(len(rows)), k)
-        return self._exact(block, offset, grid_rows, rows**2, weight_rows).reshape(len(rows), k)
+    def _scores(self, block: np.ndarray, weights: np.ndarray, m: int, candidates: np.ndarray) -> np.ndarray:
+        """Entry (r, i) := the exact score of grid row i for the squared truth
+        (r < m) or observation ``weights[r]`` where ``candidates[r, i]``, and
+        +inf elsewhere: the oracle's from the (1 - s)^2 ``block``, pred's
+        from s evaluated again (``_pred_exact``)."""
+        weight_rows, grid_rows = np.nonzero(candidates)
+        scores = np.full(candidates.shape, np.inf)
+        split = np.searchsorted(weight_rows, m)
+        oracle, pred = slice(0, split), slice(split, None)
+        # the oracle rows read the block before pred's rows overwrite it
+        if m:
+            scores[weight_rows[oracle], grid_rows[oracle]] = self._exact(
+                block, self._variance, grid_rows[oracle], weights, weight_rows[oracle]
+            )
+        if len(weights) > m:
+            scores[weight_rows[pred], grid_rows[pred]] = self._pred_exact(grid_rows[pred], weights, weight_rows[pred])
+        return scores
 
     def batch_picks(self, truths: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The oracle's grid index for each truth of an (R, n) batch and the
@@ -238,7 +232,7 @@ class GridScorer:
         truths until a chunk holds observations, whose exact scores
         overwrite the block; the next chunk forms it again.
         """
-        truths, values = self._check(truths, 2), self._check(values, 2)
+        truths, values = self._check(truths), self._check(values)
         m, step = len(truths), max(self.eigenvalues.size, _PICK_ROWS)
         picks = np.empty(m + len(values), dtype=int)
         block = None
@@ -265,29 +259,20 @@ class GridScorer:
         # a NaN or infinite a_i makes its lower end NaN or infinite; an upper
         # end that alone overflows only widens the candidates
         candidates[~np.isfinite(lower).all(axis=1)] = True
-        weight_rows, grid_rows = np.nonzero(candidates)
         # rows left unscored stay above every candidate's exact score
-        scores = np.full(approx.shape, np.inf)
-        split = np.searchsorted(weight_rows, m)
-        oracle, pred = slice(0, split), slice(split, None)
-        # the oracle rows read the block before pred's rows overwrite it
-        if m:
-            scores[weight_rows[oracle], grid_rows[oracle]] = self._exact(
-                block, self._variance, grid_rows[oracle], weights, weight_rows[oracle]
-            )
-        if len(values):
-            scores[weight_rows[pred], grid_rows[pred]] = self._pred_exact(grid_rows[pred], weights, weight_rows[pred])
-        return np.argmin(scores, axis=1)
+        return np.argmin(self._scores(block, weights, m, candidates), axis=1)
 
     def batch_oracle_scores(self, truths: np.ndarray) -> np.ndarray:
         """Exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2 at
         every grid point (columns) for each truth f of an (R, n) batch (rows)."""
-        return self._scores(False, self._check(truths, 2))
+        truths = self._check(truths)
+        return self._scores(self._terms(), truths**2, len(truths), np.ones((len(truths), len(self._buf)), bool))
 
     def batch_pred_scores(self, values: np.ndarray) -> np.ndarray:
         """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
         point (columns) for each observation Y of an (R, n) batch (rows)."""
-        return self._scores(True, self._check(values, 2))
+        values = self._check(values)
+        return self._scores(self._terms(), values**2, 0, np.ones((len(values), len(self._buf)), bool))
 
     def batch_lepskii_errors(
         self, values: np.ndarray, truths: np.ndarray | None = None, picks=None
@@ -304,9 +289,9 @@ class GridScorer:
         forms them bit for bit, and the errors are read from them
         (``_errors``).
         """
-        values = self._check(values, 2)
+        values = self._check(values)
         if truths is not None:
-            truths = self._check(truths, 2)
+            truths = self._check(truths)
             if len(truths) != len(values):
                 raise ValueError("expected one truth per observation")
         k = len(self._buf)
@@ -325,7 +310,7 @@ class GridScorer:
 
     def _errors(self, values: np.ndarray, truths: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Entry (r, e) := ||f_hat - truths[r]||^2 for the estimate
-        sqrt(lambda) q Y at grid.values[index[r, e]], Y = values[r].
+        sqrt(lambda) q Y at grid[index[r, e]], Y = values[r].
 
         The estimate rows of as many replications as fit are evaluated in
         the buffer at a time (in a small array if one replication's rows do

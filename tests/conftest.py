@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import settings
 
 from invreg.model import sample_observations
-from invreg.selection import GridScorer
+from invreg.selection import GridScorer, build_grid
 
 # every property test draws the same examples on every run and keeps no
 # example database; the settings of a test inherit this profile
@@ -41,6 +41,12 @@ def one_replication(problem, spec, grid, replicate_seed, oracle=None, scorer=Non
         oracle_idx = [oracle]
     _, (errors,) = scorer.batch_lepskii_errors(values, truths, np.stack([oracle_idx, pred_idx], axis=1))
     return tuple(errors.tolist())
+
+
+def config_grids(config):
+    """The candidate grid of each noise level of ``config``, up to the
+    problem's lambda_1, as a run builds it."""
+    return [build_grid(sigma, config.problem.lambda_max, config.grid_ratio) for sigma in config.sigmas]
 
 
 def code_lines(text: str) -> int:

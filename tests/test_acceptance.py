@@ -18,7 +18,8 @@ import pytest
 
 import invreg
 from invreg.checks import run_filter_checks
-from invreg.filters import ALL_FAMILIES, tikhonov
+from invreg.cli import main
+from invreg.filters import ALL_FAMILIES, FilterSpec
 from invreg.model import SpectralProblem, sample_observations, substream_seed
 from invreg.montecarlo import ExperimentConfig, GreenDescriptor, DiagonalDescriptor, run_efficiency_experiment, run_rate_experiment
 from invreg.problems import TestFunction as GreenTruth
@@ -75,7 +76,7 @@ def verdict(num, ok, detail):
 def rate_config(truth):
     return ExperimentConfig(
         problem=GreenDescriptor(truth, n_modes=1024),
-        filter_spec=tikhonov(),
+        filter_spec=FilterSpec("tikhonov"),
         sigmas=RATE_SIGMAS,
         replications=200,
         master_seed=MASTER_SEED,
@@ -84,24 +85,24 @@ def rate_config(truth):
 
 @pytest.fixture(scope="module")
 def hat_table():
-    return run_rate_experiment(rate_config(GreenTruth.HAT), workers=8)
+    return run_rate_experiment(rate_config(GreenTruth.HAT))
 
 
 @pytest.fixture(scope="module")
 def indicator_table():
-    return run_rate_experiment(rate_config(GreenTruth.INDICATOR), workers=8)
+    return run_rate_experiment(rate_config(GreenTruth.INDICATOR))
 
 
 @pytest.fixture(scope="module")
 def efficiency_table():
     config = ExperimentConfig(
         problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
-        filter_spec=tikhonov(),
+        filter_spec=FilterSpec("tikhonov"),
         sigmas=tuple(10.0**-k for k in range(1, 7)),
         replications=500,
         master_seed=MASTER_SEED,
     )
-    return run_efficiency_experiment(config, workers=8)
+    return run_efficiency_experiment(config)
 
 
 def emitted_digests(table, out_dir, emitters):
@@ -121,7 +122,7 @@ def test_criterion_1_unbiasedness():
     t0 = time.monotonic()
     problem = make_green_problem(64, GreenTruth.HAT, 1e-3, frame="discrete")
     grid = build_grid(problem.sigma, float(problem.eigenvalues[0]), 1.2)
-    alphas = grid.values[np.linspace(0, len(grid) - 1, 5).astype(int)]
+    alphas = grid[np.linspace(0, len(grid) - 1, 5).astype(int)]
     const = float(np.sum(problem.eigenvalues * problem.truth_coeffs**2))
     m = 2000
     worst = 0.0
@@ -130,10 +131,10 @@ def test_criterion_1_unbiasedness():
         for j in range(m):
             obs = sample_observations(problem, substream_seed(MASTER_SEED, j))
             scores[j] = empirical_prediction_risk(
-                problem.eigenvalues, problem.sigma, tikhonov(), float(alpha), obs
+                problem.eigenvalues, problem.sigma, FilterSpec("tikhonov"), float(alpha), obs
             )
         se = scores.std(ddof=1) / math.sqrt(m)
-        target = prediction_risk(problem, tikhonov(), float(alpha)).total
+        target = prediction_risk(problem, FilterSpec("tikhonov"), float(alpha)).total
         worst = max(worst, abs(scores.mean() + const - target) / se)
     elapsed = time.monotonic() - t0
     ok = worst <= 4.0 and elapsed < 60.0
@@ -217,20 +218,20 @@ def test_criterion_8_selection_oracles():
         obs = sample_observations(p, int(rng.integers(0, 2**32)))
         spec = ALL_FAMILIES(m=2)[int(rng.integers(0, 5))]
 
-        naive_or = min(range(len(grid)), key=lambda i: direct_risk(p, spec, grid.values[i]).total)
+        naive_or = min(range(len(grid)), key=lambda i: direct_risk(p, spec, grid[i]).total)
         naive_pr = min(
             range(len(grid)),
-            key=lambda i: empirical_prediction_risk(eig, sigma, spec, grid.values[i], obs),
+            key=lambda i: empirical_prediction_risk(eig, sigma, spec, grid[i], obs),
         )
         from invreg.risk import lepskii_threshold
         from invreg.filters import filter_value
 
-        ests = [np.sqrt(eig) * filter_value(spec, a, eig) * obs for a in grid.values]
+        ests = [np.sqrt(eig) * filter_value(spec, a, eig) * obs for a in grid]
         naive_lep = 0
         for i in range(len(grid)):
             if all(
                 np.linalg.norm(ests[i] - ests[j])
-                <= lepskii_threshold(eig, sigma, spec, float(grid.values[j]))
+                <= lepskii_threshold(eig, sigma, spec, float(grid[j]))
                 for j in range(i)
             ):
                 naive_lep = i
@@ -271,11 +272,20 @@ def test_criterion_9_rate_inference_examples():
 
 
 def test_criterion_10_worker_determinism(hat_table, tmp_path):
-    single = run_rate_experiment(rate_config(GreenTruth.HAT), workers=1)
-    p1, p8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
-    emit_risk_table(single, p1)
-    emit_risk_table(hat_table, p8)  # hat_table ran with workers=8
-    identical = p1.read_bytes() == p8.read_bytes()
+    # the CLI at --workers 8 against the library's serial run, one worker
+    config = tmp_path / "hat.json"
+    payload = {
+        "problem": {"kind": "green", "truth": "hat"},
+        "filter": {"family": "tikhonov"},
+        "sigmas": list(RATE_SIGMAS),
+        "replications": 200,
+        "modes": 1024,
+        "master_seed": MASTER_SEED,
+    }
+    config.write_text(json.dumps(payload))
+    assert main(["simulate-rates", "--config", str(config), "--out", str(tmp_path / "w8"), "--workers", "8"]) == 0
+    emit_risk_table(hat_table, tmp_path / "w1.csv")
+    identical = (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w8" / "risk_table.csv").read_bytes()
     verdict(10, identical, f"risk_table.csv byte-identical across workers 1 and 8: {identical}")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import invreg
-from invreg import cli, model, montecarlo, selection, tables
+from invreg import cli, filters, model, montecarlo, selection, tables
 from invreg.selection import GridScorer
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -61,11 +61,23 @@ def test_the_readme_lists_the_public_methods_of_the_scorer():
         (model, "Observations"),
         (montecarlo, "RiskTable"),
         (montecarlo, "EfficiencyTable"),
+        (selection, "ParameterGrid"),
+        (montecarlo.ExperimentConfig, "grids"),
+        (filters, "spectral_cutoff"),
+        (filters, "tikhonov"),
+        (filters, "iterated_tikhonov"),
+        (filters, "landweber"),
+        (filters, "showalter"),
     ],
 )
 def test_the_single_replication_adapters_are_gone(owner, name):
     # invreg itself exports only the names README lists
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("run", [montecarlo.run_rate_experiment, montecarlo.run_efficiency_experiment])
+def test_the_studies_take_no_workers_parameter(run):
+    assert list(inspect.signature(run).parameters) == ["config"]
 
 
 def test_the_readme_lists_every_config_field_with_its_default():

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invreg
-from conftest import one_replication
+from conftest import code_lines, config_grids, one_replication
 from invreg import cli, montecarlo, tables
 from invreg.cli import main
 from invreg.checks import run_filter_checks
-from invreg.filters import FilterSpec, tikhonov
+from invreg.filters import FilterSpec
 from invreg.model import substream_seed
 from invreg.montecarlo import (
     DiagonalDescriptor,
@@ -229,6 +229,9 @@ MALFORMED = {
         "simulate-efficiency", {**diagonal_config(), "modes": 8, "grid_ratio": 1.0 + 2.0**-52}
     ),
     "score-curve-grid-ratio-just-above-one": ("score-curve", score_curve_config(modes=8, grid_ratio=1.0 + 2.0**-52)),
+    # refused from the bytes per replication and noise level before a list
+    # of 2^61 replications' batches could be built
+    "rates-replications-beyond-budget": ("simulate-rates", rates_config(replications=2**61)),
 }
 
 
@@ -259,6 +262,18 @@ MALFORMED_ERRORS_CSV = {
     ),
 }
 
+# per-replication CSVs of finite nonnegative pred errors, not all zero, that
+# the rate test still cannot use: the mean of one noise level overflows, or
+# underflows to 0
+DEGENERATE_ERRORS_CSV = {
+    "mean-overflows": PER_REP_HEADER + "".join(
+        f"{sigma},{j},1.0,1e+308,1.0\n" for sigma in (0.01, 0.001, 0.0001) for j in range(3)
+    ),
+    "mean-underflows": PER_REP_HEADER
+    + "".join(f"0.01,{j},1.0,{e},1.0\n" for j, e in enumerate(["5e-324", "0.0", "0.0"]))
+    + "".join(line for line in PER_REP_ROWS.splitlines(True) if not line.startswith("0.01,")),
+}
+
 
 def assert_tables_finite(out_dir):
     """Every number in every CSV table of ``out_dir`` is finite."""
@@ -274,7 +289,7 @@ class TestScorerBudget:
         assert k == 138163
         assert montecarlo._scorer_bytes(300, [k]) == k * 300 * 8 + k * k * 14 > montecarlo._SCORER_BUDGET
         with pytest.raises(ValueError, match=f"at 300 modes and {k} grid points \\(grid_ratio = 1.0001\\)"):
-            ExperimentConfig(DiagonalDescriptor(n=300), tikhonov(), (1e-3,), 2, grid_ratio=1.0001)
+            ExperimentConfig(DiagonalDescriptor(n=300), FilterSpec("tikhonov"), (1e-3,), 2, grid_ratio=1.0001)
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -295,6 +310,26 @@ class TestScorerBudget:
         monkeypatch.setattr(montecarlo, "_SCORER_BUDGET", need - 1)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "over")]) == 2
         assert f"the scorer needs {need} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("simulate-efficiency", {**diagonal_config(), "sigmas": [1e-2, 1e-3], "modes": 8, "replications": 200}),
+            ("simulate-rates", rates_config(modes=8, replications=200)),
+        ],
+    )
+    def test_replications_over_the_budget_exit_2(self, command, payload, tmp_path, capsys, monkeypatch):
+        # a budget set just below the config's per-replication bytes, which
+        # exceed its scorer's, so the replications alone are refused
+        need = 200 * 2 * montecarlo._REPLICATION_BYTES
+        assert need > montecarlo._scorer_bytes(8, [grid_size(1e-3, 1.0, 1.2)])
+        cfg = write_config(tmp_path, payload)
+        monkeypatch.setattr(montecarlo, "_SCORER_BUDGET", need)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "at")]) == 0
+        monkeypatch.setattr(montecarlo, "_SCORER_BUDGET", need - 1)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "over")]) == 2
+        assert f"200 replications at 2 noise levels need {need} bytes" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
 
 
 class TestArgv:
@@ -482,7 +517,7 @@ def scalar_tables(config, out):
     replication, seeded with scalar ``substream_seed`` calls."""
     rate = isinstance(config.problem, GreenDescriptor)
     rows = []
-    for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, config_grids(config))):
         stream, triples = substream_seed(config.master_seed, i), []
         for j in range(config.replications):
             seed = substream_seed(stream, j)
@@ -565,6 +600,12 @@ class TestImportCost:
                 kinds = [t.type for t in tokenize.generate_tokens(f.readline)]
             assert sum(kind not in (tokenize.COMMENT, tokenize.NL) for kind in kinds) < 4096, path.name
 
+    def test_src_holds_at_most_1577_code_lines(self):
+        # the code budget: no net growth from 1577 code lines, counted as
+        # the pytest summary counts them
+        total = sum(code_lines(path.read_text()) for path in Path(invreg.__file__).parent.glob("*.py"))
+        assert total <= 1577
+
 
 class TestSimulateEfficiency:
     def test_writes_efficiency_csv(self, tmp_path):
@@ -582,6 +623,16 @@ class TestSimulateEfficiency:
         lines = (out / "efficiency.csv").read_text().splitlines()
         assert lines[0] == "sigma,eff_pred,eff_lep"
         assert len(lines) == 3
+
+    def test_an_efficiency_that_is_not_finite_exits_3(self, tmp_path, capsys):
+        # at sigma = 1e-150 err_or and err_pred both underflow to 0, and 0/0 is NaN
+        payload = {**diagonal_config(), "sigmas": [1e-150], "modes": 2, "grid_ratio": 2.0, "replications": 3}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["simulate-efficiency", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invreg: sigma = 1e-150:") and "not finite" in err
+        assert not out.exists()
 
 
 class TestScoreCurve:
@@ -644,6 +695,17 @@ class TestRateTestCommand:
             {"rate_test": {"errors_csv": str(tmp_path / "nope.csv"), "theta_target": 0.75}},
         )
         assert main(["rate-test", "--config", rt_cfg, "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_ERRORS_CSV))
+    def test_a_mean_error_that_overflows_or_underflows_exits_3(self, case, tmp_path, capsys):
+        csv_path = tmp_path / "errors.csv"
+        csv_path.write_text(DEGENERATE_ERRORS_CSV[case])
+        cfg = write_config(tmp_path, {"rate_test": {"errors_csv": str(csv_path), "theta_target": 0.75}})
+        out = tmp_path / "o"
+        assert main(["rate-test", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invreg: mean error is") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestFiltersCheckCommand:

@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from invreg.filters import tikhonov
+from invreg.filters import FilterSpec
 from invreg.lepskii import _KAPPA, _bounds, _float32_rows, _gram_columns, _gram_error, _rounding, _row_error
-from invreg.selection import GridScorer, ParameterGrid
+from invreg.selection import GridScorer
 
 V = Fraction(2) ** -24
 
@@ -203,12 +203,12 @@ def test_near_ties_agree_with_the_float64_test(tie):
     # lepskii._bounds, never contradict the float64 test
     n = 64
     eig = 1.0 / np.arange(1.0, n + 1.0) ** 2
-    grid = ParameterGrid(1.5, 1e-4 * 1.5 ** np.arange(8))
-    scorer = GridScorer(eig, 1e-3, tikhonov(), grid)
+    grid = 1e-4 * 1.5 ** np.arange(8)
+    scorer = GridScorer(eig, 1e-3, FilterSpec("tikhonov"), grid)
     rows = _float32_rows(scorer._buf, 4, scorer._rows)
     e32, _, p_max, centre = rows
     e_max = 2.0 * p_max
-    p = np.array([1.0 / (alpha + eig) * np.sqrt(eig) for alpha in grid.values])
+    p = np.array([1.0 / (alpha + eig) * np.sqrt(eig) for alpha in grid])
     assert (e32 == (p - p[4]).astype(np.float32)).all()
     y = np.random.default_rng(5).standard_normal(n) * np.sqrt(eig)
     dist = float64_distances(p, y)[:, 0]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invreg import model
-from invreg.filters import spectral_cutoff, tikhonov
+from invreg.filters import FilterSpec
 from invreg.model import (
     SpectralProblem,
     _cell_words,
@@ -18,7 +18,7 @@ from invreg.model import (
 )
 from invreg.problems import DenseSymmetricMatrix
 from invreg.risk import empirical_prediction_risk
-from invreg.selection import ParameterGrid
+from invreg.selection import GridScorer
 
 
 def small_problem(sigma=1e-3):
@@ -55,7 +55,7 @@ class TestSpectralProblem:
         frozen = [
             (SpectralProblem(eig, truth, 0.1).eigenvalues, eig),
             (SpectralProblem(eig, truth, 0.1).truth_coeffs, truth),
-            (ParameterGrid(1.2, values).values, values),
+            (GridScorer(eig, 0.1, FilterSpec("tikhonov"), values).grid, values),
             (DenseSymmetricMatrix(sym).entries, sym),
         ]
         for held, given in frozen:
@@ -73,8 +73,8 @@ class TestSpectralProblem:
         p = small_problem()
         values = np.array([0.5, -1.0, 0.25, 2.0])
         before = values.copy()
-        estimate_coefficients(p, tikhonov(), 0.1, values)
-        empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), 0.1, values)
+        estimate_coefficients(p, FilterSpec("tikhonov"), 0.1, values)
+        empirical_prediction_risk(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), 0.1, values)
         assert values.flags.writeable
         assert values.tobytes() == before.tobytes()
         values[0] = values[0]  # still assignable by its owner
@@ -85,12 +85,12 @@ class TestSpectralProblem:
 class TestConsumersRefuseObservationsOfAnotherShape:
     def test_estimate_coefficients(self, values):
         with pytest.raises(ValueError, match="observations"):
-            estimate_coefficients(small_problem(), tikhonov(), 0.1, values)
+            estimate_coefficients(small_problem(), FilterSpec("tikhonov"), 0.1, values)
 
     def test_empirical_prediction_risk(self, values):
         p = small_problem()
         with pytest.raises(ValueError, match="observations"):
-            empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), 0.1, values)
+            empirical_prediction_risk(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), 0.1, values)
 
 
 class TestSubstreamSeed:
@@ -195,24 +195,24 @@ class TestEstimateCoefficients:
     def test_zero_observations_give_zero_estimate(self):
         p = small_problem()
         obs = np.zeros(4)
-        est = estimate_coefficients(p, tikhonov(), 0.1, obs)
+        est = estimate_coefficients(p, FilterSpec("tikhonov"), 0.1, obs)
         np.testing.assert_array_equal(est, np.zeros(4))
 
     def test_single_mode_hand_evaluation(self):
         # sqrt(0.25) * 1/(0.25+0.25) * 2 = 0.5 * 2 * 2 = 2.0
         p = SpectralProblem([0.25], [0.0], 1.0)
         obs = np.array([2.0])
-        est = estimate_coefficients(p, tikhonov(), 0.25, obs)
+        est = estimate_coefficients(p, FilterSpec("tikhonov"), 0.25, obs)
         assert est[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_cutoff_above_spectrum_gives_zero(self):
         p = small_problem()
         obs = sample_observations(p, 1)
-        est = estimate_coefficients(p, spectral_cutoff(), 2.0, obs)
+        est = estimate_coefficients(p, FilterSpec("spectral_cutoff"), 2.0, obs)
         np.testing.assert_array_equal(est, np.zeros(4))
 
     def test_length_mismatch_rejected(self):
         p = small_problem()
         obs = np.zeros(3)
         with pytest.raises(ValueError):
-            estimate_coefficients(p, tikhonov(), 0.1, obs)
+            estimate_coefficients(p, FilterSpec("tikhonov"), 0.1, obs)

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import one_replication
+from conftest import config_grids, one_replication
 from invreg import lepskii
-from invreg.filters import ALL_FAMILIES, tikhonov
+from invreg.filters import ALL_FAMILIES, FilterSpec
 from invreg.model import (
     SpectralProblem,
     _generators,
@@ -37,7 +37,7 @@ def ten_mode_problem(sigma=0.05):
 def small_config(**overrides):
     base = dict(
         problem=GreenDescriptor(GreenTruth.HAT, n_modes=64),
-        filter_spec=tikhonov(),
+        filter_spec=FilterSpec("tikhonov"),
         sigmas=(1e-2, 1e-3),
         replications=20,
         master_seed=4,
@@ -51,14 +51,14 @@ def per_replication_triple(problem, spec, grid, replicate_seed):
     direct risk and of the empirical score, the Lepskii rule, and each
     error as ``estimate_coefficients`` followed by ``diff @ diff``."""
     obs = sample_observations(problem, replicate_seed)
-    oracle = np.argmin([direct_risk(problem, spec, a).total for a in grid.values])
+    oracle = np.argmin([direct_risk(problem, spec, a).total for a in grid])
     pred = np.argmin(
-        [empirical_prediction_risk(problem.eigenvalues, problem.sigma, spec, a, obs) for a in grid.values]
+        [empirical_prediction_risk(problem.eigenvalues, problem.sigma, spec, a, obs) for a in grid]
     )
     lep = GridScorer(problem.eigenvalues, problem.sigma, spec, grid).batch_lepskii_errors(obs[None])[0][0]
     errors = []
     for i in (oracle, pred, lep):
-        diff = estimate_coefficients(problem, spec, float(grid.values[i]), obs) - problem.truth_coeffs
+        diff = estimate_coefficients(problem, spec, float(grid[i]), obs) - problem.truth_coeffs
         errors.append(float(diff @ diff))
     return tuple(errors)
 
@@ -66,7 +66,7 @@ def per_replication_triple(problem, spec, grid, replicate_seed):
 def rate_loop(config):
     """run_rate_experiment's per_rep arrays as one batch of one per replication."""
     out = []
-    for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, config_grids(config))):
         problem = config.problem.build(sigma)
         stream = substream_seed(config.master_seed, i)
         triples = [
@@ -80,7 +80,7 @@ def rate_loop(config):
 def efficiency_loop(config):
     """run_efficiency_experiment's rows as one batch of one per replication."""
     out = []
-    for i, (sigma, grid) in enumerate(zip(config.sigmas, config.grids())):
+    for i, (sigma, grid) in enumerate(zip(config.sigmas, config_grids(config))):
         stream = substream_seed(config.master_seed, i)
         triples = []
         for j in range(config.replications):
@@ -114,24 +114,24 @@ class TestExperimentConfig:
         monkeypatch.setattr(invreg.montecarlo, "build_grid", refuse)
         k = grid_size(1e-2, 1.0, 1 + 2**-52)
         with pytest.raises(ValueError, match=f"{k} grid points \\(grid_ratio = 1.0000000000000002\\), over the budget"):
-            ExperimentConfig(DiagonalDescriptor(8), tikhonov(), (1e-2,), 2, grid_ratio=1 + 2**-52)
+            ExperimentConfig(DiagonalDescriptor(8), FilterSpec("tikhonov"), (1e-2,), 2, grid_ratio=1 + 2**-52)
 
-    def test_grids_are_built_once_with_the_config(self, monkeypatch):
+    def test_a_run_builds_each_grid_once(self, monkeypatch):
         import invreg.montecarlo
 
-        calls = []
+        built = []
 
         def counting(*args):
-            calls.append(args)
-            return build_grid(*args)
+            built.append(build_grid(*args))
+            return built[-1]
 
         monkeypatch.setattr(invreg.montecarlo, "build_grid", counting)
         config = small_config()
-        first, second = config.grids(), config.grids()
-        assert len(calls) == len(config.sigmas)
+        assert not built  # the config checks the grid sizes without building a grid
+        run_rate_experiment(config)
+        assert len(built) == len(config.sigmas)
         expected = [build_grid(s, config.problem.lambda_max, config.grid_ratio) for s in config.sigmas]
-        for grids in (first, second):
-            assert [g.values.tobytes() for g in grids] == [g.values.tobytes() for g in expected]
+        assert [g.tobytes() for g in built] == [g.tobytes() for g in expected]
 
 
 class TestOneReplication:
@@ -140,44 +140,44 @@ class TestOneReplication:
     def test_same_seed_same_triple(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
-        a = one_replication(p, tikhonov(), grid, 999)
-        b = one_replication(p, tikhonov(), grid, 999)
+        a = one_replication(p, FilterSpec("tikhonov"), grid, 999)
+        b = one_replication(p, FilterSpec("tikhonov"), grid, 999)
         assert a == b
 
     def test_errors_finite_nonnegative(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
         for seed in range(50):
-            triple = one_replication(p, tikhonov(), grid, substream_seed(8, seed))
+            triple = one_replication(p, FilterSpec("tikhonov"), grid, substream_seed(8, seed))
             assert all(math.isfinite(e) and e >= 0.0 for e in triple)
 
     def test_passed_scorer_gives_the_same_triple(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         for seed in range(5):
-            assert one_replication(p, tikhonov(), grid, seed, scorer=scorer) == one_replication(
-                p, tikhonov(), grid, seed
+            assert one_replication(p, FilterSpec("tikhonov"), grid, seed, scorer=scorer) == one_replication(
+                p, FilterSpec("tikhonov"), grid, seed
             )
 
     def test_noise_free_limit_is_bias(self):
         p = ten_mode_problem(sigma=1e-300)
         grid = build_grid(1e-6, 1.0, 1.6)  # avoid the huge sigma^2-anchored grid
-        err_or, err_pred, err_lep = one_replication(p, tikhonov(), grid, 3)
-        biases = [direct_risk(p, tikhonov(), a).bias_term for a in grid.values]
+        err_or, err_pred, err_lep = one_replication(p, FilterSpec("tikhonov"), grid, 3)
+        biases = [direct_risk(p, FilterSpec("tikhonov"), a).bias_term for a in grid]
         assert err_or == pytest.approx(min(biases), rel=1e-10)
         assert err_pred == pytest.approx(min(biases), rel=1e-10)
 
     def test_oracle_error_mean_matches_closed_form(self):
         p = ten_mode_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         truths = p.truth_coeffs[None]
         oracle = int(scorer.batch_picks(truths, np.empty((0, p.n_modes)))[0][0])
         score = scorer.batch_oracle_scores(truths)[0, oracle]
         m = 2000
         errs = np.array(
-            [one_replication(p, tikhonov(), grid, substream_seed(21, j), oracle)[0] for j in range(m)]
+            [one_replication(p, FilterSpec("tikhonov"), grid, substream_seed(21, j), oracle)[0] for j in range(m)]
         )
         se = errs.std(ddof=1) / math.sqrt(m)
         assert abs(errs.mean() - score) <= 4 * se
@@ -270,7 +270,7 @@ class TestBatches:
                 run_efficiency_experiment,
                 ExperimentConfig(
                     problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
-                    filter_spec=tikhonov(),
+                    filter_spec=FilterSpec("tikhonov"),
                     sigmas=tuple(10.0**-k for k in range(1, 7)),
                     replications=5,
                     master_seed=20240901,
@@ -284,7 +284,7 @@ class TestBatches:
         # leaked K x n block per noise level or batch would show here
         run(config)
         n = config.problem.n_modes if isinstance(config.problem, GreenDescriptor) else config.problem.n
-        buffer_bytes = max(map(len, config.grids())) * n * 8
+        buffer_bytes = max(map(len, config_grids(config))) * n * 8
         tracemalloc.start()
         try:
             run(config)
@@ -370,8 +370,8 @@ class TestRunRateExperiment:
             assert row.r_lep == float(np.mean(row.per_rep["lep"]))
             assert row.r_or >= 0 and row.r_pred >= 0 and row.r_lep >= 0
 
-    def test_worker_count_independence(self):
-        tables = [run_rate_experiment(small_config(), workers=w) for w in (1, 2, 8)]
+    def test_reruns_are_identical(self):
+        tables = [run_rate_experiment(small_config()) for _ in range(3)]
         for other in tables[1:]:
             for a, b in zip(tables[0], other):
                 assert (a.sigma, a.r_or, a.se_or, a.r_pred, a.se_pred, a.r_lep, a.se_lep) == (
@@ -411,7 +411,7 @@ class TestRunEfficiencyExperiment:
     def test_ratios_in_unit_band(self):
         config = ExperimentConfig(
             problem=DiagonalDescriptor(n=50, a=4.0, nu=4.0),
-            filter_spec=tikhonov(),
+            filter_spec=FilterSpec("tikhonov"),
             sigmas=(1e-2, 1e-4),
             replications=100,
             master_seed=6,
@@ -421,16 +421,16 @@ class TestRunEfficiencyExperiment:
             assert 0.0 < row.eff_pred <= 1.05
             assert 0.0 < row.eff_lep <= 1.05
 
-    def test_worker_count_independence(self):
+    def test_reruns_are_identical(self):
         config = ExperimentConfig(
             problem=DiagonalDescriptor(n=30, a=3.0, nu=3.0),
-            filter_spec=tikhonov(),
+            filter_spec=FilterSpec("tikhonov"),
             sigmas=(1e-2,),
             replications=40,
             master_seed=6,
         )
-        a = run_efficiency_experiment(config, workers=1)
-        b = run_efficiency_experiment(config, workers=8)
+        a = run_efficiency_experiment(config)
+        b = run_efficiency_experiment(config)
         assert a == b
 
     def test_requires_diagonal_descriptor(self):

@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from invreg.filters import ALL_FAMILIES, s_value, tikhonov
-from invreg.selection import GridScorer, ParameterGrid, _bounds
+from invreg.filters import ALL_FAMILIES, FilterSpec, s_value
+from invreg.selection import GridScorer, _bounds
 
 
 def fractions(values):
@@ -41,14 +41,14 @@ def large_sums(rng):
     # |a_i| dominates: sums near 1e200, offsets near 1e-200
     eig = np.sort(rng.uniform(0.01, 1.0, 64))[::-1]
     rows = mantissas(rng, (6, 64), 1e100)
-    return eig, 1e-100, tikhonov(), 10.0 ** np.linspace(-3, 0, 8), rows
+    return eig, 1e-100, FilterSpec("tikhonov"), 10.0 ** np.linspace(-3, 0, 8), rows
 
 
 def large_observations(rng):
     # Y dominates: s <= 1e-8, so a_i = sum (1 - s)^2 y^2 - Y is tiny against Y
     eig = np.sort(rng.uniform(1e-10, 1e-9, 64))[::-1]
     rows = mantissas(rng, (6, 64), 1e100)
-    return eig, 1e-100, tikhonov(), 10.0 ** np.linspace(-1, 0, 8), rows
+    return eig, 1e-100, FilterSpec("tikhonov"), 10.0 ** np.linspace(-1, 0, 8), rows
 
 
 def subnormal_weights(rng):
@@ -56,14 +56,14 @@ def subnormal_weights(rng):
     # and sigma^2 underflows to 0, so the relative terms vanish
     eig = np.sort(rng.uniform(0.01, 1.0, 64))[::-1]
     rows = mantissas(rng, (6, 64), 1e-161)
-    return eig, 1e-170, tikhonov(), 10.0 ** np.linspace(-3, 0, 8), rows
+    return eig, 1e-170, FilterSpec("tikhonov"), 10.0 ** np.linspace(-3, 0, 8), rows
 
 
 def large_offsets(rng):
     # sums near 1, offsets near 1e100
     eig = np.sort(rng.uniform(0.01, 1.0, 48))[::-1]
     rows = mantissas(rng, (6, 48), 1.0)
-    return eig, 1e50, tikhonov(), 10.0 ** np.linspace(-3, 0, 8), rows
+    return eig, 1e50, FilterSpec("tikhonov"), 10.0 ** np.linspace(-3, 0, 8), rows
 
 
 def mixed_families(rng):
@@ -82,7 +82,7 @@ def audit(case, seed):
     point: the approximate score a, its margin, the score the picks
     compare, the exact score and the offset; and per row Y (0 for a truth)."""
     eig, sigma, spec, alphas, rows = case(np.random.default_rng(seed))
-    scorer = GridScorer(eig, sigma, spec, ParameterGrid(2.0, alphas))
+    scorer = GridScorer(eig, sigma, spec, alphas)
     weights = np.square(rows)
     approx, margin = _bounds(scorer._terms(), weights, 3, scorer._variance, scorer._pred_offset)
     scores = np.concatenate([scorer.batch_oracle_scores(rows[:3]), scorer.batch_pred_scores(rows[3:])])

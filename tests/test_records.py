@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from invreg.filters import FilterSpec, tikhonov
+from invreg.filters import FilterSpec
 from invreg.model import SpectralProblem
 from invreg.montecarlo import (
     DiagonalDescriptor,
@@ -20,7 +20,6 @@ from invreg.problems import DenseSymmetricMatrix
 from invreg.problems import TestFunction as GreenTruth
 from invreg.ratetest import RateSample, RateTestResult
 from invreg.risk import RiskDecomposition
-from invreg.selection import ParameterGrid
 
 
 class Case(NamedTuple):
@@ -74,7 +73,6 @@ CASES = [
         "RiskDecomposition(bias_term=1.0, variance_term=2.0)",
         other={"variance_term": 3.0},
     ),
-    Case(ParameterGrid, {"ratio": 1.2, "values": [1.0, 1.2]}, {}, "ParameterGrid(ratio=1.2, values=array([1. , 1.2]))"),
     Case(
         RateSample,
         {"sigma": 0.1, "errors": np.array([1.0, 2.0]), "mean": 1.5, "delta": 0.2},
@@ -107,7 +105,7 @@ CASES = [
         ExperimentConfig,
         {
             "problem": DiagonalDescriptor(n=16),
-            "filter_spec": tikhonov(),
+            "filter_spec": FilterSpec("tikhonov"),
             "sigmas": (1e-2, 1e-3),
             "replications": 4,
             "grid_ratio": 1.5,

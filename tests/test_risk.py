@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invreg.filters import ALL_FAMILIES, s_value, spectral_cutoff, tikhonov
+from invreg.filters import ALL_FAMILIES, FilterSpec, s_value
 from invreg.model import (
     SpectralProblem,
     estimate_coefficients,
@@ -30,14 +30,14 @@ def small_problem(sigma=0.1):
 class TestPredictionRisk:
     def test_zero_truth_is_pure_variance(self):
         p = SpectralProblem([1.0, 0.5], [0.0, 0.0], 0.3)
-        dec = prediction_risk(p, tikhonov(), 0.2)
+        dec = prediction_risk(p, FilterSpec("tikhonov"), 0.2)
         assert dec.bias_term == 0.0
-        s = s_value(tikhonov(), 0.2, p.eigenvalues)
+        s = s_value(FilterSpec("tikhonov"), 0.2, p.eigenvalues)
         assert dec.total == pytest.approx(0.09 * float(np.sum(s**2)), rel=1e-14)
 
     def test_cutoff_above_spectrum_is_pure_bias(self):
         p = small_problem()
-        dec = prediction_risk(p, spectral_cutoff(), 2.0)
+        dec = prediction_risk(p, FilterSpec("spectral_cutoff"), 2.0)
         assert dec.variance_term == 0.0
         expected = float(np.sum(p.eigenvalues * p.truth_coeffs**2))
         assert dec.bias_term == pytest.approx(expected, rel=1e-14)
@@ -45,19 +45,19 @@ class TestPredictionRisk:
     def test_single_mode_hand_evaluation(self):
         # lambda=0.5, f=2, sigma=0.1, Tikhonov alpha=0.5 -> s=0.5
         p = SpectralProblem([0.5], [2.0], 0.1)
-        dec = prediction_risk(p, tikhonov(), 0.5)
+        dec = prediction_risk(p, FilterSpec("tikhonov"), 0.5)
         assert dec.bias_term == pytest.approx(0.5 * 0.25 * 4.0, rel=1e-14)
         assert dec.variance_term == pytest.approx(0.01 * 0.25, rel=1e-14)
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
-            prediction_risk(small_problem(), tikhonov(), 0.0)
+            prediction_risk(small_problem(), FilterSpec("tikhonov"), 0.0)
 
     def test_bias_monotone_variance_antitone_in_alpha(self):
         p = small_problem()
         grid = build_grid(p.sigma, 1.0, 1.3)
         for spec in ALL_FAMILIES(m=3):
-            decs = [prediction_risk(p, spec, a) for a in grid.values]
+            decs = [prediction_risk(p, spec, a) for a in grid]
             biases = [d.bias_term for d in decs]
             variances = [d.variance_term for d in decs]
             assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(biases, biases[1:]))
@@ -67,25 +67,25 @@ class TestPredictionRisk:
 class TestDirectRisk:
     def test_zero_truth_cutoff_small_alpha(self):
         p = SpectralProblem([1.0, 0.5, 0.25], [0.0, 0.0, 0.0], 0.2)
-        dec = direct_risk(p, spectral_cutoff(), 0.25)
+        dec = direct_risk(p, FilterSpec("spectral_cutoff"), 0.25)
         expected = 0.04 * float(np.sum(1.0 / p.eigenvalues))
         assert dec.total == pytest.approx(expected, rel=1e-14)
 
     def test_cutoff_above_spectrum_returns_truth_norm(self):
         p = small_problem()
-        dec = direct_risk(p, spectral_cutoff(), 2.0)
+        dec = direct_risk(p, FilterSpec("spectral_cutoff"), 2.0)
         assert dec.total == pytest.approx(float(np.sum(p.truth_coeffs**2)), rel=1e-14)
 
     def test_single_mode_hand_evaluation(self):
         # lambda=0.5, f=2, sigma=0.1, Tikhonov alpha=0.5 -> s=0.5, q=1
         p = SpectralProblem([0.5], [2.0], 0.1)
-        dec = direct_risk(p, tikhonov(), 0.5)
+        dec = direct_risk(p, FilterSpec("tikhonov"), 0.5)
         assert dec.bias_term == pytest.approx(0.25 * 4.0, rel=1e-14)
         assert dec.variance_term == pytest.approx(0.01 * 0.5 * 1.0, rel=1e-14)
 
     def test_total_is_sum_of_terms(self):
         p = small_problem()
-        dec = direct_risk(p, tikhonov(), 0.1)
+        dec = direct_risk(p, FilterSpec("tikhonov"), 0.1)
         assert dec.total == dec.bias_term + dec.variance_term
 
     def test_matches_monte_carlo_mean(self):
@@ -98,10 +98,10 @@ class TestDirectRisk:
         errs = np.empty(m)
         for j in range(m):
             obs = sample_observations(p, substream_seed(314, j))
-            diff = estimate_coefficients(p, tikhonov(), alpha, obs) - truth
+            diff = estimate_coefficients(p, FilterSpec("tikhonov"), alpha, obs) - truth
             errs[j] = diff @ diff
         se = errs.std(ddof=1) / math.sqrt(m)
-        assert abs(errs.mean() - direct_risk(p, tikhonov(), alpha).total) <= 4 * se
+        assert abs(errs.mean() - direct_risk(p, FilterSpec("tikhonov"), alpha).total) <= 4 * se
 
 
 class TestEmpiricalPredictionRisk:
@@ -110,10 +110,10 @@ class TestEmpiricalPredictionRisk:
         obs = np.zeros(5)
         grid = build_grid(p.sigma, 1.0, 1.5)
         scores = [
-            empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), a, obs)
-            for a in grid.values
+            empirical_prediction_risk(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), a, obs)
+            for a in grid
         ]
-        s_sums = [float(np.sum(s_value(tikhonov(), a, p.eigenvalues))) for a in grid.values]
+        s_sums = [float(np.sum(s_value(FilterSpec("tikhonov"), a, p.eigenvalues))) for a in grid]
         for score, s_sum in zip(scores, s_sums):
             assert score == pytest.approx(2.0 * p.sigma**2 * s_sum, rel=1e-14)
         assert all(s >= 0.0 for s in scores)
@@ -125,7 +125,7 @@ class TestEmpiricalPredictionRisk:
         obs = np.array([1.3])
         grid = build_grid(1e-3, 0.5, 1.4)
         scores = [
-            empirical_prediction_risk(eig, 0.0, tikhonov(), a, obs) for a in grid.values
+            empirical_prediction_risk(eig, 0.0, FilterSpec("tikhonov"), a, obs) for a in grid
         ]
         assert int(np.argmin(scores)) == 0
 
@@ -138,9 +138,9 @@ class TestEmpiricalPredictionRisk:
             scores = np.empty(m)
             for j in range(m):
                 obs = sample_observations(p, substream_seed(2718, j))
-                scores[j] = empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), alpha, obs)
+                scores[j] = empirical_prediction_risk(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), alpha, obs)
             se = scores.std(ddof=1) / math.sqrt(m)
-            target = prediction_risk(p, tikhonov(), alpha).total
+            target = prediction_risk(p, FilterSpec("tikhonov"), alpha).total
             assert abs(scores.mean() + const - target) <= 4 * se
 
     def test_scale_equivariance(self):
@@ -149,25 +149,25 @@ class TestEmpiricalPredictionRisk:
         c = 3.7
         scaled = c * obs
         for alpha in (0.05, 0.3):
-            base = empirical_prediction_risk(p.eigenvalues, p.sigma, tikhonov(), alpha, obs)
-            got = empirical_prediction_risk(p.eigenvalues, c * p.sigma, tikhonov(), alpha, scaled)
+            base = empirical_prediction_risk(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), alpha, obs)
+            got = empirical_prediction_risk(p.eigenvalues, c * p.sigma, FilterSpec("tikhonov"), alpha, scaled)
             assert got == pytest.approx(c**2 * base, rel=1e-12)
 
 
 class TestLepskiiThreshold:
     def test_cutoff_above_spectrum_is_zero(self):
         eig = np.array([1.0, 0.5])
-        assert lepskii_threshold(eig, 1.0, spectral_cutoff(), 2.0) == 0.0
+        assert lepskii_threshold(eig, 1.0, FilterSpec("spectral_cutoff"), 2.0) == 0.0
 
     def test_single_mode_hand_evaluation(self):
         # lambda=1, Tikhonov alpha=1, sigma=1: q=0.5 -> 4*sqrt(1*0.25) = 2
-        assert lepskii_threshold(np.array([1.0]), 1.0, tikhonov(), 1.0) == pytest.approx(2.0)
+        assert lepskii_threshold(np.array([1.0]), 1.0, FilterSpec("tikhonov"), 1.0) == pytest.approx(2.0)
 
     def test_nonincreasing_in_alpha(self):
         eig = np.array([1.0, 0.5, 0.25, 0.125])
         grid = build_grid(0.05, 1.0, 1.3)
         for spec in ALL_FAMILIES(m=3):
-            thresholds = [lepskii_threshold(eig, 0.05, spec, a) for a in grid.values]
+            thresholds = [lepskii_threshold(eig, 0.05, spec, a) for a in grid]
             assert all(t2 <= t1 + 1e-12 for t1, t2 in zip(thresholds, thresholds[1:]))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invreg.filters import ALL_FAMILIES, filter_value, landweber, s_value, showalter, spectral_cutoff, tikhonov
+from invreg.filters import ALL_FAMILIES, FilterSpec, filter_value, s_value
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import make_diagonal_problem, make_green_problem
 from invreg.model import (
@@ -25,7 +25,7 @@ from invreg.risk import (
     empirical_prediction_risk,
     lepskii_threshold,
 )
-from invreg.selection import GridScorer, ParameterGrid, apriori_alpha_polynomial, build_grid
+from invreg.selection import GridScorer, apriori_alpha_polynomial, build_grid
 from invreg import lepskii
 from invreg.lepskii import _GRAM_LIMIT, _ROW_LIMIT, _bounds, _rounding
 
@@ -61,7 +61,7 @@ def lepskii_pick(eigenvalues, sigma, spec, grid, obs):
 
 def naive_oracle(problem, spec, grid):
     best, best_idx = math.inf, 0
-    for i, a in enumerate(grid.values):
+    for i, a in enumerate(grid):
         total = direct_risk(problem, spec, a).total
         if total < best:
             best, best_idx = total, i
@@ -70,7 +70,7 @@ def naive_oracle(problem, spec, grid):
 
 def naive_pred(eigenvalues, sigma, spec, grid, obs):
     best, best_idx = math.inf, 0
-    for i, a in enumerate(grid.values):
+    for i, a in enumerate(grid):
         score = empirical_prediction_risk(eigenvalues, sigma, spec, a, obs)
         if score < best:
             best, best_idx = score, i
@@ -81,16 +81,16 @@ def naive_lepskii(eigenvalues, sigma, spec, grid, obs):
     # O(K^2) double loop with explicit estimate vectors
     estimates = []
     problem_like = np.sqrt(eigenvalues)
-    for a in grid.values:
+    for a in grid:
         from invreg.filters import filter_value
 
         estimates.append(problem_like * filter_value(spec, a, eigenvalues) * obs)
     best = 0
-    for i in range(len(grid.values)):
+    for i in range(len(grid)):
         ok = True
         for j in range(i):
             dist = np.linalg.norm(estimates[i] - estimates[j])
-            if dist > lepskii_threshold(eigenvalues, sigma, spec, float(grid.values[j])):
+            if dist > lepskii_threshold(eigenvalues, sigma, spec, float(grid[j])):
                 ok = False
                 break
         if ok:
@@ -117,11 +117,11 @@ def single_replication_scores(p, spec, grid, row, rule):
     one observation (``rule`` "pred") or one truth ("oracle") turned into
     (s^2 - 2s) y^2 or (1 - s)^2 f^2, summed row by row, plus the term that
     does not depend on the data."""
-    s = np.array([s_value(spec, alpha, p.eigenvalues) for alpha in grid.values])
+    s = np.array([s_value(spec, alpha, p.eigenvalues) for alpha in grid])
     if rule == "pred":
         terms = (s**2 - 2.0 * s) * row**2
         return _accumulate_rows(terms) + 2.0 * p.sigma**2 * _accumulate_rows(s)
-    q = np.array([filter_value(spec, alpha, p.eigenvalues) for alpha in grid.values])
+    q = np.array([filter_value(spec, alpha, p.eigenvalues) for alpha in grid])
     terms = (1.0 - s) ** 2 * row**2
     return _accumulate_rows(terms) + p.sigma**2 * _accumulate_rows(p.eigenvalues * q**2)
 
@@ -148,7 +148,7 @@ def lepskii_problem(n):
 
 def estimate_rows(scorer, y):
     eig = scorer.eigenvalues
-    return np.array([np.sqrt(eig) * filter_value(scorer.spec, a, eig) * y for a in scorer.grid.values])
+    return np.array([np.sqrt(eig) * filter_value(scorer.spec, a, eig) * y for a in scorer.grid])
 
 
 def exact_lepskii(scorer, y):
@@ -198,7 +198,7 @@ def estimate_errors(scorer, values, truths, index):
     the scorer must sum it."""
     errors = np.empty(index.shape)
     for r, e in np.ndindex(index.shape):
-        eig, alpha = scorer.eigenvalues, float(scorer.grid.values[index[r, e]])
+        eig, alpha = scorer.eigenvalues, float(scorer.grid[index[r, e]])
         diff = np.sqrt(eig) * filter_value(scorer.spec, alpha, eig) * values[r] - truths[r]
         errors[r, e] = _accumulate(diff * diff) if diff.size >= _COMPENSATED_FROM else diff @ diff
     return errors
@@ -216,16 +216,16 @@ class TestBuildGrid:
     def test_hand_counted_sizes(self):
         grid = build_grid(0.01, 1.0, 1.2)
         assert len(grid) == 51  # K = floor(log(1e4)/log(1.2)) = 50
-        assert grid.values[0] == pytest.approx(1e-4)
+        assert grid[0] == pytest.approx(1e-4)
 
     def test_exact_power_endpoint(self):
         grid = build_grid(1.0, 1.44, 1.2)
-        np.testing.assert_allclose(grid.values, [1.0, 1.2, 1.44], rtol=1e-12)
+        np.testing.assert_allclose(grid, [1.0, 1.2, 1.44], rtol=1e-12)
 
     def test_values_capped_by_lambda_max(self):
         grid = build_grid(0.03, 0.77, 1.3)
-        assert grid.values[-1] <= 0.77
-        assert grid.values[-1] * 1.3 > 0.77
+        assert grid[-1] <= 0.77
+        assert grid[-1] * 1.3 > 0.77
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
@@ -240,20 +240,21 @@ class TestChooseOracle:
     def test_zero_truth_picks_largest_alpha(self):
         p = SpectralProblem([1.0, 0.5, 0.25], [0.0, 0.0, 0.0], 0.05)
         grid = build_grid(p.sigma, 1.0, 1.4)
-        assert oracle_pick(p, tikhonov(), grid) == len(grid) - 1
+        assert oracle_pick(p, FilterSpec("tikhonov"), grid) == len(grid) - 1
 
     def test_vanishing_noise_picks_smallest_alpha(self):
         p = SpectralProblem([1.0, 0.5, 0.25], [1.0, 1.0, 1.0], 1e-12)
-        grid = ParameterGrid(1.4, np.array([1e-3, 1.4e-3, 1.96e-3]))
-        assert oracle_pick(p, tikhonov(), grid) == naive_oracle(p, tikhonov(), grid) == 0
+        grid = np.array([1e-3, 1.4e-3, 1.96e-3])
+        assert oracle_pick(p, FilterSpec("tikhonov"), grid) == naive_oracle(p, FilterSpec("tikhonov"), grid) == 0
 
     def test_alpha_is_grid_member(self):
         p = random_problem(np.random.default_rng(0))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.3)
-        index = oracle_pick(p, tikhonov(), grid)
-        score = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid).batch_oracle_scores(p.truth_coeffs[None])[0, index]
-        assert score <= min(direct_risk(p, tikhonov(), a).total for a in grid.values)
-        assert score == direct_risk(p, tikhonov(), grid.values[index]).total
+        spec = FilterSpec("tikhonov")
+        index = oracle_pick(p, spec, grid)
+        score = GridScorer(p.eigenvalues, p.sigma, spec, grid).batch_oracle_scores(p.truth_coeffs[None])[0, index]
+        assert score <= min(direct_risk(p, spec, a).total for a in grid)
+        assert score == direct_risk(p, spec, grid[index]).total
 
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(101)
@@ -271,16 +272,16 @@ class TestChoosePred:
         eig = np.array([1.0, 0.5, 0.25])
         obs = np.zeros(3)
         grid = build_grid(0.05, 1.0, 1.4)
-        assert pred_pick(eig, 0.05, tikhonov(), grid, obs) == len(grid) - 1
+        assert pred_pick(eig, 0.05, FilterSpec("tikhonov"), grid, obs) == len(grid) - 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         p = random_problem(rng)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.3)
         obs = sample_observations(p, 9)
-        base = pred_pick(p.eigenvalues, p.sigma, tikhonov(), grid, obs)
+        base = pred_pick(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid, obs)
         for c in (0.1, 7.0):
-            scaled = pred_pick(p.eigenvalues, c * p.sigma, tikhonov(), grid, c * obs)
+            scaled = pred_pick(p.eigenvalues, c * p.sigma, FilterSpec("tikhonov"), grid, c * obs)
             assert scaled == base
 
     def test_tie_breaks_to_smallest_index(self):
@@ -288,11 +289,11 @@ class TestChoosePred:
         # s = 1 exactly, so the two smallest grid points tie at the minimum
         eig = np.array([1.0])
         obs = np.array([1.0])
-        grid = ParameterGrid(2.0, np.array([0.25, 0.5, 2.0]))
-        index = pred_pick(eig, 0.1, spectral_cutoff(), grid, obs)
+        grid = np.array([0.25, 0.5, 2.0])
+        index = pred_pick(eig, 0.1, FilterSpec("spectral_cutoff"), grid, obs)
         scores = [
-            empirical_prediction_risk(eig, 0.1, spectral_cutoff(), a, obs)
-            for a in grid.values
+            empirical_prediction_risk(eig, 0.1, FilterSpec("spectral_cutoff"), a, obs)
+            for a in grid
         ]
         assert scores[0] == scores[1] == min(scores)  # genuine tie exercised
         assert index == 0
@@ -316,7 +317,7 @@ class TestChooseLepskii:
         eig = np.array([1.0, 0.5, 0.25])
         obs = np.zeros(3)
         grid = build_grid(0.05, 1.0, 1.4)
-        assert lepskii_pick(eig, 0.05, tikhonov(), grid, obs) == len(grid) - 1
+        assert lepskii_pick(eig, 0.05, FilterSpec("tikhonov"), grid, obs) == len(grid) - 1
 
     def test_index_trend_in_sigma(self):
         # median selected index weakly decreases as sigma decreases
@@ -329,7 +330,7 @@ class TestChooseLepskii:
             frac = []
             for seed in range(200):
                 obs = sample_observations(p, substream_seed(33, seed))
-                frac.append(lepskii_pick(eig, sigma, tikhonov(), grid, obs) / (len(grid) - 1))
+                frac.append(lepskii_pick(eig, sigma, FilterSpec("tikhonov"), grid, obs) / (len(grid) - 1))
             medians.append(float(np.median(frac)))
         assert medians[0] >= medians[1] >= medians[2]
 
@@ -363,17 +364,17 @@ class TestGridScorer:
             return [oracle.tolist(), pred.tolist(), lep.tolist()] + [x.tobytes() for x in scores]
 
         for p, grid in zip(problems, grids):
-            shared = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid, buffer)
+            shared = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid, buffer)
             for seed in range(3):
                 obs = sample_observations(p, seed)
-                fresh = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+                fresh = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
                 assert selections(shared, p, obs) == selections(fresh, p, obs)
 
     def test_pred_scores_equal_the_scalar_score_bitwise(self):
         for p, spec, grid, obs in realistic_cases():
             scores = GridScorer(p.eigenvalues, p.sigma, spec, grid).batch_pred_scores(obs[None])[0]
             expected = [
-                empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, obs) for a in grid.values
+                empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, obs) for a in grid
             ]
             assert scores.tobytes() == np.array(expected).tobytes()
 
@@ -393,7 +394,7 @@ class TestGridScorer:
         for p, spec, grid, _ in realistic_cases():
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             scores = scorer.batch_oracle_scores(p.truth_coeffs[None])
-            expected = [direct_risk(p, spec, a).total for a in grid.values]
+            expected = [direct_risk(p, spec, a).total for a in grid]
             assert scores[0].tobytes() == np.array(expected).tobytes()
 
     def test_errors_read_from_the_lepskii_rows_equal_the_estimates_bitwise(self):
@@ -404,7 +405,7 @@ class TestGridScorer:
             assert best == scorer.batch_lepskii_errors(obs[None])[0][0]
             expected = []
             for i in (*picks, best):
-                diff = estimate_coefficients(p, spec, float(grid.values[i]), obs) - p.truth_coeffs
+                diff = estimate_coefficients(p, spec, float(grid[i]), obs) - p.truth_coeffs
                 expected.append(float(diff @ diff))
             assert errors.tobytes() == np.array(expected).tobytes()
 
@@ -437,7 +438,7 @@ class TestGridScorer:
         grids = [build_grid(p.sigma, float(p.eigenvalues[0]), 1.2) for p in problems]
         buffer = np.empty((max(map(len, grids)), 1024))
         cases = []
-        for p, grid, spec in zip(problems, grids, (tikhonov(), showalter())):
+        for p, grid, spec in zip(problems, grids, (FilterSpec("tikhonov"), FilterSpec("showalter"))):
             shared = GridScorer(p.eigenvalues, p.sigma, spec, grid, buffer)
             alone = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             values, truths = batch_rows(p, 3)
@@ -454,7 +455,7 @@ class TestGridScorer:
     def test_a_lepskii_batch_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(4))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         for values, truths in (
             (np.ones(p.n_modes), None),
             (np.ones((2, p.n_modes + 1)), None),
@@ -473,7 +474,7 @@ class TestGridScorer:
         p = make_diagonal_problem(300, 4.0, 4.0, 1e-2, seed=3)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         assert len(grid) == 51
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         values, truths = batch_rows(p, 3)
         with pytest.raises(ValueError, match="picks"):
             scorer.batch_lepskii_errors(values, truths, malformed)
@@ -538,7 +539,7 @@ class TestGridScorer:
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         values, truths = batch_rows(p, 6)
         picks = [(0, r) for r in range(6)]
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         certified = scorer.batch_lepskii_errors(values, truths, picks)
         calls = []
         certify = lepskii._certify
@@ -578,7 +579,7 @@ class TestGridScorer:
             return best
 
         monkeypatch.setattr(lepskii, "_certify", recording)
-        for spec in (tikhonov(), spectral_cutoff()):
+        for spec in (FilterSpec("tikhonov"), FilterSpec("spectral_cutoff")):
             outcomes.clear()
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             with np.errstate(invalid="ignore") if math.isinf(bad) else contextlib.nullcontext():
@@ -596,7 +597,7 @@ class TestGridScorer:
         p = lepskii_problem(1024)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         values, truths = batch_rows(p, 9)
-        clean = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid).batch_lepskii_errors(values, truths)
+        clean = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid).batch_lepskii_errors(values, truths)
         values[4, 100] = bad
         outcomes = []
         certify = lepskii._certify
@@ -607,7 +608,7 @@ class TestGridScorer:
             return best
 
         monkeypatch.setattr(lepskii, "_certify", recording)
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         best, errors = scorer.batch_lepskii_errors(values, truths)
         assert [r for r, got in enumerate(outcomes) if got < 0] == [4]
         assert best[4] == exact_lepskii(scorer, values[4])
@@ -619,8 +620,8 @@ class TestGridScorer:
         # at lambda = alpha = 1e-40, sqrt(lambda) q = 1/(2 sqrt(alpha)) = 5e19,
         # beyond the 2^62 that the float32 rows allow
         eig = np.array([1.0, 1e-40, 0.0])
-        grid = ParameterGrid(1.2, 1e-40 * 1.2 ** np.arange(8))
-        scorer = GridScorer(eig, 1e-20, tikhonov(), grid)
+        grid = 1e-40 * 1.2 ** np.arange(8)
+        scorer = GridScorer(eig, 1e-20, FilterSpec("tikhonov"), grid)
         certify = lepskii._certify
 
         def refusing(*args):
@@ -644,7 +645,7 @@ class TestGridScorer:
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         rng = np.random.default_rng(1)
         values = np.sqrt(p.eigenvalues) * p.truth_coeffs + p.sigma * rng.standard_normal((500, n))
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         scorer.batch_lepskii_errors(values[:n])
         peaks = []
         for batch in (values[:n], values):
@@ -666,7 +667,7 @@ class TestGridScorer:
         rng = np.random.default_rng(3)
         truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((500, 8)))
         values = np.sqrt(p.eigenvalues) * truths + p.sigma * rng.standard_normal((500, 8))
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         expected = (
             np.argmin(scorer.batch_oracle_scores(truths), axis=1),
             np.argmin(scorer.batch_pred_scores(values), axis=1),
@@ -689,7 +690,7 @@ class TestGridScorer:
         rng = np.random.default_rng(4)
         truths = p.truth_coeffs * (1.0 + 0.1 * rng.standard_normal((500, 1)))
         values = np.sqrt(p.eigenvalues) * truths + p.sigma * rng.standard_normal((500, 1))
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         expected = (
             np.argmin(scorer.batch_oracle_scores(truths), axis=1),
             np.argmin(scorer.batch_pred_scores(values), axis=1),
@@ -709,7 +710,7 @@ class TestGridScorer:
     def test_rejects_rows_of_the_wrong_shape(self):
         p = random_problem(np.random.default_rng(2))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
-        scorer = GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid)
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         for call, rows in (
             (scorer.batch_pred_scores, np.ones(p.n_modes)),
             (scorer.batch_oracle_scores, np.ones((2, p.n_modes + 1))),
@@ -731,7 +732,7 @@ class TestGridScorer:
         rng = np.random.default_rng(seed)
         eig = np.sort(rng.uniform(1e-6, 1.0, size=n))[::-1]
         sigma = 10.0 ** rng.uniform(-6, -1)
-        grid = ParameterGrid(1.2, sigma**2 * 1.2 ** np.arange(k))
+        grid = sigma**2 * 1.2 ** np.arange(k)
         scorer = GridScorer(eig, sigma, ALL_FAMILIES(m=3)[family], grid)
         values = rng.normal(0.0, 1.0, size=(batch, n))
         truths = rng.normal(0.0, 1.0, size=(batch, n))
@@ -756,7 +757,7 @@ class TestGridScorer:
         rng = np.random.default_rng(seed)
         eig = np.sort(rng.uniform(1e-6, 1.0, size=n))[::-1]
         sigma = 10.0 ** rng.uniform(-6, -1)
-        grid = ParameterGrid(1.2, sigma**2 * 1.2 ** np.arange(k))
+        grid = sigma**2 * 1.2 ** np.arange(k)
         scorer = GridScorer(eig, sigma, ALL_FAMILIES(m=3)[family], grid)
         rows = []
         for scale in (1.0, sigma):  # truths, then observations of the noise's size
@@ -786,7 +787,7 @@ class TestGridScorer:
         eig = 2.0 ** -np.arange(0.0, 40.0, 4.0)
         sigma = 2.0**-20
         grid = build_grid(sigma, 1.0, 1.05)
-        scorer = GridScorer(eig, sigma, spectral_cutoff(), grid)
+        scorer = GridScorer(eig, sigma, FilterSpec("spectral_cutoff"), grid)
         rescored = []
         exact = GridScorer._exact
 
@@ -816,7 +817,7 @@ class TestGridScorer:
         eig = 2.0 ** -np.arange(0.0, 40.0, 4.0)
         sigma = 2.0**-20
         grid = build_grid(sigma, 1.0, 1.05)
-        for spec in (spectral_cutoff(), tikhonov()):
+        for spec in (FilterSpec("spectral_cutoff"), FilterSpec("tikhonov")):
             scorer = GridScorer(eig, sigma, spec, grid)
             rows = np.full((2, eig.size), 1e-3)
             rows[0, 4] = bad
@@ -832,17 +833,22 @@ class TestGridScorer:
     @pytest.mark.parametrize(
         "spec, eigenvalues, alphas",
         [
-            (landweber(), [1.0 + 1e-15, 0.5], [0.1, 0.2]),
-            (tikhonov(), [0.5, -1e-300], [0.1, 0.2]),
-            (tikhonov(), [0.5, 0.25], [0.1, 0.0]),
-            (tikhonov(), [0.5, 0.25], [-0.1, 0.2]),
-            (showalter(), [0.5, 0.25], [0.1, math.nan]),
+            (FilterSpec("landweber"), [1.0 + 1e-15, 0.5], [0.1, 0.2]),
+            (FilterSpec("tikhonov"), [0.5, -1e-300], [0.1, 0.2]),
+            (FilterSpec("tikhonov"), [0.5, 0.25], [0.1, 0.0]),
+            (FilterSpec("tikhonov"), [0.5, 0.25], [-0.1, 0.2]),
+            (FilterSpec("showalter"), [0.5, 0.25], [0.1, math.nan]),
         ],
         ids=["landweber-lambda-above-one", "negative-lambda", "zero-alpha", "negative-alpha", "nan-alpha"],
     )
     def test_refuses_bad_inputs_at_construction(self, spec, eigenvalues, alphas):
         with pytest.raises(ValueError):
-            GridScorer(np.array(eigenvalues), 0.01, spec, ParameterGrid(1.2, np.array(alphas)))
+            GridScorer(np.array(eigenvalues), 0.01, spec, np.array(alphas))
+
+    @pytest.mark.parametrize("grid", [np.empty(0), np.array([[0.1, 0.2]])], ids=["empty", "2-d"])
+    def test_refuses_an_empty_or_2d_grid_at_construction(self, grid):
+        with pytest.raises(ValueError, match="grid must be a nonempty 1-d array of alphas"):
+            GridScorer(np.array([0.5, 0.25]), 0.01, FilterSpec("tikhonov"), grid)
 
     def test_later_changes_to_the_callers_eigenvalues_change_no_score(self):
         for p, spec, grid, obs in realistic_cases():
@@ -868,7 +874,7 @@ class TestGridScorer:
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
         for shape in ((len(grid) - 1, p.n_modes), (len(grid), p.n_modes + 1)):
             with pytest.raises(ValueError):
-                GridScorer(p.eigenvalues, p.sigma, tikhonov(), grid, np.empty(shape))
+                GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid, np.empty(shape))
 
 
 class TestAprioriAlpha:

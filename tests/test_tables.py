@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from invreg.filters import ALL_FAMILIES, FilterSpec, filter_value, s_value, tikhonov
+from invreg.filters import ALL_FAMILIES, FilterSpec, filter_value, s_value
 from invreg.montecarlo import (
     EfficiencyRow,
     ExperimentConfig,
@@ -30,7 +30,7 @@ from invreg.tables import (
 def small_table():
     config = ExperimentConfig(
         problem=GreenDescriptor(GreenTruth.HAT, n_modes=32),
-        filter_spec=tikhonov(),
+        filter_spec=FilterSpec("tikhonov"),
         sigmas=(1e-2, 1e-3),
         replications=10,
         master_seed=11,

@@ -18,12 +18,13 @@ fresh truth per replication, or once per noise level for the rate study's
 fixed truth, in its first batch) and the pred rule pick their grid points
 from one (1 - s)^2 block per batch (``GridScorer.batch_picks``), which
 scores exactly only the grid rows near each minimum.  Lepskii's rule then
-picks for the whole batch at once (``GridScorer.batch_lepskii_errors``,
+picks for the whole batch at once (``GridScorer.batch_lepskii_picks``,
 through ``lepskii.picks``), with the indices of the float64 test.  So the
 tables are the same bytes as with every row scored exactly in float64,
 and none of these picks but a Lepskii fallback's depends on the BLAS
-thread count.  The three squared errors are read from the estimate rows
-at the three picked grid points, evaluated once per batch.
+thread count.  The three picks are stacked into one (R, 3) index, and the
+squared errors are read from the estimate rows at its grid points,
+evaluated once per batch (``GridScorer.batch_errors``).
 The rate study builds its problem once per run (only sigma changes between
 noise levels), and the efficiency study builds the eigenvalues, their
 square roots and the truth decay k^{-nu} once per run; a replication draws
@@ -196,7 +197,9 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
     over the noise levels, the replications and, for a fresh truth per
     replication, its truth and noise streams).  Given the fixed ``truth``,
     a replication has one stream, and the oracle picks once per noise
-    level, from its first batch's block.
+    level, from its first batch's block.  A batch makes one scorer call
+    per phase: ``batch_picks``, ``batch_lepskii_picks``, and
+    ``batch_errors`` at the (R, 3) index of the three picks.
     """
     grids = [build_grid(sigma, config.problem.lambda_max, config.grid_ratio) for sigma in config.sigmas]
     # one scratch block for the largest grid serves every noise level
@@ -218,8 +221,8 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
                 if len(oracle_idx):
                     fixed_idx, oracle_truths = oracle_idx[0], oracle_truths[:0]
                 oracle_idx = np.full(count, fixed_idx)
-            # Lepskii's pick, and the squared errors at the three picks
-            batches.append(scorer.batch_lepskii_errors(values, truths, np.stack([oracle_idx, pred_idx], axis=1))[1])
+            index = np.stack([oracle_idx, pred_idx, scorer.batch_lepskii_picks(values)], axis=1)
+            batches.append(scorer.batch_errors(values, truths, index))
         yield sigma, np.concatenate(batches)
 
 

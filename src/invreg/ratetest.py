@@ -28,8 +28,8 @@ __all__ = [
 
 
 class DegenerateVarianceError(ValueError):
-    """Per-replication errors have zero spread, or a mean that is zero or not
-    finite; the test cannot proceed."""
+    """Per-replication errors have zero spread or one that overflows, or a
+    mean that is zero or not finite; the test cannot proceed."""
 
 
 class SingularDesignError(ValueError):
@@ -66,9 +66,9 @@ class RateTestResult(Record):
 def estimate_delta(errors) -> float:
     """delta_hat = sqrt(sum (e_j - mean)^2) / (sqrt(m) |mean|).
 
-    Scale-free spread of the log mean error; zero spread, or a mean that is
-    zero or not finite (one that underflows or overflows), abort rather than
-    fabricate precision.
+    Scale-free spread of the log mean error; zero spread or one that
+    overflows, or a mean that is zero or not finite (one that underflows or
+    overflows), abort rather than fabricate precision.
     """
     errors = np.asarray(errors, dtype=float)
     m = errors.size
@@ -78,7 +78,10 @@ def estimate_delta(errors) -> float:
         mean = float(np.mean(errors))
     if mean == 0.0 or not math.isfinite(mean):
         raise DegenerateVarianceError(f"mean error is {mean!r}; delta is undefined")
-    spread = float(np.sum((errors - mean) ** 2))
+    with np.errstate(over="ignore"):
+        spread = float(np.sum((errors - mean) ** 2))
+    if not math.isfinite(spread):
+        raise DegenerateVarianceError(f"mean error is {mean!r}, but the spread about it overflows; delta is undefined")
     if spread == 0.0:
         raise DegenerateVarianceError("errors have zero sample variance")
     return math.sqrt(spread) / (math.sqrt(m) * abs(mean))

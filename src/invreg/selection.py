@@ -66,19 +66,21 @@ class GridScorer:
     2 sigma^2 sum s.  Each call then fills one K x n scratch buffer in
     place, so a buffer allocated for the largest grid of a run can serve
     the scorers of all its noise levels.  The oracle and pred scores take
-    an (R, n) batch of truths or observations and form the s-block once
-    for the whole batch.  The picks return only each row's grid index:
+    an (R, n) batch of truths or observations and form their block once
+    for the whole batch.  Each of the three rules gives each row a grid
+    index, and a study makes one call per phase of a batch:
     ``batch_picks`` forms one (1 - s)^2 block for the oracle's truths and
     pred's observations alike and scores exactly only the grid rows that
     may hold each minimum, so the indices equal the first minimum of the
-    exact scores for any BLAS summation order.  ``batch_lepskii_errors``
-    picks Lepskii's indices for a batch of observations through
-    ``lepskii.picks``, which holds the whole test, and returns the squared
-    errors at any grid indices.  Lepskii's last certified index, the guess
-    of the next call, is the only state a call leaves behind, and it
-    changes no output.  No K x n block outlives a call: each call fills
-    the rows it reads, so scorers of other noise levels may share the
-    buffer, and the buffer makes a scorer unsafe to share between threads.
+    exact scores for any BLAS summation order; ``batch_lepskii_picks``
+    picks Lepskii's indices through ``lepskii.picks``, which holds the
+    whole test; and ``batch_errors`` returns the squared errors at any
+    grid indices, such as the three picks stacked.  Lepskii's last
+    certified index, the guess of the next call, is the only state a call
+    leaves behind, and it changes no output.  No K x n block outlives a
+    call: each call fills the rows it reads, so scorers of other noise
+    levels may share the buffer, and the buffer makes a scorer unsafe to
+    share between threads.
     """
 
     def __init__(
@@ -178,7 +180,7 @@ class GridScorer:
         block = self._fill(rows, self._buf[: len(rows)], True)
         return self._exact(_pred_terms(block), self._pred_offset[rows], index, weights, weight_rows)
 
-    def _scores(self, block: np.ndarray, weights: np.ndarray, m: int, candidates: np.ndarray) -> np.ndarray:
+    def _scores(self, block: np.ndarray | None, weights: np.ndarray, m: int, candidates: np.ndarray) -> np.ndarray:
         """Entry (r, i) := the exact score of grid row i for the squared truth
         (r < m) or observation ``weights[r]`` where ``candidates[r, i]``, and
         +inf elsewhere: the oracle's from the (1 - s)^2 ``block``, pred's
@@ -211,21 +213,24 @@ class GridScorer:
         or s^2 - 2s), in any order, with FMA or not, is within g times the
         sum of the terms' magnitudes of the exact sum over the float s and
         r^2, plus n 2^-1074 from underflow.  The oracle's exact score sums
-        the same terms as t_i, all >= 0, so t_i and it lie within g t_i <=
-        g a_i of that sum.  For pred, t_i is within g T of T = sum (1 - s)^2
-        y^2, Y within g Y of its sum, and the exact score within g (Y - T)
-        of sum (s^2 - 2s) y^2, since |s^2 - 2s| = 1 - (1 - s)^2 on [0, 1];
-        so a_i lies within 2 g Y of it.  Subtracting Y and adding the offset
-        round by 3 u (|a_i| + |offset_i|) at most.  So the margin 5 (n + 3) u
-        (|a_i| + |offset_i| + Y) + 8 n 2^-1074 is at least twice the
-        distance of a_i from the exact score, which also covers the
-        rounding of the margin and of a_i +- margin.  A grid row whose lower
-        end lies above the smallest upper end cannot hold the minimum; the
-        others are scored exactly (pred's from s evaluated again at their
-        alphas, in the operation order of ``batch_pred_scores``), and the
-        first minimum among them is the first minimum of all grid rows.  If
-        a lower end is not finite (a NaN or infinite row, or a sum that
-        overflows), every grid row is scored exactly.  The rows are picked
+        the same terms as t_i, all >= 0, and the offset is >= 0, so t_i and
+        it lie within g t_i <= g a_i of that sum.  For pred, t_i is within
+        g T of T = sum (1 - s)^2 y^2, Y within g Y of its sum, and the exact
+        score within g (Y - T) of sum (s^2 - 2s) y^2, since |s^2 - 2s| = 1 -
+        (1 - s)^2 on [0, 1]; so a_i lies within 2 g Y of it.  Subtracting Y
+        from t_i <= (1 + g) Y rounds by u (1 + g) Y at most, and adding an
+        offset rounds by u times the sum, in a_i and in the exact score
+        alike, which the |a_i| and Y terms cover: the offset needs no term
+        of its own.  So the margin 5 (n + 3) u (|a_i| + Y) + 8 n 2^-1074 is
+        at least twice the distance of a_i from the exact score, which also
+        covers the rounding of the margin and of a_i +- margin.  A grid row
+        whose lower end lies above the smallest upper end cannot hold the
+        minimum; the others are scored exactly (pred's from s evaluated
+        again at their alphas, in the operation order of
+        ``batch_pred_scores``), and the first minimum among them is the
+        first minimum of all grid rows.  If a lower end is not finite (a NaN
+        or infinite row, or a sum that overflows), every grid row is scored
+        exactly.  The rows are picked
         for at most max(n, ``_PICK_ROWS``) at a time, so that the (rows, K)
         arrays of the picks hold no more entries than the K x n buffer or
         ``_PICK_ROWS`` grid-sized rows.  One block serves the chunks of
@@ -272,50 +277,34 @@ class GridScorer:
         """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
         point (columns) for each observation Y of an (R, n) batch (rows)."""
         values = self._check(values)
-        return self._scores(self._terms(), values**2, 0, np.ones((len(values), len(self._buf)), bool))
+        # only the pred offset, once per scorer: pred's rows read no (1 - s)^2 block
+        if self._pred_offset is None:
+            self._s_block()
+        return self._scores(None, values**2, 0, np.ones((len(values), len(self._buf)), bool))
 
-    def batch_lepskii_errors(
-        self, values: np.ndarray, truths: np.ndarray | None = None, picks=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lepskii's grid index for each observation of an (R, n) batch and,
-        given the (R, n) ``truths``, an (R, P + 1) array of squared errors
-        ||f_hat - f||^2: row r holds those of the estimates at the P grid
-        indices ``picks[r]`` and then at Lepskii's index.
+    def batch_lepskii_picks(self, values: np.ndarray) -> np.ndarray:
+        """Lepskii's grid index for each observation of an (R, n) batch,
+        from one call of ``lepskii.picks``."""
+        best, self._guess = lepskii.picks(self._buf, self._thresholds_sq, self._check(values), self._guess, self._rows)
+        return best
 
-        The indices are those of ``lepskii.picks``, one call per batch.
-        ``picks`` must be an (R, P) array of integer grid indices.  The
-        estimate rows at the picked and chosen grid points are then
-        evaluated for the whole batch, as ``model.estimate_coefficients``
-        forms them bit for bit, and the errors are read from them
-        (``_errors``).
+    def batch_errors(self, values: np.ndarray, truths: np.ndarray, index) -> np.ndarray:
+        """Entry (r, e) := the squared error ||f_hat - truths[r]||^2 of the
+        estimate sqrt(lambda) q Y at grid[index[r, e]], Y = values[r], for
+        (R, n) ``values`` and ``truths`` and an (R, P) ``index`` of integer
+        grid indices, P >= 1.
+
+        The estimate rows are formed as ``model.estimate_coefficients``
+        forms them, bit for bit, for as many replications as fit the buffer
+        at a time (in a small array if one replication's rows do not fit).
         """
-        values = self._check(values)
-        if truths is not None:
-            truths = self._check(truths)
-            if len(truths) != len(values):
-                raise ValueError("expected one truth per observation")
-        k = len(self._buf)
-        picks = np.empty((len(values), 0), dtype=int) if picks is None else np.asarray(picks)
-        if picks.ndim != 2 or len(picks) != len(values):
-            raise ValueError(f"expected picks of shape ({len(values)}, P)")
-        if picks.size and not (np.issubdtype(picks.dtype, np.integer) and 0 <= picks.min() <= picks.max() < k):
-            raise ValueError(f"picks must be integer grid indices in [0, {k})")
-        best, self._guess = lepskii.picks(self._buf, self._thresholds_sq, values, self._guess, self._rows)
-        if truths is None:
-            return best, np.empty((len(values), 0))
-        index = np.empty((len(values), picks.shape[1] + 1), dtype=int)
-        index[:, :-1] = picks
-        index[:, -1] = best
-        return best, self._errors(values, truths, index)
-
-    def _errors(self, values: np.ndarray, truths: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Entry (r, e) := ||f_hat - truths[r]||^2 for the estimate
-        sqrt(lambda) q Y at grid[index[r, e]], Y = values[r].
-
-        The estimate rows of as many replications as fit are evaluated in
-        the buffer at a time (in a small array if one replication's rows do
-        not fit).
-        """
+        values, truths, index, k = self._check(values), self._check(truths), np.asarray(index), len(self._buf)
+        if len(truths) != len(values):
+            raise ValueError("expected one truth per observation")
+        if index.ndim != 2 or len(index) != len(values) or not index.shape[1]:
+            raise ValueError(f"expected an index of shape ({len(values)}, P), P >= 1")
+        if index.size and not (np.issubdtype(index.dtype, np.integer) and 0 <= index.min() <= index.max() < k):
+            raise ValueError(f"the index must hold integer grid indices in [0, {k})")
         width, n = index.shape[1], self.eigenvalues.size
         out = self._buf if len(self._buf) >= width else np.empty((width, n))
         step = len(out) // width
@@ -363,8 +352,6 @@ def _bounds(block: np.ndarray, weights: np.ndarray, m: int, variance: np.ndarray
     approx[:m] += variance
     approx[m:] += pred_offset
     margin = np.abs(approx)
-    margin[:m] += np.abs(variance)
-    margin[m:] += np.abs(pred_offset)
     margin += shift
     margin *= 5.0 * (n + 3) * 2.0**-53
     margin += 8.0 * n * 2.0**-1074

@@ -31,7 +31,7 @@ def one_replication(problem, spec, grid, replicate_seed, oracle=None, scorer=Non
     """The squared errors (err_or, err_pred, err_lep) of one replication,
     scored as a batch of one through the scorer's batch methods: sample Y,
     pick the oracle's grid index (or take the index ``oracle``) and the pred
-    rule's from one block, then Lepskii's, with the errors at all three."""
+    rule's from one block, then Lepskii's, and the errors at all three."""
     if scorer is None:
         scorer = GridScorer(problem.eigenvalues, problem.sigma, spec, grid)
     values = sample_observations(problem, replicate_seed)[None]
@@ -39,7 +39,8 @@ def one_replication(problem, spec, grid, replicate_seed, oracle=None, scorer=Non
     oracle_idx, pred_idx = scorer.batch_picks(truths if oracle is None else truths[:0], values)
     if oracle is not None:
         oracle_idx = [oracle]
-    _, (errors,) = scorer.batch_lepskii_errors(values, truths, np.stack([oracle_idx, pred_idx], axis=1))
+    lepskii_idx = scorer.batch_lepskii_picks(values)
+    (errors,) = scorer.batch_errors(values, truths, np.stack([oracle_idx, pred_idx, lepskii_idx], axis=1))
     return tuple(errors.tolist())
 
 

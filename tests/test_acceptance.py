@@ -238,7 +238,7 @@ def test_criterion_8_selection_oracles():
         # the picks as the studies make them, from one scorer
         scorer = GridScorer(eig, sigma, spec, grid)
         oracle, pred = scorer.batch_picks(p.truth_coeffs[None], obs[None])
-        got = (int(oracle[0]), int(pred[0]), int(scorer.batch_lepskii_errors(obs[None])[0][0]))
+        got = (int(oracle[0]), int(pred[0]), int(scorer.batch_lepskii_picks(obs[None])[0]))
         if got != (naive_or, naive_pr, naive_lep):
             mismatches += 1
     verdict(8, mismatches == 0, f"{mismatches}/{trials} disagreements with naive-scan selections")

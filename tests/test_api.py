@@ -68,6 +68,7 @@ def test_the_readme_lists_the_public_methods_of_the_scorer():
         (filters, "iterated_tikhonov"),
         (filters, "landweber"),
         (filters, "showalter"),
+        (GridScorer, "batch_lepskii_errors"),
     ],
 )
 def test_the_single_replication_adapters_are_gone(owner, name):

@@ -264,10 +264,13 @@ MALFORMED_ERRORS_CSV = {
 
 # per-replication CSVs of finite nonnegative pred errors, not all zero, that
 # the rate test still cannot use: the mean of one noise level overflows, or
-# underflows to 0
+# underflows to 0, or its spread about a finite mean overflows
 DEGENERATE_ERRORS_CSV = {
     "mean-overflows": PER_REP_HEADER + "".join(
         f"{sigma},{j},1.0,1e+308,1.0\n" for sigma in (0.01, 0.001, 0.0001) for j in range(3)
+    ),
+    "spread-overflows": PER_REP_HEADER + "".join(
+        f"{sigma},{j},1.0,{j + 1}e+200,1.0\n" for sigma in (0.01, 0.001, 0.0001) for j in range(3)
     ),
     "mean-underflows": PER_REP_HEADER
     + "".join(f"0.01,{j},1.0,{e},1.0\n" for j, e in enumerate(["5e-324", "0.0", "0.0"]))

@@ -55,7 +55,7 @@ def per_replication_triple(problem, spec, grid, replicate_seed):
     pred = np.argmin(
         [empirical_prediction_risk(problem.eigenvalues, problem.sigma, spec, a, obs) for a in grid]
     )
-    lep = GridScorer(problem.eigenvalues, problem.sigma, spec, grid).batch_lepskii_errors(obs[None])[0][0]
+    lep = GridScorer(problem.eigenvalues, problem.sigma, spec, grid).batch_lepskii_picks(obs[None])[0]
     errors = []
     for i in (oracle, pred, lep):
         diff = estimate_coefficients(problem, spec, float(grid[i]), obs) - problem.truth_coeffs
@@ -310,6 +310,13 @@ class TestBatches:
 
         monkeypatch.setattr(lepskii, "_certify", recording)
         monkeypatch.setattr(lepskii, "picks", counting)
+        phases, calls = ("batch_picks", "batch_lepskii_picks", "batch_errors"), []
+
+        def logged(name, method):
+            return lambda self, *args: calls.append(name) or method(self, *args)
+
+        for name in phases:
+            monkeypatch.setattr(GridScorer, name, logged(name, getattr(GridScorer, name)))
         run_rate_experiment(
             small_config(
                 problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
@@ -321,6 +328,8 @@ class TestBatches:
         assert len(outcomes) == 70 and sum(outcomes) >= 0.99 * len(outcomes)
         # one Lepskii call per batch: each noise level's 10 replications are one batch
         assert batches == [10] * 7
+        # and one scorer call per phase of each batch, in the study's order
+        assert calls == list(phases) * 7
 
     def test_the_benchmark_hat_config_reads_a_few_gram_columns_per_pick(self, monkeypatch):
         # a batch reads a window of gram entries near its picks and a

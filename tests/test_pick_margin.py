@@ -10,13 +10,13 @@ s-block and the float offsets, with ``fractions.Fraction``:
 
 The picks are right if both the approximate score a_i and the score the
 picks compare (``batch_oracle_scores`` or ``batch_pred_scores``) lie within
-margin_i / 2 of it, margin_i = 5 (n + 3) u (|a_i| + |offset_i| + Y) +
-8 n 2^-1074.  Each case is built so that one term of the margin dominates:
-large sums with a tiny offset for |a_i|, a large ||y||^2 with s near 0 for
-Y, subnormal weights for the underflow term, and a large offset with small
-sums.  The offset term is never the one that is needed: both offsets are
-at least 0, so the rounding of adding one is bounded by |a_i| (oracle) or
-by |a_i| and Y (pred).
+margin_i / 2 of it, margin_i = 5 (n + 3) u (|a_i| + Y) + 8 n 2^-1074.
+Each case is built so that one term of the margin dominates: large sums
+with a tiny offset for |a_i|, a large ||y||^2 with s near 0 for Y,
+subnormal weights for the underflow term; a large offset with small sums
+checks that the margin needs no |offset_i| term: both offsets are at least
+0, so the rounding of adding one is bounded by |a_i| (oracle) or by |a_i|
+and Y (pred).
 """
 
 from fractions import Fraction

@@ -36,6 +36,11 @@ class TestEstimateDelta:
         with pytest.raises(DegenerateVarianceError):
             estimate_delta([1.0, 1.0, 1.0])
 
+    def test_a_spread_that_overflows_aborts(self):
+        # the mean 2e200 is finite, and its squared deviations overflow
+        with pytest.raises(DegenerateVarianceError, match="spread"):
+            estimate_delta([1e200, 2e200, 3e200])
+
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
             estimate_delta([-1.0, 1.0])

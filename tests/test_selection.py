@@ -56,7 +56,16 @@ def pred_pick(eigenvalues, sigma, spec, grid, obs):
 
 def lepskii_pick(eigenvalues, sigma, spec, grid, obs):
     """Lepskii's grid index for ``obs``, certified as the studies certify it."""
-    return int(GridScorer(eigenvalues, sigma, spec, grid).batch_lepskii_errors(obs[None])[0][0])
+    return int(GridScorer(eigenvalues, sigma, spec, grid).batch_lepskii_picks(obs[None])[0])
+
+
+def lepskii_errors(scorer, values, truths, picks=None):
+    """Lepskii's grid index for each observation of an (R, n) batch, and the
+    (R, P + 1) squared errors at the grid indices ``picks[r]`` and then at
+    Lepskii's, from the two scorer calls a study makes for them."""
+    best = scorer.batch_lepskii_picks(values)
+    index = best[:, None] if picks is None else np.column_stack([picks, best])
+    return best, scorer.batch_errors(values, truths, index)
 
 
 def naive_oracle(problem, spec, grid):
@@ -359,7 +368,7 @@ class TestGridScorer:
         def selections(scorer, p, obs):
             truths, values = p.truth_coeffs[None], obs[None]
             oracle, pred = scorer.batch_picks(truths, values)
-            lep = scorer.batch_lepskii_errors(values)[0]
+            lep = scorer.batch_lepskii_picks(values)
             scores = scorer.batch_oracle_scores(truths), scorer.batch_pred_scores(values)
             return [oracle.tolist(), pred.tolist(), lep.tolist()] + [x.tobytes() for x in scores]
 
@@ -377,6 +386,21 @@ class TestGridScorer:
                 empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, obs) for a in grid
             ]
             assert scores.tobytes() == np.array(expected).tobytes()
+
+    def test_pred_scores_form_no_oracle_block(self, monkeypatch):
+        # pred's rows read s evaluated again, and the (1 - s)^2 block only
+        # the oracle and the picks read; the pred offset is formed once
+        p = random_problem(np.random.default_rng(5))
+        grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
+        values, _ = batch_rows(p)
+        expected = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid).batch_pred_scores(values)
+        formed, s_block = [], GridScorer._s_block
+        monkeypatch.setattr(GridScorer, "_terms", lambda self: pytest.fail("a (1 - s)^2 block was formed"))
+        monkeypatch.setattr(GridScorer, "_s_block", lambda self: formed.append(1) or s_block(self))
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
+        for _ in range(2):
+            assert scorer.batch_pred_scores(values).tobytes() == expected.tobytes()
+        assert len(formed) == 1
 
     def test_batch_scores_equal_the_single_replication_scores_bitwise(self):
         for p, spec, grid, _ in realistic_cases():
@@ -401,8 +425,9 @@ class TestGridScorer:
         for p, spec, grid, obs in realistic_cases():
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             picks = (0, len(grid) // 2, len(grid) - 1)
-            (best,), (errors,) = scorer.batch_lepskii_errors(obs[None], p.truth_coeffs[None], [picks])
-            assert best == scorer.batch_lepskii_errors(obs[None])[0][0]
+            (best,) = scorer.batch_lepskii_picks(obs[None])
+            (errors,) = scorer.batch_errors(obs[None], p.truth_coeffs[None], [(*picks, best)])
+            assert best == scorer.batch_lepskii_picks(obs[None])[0]
             expected = []
             for i in (*picks, best):
                 diff = estimate_coefficients(p, spec, float(grid[i]), obs) - p.truth_coeffs
@@ -423,13 +448,13 @@ class TestGridScorer:
             values, truths = batch_rows(p, 3)
             picks = np.array([[0, k // 2], [k - 1, 1], [k // 3, k // 3]])
             alone = GridScorer(p.eigenvalues, p.sigma, spec, grid)
-            expected = [alone.batch_lepskii_errors(values[r, None], truths[r, None], picks[r, None]) for r in range(3)]
+            expected = [lepskii_errors(alone, values[r, None], truths[r, None], picks[r, None]) for r in range(3)]
             for rows in (k, k + k // 2, 2 * k, 2 * k + 7):
                 scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid, np.empty((rows, p.n_modes)))
-                best, errors = scorer.batch_lepskii_errors(values, truths, picks)
+                best, errors = lepskii_errors(scorer, values, truths, picks)
                 assert best.tolist() == [int(index) for (index,), _ in expected]
                 assert errors.tobytes() == np.concatenate([errs for _, errs in expected]).tobytes()
-                assert scorer.batch_lepskii_errors(values)[0].tolist() == best.tolist()
+                assert scorer.batch_lepskii_picks(values).tolist() == best.tolist()
 
     def test_interleaved_scorers_on_one_buffer_read_no_stale_rows(self):
         # each call builds its float32 rows in the shared buffer, and the
@@ -443,12 +468,12 @@ class TestGridScorer:
             alone = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             values, truths = batch_rows(p, 3)
             picks = np.stack(alone.batch_picks(truths, values), axis=1)
-            expected = alone.batch_lepskii_errors(values, truths, picks)
+            expected = lepskii_errors(alone, values, truths, picks)
             cases.append((shared, values, truths, picks, expected))
         assert len(grids[0]) < len(grids[1]) == len(buffer)
         for _ in range(2):
             for shared, values, truths, picks, (best, errors) in cases:
-                got_best, got_errors = shared.batch_lepskii_errors(values, truths, picks)
+                got_best, got_errors = lepskii_errors(shared, values, truths, picks)
                 assert got_best.tolist() == best.tolist() and got_errors.tobytes() == errors.tobytes()
                 assert pred_picks(shared, values).tolist() == picks[:, 1].tolist()
 
@@ -456,31 +481,31 @@ class TestGridScorer:
         p = random_problem(np.random.default_rng(4))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
-        for values, truths in (
-            (np.ones(p.n_modes), None),
-            (np.ones((2, p.n_modes + 1)), None),
-            (np.ones((2, p.n_modes)), np.ones((3, p.n_modes))),
-            (np.ones((2, p.n_modes)), np.ones((2, p.n_modes - 1))),
-        ):
+        for values in (np.ones(p.n_modes), np.ones((2, p.n_modes + 1))):
             with pytest.raises(ValueError):
-                scorer.batch_lepskii_errors(values, truths, [(0,), (0,)])
+                scorer.batch_lepskii_picks(values)
+            with pytest.raises(ValueError):
+                scorer.batch_errors(values, np.ones((2, p.n_modes)), [(0,), (0,)])
+        for truths in (np.ones((3, p.n_modes)), np.ones((2, p.n_modes - 1))):
+            with pytest.raises(ValueError):
+                scorer.batch_errors(np.ones((2, p.n_modes)), truths, [(0,), (0,)])
 
     @pytest.mark.parametrize(
         "malformed",
-        [[(0,)], [(-1,)] * 3, [(0.7,)] * 3, [(51,)] * 3],
-        ids=["one row for three", "negative", "fraction", "K"],
+        [[(0,)], [(-1,)] * 3, [(0.7,)] * 3, [(51,)] * 3, [()] * 3],
+        ids=["one row for three", "negative", "fraction", "K", "no column"],
     )
-    def test_a_lepskii_batch_rejects_malformed_picks(self, malformed):
+    def test_the_errors_reject_a_malformed_index(self, malformed):
         p = make_diagonal_problem(300, 4.0, 4.0, 1e-2, seed=3)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         assert len(grid) == 51
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         values, truths = batch_rows(p, 3)
-        with pytest.raises(ValueError, match="picks"):
-            scorer.batch_lepskii_errors(values, truths, malformed)
+        with pytest.raises(ValueError, match="index"):
+            scorer.batch_errors(values, truths, malformed)
         if len(malformed) == 3:
-            with pytest.raises(ValueError, match="picks"):
-                scorer.batch_lepskii_errors(values[:1], truths[:1], malformed[:1])
+            with pytest.raises(ValueError, match="index"):
+                scorer.batch_errors(values[:1], truths[:1], malformed[:1])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -514,7 +539,7 @@ class TestGridScorer:
             if deciding:
                 values[2] *= math.sqrt((1.0 + tie) / ratios[deciding[level % len(deciding)]])
         picks = rng.integers(0, k, size=(3, 2))
-        best, errors = scorer.batch_lepskii_errors(values, truths, picks)
+        best, errors = lepskii_errors(scorer, values, truths, picks)
         expected = [exact_lepskii(scorer, y) for y in values]
         assert best.tolist() == expected
         assert errors.tobytes() == estimate_errors(scorer, values, truths, np.column_stack([picks, best])).tobytes()
@@ -540,7 +565,7 @@ class TestGridScorer:
         values, truths = batch_rows(p, 6)
         picks = [(0, r) for r in range(6)]
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
-        certified = scorer.batch_lepskii_errors(values, truths, picks)
+        certified = lepskii_errors(scorer, values, truths, picks)
         calls = []
         certify = lepskii._certify
 
@@ -554,12 +579,12 @@ class TestGridScorer:
         fallback, allocated = lepskii._fallback, []
         monkeypatch.setattr(lepskii, "_certify", every_other)
         monkeypatch.setattr(lepskii, "_fallback", lambda k: allocated.append(k) or fallback(k))
-        best, errors = scorer.batch_lepskii_errors(values, truths, picks)
+        best, errors = lepskii_errors(scorer, values, truths, picks)
         # the three fallbacks of the call share the arrays of its first
         assert len(calls) == 6 and allocated == [len(grid)]
         assert best.tolist() == certified[0].tolist() == [exact_lepskii(scorer, y) for y in values]
         assert errors.tobytes() == certified[1].tobytes()
-        again = scorer.batch_lepskii_errors(values, truths, picks)
+        again = lepskii_errors(scorer, values, truths, picks)
         assert again[0].tolist() == best.tolist() and again[1].tobytes() == errors.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e39, 2.0**62])
@@ -583,7 +608,7 @@ class TestGridScorer:
             outcomes.clear()
             scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid)
             with np.errstate(invalid="ignore") if math.isinf(bad) else contextlib.nullcontext():
-                best, errors = scorer.batch_lepskii_errors(values, truths, [(0,)] * 3)
+                best, errors = lepskii_errors(scorer, values, truths, [(0,)] * 3)
                 expected = [exact_lepskii(scorer, y) for y in values]
             assert outcomes[1] == -1 and outcomes[0] >= 0 and outcomes[-1] >= 0
             assert best.tolist() == expected
@@ -597,7 +622,7 @@ class TestGridScorer:
         p = lepskii_problem(1024)
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.2)
         values, truths = batch_rows(p, 9)
-        clean = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid).batch_lepskii_errors(values, truths)
+        clean = lepskii_errors(GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid), values, truths)
         values[4, 100] = bad
         outcomes = []
         certify = lepskii._certify
@@ -609,7 +634,7 @@ class TestGridScorer:
 
         monkeypatch.setattr(lepskii, "_certify", recording)
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
-        best, errors = scorer.batch_lepskii_errors(values, truths)
+        best, errors = lepskii_errors(scorer, values, truths)
         assert [r for r, got in enumerate(outcomes) if got < 0] == [4]
         assert best[4] == exact_lepskii(scorer, values[4])
         others = [0, 1, 2, 3, 5, 6, 7, 8]
@@ -633,7 +658,7 @@ class TestGridScorer:
         monkeypatch.setattr(lepskii, "_certify", refusing)
         monkeypatch.setattr(lepskii, "_gram_columns", lambda *args: pytest.fail("gram formed"))
         values = np.array([[1.0, 1e-14, 1e-15], [0.5, -2e-15, 0.0]])
-        assert scorer.batch_lepskii_errors(values)[0].tolist() == [exact_lepskii(scorer, y) for y in values]
+        assert scorer.batch_lepskii_picks(values).tolist() == [exact_lepskii(scorer, y) for y in values]
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_a_large_batch_at_few_modes_certifies_in_chunks(self, n):
@@ -646,12 +671,12 @@ class TestGridScorer:
         rng = np.random.default_rng(1)
         values = np.sqrt(p.eigenvalues) * p.truth_coeffs + p.sigma * rng.standard_normal((500, n))
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
-        scorer.batch_lepskii_errors(values[:n])
+        scorer.batch_lepskii_picks(values[:n])
         peaks = []
         for batch in (values[:n], values):
             tracemalloc.start()
             try:
-                best = scorer.batch_lepskii_errors(batch)[0]
+                best = scorer.batch_lepskii_picks(batch)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -715,7 +740,7 @@ class TestGridScorer:
             (scorer.batch_pred_scores, np.ones(p.n_modes)),
             (scorer.batch_oracle_scores, np.ones((2, p.n_modes + 1))),
             (functools.partial(oracle_picks, scorer), np.ones(p.n_modes)),
-            (scorer.batch_lepskii_errors, np.ones((1, p.n_modes - 1))),
+            (scorer.batch_lepskii_picks, np.ones((1, p.n_modes - 1))),
         ):
             with pytest.raises(ValueError):
                 call(rows)
@@ -857,7 +882,7 @@ class TestGridScorer:
 
             def scores():
                 values, truths = obs[None], p.truth_coeffs[None]
-                lepskii = scorer.batch_lepskii_errors(values, truths, [(0, len(grid) - 1)])
+                lepskii = lepskii_errors(scorer, values, truths, [(0, len(grid) - 1)])
                 return (
                     scorer.batch_pred_scores(values).tobytes(),
                     scorer.batch_oracle_scores(truths).tobytes(),

@@ -30,6 +30,11 @@ _FAMILIES = ("spectral_cutoff", "tikhonov", "iterated_tikhonov", "landweber", "s
 # this switches q to its two-term Taylor form (guards the 0/0 limit)
 _TAYLOR_CUT = 1e-8
 
+# s, q and fl(sqrt(lambda) q), as computed, at a larger alpha exceed their
+# values at a smaller alpha by at most this share: they are within half of
+# it of the exact filters, which never grow with alpha (tests/test_monotone.py)
+_MONOTONE_SLACK = 2.0**-49
+
 
 class FilterSpec(Record):
     """A filter family together with its bound constants and qualification.

@@ -49,6 +49,11 @@ undecided replication per round, each product for as many replications as
 fit the float32 ``work`` rows.  The tests are divided by 2 (1 -+ kappa) and
 compare g_ij with float64 sums, whose rounding the 2^-48 in A and in the
 thresholds covers.
+
+The rows are formed for the first h + 1 grid rows only (``_certify``):
+where row h lies certainly beyond the centre's threshold, with B taken
+for rho widened by the monotonicity slack (``_CUT_B``), every row above
+h does too in the float64 test, so no row above h is admissible.
 """
 
 from __future__ import annotations
@@ -57,8 +62,6 @@ import math
 
 import numpy as np
 
-from .filters import _BLOCK
-
 # the split constant; the bounds that keep every float32 square, product
 # and gram sum finite (|p_i|, |y| < 2^62, so |E| <= 2^63, and
 # |E| |y| sqrt(n) < 2^60); the rounds of single columns a replication may
@@ -66,16 +69,20 @@ from .filters import _BLOCK
 _KAPPA = 2.0**-20
 _ROW_LIMIT, _GRAM_LIMIT = 2.0**62, 2.0**60
 _ROUNDS = 16
+# B of a cut (``_certify``) over B: rho widened by (slack + 2.02 u) ||c_m||
+# at most doubles the rho^2 term, plus 16.2 (2 + 1/kappa) (18.1 u)^2 ||c_m||^2,
+# under 1e-7 of the 4.01 g64 ||c_m||^2 term of B
+_CUT_B = 2.01
 
 
 # bytes per grid point pair of the float64 test's arrays (``_fallback``)
 _FALLBACK_BYTES = 8 + 4 + 1 + 1
 
 
-def picks(buffer, thresholds_sq, values, guess: int, rows) -> tuple[np.ndarray, int]:
+def picks(buffer, thresholds_sq, values, guess: int, rows, cut: int) -> tuple[np.ndarray, int, int]:
     """Lepskii's grid index for each observation of the (R, n) batch
-    ``values``, and the next guess: the last certified index, or ``guess``
-    if none is.
+    ``values``, the next guess (the last certified index, or ``guess`` if
+    none is) and the grid rows the certified test needed (``_certify``).
 
     Lepskii's balancing rule picks the largest grid index whose estimate
     stays within the noise threshold of every less-regularized estimate;
@@ -83,19 +90,21 @@ def picks(buffer, thresholds_sq, values, guess: int, rows) -> tuple[np.ndarray, 
     ``buffer`` is a scorer's K x n float64 scratch, ``thresholds_sq`` its K
     squared thresholds t_j, and ``rows(at, out)`` writes the rows p_i =
     fl(sqrt(lambda) q_i) at the grid indices ``at`` into ``out`` and
-    returns it.
+    returns it; for a slice ``at`` it first forms the thresholds of those
+    rows, in ``out``, so a threshold is read only once its row is formed.
 
     Each index is that of the float64 test of ``_exact_test``: ``_certify``
-    decides the whole batch at once from float32 rows formed once per
-    call, centred at the guess, whatever order that test's syrk sums in.
-    The replications it cannot certify (all of them, if the rows do not
-    fit float32) then take the float64 test, one at a time, in the buffer,
-    with the K x K arrays of ``_fallback``, allocated at a call's first
+    decides the whole batch at once from float32 rows of the first ``cut``
+    grid rows or more, formed once per call and centred at the guess,
+    whatever order that test's syrk sums in.  The replications it cannot
+    certify (all of them, if the rows do not fit float32) then take the
+    float64 test over the whole grid, one at a time, in the buffer, with
+    the K x K arrays of ``_fallback``, allocated at a call's first
     fallback.
     """
     # a NaN propagates through max and min and fails every range test
     y_max = np.maximum(values.max(axis=1), -values.min(axis=1))
-    best = _certify(buffer, thresholds_sq, values, y_max, guess, rows)
+    best, need = _certify(buffer, thresholds_sq, values, y_max, guess, rows, cut)
     certified = best[best >= 0]
     arrays = None
     for r in np.flatnonzero(best < 0):
@@ -104,7 +113,7 @@ def picks(buffer, thresholds_sq, values, guess: int, rows) -> tuple[np.ndarray, 
         coeff = rows(slice(None), buffer)
         coeff *= values[r]
         best[r] = _exact_test(coeff, thresholds_sq, *arrays)
-    return best, int(certified[-1]) if len(certified) else guess
+    return best, int(certified[-1]) if len(certified) else guess, need
 
 
 def _fallback(k: int):
@@ -115,41 +124,57 @@ def _fallback(k: int):
     return np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty_like(lower), lower
 
 
-def _float32_rows(buffer, m: int, rows):
-    """(E, work, p_max, p_m) for the certified test, or False if the grid
-    has one point.
+def _float32_rows(buffer, m: int, rows, cut: int | None = None, start: int = 0):
+    """(E, work, p_max, p_m) for the certified test over the first ``cut``
+    grid rows (all K by default), of which it forms those from ``start`` on
+    (p_max is theirs), or False if the grid has one point.
 
     E holds the float32 rows fl32(p_i - p_m) in the first half of the
     bytes of the K x n ``buffer``; ``work`` is the second half, as float32
     rows; p_max bounds |p_i| (NaN if a p_i is, and then E is not used).
     Row m is evaluated as p_m bit for bit, so E_m = 0.  The margins of the
     test grow with S_i = ||E_i y||^2, so a centre row m near the picks
-    narrows them where the picks are decided.  The p_i are written a row
-    block at a time in the last rows of the buffer, beyond the bytes of E.
+    narrows them where the picks are decided.  The p_i are written K // 2
+    rows at a time in the last rows of the buffer, beyond the bytes of E.
     """
     k, n = buffer.shape
-    step = min(k // 2, max(1, _BLOCK // n))
+    cut, step = k if cut is None else cut, k // 2
     if step == 0:
         return False
     flat = buffer.reshape(-1).view(np.float32)
     e32, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
     centre = rows([m], np.empty((1, n)))[0]
     top = 0.0
-    for lo in range(0, k, step):
-        part = rows(slice(lo, lo + step), buffer[k - step :][: k - lo])
+    for lo in range(start, cut, step):
+        part = rows(slice(lo, min(lo + step, cut)), buffer[k - step :][: cut - lo])
         top = np.maximum(top, np.maximum(part.max(), -part.min()))
         # rows out of float32 range are refused through p_max
         with np.errstate(over="ignore", invalid="ignore"):
-            part -= centre
-            e32[lo : lo + len(part)] = part
-    return e32, work, top, centre
+            np.subtract(part, centre, out=e32[lo : lo + len(part)], casting="unsafe")
+    return e32[:cut], work, top, centre
 
 
-def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows) -> np.ndarray:
+def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows, cut: int | None = None):
     """The certified Lepskii index of each observation of the (R, n) batch
-    y, |y| <= y_max, -1 where it is not certified, from the float32 rows
-    centred at row ``guess`` (``_float32_rows``); the other arguments are
-    those of ``picks``.
+    y, |y| <= y_max, -1 where it is not certified, and the grid rows the
+    test needed, from the float32 rows of the first ``cut`` grid rows (all
+    K by default) centred at row ``guess`` (``_float32_rows``); the other
+    arguments are those of ``picks``.
+
+    A cut at h + 1 rows, h < K - 1, holds for a replication whose row h
+    lies certainly beyond the centre's threshold by the free column of
+    ``_scan``, with rho widened by the rows' monotonicity slack
+    (``_rounding``): every row i above h then lies beyond that threshold
+    too, in the float64 test, since ||c_i - c_m|| is at least ||c_h - c_m||
+    less (slack + 2.02 u) ||c_m|| (p_i <= (1 + slack) p_h <= (1 + slack)^2
+    p_m, entry by entry, and c = fl(p y)), so no row above h is admissible
+    and the test on the rows up to h gives the index of the whole grid.
+    That is checked from S_h alone (E_guess = 0, so S_guess and g_h,guess
+    are 0) before the other entries are formed; where a replication
+    fails it, the rows grow by 2, 4, 8, ... up to K.  If a grown row is
+    larger or NaN, the whole grid is formed instead.  The rows needed are
+    the most, over the replications that fit, up to the first row above
+    the centre that shows the cut.
 
     Nothing is certified if the grid has one point, if a p_i or the
     replication's y lies out of range (a NaN fails every test), or at 2^20
@@ -158,29 +183,44 @@ def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows) -> np.ndarray:
     replications) arrays of the test hold no more entries than the K x n
     buffer.
     """
-    best = np.full(len(y), -1)
-    formed = _float32_rows(buffer, guess, rows)
+    k = len(buffer)
+    # the centre's column shows the rows above it
+    cut, step, best, need = min(k, max(k if cut is None else cut, guess + 2)), 2, np.full(len(y), -1), 1
+    formed = _float32_rows(buffer, guess, rows, cut)
     if not formed:
-        return best
+        return best, k
     e32, work, p_max, centre = formed
     n = e32.shape[1]
     e_max = 2.0 * p_max
     if not (p_max < _ROW_LIMIT and n < 2**20):
-        return best
+        return best, k
     fits = np.flatnonzero(y_max < min(_ROW_LIMIT, _GRAM_LIMIT / max(e_max * math.sqrt(n), 1.0)))
-    centre_y = np.empty(n)
     for at in range(0, len(fits), n):
         reps = fits[at : at + n]
         part = y[at : at + n] if len(fits) == len(y) else y[reps]
-        centre_y_sq = np.array([np.dot(np.multiply(row, centre, out=centre_y), centre_y) for row in part])
-        a, b = _rounding(n, e_max, centre_y_sq, y_max[reps])
+        centre_y = part * centre
+        a, b = _rounding(n, e_max, np.einsum("rk,rk->r", centre_y, centre_y), y_max[reps])
         w = np.square(part, out=np.empty(part.shape, dtype=np.float32))
+        # the cut: row cut - 1 certainly beyond the centre's threshold, by
+        # its S alone (E_guess = 0), with B widened by the slack
+        while cut < k and not (
+            guess + 1 < cut
+            and (_gram_columns(np.square(e32[-1:]), w)[0] * (1.0 - _KAPPA - a) > thresholds_sq[guess] * (1.0 + 2.0**-48) + _CUT_B * b).all()
+        ):
+            cut, step = min(k, cut + step), 2 * step
+            e32, _, top, _ = _float32_rows(buffer, guess, rows, cut, len(e32))
+            if not top <= p_max:  # a larger or NaN row: start again, over the whole grid
+                return _certify(buffer, thresholds_sq, y, y_max, guess, rows, k)
         # every S_i of every replication from one product of the data-free squares
-        np.square(e32, out=work)
-        bounds = _bounds(_gram_columns(work, w).astype(float), a, b, thresholds_sq)
+        np.square(e32, out=work[:cut])
+        bounds = _bounds(_gram_columns(work[:cut], w).astype(float), a, b, thresholds_sq[:cut])
+        # the rows above the centre that show the cut
+        beyond = bounds[0][guess + 1 :] > (_CUT_B - 1.0) * b / (2.0 - 2.0 * _KAPPA) - bounds[1][guess]
+        first = np.where(beyond.any(axis=0), beyond.argmax(axis=0) + guess + 2, k) if len(beyond) else [k]
+        need = max(need, int(np.max(first)))
         best[reps] = _scan(e32, work, w, bounds, guess)
         del bounds  # before the next chunk forms its own
-    return best
+    return best, need
 
 
 def _exact_test(coeff: np.ndarray, thresholds_sq, square, scratch, beyond, lower) -> int:

@@ -25,6 +25,10 @@ and none of these picks but a Lepskii fallback's depends on the BLAS
 thread count.  The three picks are stacked into one (R, 3) index, and the
 squared errors are read from the estimate rows at its grid points,
 evaluated once per batch (``GridScorer.batch_errors``).
+A scorer forms only the grid rows a pick can lie in and proves that the
+rows above them cannot hold one, from the ordered filters' monotonicity
+(the cut of ``GridScorer``); each noise level starts from the share of
+its grid that the one before needed, and the first from half its grid.
 The rate study builds its problem once per run (only sigma changes between
 noise levels), and the efficiency study builds the eigenvalues, their
 square roots and the truth decay k^{-nu} once per run; a replication draws
@@ -208,8 +212,12 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
     streams = 1 if truth is not None else 2
     shape = (len(config.sigmas), config.replications) + ((2,) if truth is None else ())
     cells = _cell_words(config.master_seed, shape)
+    # the first noise level's rows start at the middle of its grid, where
+    # a new scorer centres Lepskii's rows; each later one starts at the
+    # share of the rows that the one before needed
+    cut = 0.5
     for sigma, grid in zip(config.sigmas, grids):
-        scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer)
+        scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer, cut)
         oracle_truths = None if truth is None else truth[None]
         batches = []
         for lo in range(0, config.replications, step):
@@ -223,6 +231,7 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
                 oracle_idx = np.full(count, fixed_idx)
             index = np.stack([oracle_idx, pred_idx, scorer.batch_lepskii_picks(values)], axis=1)
             batches.append(scorer.batch_errors(values, truths, index))
+        cut = scorer.cut
         yield sigma, np.concatenate(batches)
 
 

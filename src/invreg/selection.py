@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import lepskii
-from .filters import FilterSpec, _check_args, _evaluate, _row_blocks
+from .filters import _BLOCK, _MONOTONE_SLACK, FilterSpec, _check_args, _evaluate, _row_blocks
 from .risk import _COMPENSATED_FROM, _accumulate, _accumulate_rows
 
 __all__ = [
@@ -76,11 +76,32 @@ class GridScorer:
     picks Lepskii's indices through ``lepskii.picks``, which holds the
     whole test; and ``batch_errors`` returns the squared errors at any
     grid indices, such as the three picks stacked.  Lepskii's last
-    certified index, the guess of the next call, is the only state a call
-    leaves behind, and it changes no output.  No K x n block outlives a
-    call: each call fills the rows it reads, so scorers of other noise
-    levels may share the buffer, and the buffer makes a scorer unsafe to
-    share between threads.
+    certified index, the guess of the next call, and the rows the last
+    calls needed are the only state a call leaves behind, and they change
+    no output.  No K x n block outlives a call: each call fills the rows
+    it reads, so scorers of other noise levels may share the buffer, and
+    the buffer makes a scorer unsafe to share between threads.
+
+    The cut.  The filters are ordered: s and q, and so p = sqrt(lambda) q,
+    never grow with alpha, and as computed they rise by at most the share
+    ``filters._MONOTONE_SLACK`` (tests/test_monotone.py).  So the bias
+    sum (1 - s)^2 r^2 of the picks only grows along the grid, up to that
+    slack, and the variance, the pred offset and their rounding are >= 0;
+    and Lepskii's distances to a centre row only grow above it.  A call
+    forms q, s and Lepskii's float32 rows only for the first h + 1 grid
+    rows: as many as the last calls needed (``cut`` of the grid at
+    construction), or the whole grid where its K x n block fits one row
+    block.  It then proves, for every replication, that no row above h
+    matters: the picks, that the lower end a_h - margin_h of row h, less
+    its offset and the slack (8 slack + 4 (n + 3) u)(|a_h| + sum r^2),
+    lies above the smallest upper end, so every row above h scores above
+    the minimum; Lepskii's test, that row h lies certainly beyond the
+    centre's threshold (``lepskii._certify``).  Where a replication fails
+    that, h + 1 grows by 2, 4, 8, ... rows, up to the whole grid.  The
+    variance, thresholds and pred offsets are formed for the rows as they
+    are formed; ``batch_oracle_scores``, ``batch_pred_scores`` and
+    Lepskii's float64 fallback form the whole grid, so every index is
+    that of the whole grid.
     """
 
     def __init__(
@@ -90,12 +111,15 @@ class GridScorer:
         spec: FilterSpec,
         grid: np.ndarray,
         buffer: np.ndarray | None = None,
+        cut: float = 1.0,
     ) -> None:
         eig, grid = np.array(eigenvalues, dtype=float), np.array(grid, dtype=float)
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         if grid.ndim != 1 or not grid.size:
             raise ValueError(f"grid must be a nonempty 1-d array of alphas, got shape {grid.shape}")
+        if not 0 < cut <= 1:
+            raise ValueError(f"cut must lie in (0, 1], got {cut!r}")
         k, n = grid.size, eig.size
         if buffer is None:
             buffer = np.empty((k, n))
@@ -108,14 +132,43 @@ class GridScorer:
         self._buf = buffer[:k]
         self._root = np.sqrt(eig)
         self._guess = k // 2
-        # sum lambda q^2 per alpha feeds both the oracle and the thresholds
-        q2 = self._fill(slice(None), self._buf, False)
+        self._variance, self._thresholds_sq, self._pred_offset = np.empty(k), np.empty(k), np.empty(k)
+        # rows [0, formed) have their variance and thresholds, [0, offsets) their pred offset
+        self._formed = self._offsets = 0
+        # the rows the picks and Lepskii's rule needed in their last calls
+        self._needs = [min(k, math.ceil(cut * k))] * 2
+        self._form(self._needs[0], self._buf)
+
+    @property
+    def cut(self) -> float:
+        """The share of the grid rows that the last picks and Lepskii calls
+        needed, which the next call forms first."""
+        return max(self._needs) / len(self.grid)
+
+    def _first_rows(self) -> int:
+        """The grid rows a call forms first: all of a grid whose K x n block
+        fits one row block of ``filters._BLOCK`` entries, where a cut would
+        save less than its checks cost, else as many as the last calls
+        needed."""
+        return len(self.grid) if self._buf.size <= _BLOCK else max(self._needs)
+
+    def _vectors(self, lo: int, hi: int, scratch: np.ndarray) -> None:
+        """The oracle's variance sigma^2 sum lambda q^2 and the squared
+        Lepskii thresholds of grid rows [lo, hi), from q formed in
+        ``scratch``."""
+        q2 = self._fill(slice(lo, hi), scratch[: hi - lo], False)
         np.square(q2, out=q2)
-        q2 *= eig
+        q2 *= self.eigenvalues
         lq2 = _accumulate_rows(q2)
-        self._variance = sigma**2 * lq2
-        self._thresholds_sq = np.array([(4.0 * sigma * math.sqrt(v)) ** 2 for v in lq2])
-        self._pred_offset = None
+        self._variance[lo:hi] = self.sigma**2 * lq2
+        self._thresholds_sq[lo:hi] = [(4.0 * self.sigma * math.sqrt(v)) ** 2 for v in lq2]
+
+    def _form(self, stop: int, scratch: np.ndarray) -> None:
+        """Extend the rows with a variance and threshold to [0, stop),
+        through ``scratch`` rows at a time."""
+        for lo in range(self._formed, stop, max(1, len(scratch))):
+            self._vectors(lo, min(stop, lo + len(scratch)), scratch)
+        self._formed = max(self._formed, stop)
 
     def _fill(self, at, out: np.ndarray, want_s: bool) -> np.ndarray:
         """Row j of ``out`` := s_value (``want_s``) or filter_value at
@@ -126,7 +179,10 @@ class GridScorer:
         return out
 
     def _rows(self, at, out: np.ndarray) -> np.ndarray:
-        """``out`` := the rows p = fl(sqrt(lambda) q) at grid[at]."""
+        """``out`` := the rows p = fl(sqrt(lambda) q) at grid[at]; for a
+        slice, the thresholds of its rows are formed first, in ``out``."""
+        if isinstance(at, slice):
+            self._form(at.indices(len(self.grid))[1], out)
         out = self._fill(at, out, False)
         out *= self._root
         return out
@@ -138,18 +194,22 @@ class GridScorer:
             raise ValueError(f"expected a 2-d array of {self.eigenvalues.size} modes per row")
         return rows
 
-    def _s_block(self) -> np.ndarray:
-        """The buffer filled with the s-block; the first one a scorer forms
-        also gives the pred offset 2 sigma^2 sum s."""
-        block = self._fill(slice(None), self._buf, True)
-        if self._pred_offset is None:
-            self._pred_offset = 2.0 * self.sigma**2 * _accumulate_rows(block)
+    def _s_block(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Buffer rows [lo, hi) (hi = K by default) filled with s at
+        grid[lo:hi]; the pred offsets 2 sigma^2 sum s of rows not yet
+        offset are taken from them."""
+        hi = len(self.grid) if hi is None else hi
+        self._form(hi, self._buf[self._formed : hi])
+        block = self._fill(slice(lo, hi), self._buf[lo:hi], True)
+        if hi > self._offsets:
+            self._pred_offset[lo:hi] = 2.0 * self.sigma**2 * _accumulate_rows(block)
+            self._offsets = hi
         return block
 
-    def _terms(self) -> np.ndarray:
-        """The buffer rewritten to the oracle's mode weights (1 - s)^2, from
-        which the picks also take pred's approximate scores."""
-        block = self._s_block()
+    def _terms(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Buffer rows [lo, hi) rewritten to the oracle's mode weights
+        (1 - s)^2, from which the picks also take pred's approximate scores."""
+        block = self._s_block(lo, hi)
         np.subtract(1.0, block, out=block)
         return np.square(block, out=block)
 
@@ -240,32 +300,57 @@ class GridScorer:
         truths, values = self._check(truths), self._check(values)
         m, step = len(truths), max(self.eigenvalues.size, _PICK_ROWS)
         picks = np.empty(m + len(values), dtype=int)
-        block = None
+        rows, self._needs[0] = 0, 1
         for lo in range(0, len(picks), step):
             hi = lo + step
-            if block is None:
-                block = self._terms()
-            picks[lo:hi] = self._picks(block, truths[lo:hi], values[max(lo - m, 0) : max(hi - m, 0)])
+            picks[lo:hi], rows = self._picks(rows, truths[lo:hi], values[max(lo - m, 0) : max(hi - m, 0)])
             if hi > m:  # pred's exact scores overwrite the block
-                block = None
+                rows = 0
         return picks[:m], picks[m:]
 
-    def _picks(self, block: np.ndarray, truths: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def _picks(self, rows: int, truths: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, int]:
         """The grid indices of ``batch_picks`` for the truths and then the
-        observations, from the (1 - s)^2 ``block``."""
-        m = len(truths)
-        weights = np.empty((m + len(values), block.shape[1]))
+        observations, and the rows of the (1 - s)^2 block in the buffer,
+        which holds ``rows`` rows on entry (0: none) and as many as the
+        picks needed on return."""
+        m, (k, n) = len(truths), self._buf.shape
+        weights = np.empty((m + len(values), n))
         np.square(truths, out=weights[:m])
         np.square(values, out=weights[m:])
-        approx, margin = _bounds(block, weights, m, self._variance, self._pred_offset)
-        lower = approx - margin
-        upper = np.add(approx, margin, out=margin)
-        candidates = lower <= upper.min(axis=1, keepdims=True)
+        # the slack of the lower end of the scores above a row, per unit of |a_i| + sum r^2
+        slack = 8.0 * _MONOTONE_SLACK + 4.0 * (n + 3) * 2.0**-53
+        cut = start = max(rows, self._first_rows())
+        step = 2
+        while True:
+            if rows < cut:
+                self._terms(rows, cut)
+                rows = cut
+            block = self._buf[:rows]
+            approx, margin = _bounds(block, weights, m, self._variance[:rows], self._pred_offset[:rows])
+            lower = approx - margin
+            upper = np.add(approx, margin, out=margin)
+            least = upper.min(axis=1, keepdims=True)
+            if rows == k:
+                break
+            # every row above the last has a score above its lower end, less
+            # its offset and the slack of the rows' monotonicity
+            above = np.abs(approx[:, -1:])
+            above += weights.sum(axis=1, keepdims=True)
+            above *= -slack
+            above += lower[:, -1:]
+            above[:m] -= self._variance[rows - 1]
+            above[m:] -= self._pred_offset[rows - 1]
+            if (above > least).all():
+                break
+            cut, step = min(k, rows + step), 2 * step
+        if rows > start:
+            self._needs[0] = max(self._needs[0], rows)
+        candidates = lower <= least
         # a NaN or infinite a_i makes its lower end NaN or infinite; an upper
         # end that alone overflows only widens the candidates
         candidates[~np.isfinite(lower).all(axis=1)] = True
         # rows left unscored stay above every candidate's exact score
-        return np.argmin(self._scores(block, weights, m, candidates), axis=1)
+        return np.argmin(self._scores(block, weights, m, candidates), axis=1), rows
 
     def batch_oracle_scores(self, truths: np.ndarray) -> np.ndarray:
         """Exact direct risk sum (1 - s)^2 f^2 + sigma^2 sum lambda q^2 at
@@ -277,15 +362,17 @@ class GridScorer:
         """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
         point (columns) for each observation Y of an (R, n) batch (rows)."""
         values = self._check(values)
-        # only the pred offset, once per scorer: pred's rows read no (1 - s)^2 block
-        if self._pred_offset is None:
+        # only the pred offsets, once per scorer: pred's rows read no (1 - s)^2 block
+        if self._offsets < len(self.grid):
             self._s_block()
         return self._scores(None, values**2, 0, np.ones((len(values), len(self._buf)), bool))
 
     def batch_lepskii_picks(self, values: np.ndarray) -> np.ndarray:
         """Lepskii's grid index for each observation of an (R, n) batch,
         from one call of ``lepskii.picks``."""
-        best, self._guess = lepskii.picks(self._buf, self._thresholds_sq, self._check(values), self._guess, self._rows)
+        best, self._guess, self._needs[1] = lepskii.picks(
+            self._buf, self._thresholds_sq, self._check(values), self._guess, self._rows, self._first_rows()
+        )
         return best
 
     def batch_errors(self, values: np.ndarray, truths: np.ndarray, index) -> np.ndarray:

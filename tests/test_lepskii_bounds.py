@@ -26,7 +26,8 @@ import numpy as np
 import pytest
 
 from invreg.filters import FilterSpec
-from invreg.lepskii import _KAPPA, _bounds, _float32_rows, _gram_columns, _gram_error, _rounding, _row_error
+from invreg.filters import _MONOTONE_SLACK
+from invreg.lepskii import _CUT_B, _KAPPA, _bounds, _float32_rows, _gram_columns, _gram_error, _rounding, _row_error
 from invreg.selection import GridScorer
 
 V = Fraction(2) ** -24
@@ -228,3 +229,67 @@ def test_near_ties_agree_with_the_float64_test(tie):
                 assert dh[i, j] > t[j], (i, j)
             if gram[i, j] - up[j] >= top[i]:
                 assert dh[i, j] <= t[j], (i, j)
+
+
+def step_3_excess(p, y, relative, underflow):
+    """The largest excess of |Dh_ij - D_ij| over g64 C_ij + underflow over
+    the pairs of rows: Dh the float64 test's distance, D = ||c_i - c_j||^2
+    and C = ||c_i||^2 + ||c_j||^2 exactly, c = fl(p y); g64 = 2 n u / (1 -
+    n u) + ``relative``."""
+    n, u = len(y), Fraction(2) ** -53
+    g64 = 2 * n * u / (1 - n * u) + relative
+    c = [fractions(row * y) for row in p]
+    norms = [sum(x * x for x in row) for row in c]
+    dh = float64_distances(p, y)
+    worst = None
+    for i in range(len(p)):
+        for j in range(len(p)):
+            d = sum((a - b) ** 2 for a, b in zip(c[i], c[j]))
+            excess = abs(Fraction(float(dh[i, j])) - d) - g64 * (norms[i] + norms[j]) - underflow(n)
+            worst = excess if worst is None else max(worst, excess)
+    return worst
+
+
+def one_mode(rng):
+    """Rows of one mode, where the syrk rounds once per entry and the sum
+    and difference of step 3 dominate its error."""
+    return rng.uniform(0.5, 1.0, (40, 1)), 0, rng.uniform(0.5, 1.0, 1)
+
+
+def float64_subnormal(rng):
+    """Rows near 2^-530, whose products fl(p y) and the syrk's terms fall
+    among the float64 subnormals, where the underflow term dominates."""
+    return 2.0**-530 * rng.standard_normal((6, 24)), 0, rng.standard_normal(24)
+
+
+U64 = Fraction(2) ** -53
+STEP_3 = dict(relative=Fraction(301, 100) * U64, underflow=lambda n: 5 * n * Fraction(2) ** -1022)
+
+
+@pytest.mark.parametrize("case", CASES + [one_mode, float64_subnormal], ids=lambda case: case.__name__)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_step_3_bounds_the_float64_distance(case, seed):
+    p, _, y = case(np.random.default_rng(seed))
+    assert step_3_excess(p, y, **STEP_3) <= 0
+
+
+@pytest.mark.parametrize("case, term", [(one_mode, "relative"), (float64_subnormal, "underflow")])
+def test_step_3_without_a_term_fails_its_case(case, term):
+    # the 3.01 u of the sum and the difference, and the 5 n 2^-1022 of
+    # underflow, are each needed
+    dropped = dict(STEP_3, **{term: Fraction(0) if term == "relative" else (lambda n: 0)})
+    assert any(step_3_excess(*case(np.random.default_rng(seed))[::2], **dropped) > 0 for seed in range(4))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
+def test_a_cuts_b_covers_the_widened_rho(case):
+    # lepskii._CUT_B B covers B with rho widened by (slack + 2.02 u) ||c_m||
+    # for the rows above a cut (lepskii._certify)
+    p, m, y = case(np.random.default_rng(0))
+    e32, w, n, centre_y_sq, e_max, y_max, fy, x = audit_rows(p, m, y)
+    a, b = _rounding(n, e_max, centre_y_sq, y_max)
+    cm_sq = 1.01 * centre_y_sq + 2.0 * n * 2.0**-1022
+    rho = Fraction(float(_row_error(n, cm_sq, y_max)))
+    wide = rho + (Fraction(_MONOTONE_SLACK) + Fraction(202, 100) * U64) * sqrt_above(Fraction(cm_sq))
+    widened = Fraction(float(b)) + Fraction(101, 100) * 8 * (2 + 1 / Fraction(_KAPPA)) * (wide * wide - rho * rho)
+    assert widened <= Fraction(_CUT_B) * Fraction(float(b))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import config_grids, one_replication
-from invreg import lepskii
+from invreg import lepskii, selection
 from invreg.filters import ALL_FAMILIES, FilterSpec
 from invreg.model import (
     SpectralProblem,
@@ -61,6 +61,24 @@ def per_replication_triple(problem, spec, grid, replicate_seed):
         diff = estimate_coefficients(problem, spec, float(grid[i]), obs) - problem.truth_coeffs
         errors.append(float(diff @ diff))
     return tuple(errors)
+
+
+def evaluated_alphas(monkeypatch) -> set:
+    """The set that collects every alpha at which a scorer evaluates q or s
+    from now on (``filters._evaluate``, as ``selection`` calls it)."""
+    seen, evaluate = set(), selection._evaluate
+
+    def recording(spec, alpha, lam, want_s, out):
+        seen.update(np.ravel(alpha).tolist())
+        return evaluate(spec, alpha, lam, want_s, out)
+
+    monkeypatch.setattr(selection, "_evaluate", recording)
+    return seen
+
+
+def scorer_picks(scorer, truths, values):
+    """The oracle, pred and Lepskii indices of a batch, as a study's phases pick them."""
+    return (*scorer.batch_picks(truths, values), scorer.batch_lepskii_picks(values))
 
 
 def rate_loop(config):
@@ -300,9 +318,9 @@ class TestBatches:
         certify, picks = lepskii._certify, lepskii.picks
 
         def recording(*args):
-            best = certify(*args)
+            best, need = certify(*args)
             outcomes.extend(best >= 0)
-            return best
+            return best, need
 
         def counting(buffer, thresholds_sq, values, *args):
             batches.append(len(values))
@@ -310,6 +328,7 @@ class TestBatches:
 
         monkeypatch.setattr(lepskii, "_certify", recording)
         monkeypatch.setattr(lepskii, "picks", counting)
+        alphas = evaluated_alphas(monkeypatch)
         phases, calls = ("batch_picks", "batch_lepskii_picks", "batch_errors"), []
 
         def logged(name, method):
@@ -317,19 +336,61 @@ class TestBatches:
 
         for name in phases:
             monkeypatch.setattr(GridScorer, name, logged(name, getattr(GridScorer, name)))
-        run_rate_experiment(
-            small_config(
-                problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
-                sigmas=tuple(2.0**-k for k in range(15, 22)),
-                replications=10,
-                master_seed=20240901,
-            )
+        config = small_config(
+            problem=GreenDescriptor(GreenTruth.HAT, n_modes=1024),
+            sigmas=tuple(2.0**-k for k in range(15, 22)),
+            replications=10,
+            master_seed=20240901,
         )
+        run_rate_experiment(config)
+        # each noise level evaluates q and s at no more than 60 % of its grid
+        # rows (52 of 89 to 76 of 135), the first one too
+        for grid in config_grids(config):
+            assert len(alphas & set(grid.tolist())) <= 0.6 * len(grid)
         assert len(outcomes) == 70 and sum(outcomes) >= 0.99 * len(outcomes)
         # one Lepskii call per batch: each noise level's 10 replications are one batch
         assert batches == [10] * 7
         # and one scorer call per phase of each batch, in the study's order
         assert calls == list(phases) * 7
+
+    def test_a_batch_whose_lepskii_pick_is_the_top_row_forms_the_whole_grid(self, monkeypatch):
+        # the efficiency-diag noise level sigma = 0.1 at 1500 modes, so that
+        # its 26 x n block exceeds a row block: Lepskii picks the top row
+        # for some replications, so the batch forms every grid row, and
+        # every pick equals that of the whole grid formed from the start
+        p = make_diagonal_problem(1500, 4.0, 4.0, 0.1, 1)
+        grid = build_grid(0.1, 1.0, 1.2)
+        values = np.sqrt(p.eigenvalues) * p.truth_coeffs + 0.1 * np.random.default_rng(3).standard_normal((5, 1500))
+        truths = np.broadcast_to(p.truth_coeffs, values.shape)
+        expected = scorer_picks(GridScorer(p.eigenvalues, 0.1, FilterSpec("tikhonov"), grid), truths, values)
+        alphas = evaluated_alphas(monkeypatch)
+        got = scorer_picks(GridScorer(p.eigenvalues, 0.1, FilterSpec("tikhonov"), grid, cut=0.5), truths, values)
+        assert (got[2] == len(grid) - 1).any() and len(alphas) == len(grid)
+        assert [x.tolist() for x in got] == [x.tolist() for x in expected]
+
+    def test_one_replication_alone_forces_the_cut_up(self, monkeypatch):
+        # hat observations at sigma = 2^-15: a batch of nine forms the 60 %
+        # of the rows it starts from; a tenth observation scaled down 1000
+        # times lies within the thresholds far above them, so its Lepskii
+        # pick lies above those rows, and the batch forms the whole grid
+        # with the picks of the whole grid
+        p = make_green_problem(1024, GreenTruth.HAT, 2.0**-15, frame="discrete")
+        grid = build_grid(p.sigma, math.pi**-4.0, 1.2)
+        rng = np.random.default_rng(11)
+        values = np.sqrt(p.eigenvalues) * p.truth_coeffs + p.sigma * rng.standard_normal((10, 1024))
+        values[6] *= 1e-3
+        truths = np.broadcast_to(p.truth_coeffs, values.shape)
+        spec = FilterSpec("tikhonov")
+        batches = (np.delete(values, 6, axis=0), values)
+        picks = [scorer_picks(GridScorer(p.eigenvalues, p.sigma, spec, grid), truths[: len(b)], b) for b in batches]
+        formed = []
+        for batch, expected in zip(batches, picks):
+            alphas = evaluated_alphas(monkeypatch)
+            got = scorer_picks(GridScorer(p.eigenvalues, p.sigma, spec, grid, cut=0.6), truths[: len(batch)], batch)
+            assert [x.tolist() for x in got] == [x.tolist() for x in expected]
+            formed.append(len(alphas))
+        assert formed[0] == math.ceil(0.6 * len(grid)) and formed[1] == len(grid)
+        assert expected[2][6] > formed[0]
 
     def test_the_benchmark_hat_config_reads_a_few_gram_columns_per_pick(self, monkeypatch):
         # a batch reads a window of gram entries near its picks and a
@@ -341,9 +402,9 @@ class TestBatches:
 
         def recording(buffer, thresholds_sq, values, *args):
             replications.extend([len(buffer)] * len(values))
-            best = certify(buffer, thresholds_sq, values, *args)
+            best, need = certify(buffer, thresholds_sq, values, *args)
             assert (best >= 0).all()
-            return best
+            return best, need
 
         def counting(rows, columns):
             out = gram_columns(rows, columns)

@@ -395,8 +395,8 @@ class TestGridScorer:
         values, _ = batch_rows(p)
         expected = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid).batch_pred_scores(values)
         formed, s_block = [], GridScorer._s_block
-        monkeypatch.setattr(GridScorer, "_terms", lambda self: pytest.fail("a (1 - s)^2 block was formed"))
-        monkeypatch.setattr(GridScorer, "_s_block", lambda self: formed.append(1) or s_block(self))
+        monkeypatch.setattr(GridScorer, "_terms", lambda self, *args: pytest.fail("a (1 - s)^2 block was formed"))
+        monkeypatch.setattr(GridScorer, "_s_block", lambda self, *args: formed.append(1) or s_block(self, *args))
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         for _ in range(2):
             assert scorer.batch_pred_scores(values).tobytes() == expected.tobytes()
@@ -552,7 +552,7 @@ class TestGridScorer:
         if rows:
             y_max = np.abs(values).max(axis=1)
             args = scorer._buf, scorer._thresholds_sq, values, y_max, scorer._guess, scorer._rows
-            certified = lepskii._certify(*args)
+            certified = lepskii._certify(*args)[0]
             for y, pick, got in zip(values, expected, certified):
                 assert got == pick or got == full_gram_lepskii(scorer, rows, y) == -1
 
@@ -570,11 +570,11 @@ class TestGridScorer:
         certify = lepskii._certify
 
         def every_other(*args):
-            best = certify(*args)
+            best, need = certify(*args)
             for r in range(len(best)):
                 calls.append(len(calls) % 2 == 0)
                 best[r] = best[r] if calls[-1] else -1
-            return best
+            return best, need
 
         fallback, allocated = lepskii._fallback, []
         monkeypatch.setattr(lepskii, "_certify", every_other)
@@ -599,9 +599,9 @@ class TestGridScorer:
         certify = lepskii._certify
 
         def recording(*args):
-            best = certify(*args)
+            best, need = certify(*args)
             outcomes.extend(best.tolist())
-            return best
+            return best, need
 
         monkeypatch.setattr(lepskii, "_certify", recording)
         for spec in (FilterSpec("tikhonov"), FilterSpec("spectral_cutoff")):
@@ -628,9 +628,9 @@ class TestGridScorer:
         certify = lepskii._certify
 
         def recording(*args):
-            best = certify(*args)
+            best, need = certify(*args)
             outcomes.extend(best.tolist())
-            return best
+            return best, need
 
         monkeypatch.setattr(lepskii, "_certify", recording)
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
@@ -650,10 +650,10 @@ class TestGridScorer:
         certify = lepskii._certify
 
         def refusing(*args):
-            best = certify(*args)
+            best, need = certify(*args)
             if (best >= 0).any():
                 pytest.fail("certified")
-            return best
+            return best, need
 
         monkeypatch.setattr(lepskii, "_certify", refusing)
         monkeypatch.setattr(lepskii, "_gram_columns", lambda *args: pytest.fail("gram formed"))
@@ -722,7 +722,7 @@ class TestGridScorer:
         )
         formed = []
         terms = GridScorer._terms
-        monkeypatch.setattr(GridScorer, "_terms", lambda self: formed.append(1) or terms(self))
+        monkeypatch.setattr(GridScorer, "_terms", lambda self, *args: formed.append(1) or terms(self, *args))
         assert oracle_picks(scorer, truths).tolist() == expected[0].tolist()
         assert len(formed) == 1
         oracle, pred = scorer.batch_picks(truths, values)

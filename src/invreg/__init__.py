@@ -31,7 +31,6 @@ from .montecarlo import (
     run_rate_experiment,
 )
 from .problems import (
-    DenseSymmetricMatrix,
     NumericFailure,
     TestFunction,
     discretize_integral_operator,
@@ -58,6 +57,5 @@ from .risk import (
 )
 from .selection import (
     GridScorer,
-    apriori_alpha_polynomial,
     build_grid,
 )

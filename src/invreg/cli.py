@@ -35,7 +35,7 @@ from .montecarlo import (
     run_rate_experiment,
 )
 from .problems import NumericFailure, TestFunction
-from .ratetest import DegenerateVarianceError, RateSample, SingularDesignError, rate_test
+from .ratetest import DegenerateVarianceError, RateSample, RateTestResult, SingularDesignError, rate_test
 from .selection import GridScorer, build_grid
 from .tables import (
     emit_efficiency_table,
@@ -265,22 +265,10 @@ def _rate_samples(path, risk: str) -> list[RateSample]:
 def _cmd_rate_test(fields, output, seed: int) -> list[Path]:
     risk = fields["rate_test.risk"]
     result = rate_test(_rate_samples(fields["rate_test.errors_csv"], risk), fields["rate_test.theta_target"])
+    report = {"risk": risk, **{name: getattr(result, name) for name in RateTestResult._init}}
+    report["reject_at_10pct"] = result.reject_at(0.10)
     path = output("rate_test.json")
-    path.write_text(
-        json.dumps(
-            {
-                "risk": risk,
-                "theta_hat": result.theta_hat,
-                "rho_hat": result.rho_hat,
-                "statistic": result.statistic,
-                "p_value": result.p_value,
-                "theta_target": result.theta_target,
-                "reject_at_10pct": result.reject_at(0.10),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    path.write_text(json.dumps(report, indent=2) + "\n")
     return [path]
 
 

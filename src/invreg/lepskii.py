@@ -124,26 +124,32 @@ def _fallback(k: int):
     return np.empty((k, k)), np.empty((max(1, k // 2), k)), np.empty_like(lower), lower
 
 
-def _float32_rows(buffer, m: int, rows, cut: int | None = None, start: int = 0):
+def _float32_rows(buffer, m: int, rows, cut: int | None = None):
     """(E, work, p_max, p_m) for the certified test over the first ``cut``
-    grid rows (all K by default), of which it forms those from ``start`` on
-    (p_max is theirs), or False if the grid has one point.
+    grid rows (all K by default), or False if the grid has one point.
 
     E holds the float32 rows fl32(p_i - p_m) in the first half of the
     bytes of the K x n ``buffer``; ``work`` is the second half, as float32
     rows; p_max bounds |p_i| (NaN if a p_i is, and then E is not used).
     Row m is evaluated as p_m bit for bit, so E_m = 0.  The margins of the
     test grow with S_i = ||E_i y||^2, so a centre row m near the picks
-    narrows them where the picks are decided.  The p_i are written K // 2
-    rows at a time in the last rows of the buffer, beyond the bytes of E.
+    narrows them where the picks are decided.
     """
-    k, n = buffer.shape
-    cut, step = k if cut is None else cut, k // 2
-    if step == 0:
+    if len(buffer) < 2:
         return False
+    centre = rows([m], np.empty((1, buffer.shape[1])))[0]
+    return (*_stage(buffer, centre, rows, 0, len(buffer) if cut is None else cut), centre)
+
+
+def _stage(buffer, centre, rows, start: int, cut: int):
+    """(E, work, p_max) of ``_float32_rows``, E over the first ``cut`` grid
+    rows, of which the rows from ``start`` on are formed here against the
+    centre row ``centre`` (p_max is theirs).  The p_i are written K // 2
+    rows at a time in the last rows of the buffer, beyond the bytes of E."""
+    k, n = buffer.shape
+    step = k // 2
     flat = buffer.reshape(-1).view(np.float32)
     e32, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
-    centre = rows([m], np.empty((1, n)))[0]
     top = 0.0
     for lo in range(start, cut, step):
         part = rows(slice(lo, min(lo + step, cut)), buffer[k - step :][: cut - lo])
@@ -151,7 +157,7 @@ def _float32_rows(buffer, m: int, rows, cut: int | None = None, start: int = 0):
         # rows out of float32 range are refused through p_max
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(part, centre, out=e32[lo : lo + len(part)], casting="unsafe")
-    return e32[:cut], work, top, centre
+    return e32[:cut], work, top
 
 
 def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows, cut: int | None = None):
@@ -208,7 +214,7 @@ def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows, cut: int | None 
             and (_gram_columns(np.square(e32[-1:]), w)[0] * (1.0 - _KAPPA - a) > thresholds_sq[guess] * (1.0 + 2.0**-48) + _CUT_B * b).all()
         ):
             cut, step = min(k, cut + step), 2 * step
-            e32, _, top, _ = _float32_rows(buffer, guess, rows, cut, len(e32))
+            e32, _, top = _stage(buffer, centre, rows, len(e32), cut)
             if not top <= p_max:  # a larger or NaN row: start again, over the whole grid
                 return _certify(buffer, thresholds_sq, y, y_max, guess, rows, k)
         # every S_i of every replication from one product of the data-free squares

@@ -11,10 +11,10 @@ carry a constant magnitude factor (1 / (4 sqrt(2) pi) for the hat,
 1 / (4 pi) for the indicator) and per-mode orientation signs, which is
 immaterial for all risks since only f_k^2 enters.
 
-A composite-midpoint discretization of the integral operator and its
-largest eigenvalues (from LAPACK) are provided solely to cross-validate
-the analytic spectrum; rate experiments synthesize data directly in
-sequence space.
+A composite-midpoint discretization of the integral operator, a
+read-only (n, n) array, and the largest eigenvalues of a symmetric array
+(from LAPACK) are provided solely to cross-validate the analytic spectrum;
+rate experiments synthesize data directly in sequence space.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ import math
 
 import numpy as np
 
-from ._record import Record
 from .model import SpectralProblem, _generator
 
 __all__ = [
     "TestFunction",
-    "DenseSymmetricMatrix",
     "NumericFailure",
     "make_green_problem",
     "make_diagonal_problem",
@@ -46,23 +44,6 @@ class NumericFailure(RuntimeError):
 class TestFunction(enum.Enum):
     HAT = "hat"
     INDICATOR = "indicator"
-
-
-class DenseSymmetricMatrix(Record):
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if not np.array_equal(m, m.T):
-            raise ValueError("matrix must be exactly symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
 
 
 def make_green_problem(
@@ -160,25 +141,35 @@ def make_diagonal_problem(
     return SpectralProblem(eigenvalues, _diagonal_truths(decay, iter([_generator(seed)]), 1)[0], sigma)
 
 
-def discretize_integral_operator(n: int) -> DenseSymmetricMatrix:
-    """Composite midpoint discretization (1/n) k(x_i, x_j) of the min-kernel."""
+def discretize_integral_operator(n: int) -> np.ndarray:
+    """Composite midpoint discretization (1/n) k(x_i, x_j) of the min-kernel:
+    a read-only, exactly symmetric (n, n) array."""
     if n < 2:
         raise ValueError("n must be at least 2")
     x = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     left = np.outer(x, 1.0 - x)  # x_i (1 - x_j)
-    return DenseSymmetricMatrix(np.minimum(left, left.T) / n)
+    matrix = np.minimum(left, left.T) / n
+    matrix.setflags(write=False)
+    return matrix
 
 
-def symmetric_eigenvalues(m: DenseSymmetricMatrix, count: int) -> np.ndarray:
-    """Largest ``count`` eigenvalues, descending, from LAPACK's symmetric
-    eigensolver (``numpy.linalg.eigvalsh``).
+def symmetric_eigenvalues(matrix, count: int) -> np.ndarray:
+    """Largest ``count`` eigenvalues, descending, of the square, exactly
+    symmetric array-like ``matrix``, from LAPACK's symmetric eigensolver
+    (``numpy.linalg.eigvalsh``), which leaves ``matrix`` unchanged.
 
-    Raises NumericFailure if the solver does not converge.
+    Raises ValueError for a matrix of another shape or an asymmetric one,
+    and NumericFailure if the solver does not converge.
     """
-    if count > m.order:
-        raise ValueError("count exceeds matrix order")
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.array_equal(m, m.T):
+        raise ValueError("matrix must be exactly symmetric")
+    if not 0 <= count <= len(m):
+        raise ValueError(f"count must lie in [0, {len(m)}], the matrix order")
     try:
-        eig = np.linalg.eigvalsh(m.entries)
+        eig = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"symmetric eigensolver did not converge: {exc}") from exc
     return eig[::-1][:count]

@@ -1,4 +1,4 @@
-"""Candidate grids and the four regularization-parameter choice rules.
+"""Candidate grids and the three regularization-parameter choice rules.
 
 The grid discretizes [sigma^2, lambda_1] geometrically with a ratio r > 1.
 All rules are deterministic: score ties on the grid are resolved toward the
@@ -22,7 +22,6 @@ __all__ = [
     "GridScorer",
     "build_grid",
     "grid_size",
-    "apriori_alpha_polynomial",
 ]
 
 
@@ -444,17 +443,3 @@ def _bounds(block: np.ndarray, weights: np.ndarray, m: int, variance: np.ndarray
     margin += 8.0 * n * 2.0**-1074
     return approx, margin
 
-
-def apriori_alpha_polynomial(a: float, c_a: float, b: float, sigma: float) -> float:
-    """Closed-form balance point C_a^{1/(1+a+b)} sigma^{2a/(1+a+b)}.
-
-    Solves alpha * phi(alpha)^2 = sigma^2 S(alpha) for polynomially
-    ill-posed problems with S(alpha) = (alpha/C_a)^{-1/a} and
-    phi(x) = x^{b/(2a)}.
-    """
-    if not a > 1:
-        raise ValueError("a must exceed 1")
-    if not (c_a > 0 and b > 0 and sigma > 0):
-        raise ValueError("c_a, b and sigma must be positive")
-    expo = 1.0 / (1.0 + a + b)
-    return c_a**expo * sigma ** (2.0 * a * expo)

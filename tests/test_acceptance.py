@@ -51,6 +51,58 @@ GOLDEN = {
 }
 
 
+# sha256 of the same tables for the other four families (iterated Tikhonov
+# at m = 2), at the same configs and seed.  They were written by the frozen
+# v0 CLI of perfbench/reference, run with the Landweber patch of
+# test_v0_differential.py (which reproduced GOLDEN for Tikhonov too), not
+# by this package; a change to any of them must be justified in CHANGES.md
+FAMILY_GOLDEN = {
+    ("spectral_cutoff", "hat"): {
+        "risk_table.csv": "b37d7c62097b22e2634f06e91136f57816c80db0310ca7df307cedba02ed9593",
+        "per_rep_errors.csv": "92caf09b9d630c7469daf7cc64b5536f8bd1a277e90e1e18e39a38e785fe69a6",
+    },
+    ("spectral_cutoff", "indicator"): {
+        "risk_table.csv": "5dbf0a990729ecc58a774a16ff9c1fd2a1c2e9df3b0bb362a09a0f22c12825e6",
+        "per_rep_errors.csv": "a2df7bf58f77adddbe0020537fab6673bb2484ba06fec15973915210856251ef",
+    },
+    ("spectral_cutoff", "efficiency"): {
+        "efficiency.csv": "e3fdaabd0da3e7b33f4f77cf90b5d05e7bcbf8eb8687ba92e28d5d70d00a66bd",
+    },
+    ("iterated_tikhonov", "hat"): {
+        "risk_table.csv": "da63f7209450d932657715642ff8022076d958dabb96aee2e6bf0b57b380e945",
+        "per_rep_errors.csv": "9e2898b12eaa8d92f5968dd785fa9419f1e8884a583125802290602bee69ea62",
+    },
+    ("iterated_tikhonov", "indicator"): {
+        "risk_table.csv": "865ca0bc0545ca9c4a4d841af02d973d3916f33202cdb31bee18714f6f4860f6",
+        "per_rep_errors.csv": "4f2c4a0fff7b5415e9633734d9863dafe66898b37b265fae7851e9c432caadbb",
+    },
+    ("iterated_tikhonov", "efficiency"): {
+        "efficiency.csv": "c5df10a02c0270dd8fa356b82e40c1d37bc7467d5087c0028ec3b8f8c0f2d646",
+    },
+    ("landweber", "hat"): {
+        "risk_table.csv": "66a04d5626ddef685a4c2f973a3a43db3a3bda8c3a761f65b9bfe7ea99441f95",
+        "per_rep_errors.csv": "b88f3c00a5f3bfcbe5761470c84eb37ac1fc41faba4dbdd645d5b52529114906",
+    },
+    ("landweber", "indicator"): {
+        "risk_table.csv": "8cd93019b676b186e151fcb08789d7517854fb5d7d93749dd11a02274c43373b",
+        "per_rep_errors.csv": "c12b42a6a448c6e80027d08d34b6cec0b53dfc453e2e3c18b7f0bcbd27ea56ac",
+    },
+    ("landweber", "efficiency"): {
+        "efficiency.csv": "f0bbfcb7d878f13c8425a36ff014d311e826fc7863c66df592d024bba474c31f",
+    },
+    ("showalter", "hat"): {
+        "risk_table.csv": "6dc2469c765855d6f4eeeabcc31a32dcde882246d9e25900088dcfed34ed9998",
+        "per_rep_errors.csv": "7aeafdf3884fb82a66487bf2833c3ac4988651dfa910630335a15ff7ed0989f3",
+    },
+    ("showalter", "indicator"): {
+        "risk_table.csv": "b2bc55e9e517e93818e9535f7f7dca529fb2d1e508b72fdaac95ec624425c897",
+        "per_rep_errors.csv": "eee532cc8966a259869533471579aea9bc784c5dac2e1c02c0fad97709996caa",
+    },
+    ("showalter", "efficiency"): {
+        "efficiency.csv": "0268545601254dfa57c572686e51bdedae902d5c73e7e1ca6f2f0322cce55fa1",
+    },
+}
+
 # sha256 of the tables of a 10240-mode run, wide enough for the math.fsum
 # accumulation of risk._accumulate (n >= 10^4), which at this width also
 # forms each squared error, so the tables do not follow the BLAS thread count
@@ -73,12 +125,22 @@ def verdict(num, ok, detail):
     assert ok, detail
 
 
-def rate_config(truth):
+def rate_config(truth, spec=FilterSpec("tikhonov")):
     return ExperimentConfig(
         problem=GreenDescriptor(truth, n_modes=1024),
-        filter_spec=FilterSpec("tikhonov"),
+        filter_spec=spec,
         sigmas=RATE_SIGMAS,
         replications=200,
+        master_seed=MASTER_SEED,
+    )
+
+
+def efficiency_config(spec=FilterSpec("tikhonov")):
+    return ExperimentConfig(
+        problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
+        filter_spec=spec,
+        sigmas=tuple(10.0**-k for k in range(1, 7)),
+        replications=500,
         master_seed=MASTER_SEED,
     )
 
@@ -95,14 +157,7 @@ def indicator_table():
 
 @pytest.fixture(scope="module")
 def efficiency_table():
-    config = ExperimentConfig(
-        problem=DiagonalDescriptor(n=300, a=4.0, nu=4.0),
-        filter_spec=FilterSpec("tikhonov"),
-        sigmas=tuple(10.0**-k for k in range(1, 7)),
-        replications=500,
-        master_seed=MASTER_SEED,
-    )
-    return run_efficiency_experiment(config)
+    return run_efficiency_experiment(efficiency_config())
 
 
 def emitted_digests(table, out_dir, emitters):
@@ -289,14 +344,26 @@ def test_criterion_10_worker_determinism(hat_table, tmp_path):
     verdict(10, identical, f"risk_table.csv byte-identical across workers 1 and 8: {identical}")
 
 
+def study_emitters(study):
+    if study == "efficiency":
+        return {"efficiency.csv": emit_efficiency_table}
+    return {"risk_table.csv": emit_risk_table, "per_rep_errors.csv": emit_per_rep_errors}
+
+
 @pytest.mark.parametrize("study", ["hat", "indicator", "efficiency"])
 def test_golden_digests(study, request, tmp_path):
-    if study == "efficiency":
-        emitters = {"efficiency.csv": emit_efficiency_table}
-    else:
-        emitters = {"risk_table.csv": emit_risk_table, "per_rep_errors.csv": emit_per_rep_errors}
     table = request.getfixturevalue(f"{study}_table")
-    assert emitted_digests(table, tmp_path, emitters) == GOLDEN[study]
+    assert emitted_digests(table, tmp_path, study_emitters(study)) == GOLDEN[study]
+
+
+@pytest.mark.parametrize("family, study", list(FAMILY_GOLDEN), ids=[f"{f}-{s}" for f, s in FAMILY_GOLDEN])
+def test_golden_digests_of_every_family(family, study, tmp_path):
+    spec = FilterSpec(family, 2 if family == "iterated_tikhonov" else 1)
+    if study == "efficiency":
+        table = run_efficiency_experiment(efficiency_config(spec))
+    else:
+        table = run_rate_experiment(rate_config(GreenTruth(study), spec))
+    assert emitted_digests(table, tmp_path, study_emitters(study)) == FAMILY_GOLDEN[family, study]
 
 
 def test_golden_digests_wide(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import invreg
-from invreg import cli, filters, model, montecarlo, selection, tables
+from invreg import cli, filters, model, montecarlo, problems, selection, tables
 from invreg.selection import GridScorer
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -69,6 +69,8 @@ def test_the_readme_lists_the_public_methods_of_the_scorer():
         (filters, "landweber"),
         (filters, "showalter"),
         (GridScorer, "batch_lepskii_errors"),
+        (problems, "DenseSymmetricMatrix"),
+        (selection, "apriori_alpha_polynomial"),
     ],
 )
 def test_the_single_replication_adapters_are_gone(owner, name):

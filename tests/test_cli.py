@@ -603,11 +603,11 @@ class TestImportCost:
                 kinds = [t.type for t in tokenize.generate_tokens(f.readline)]
             assert sum(kind not in (tokenize.COMMENT, tokenize.NL) for kind in kinds) < 4096, path.name
 
-    def test_src_holds_at_most_1577_code_lines(self):
-        # the code budget: no net growth from 1577 code lines, counted as
+    def test_src_holds_at_most_1513_code_lines(self):
+        # the code budget: no net growth from 1513 code lines, counted as
         # the pytest summary counts them
         total = sum(code_lines(path.read_text()) for path in Path(invreg.__file__).parent.glob("*.py"))
-        assert total <= 1577
+        assert total <= 1513
 
 
 class TestSimulateEfficiency:
@@ -684,6 +684,24 @@ class TestRateTestCommand:
         for key in ("theta_hat", "rho_hat", "statistic", "p_value"):
             assert key in result
         assert 0.0 <= result["p_value"] <= 1.0
+
+    def test_the_report_text_is_pinned(self, tmp_path):
+        # every key, in order, with its value, the indent and the newline
+        csv_path = tmp_path / "errors.csv"
+        csv_path.write_text(PER_REP_HEADER + PER_REP_ROWS)
+        cfg = write_config(tmp_path, {"rate_test": {"errors_csv": str(csv_path), "risk": "lep", "theta_target": 1.0003}})
+        assert main(["rate-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "rate_test.json").read_text() == (
+            "{\n"
+            '  "risk": "lep",\n'
+            '  "theta_hat": 0.9997704391725931,\n'
+            '  "rho_hat": 0.6921396207036654,\n'
+            '  "statistic": -3.0328641508415117,\n'
+            '  "p_value": 0.001211223130135021,\n'
+            '  "theta_target": 1.0003,\n'
+            '  "reject_at_10pct": true\n'
+            "}\n"
+        )
 
     def test_bad_risk_name_exits_2(self, tmp_path):
         rt_cfg = write_config(

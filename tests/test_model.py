@@ -16,7 +16,6 @@ from invreg.model import (
     sample_observations,
     substream_seed,
 )
-from invreg.problems import DenseSymmetricMatrix
 from invreg.risk import empirical_prediction_risk
 from invreg.selection import GridScorer
 
@@ -51,12 +50,11 @@ class TestSpectralProblem:
 
     def test_caller_arrays_stay_writeable(self):
         eig, truth = np.array([1.0, 0.5]), np.array([0.25, 0.0])
-        sym, values = np.eye(2), np.array([0.5, 1.0])
+        values = np.array([0.5, 1.0])
         frozen = [
             (SpectralProblem(eig, truth, 0.1).eigenvalues, eig),
             (SpectralProblem(eig, truth, 0.1).truth_coeffs, truth),
             (GridScorer(eig, 0.1, FilterSpec("tikhonov"), values).grid, values),
-            (DenseSymmetricMatrix(sym).entries, sym),
         ]
         for held, given in frozen:
             assert not held.flags.writeable

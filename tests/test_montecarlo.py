@@ -392,6 +392,25 @@ class TestBatches:
         assert formed[0] == math.ceil(0.6 * len(grid)) and formed[1] == len(grid)
         assert expected[2][6] > formed[0]
 
+    def test_lepskii_forms_its_centre_row_once_however_often_the_rows_grow(self, monkeypatch):
+        # the hat batch at sigma = 2^-15 whose observation scaled down 1000
+        # times picks near the top row: Lepskii's call starts from the 84
+        # rows the picks needed and grows them twice, to 86 and to all 89,
+        # and it forms the centre row once and stages every other row once
+        p = make_green_problem(1024, GreenTruth.HAT, 2.0**-15, frame="discrete")
+        grid = build_grid(p.sigma, math.pi**-4.0, 1.2)
+        values = np.sqrt(p.eigenvalues) * p.truth_coeffs + p.sigma * np.random.default_rng(11).standard_normal((10, 1024))
+        values[6] *= 1e-3
+        scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid, cut=0.6)
+        scorer.batch_picks(np.broadcast_to(p.truth_coeffs, values.shape), values)
+        formed, rows, guess, first = [], scorer._rows, scorer._guess, scorer._first_rows()
+        monkeypatch.setattr(scorer, "_rows", lambda at, out: formed.append(at) or rows(at, out))
+        scorer.batch_lepskii_picks(values)
+        staged = [at.indices(len(grid))[:2] for at in formed if isinstance(at, slice)]
+        assert [at for at in formed if not isinstance(at, slice)] == [[guess]]
+        assert [lo for lo, hi in staged if lo >= first] == [84, 86] and first == 84
+        assert sorted(i for lo, hi in staged for i in range(lo, hi)) == list(range(len(grid)))
+
     def test_the_benchmark_hat_config_reads_a_few_gram_columns_per_pick(self, monkeypatch):
         # a batch reads a window of gram entries near its picks and a
         # column per candidate, never the whole K x K float32 gram: at most

@@ -16,7 +16,6 @@ from invreg.montecarlo import (
     GreenDescriptor,
     RiskRow,
 )
-from invreg.problems import DenseSymmetricMatrix
 from invreg.problems import TestFunction as GreenTruth
 from invreg.ratetest import RateSample, RateTestResult
 from invreg.risk import RiskDecomposition
@@ -58,13 +57,6 @@ CASES = [
             {"truth_coeffs": [1.0]},
             {"sigma": 0.0},
         ),
-    ),
-    Case(
-        DenseSymmetricMatrix,
-        {"entries": [[1.0, 2.0], [2.0, 1.0]]},
-        {},
-        "DenseSymmetricMatrix(entries=array([[1., 2.],\n       [2., 1.]]))",
-        ({"entries": [[1.0, 2.0]]}, {"entries": [[1.0, 2.0], [3.0, 1.0]]}),
     ),
     Case(
         RiskDecomposition,

@@ -25,7 +25,7 @@ from invreg.risk import (
     empirical_prediction_risk,
     lepskii_threshold,
 )
-from invreg.selection import GridScorer, apriori_alpha_polynomial, build_grid
+from invreg.selection import GridScorer, build_grid
 from invreg import lepskii
 from invreg.lepskii import _GRAM_LIMIT, _ROW_LIMIT, _bounds, _rounding
 
@@ -901,25 +901,3 @@ class TestGridScorer:
             with pytest.raises(ValueError):
                 GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid, np.empty(shape))
 
-
-class TestAprioriAlpha:
-    def test_exponent_arithmetic(self):
-        assert apriori_alpha_polynomial(4.0, 1.0, 3.0, 1e-3) == pytest.approx(1e-3, rel=1e-14)
-
-    def test_sigma_one(self):
-        assert apriori_alpha_polynomial(2.0, 5.0, 1.0, 1.0) == pytest.approx(5.0 ** 0.25, rel=1e-14)
-
-    def test_balance_residual(self):
-        # alpha * phi(alpha)^2 = sigma^2 * S(alpha) with S = (alpha/C_a)^{-1/a},
-        # phi(x) = x^{b/(2a)}
-        for a, c_a, b, sigma in [(4.0, 2.0, 3.0, 1e-3), (2.5, 0.7, 1.0, 1e-2)]:
-            alpha = apriori_alpha_polynomial(a, c_a, b, sigma)
-            lhs = alpha * (alpha ** (b / (2 * a))) ** 2
-            rhs = sigma**2 * (alpha / c_a) ** (-1.0 / a)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            apriori_alpha_polynomial(1.0, 1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            apriori_alpha_polynomial(2.0, 1.0, 1.0, -0.1)

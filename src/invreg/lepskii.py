@@ -42,13 +42,13 @@ the lower end exceeds t_j, and is then inadmissible in the float64 test too;
 the last row not certainly beyond is the index if every upper end of its
 row stays at most t_j.  Each bound holds entry by entry, so a certified
 index is the float64 test's whichever entries were formed, by whichever
-product and in whichever order: a window of columns certifies the same
-index as the whole gram would, or none.  ``_scan`` forms one window of
-gram entries near the guess for the whole batch, then one column per
-undecided replication per round, each product for as many replications as
-fit the float32 ``work`` rows.  The tests are divided by 2 (1 -+ kappa) and
-compare g_ij with float64 sums, whose rounding the 2^-48 in A and in the
-thresholds covers.
+product and in whichever order: any set of columns certifies the same
+index as the whole gram would, or none.  ``_scan`` marks rows from the
+free column of the guess, then forms one column per undecided replication
+per round, each product for as many replications as fit the float32
+``work`` rows.  The tests are divided by 2 (1 -+ kappa) and compare g_ij
+with float64 sums, whose rounding the 2^-48 in A and in the thresholds
+covers.
 
 The rows are formed for the first h + 1 grid rows only (``_certify``):
 where row h lies certainly beyond the centre's threshold, with B taken
@@ -65,7 +65,7 @@ import numpy as np
 # the split constant; the bounds that keep every float32 square, product
 # and gram sum finite (|p_i|, |y| < 2^62, so |E| <= 2^63, and
 # |E| |y| sqrt(n) < 2^60); the rounds of single columns a replication may
-# read after the window
+# read
 _KAPPA = 2.0**-20
 _ROW_LIMIT, _GRAM_LIMIT = 2.0**62, 2.0**60
 _ROUNDS = 16
@@ -294,37 +294,24 @@ def _scan(e32: np.ndarray, work: np.ndarray, w: np.ndarray, bounds, guess: int) 
 
     Row ``guess`` is the centre of the rows, E_guess = 0, so its gram
     column is 0 and marks for free the rows above it that lie beyond its
-    threshold.  A window around a centre g then marks row i certainly
-    beyond where one of its gram entries shows it: the rows [g - 8, g + 6)
-    against the columns [g - 8, g + 2], and the rows above them against
-    column g.  Rows more than three above the pick are beyond the pick's
-    threshold and its neighbours', and the few just above it are beyond
-    one a few rows below it, so with g near the pick the last unmarked
-    row, the candidate, is the pick.  A column below the pick leaves those
-    few rows unmarked, so the window is centred 3 below the median
-    candidate of the free column, if that lies above the guess.  Then each
-    round reads one whole column per undecided replication: that of its
-    candidate, or that of the witness of a candidate just found beyond (the
-    threshold it exceeds most), so a candidate far from the window costs
-    rounds, not a second window.  The column of a candidate c is also row c: it shows c
-    beyond some lower threshold, and c is marked, or within them all, and
-    c is decided by the upper-end certificate on the same entries.  A
-    witness's column marks the rows above it that it shows beyond.  A
-    replication still undecided after ``_ROUNDS`` rounds is not certified.
-    The products of a window or a round are formed for as many
-    replications at a time as fit the ``work`` rows; the tests run on
-    (rows, replications) arrays.
+    threshold; the last unmarked row is a replication's first candidate.
+    Then each round reads one whole column per undecided replication:
+    that of its candidate, or that of the witness of a candidate just
+    found beyond (the threshold it exceeds most).  The column of a
+    candidate c is also row c: it shows c beyond some lower threshold,
+    and c is marked, or within them all, and c is decided by the
+    upper-end certificate on the same entries.  A witness's column marks
+    the rows above it that it shows beyond, so a candidate far above the
+    pick costs rounds, not the whole gram.  A replication still undecided
+    after ``_ROUNDS`` rounds is not certified.  The products of a round
+    are formed for as many replications at a time as fit the ``work``
+    rows; the tests run on (rows, replications) arrays.
     """
     low, high, up, top = bounds
-    k, n = e32.shape
+    k = len(e32)
     reps = np.arange(len(w))
     marked = np.zeros((k, len(w)), dtype=bool)
     marked[guess + 1 :] = low[guess + 1 :] > -high[guess]
-    candidate = k - 1 - np.argmin(marked[::-1], axis=0)
-    # the median by sorted(): the first numpy sort of a process raises its
-    # peak memory by 0.4 to 0.6 MB
-    median = sorted(candidate.tolist())[len(w) // 2]
-    _window(e32, work, w, low, high, marked, max(guess, median - 3))
     candidate = k - 1 - np.argmin(marked[::-1], axis=0)
     rows = np.arange(k)[:, None]
     best = np.full(len(w), -1)
@@ -364,26 +351,6 @@ def _scan(e32: np.ndarray, work: np.ndarray, w: np.ndarray, bounds, guess: int) 
         witnessing = rejected
         read = np.where(rejected, witness, candidate)
     return best
-
-
-def _window(e32, work, w, low, high, marked, g: int) -> None:
-    """Mark the rows that the window of ``_scan`` around the centre g shows
-    certainly beyond, for every replication."""
-    k, n = e32.shape
-    lo, hi, end = max(0, g - 8), min(k, g + 3), min(k, g + 6)
-    band = np.empty((end - lo, len(w), hi - lo), dtype=np.float32)
-    above = np.empty((k - end, len(w)), dtype=np.float32)
-    step = k // (hi - lo)
-    for at in range(0, len(w), step):
-        reps = slice(at, at + step)
-        columns = work[: min(step, len(w) - at) * (hi - lo)].reshape(-1, hi - lo, n)
-        np.multiply(e32[lo:hi], w[reps, None], out=columns)
-        band[:, reps] = _gram_columns(e32[lo:end], columns.reshape(-1, n)).reshape(end - lo, -1, hi - lo)
-        above[:, reps] = _gram_columns(e32[end:], columns[:, g - lo])
-    beyond = band - high[lo:hi].T < low[lo:end, :, None]
-    beyond &= (np.arange(lo, end)[:, None] > np.arange(lo, hi))[:, None]
-    marked[lo:end] |= beyond.any(axis=2)
-    marked[end:] |= above - high[g] < low[end:]
 
 
 def _rounding(n: int, e_max: float, centre_y_sq, y_max) -> tuple[float, np.ndarray]:

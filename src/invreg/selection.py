@@ -56,7 +56,9 @@ class GridScorer:
     """Scores every grid point of one noise level under the oracle, pred and
     Lepskii rules.
 
-    The grid is any nonempty 1-d array of alphas.  The scorer keeps
+    The grid is any nonempty, non-decreasing 1-d array of alphas: the cut
+    and Lepskii's less-regularized rows read it in ascending alpha, so any
+    other order is refused at construction.  The scorer keeps
     read-only copies of it and of the eigenvalues and checks its inputs
     once, at construction; later blocks are evaluated unchecked.
     What does not depend on the data is computed once, as K-vectors: the
@@ -117,6 +119,8 @@ class GridScorer:
             raise ValueError("sigma must be positive")
         if grid.ndim != 1 or not grid.size:
             raise ValueError(f"grid must be a nonempty 1-d array of alphas, got shape {grid.shape}")
+        if (grid[1:] < grid[:-1]).any():
+            raise ValueError("grid must be non-decreasing: the cut and Lepskii's rule read its rows in ascending alpha")
         if not 0 < cut <= 1:
             raise ValueError(f"cut must lie in (0, 1], got {cut!r}")
         k, n = grid.size, eig.size

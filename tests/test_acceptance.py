@@ -4,6 +4,7 @@ Each test prints one pass/fail line with the measured values; the printed
 verdict always matches the assertion outcome.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -160,6 +161,24 @@ def efficiency_table():
     return run_efficiency_experiment(efficiency_config())
 
 
+@pytest.fixture(scope="module")
+def family_table(request):
+    """family_table(family, study): a paper study ("hat", "indicator" or
+    "efficiency") of any family, run once per module for its digests and
+    its criteria; Tikhonov's are the tables of criteria 2-5."""
+
+    @functools.cache
+    def table(family, study):
+        if family == "tikhonov":
+            return request.getfixturevalue(f"{study}_table")
+        spec = FilterSpec(family, 2 if family == "iterated_tikhonov" else 1)
+        if study == "efficiency":
+            return run_efficiency_experiment(efficiency_config(spec))
+        return run_rate_experiment(rate_config(GreenTruth(study), spec))
+
+    return table
+
+
 def emitted_digests(table, out_dir, emitters):
     digests = {}
     for name, emit in emitters.items():
@@ -168,9 +187,32 @@ def emitted_digests(table, out_dir, emitters):
     return digests
 
 
-def rate_check(table, theta_target):
-    samples = [RateSample.from_errors(r.sigma, r.per_rep["pred"]) for r in table]
+def rate_check(table, theta_target, rule="pred"):
+    samples = [RateSample.from_errors(r.sigma, r.per_rep[rule]) for r in table]
     return rate_test(samples, theta_target)
+
+
+def oracle_dominance(tables):
+    """Criterion 4's worst ratio R_or / (R_rule (1 + 3 rel SE)) over the
+    rows of the rate tables, for pred and Lepskii."""
+    worst = -math.inf
+    for table in tables:
+        for row in table:
+            worst = max(
+                worst,
+                row.r_or / (row.r_pred * (1 + 3 * row.se_pred / row.r_pred)),
+                row.r_or / (row.r_lep * (1 + 3 * row.se_lep / row.r_lep)),
+            )
+    return worst
+
+
+def efficiency_check(table):
+    """Criterion 5's verdict and detail for an efficiency table."""
+    in_band = all(0.0 < r.eff_pred <= 1.05 and 0.0 < r.eff_lep <= 1.05 for r in table)
+    small = sorted(table, key=lambda r: r.sigma)[:2]
+    pred_vs_lep = all(r.eff_pred >= r.eff_lep - 0.15 for r in small)
+    effs = ", ".join(f"{r.eff_pred:.2f}/{r.eff_lep:.2f}" for r in table)
+    return in_band and pred_vs_lep, f"eff_pred/eff_lep per sigma: {effs}; band (0, 1.05], small-sigma margin 0.15"
 
 
 def test_criterion_1_unbiasedness():
@@ -221,26 +263,50 @@ def test_criterion_3_rate_indicator(indicator_table):
 
 
 def test_criterion_4_oracle_dominance(hat_table, indicator_table):
-    worst = -math.inf
-    for table in (hat_table, indicator_table):
-        for row in table:
-            worst = max(
-                worst,
-                row.r_or / (row.r_pred * (1 + 3 * row.se_pred / row.r_pred)),
-                row.r_or / (row.r_lep * (1 + 3 * row.se_lep / row.r_lep)),
-            )
+    worst = oracle_dominance((hat_table, indicator_table))
     ok = worst <= 1.0
     verdict(4, ok, f"max R_or / (R_rule * (1 + 3 rel SE)) = {worst:.4f} (limit 1)")
 
 
 def test_criterion_5_efficiency(efficiency_table):
-    table = efficiency_table
-    in_band = all(0.0 < r.eff_pred <= 1.05 and 0.0 < r.eff_lep <= 1.05 for r in table)
-    small = sorted(table, key=lambda r: r.sigma)[:2]
-    pred_vs_lep = all(r.eff_pred >= r.eff_lep - 0.15 for r in small)
-    ok = in_band and pred_vs_lep
-    effs = ", ".join(f"{r.eff_pred:.2f}/{r.eff_lep:.2f}" for r in table)
-    verdict(5, ok, f"eff_pred/eff_lep per sigma: {effs}; band (0, 1.05], small-sigma margin 0.15")
+    ok, detail = efficiency_check(efficiency_table)
+    verdict(5, ok, detail)
+
+
+# criteria 2-5 for every ordered filter, on the studies of the goldens
+# (iterated Tikhonov at m = 2), with the same bounds; criteria 2 and 3 gate
+# pred, and the oracle's and Lepskii's fits are reported, not gated
+FAMILIES = [spec.family for spec in ALL_FAMILIES(m=2)]
+RATE_TARGETS = {"hat": (2, 0.75, 0.60, 0.90), "indicator": (3, 1.0 / 3.0, 0.25, 0.45)}
+
+
+@pytest.mark.parametrize("study", list(RATE_TARGETS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_criteria_2_and_3_rates_of_every_family(family, study, family_table):
+    num, target, lo, hi = RATE_TARGETS[study]
+    table = family_table(family, study)
+    result = rate_check(table, target)
+    fits = {rule: rate_check(table, target, rule) for rule in ("or", "lep")}
+    others = "; ".join(f"{rule} theta_hat = {fit.theta_hat:.3f}, p = {fit.p_value:.3f}" for rule, fit in fits.items())
+    ok = result.p_value >= 0.10 and lo <= result.theta_hat <= hi
+    verdict(
+        num,
+        ok,
+        f"{family}, {study} truth: theta_hat = {result.theta_hat:.3f} (window [{lo:.2f}, {hi:.2f}]), "
+        f"p = {result.p_value:.3f} (>= 0.10); not gated: {others}",
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_criterion_4_oracle_dominance_of_every_family(family, family_table):
+    worst = oracle_dominance((family_table(family, "hat"), family_table(family, "indicator")))
+    verdict(4, worst <= 1.0, f"{family}: max R_or / (R_rule * (1 + 3 rel SE)) = {worst:.4f} (limit 1)")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_criterion_5_efficiency_of_every_family(family, family_table):
+    ok, detail = efficiency_check(family_table(family, "efficiency"))
+    verdict(5, ok, f"{family}: {detail}")
 
 
 def test_criterion_6_filter_invariants():
@@ -357,12 +423,8 @@ def test_golden_digests(study, request, tmp_path):
 
 
 @pytest.mark.parametrize("family, study", list(FAMILY_GOLDEN), ids=[f"{f}-{s}" for f, s in FAMILY_GOLDEN])
-def test_golden_digests_of_every_family(family, study, tmp_path):
-    spec = FilterSpec(family, 2 if family == "iterated_tikhonov" else 1)
-    if study == "efficiency":
-        table = run_efficiency_experiment(efficiency_config(spec))
-    else:
-        table = run_rate_experiment(rate_config(GreenTruth(study), spec))
+def test_golden_digests_of_every_family(family, study, family_table, tmp_path):
+    table = family_table(family, study)
     assert emitted_digests(table, tmp_path, study_emitters(study)) == FAMILY_GOLDEN[family, study]
 
 

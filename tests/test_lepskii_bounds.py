@@ -9,7 +9,7 @@ exact values of the floats:
 
 - step 1, per row: ||(c_i - c_m) - E_i y|| <= 1.01 v ||E_i y|| + rho;
 - step 2, per entry: |g_ij - x_ij| <= g32 (x_ii + x_jj) / 2 + U, for every
-  entry of every product form (the S_i pass, a window, a single column);
+  entry of every product form (the S_i pass, many columns, a single column);
 - steps 1 to 3 together, per entry: the float64 test's distance lies in
   (1 -+ kappa -+ A)(S_i + S_j) - 2 (1 -+ kappa) g_ij -+ B.
 
@@ -61,7 +61,7 @@ def audit_rows(p: np.ndarray, m: int, y: np.ndarray):
 
 def gram_forms(e32: np.ndarray, w: np.ndarray):
     """Every float32 gram entry the test may read, once per product form:
-    (i, j, g_ij) from the S_i pass (j = i), from a window of all columns,
+    (i, j, g_ij) from the S_i pass (j = i), from one product of all columns,
     and from one column at a time."""
     k = len(e32)
     s = _gram_columns(np.square(e32), w[None])[:, 0]

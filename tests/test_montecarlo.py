@@ -412,10 +412,10 @@ class TestBatches:
         assert sorted(i for lo, hi in staged for i in range(lo, hi)) == list(range(len(grid)))
 
     def test_the_benchmark_hat_config_reads_a_few_gram_columns_per_pick(self, monkeypatch):
-        # a batch reads a window of gram entries near its picks and a
-        # column per candidate, never the whole K x K float32 gram: at most
-        # 16 columns' worth of entries (16 K) per replication, and no
-        # product as wide as K columns of K rows
+        # a batch reads the S_i pass and a column per candidate or witness,
+        # never the whole K x K float32 gram: at most 2 columns' worth of
+        # entries (2 K) per replication (1.16 K measured), and no product as
+        # wide as K columns of K rows
         replications, entries = [], []
         certify, gram_columns = lepskii._certify, lepskii._gram_columns
 
@@ -441,7 +441,7 @@ class TestBatches:
                 master_seed=20240901,
             )
         )
-        assert len(replications) == 70 and sum(entries) <= 16 * sum(replications)
+        assert len(replications) == 70 and sum(entries) <= 2 * sum(replications)
 
 
 class TestRunRateExperiment:

@@ -543,9 +543,10 @@ class TestGridScorer:
         expected = [exact_lepskii(scorer, y) for y in values]
         assert best.tolist() == expected
         assert errors.tobytes() == estimate_errors(scorer, values, truths, np.column_stack([picks, best])).tobytes()
-        # the guess, set as the scorer's last pick, places the window of gram
-        # entries and centres the rows: it may cost a certificate only where
-        # the whole float32 gram could not give one either
+        # the guess, set as the scorer's last pick, centres the rows and
+        # gives the free column the scan starts from: it may cost a
+        # certificate only where the whole float32 gram could not give one
+        # either
         g = {"0": 0, "K - 1": k - 1, "pick - 10": expected[0] - 10, "pick + 10": expected[0] + 10}.get(guess)
         scorer._guess = int(np.clip(rng.integers(0, k) if g is None else g, 0, k - 1))
         rows = lepskii._float32_rows(scorer._buf, scorer._guess, scorer._rows)
@@ -860,11 +861,23 @@ class TestGridScorer:
         [
             (FilterSpec("landweber"), [1.0 + 1e-15, 0.5], [0.1, 0.2]),
             (FilterSpec("tikhonov"), [0.5, -1e-300], [0.1, 0.2]),
-            (FilterSpec("tikhonov"), [0.5, 0.25], [0.1, 0.0]),
+            (FilterSpec("tikhonov"), [0.5, 0.25], [0.0, 0.1]),
             (FilterSpec("tikhonov"), [0.5, 0.25], [-0.1, 0.2]),
             (FilterSpec("showalter"), [0.5, 0.25], [0.1, math.nan]),
+            # the cut and Lepskii's less-regularized rows read the grid in
+            # ascending alpha, so no other order is accepted
+            (FilterSpec("tikhonov"), [0.5, 0.25], [0.1, 0.3, 0.2]),
+            (FilterSpec("tikhonov"), [0.5, 0.25], [0.3, 0.2, 0.1]),
         ],
-        ids=["landweber-lambda-above-one", "negative-lambda", "zero-alpha", "negative-alpha", "nan-alpha"],
+        ids=[
+            "landweber-lambda-above-one",
+            "negative-lambda",
+            "zero-alpha",
+            "negative-alpha",
+            "nan-alpha",
+            "shuffled-alpha",
+            "descending-alpha",
+        ],
     )
     def test_refuses_bad_inputs_at_construction(self, spec, eigenvalues, alphas):
         with pytest.raises(ValueError):

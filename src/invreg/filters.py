@@ -89,12 +89,13 @@ def ALL_FAMILIES(m: int = 2) -> list[FilterSpec]:
 
 def _check_args(spec: FilterSpec, alpha, lam) -> np.ndarray:
     """Validate a scalar, column or elementwise ``alpha`` (a NaN fails the
-    positivity test) and ``lam``; returns ``lam`` as a float array."""
+    positivity test) and ``lam`` (a NaN or an infinity fails its range
+    test); returns ``lam`` as a float array."""
     if not np.all(alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("lambda must be nonnegative")
+    if not ((lam >= 0).all() and (lam < math.inf).all()):
+        raise ValueError("lambda must be finite and nonnegative")
     if spec.family == "landweber" and np.any(lam > 1):
         raise ValueError("Landweber requires lambda <= 1 (operator norm at most 1)")
     return lam

@@ -54,6 +54,8 @@ The rows are formed for the first h + 1 grid rows only (``_certify``):
 where row h lies certainly beyond the centre's threshold, with B taken
 for rho widened by the monotonicity slack (``_CUT_B``), every row above
 h does too in the float64 test, so no row above h is admissible.
+Row 0 bounds every |p_i| (``_float32_rows``): p >= 0 rises along the grid
+by at most the monotonicity slack, so the rows need no bound of their own.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .filters import _MONOTONE_SLACK
 
 # the split constant; the bounds that keep every float32 square, product
 # and gram sum finite (|p_i|, |y| < 2^62, so |E| <= 2^63, and
@@ -130,34 +134,36 @@ def _float32_rows(buffer, m: int, rows, cut: int | None = None):
 
     E holds the float32 rows fl32(p_i - p_m) in the first half of the
     bytes of the K x n ``buffer``; ``work`` is the second half, as float32
-    rows; p_max bounds |p_i| (NaN if a p_i is, and then E is not used).
-    Row m is evaluated as p_m bit for bit, so E_m = 0.  The margins of the
-    test grow with S_i = ||E_i y||^2, so a centre row m near the picks
-    narrows them where the picks are decided.
+    rows.  p_max bounds |p_i| on every grid row, formed or not (NaN if row
+    0 holds a NaN, and then E is not used): the largest |entry| of row 0,
+    formed with the centre in one call, widened by twice the monotonicity
+    slack, which stays above the slack once the widening is rounded, and
+    by 2^-1074 for underflow.  Row m is evaluated as p_m bit for bit,
+    so E_m = 0.  The margins of the test grow with S_i = ||E_i y||^2, so a
+    centre row m near the picks narrows them where the picks are decided.
     """
     if len(buffer) < 2:
         return False
-    centre = rows([m], np.empty((1, buffer.shape[1])))[0]
-    return (*_stage(buffer, centre, rows, 0, len(buffer) if cut is None else cut), centre)
+    centre, first = rows([m, 0], np.empty((2, buffer.shape[1])))
+    p_max = np.abs(first).max() * (1.0 + 2.0 * _MONOTONE_SLACK) + 2.0**-1074
+    return (*_stage(buffer, centre, rows, 0, len(buffer) if cut is None else cut), p_max, centre)
 
 
 def _stage(buffer, centre, rows, start: int, cut: int):
-    """(E, work, p_max) of ``_float32_rows``, E over the first ``cut`` grid
-    rows, of which the rows from ``start`` on are formed here against the
-    centre row ``centre`` (p_max is theirs).  The p_i are written K // 2
-    rows at a time in the last rows of the buffer, beyond the bytes of E."""
+    """(E, work) of ``_float32_rows``, E over the first ``cut`` grid rows,
+    of which the rows from ``start`` on are formed here against the centre
+    row ``centre``.  The p_i are written K // 2 rows at a time in the last
+    rows of the buffer, beyond the bytes of E."""
     k, n = buffer.shape
     step = k // 2
     flat = buffer.reshape(-1).view(np.float32)
     e32, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
-    top = 0.0
     for lo in range(start, cut, step):
         part = rows(slice(lo, min(lo + step, cut)), buffer[k - step :][: cut - lo])
-        top = np.maximum(top, np.maximum(part.max(), -part.min()))
         # rows out of float32 range are refused through p_max
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(part, centre, out=e32[lo : lo + len(part)], casting="unsafe")
-    return e32[:cut], work, top
+    return e32[:cut], work
 
 
 def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows, cut: int | None = None):
@@ -177,17 +183,17 @@ def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows, cut: int | None 
     and the test on the rows up to h gives the index of the whole grid.
     That is checked from S_h alone (E_guess = 0, so S_guess and g_h,guess
     are 0) before the other entries are formed; where a replication
-    fails it, the rows grow by 2, 4, 8, ... up to K.  If a grown row is
-    larger or NaN, the whole grid is formed instead.  The rows needed are
-    the most, over the replications that fit, up to the first row above
-    the centre that shows the cut.
+    fails it, the rows grow by 2, 4, 8, ... up to K, all within the bound
+    p_max that row 0 gives.  The rows needed are the most, over the
+    replications that fit, up to the first row above the centre that
+    shows the cut.
 
-    Nothing is certified if the grid has one point, if a p_i or the
-    replication's y lies out of range (a NaN fails every test), or at 2^20
-    modes or more, where B's constant no longer holds.  The batch is
-    certified at most n replications at a time, so the (rows,
-    replications) arrays of the test hold no more entries than the K x n
-    buffer.
+    Nothing is certified if the grid has one point, if row 0's bound on
+    the p_i or the replication's y lies out of range (a NaN fails every
+    test), or at 2^20 modes or more, where B's constant no longer holds.
+    The batch is certified at most n replications at a time, so the
+    (rows, replications) arrays of the test hold no more entries than the
+    K x n buffer.
     """
     k = len(buffer)
     # the centre's column shows the rows above it
@@ -214,9 +220,7 @@ def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows, cut: int | None 
             and (_gram_columns(np.square(e32[-1:]), w)[0] * (1.0 - _KAPPA - a) > thresholds_sq[guess] * (1.0 + 2.0**-48) + _CUT_B * b).all()
         ):
             cut, step = min(k, cut + step), 2 * step
-            e32, _, top = _stage(buffer, centre, rows, len(e32), cut)
-            if not top <= p_max:  # a larger or NaN row: start again, over the whole grid
-                return _certify(buffer, thresholds_sq, y, y_max, guess, rows, k)
+            e32, _ = _stage(buffer, centre, rows, len(e32), cut)
         # every S_i of every replication from one product of the data-free squares
         np.square(e32, out=work[:cut])
         bounds = _bounds(_gram_columns(work[:cut], w).astype(float), a, b, thresholds_sq[:cut])

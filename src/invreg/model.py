@@ -43,8 +43,8 @@ class SpectralProblem(Record):
         tru = np.array(self.truth_coeffs, dtype=float)
         if eig.ndim != 1 or eig.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        if np.any(eig <= 0):
-            raise ValueError("eigenvalues must be strictly positive")
+        if not ((eig > 0).all() and (eig < math.inf).all()):
+            raise ValueError("eigenvalues must be finite and strictly positive")
         if np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be non-increasing")
         if tru.shape != eig.shape:

@@ -14,17 +14,17 @@ built from its words, so its stream is that of PCG64(seed).
 
 A noise level's replications are sampled and scored in batches of at most
 ``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300).  The oracle (for a
-fresh truth per replication, or once per noise level for the rate study's
-fixed truth, in its first batch) and the pred rule pick their grid points
-from one (1 - s)^2 block per batch (``GridScorer.batch_picks``), which
-scores exactly only the grid rows near each minimum.  Lepskii's rule then
-picks for the whole batch at once (``GridScorer.batch_lepskii_picks``,
-through ``lepskii.picks``), with the indices of the float64 test.  So the
-tables are the same bytes as with every row scored exactly in float64,
-and none of these picks but a Lepskii fallback's depends on the BLAS
-thread count.  The three picks are stacked into one (R, 3) index, and the
-squared errors are read from the estimate rows at its grid points,
-evaluated once per batch (``GridScorer.batch_errors``).
+fresh truth per replication, or for the rate study's fixed truth once per
+batch) and the pred rule pick their grid points from one (1 - s)^2 block
+per batch (``GridScorer.batch_picks``), which scores exactly only the grid
+rows near each minimum.  Lepskii's rule then picks for the whole batch at
+once (``GridScorer.batch_lepskii_picks``, through ``lepskii.picks``), with
+the indices of the float64 test.  So the tables are the same bytes as with
+every row scored exactly in float64, and none of these picks but a Lepskii
+fallback's depends on the BLAS thread count.  The three picks are stacked
+into one (R, 3) index, and the squared errors are read from the estimate
+rows at its grid points, evaluated once per batch
+(``GridScorer.batch_errors``).
 A scorer forms only the grid rows a pick can lie in and proves that the
 rows above them cannot hold one, from the ordered filters' monotonicity
 (the cut of ``GridScorer``); each noise level starts from the share of
@@ -186,10 +186,6 @@ class EfficiencyRow(Record):
     eff_lep: float
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
-
-
 def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.ndarray | None = None):
     """Yield the (sigma, triples) of each noise level of a run, triples the
     (R, 3) squared errors [err_or, err_pred, err_lep] of its replications.
@@ -200,10 +196,10 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
     (replications, streams, 4) seed words of its replications (``model._cell_words``
     over the noise levels, the replications and, for a fresh truth per
     replication, its truth and noise streams).  Given the fixed ``truth``,
-    a replication has one stream, and the oracle picks once per noise
-    level, from its first batch's block.  A batch makes one scorer call
-    per phase: ``batch_picks``, ``batch_lepskii_picks``, and
-    ``batch_errors`` at the (R, 3) index of the three picks.
+    a replication has one stream, and each batch's oracle picks for that
+    one truth.  A batch makes one scorer call per phase: ``batch_picks``,
+    ``batch_lepskii_picks``, and ``batch_errors`` at the (R, 3) index of
+    the three picks.
     """
     grids = [build_grid(sigma, config.problem.lambda_max, config.grid_ratio) for sigma in config.sigmas]
     # one scratch block for the largest grid serves every noise level
@@ -218,17 +214,13 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
     cut = 0.5
     for sigma, grid in zip(config.sigmas, grids):
         scorer = GridScorer(eigenvalues, sigma, config.filter_spec, grid, buffer, cut)
-        oracle_truths = None if truth is None else truth[None]
         batches = []
         for lo in range(0, config.replications, step):
             count = min(step, config.replications - lo)
             words = np.fromiter(itertools.islice(cells, count * streams), (np.uint64, 4), count * streams)
             truths, values = draw(sigma, words.reshape(count, streams, 4))
-            oracle_idx, pred_idx = scorer.batch_picks(truths if truth is None else oracle_truths, values)
-            if truth is not None:
-                if len(oracle_idx):
-                    fixed_idx, oracle_truths = oracle_idx[0], oracle_truths[:0]
-                oracle_idx = np.full(count, fixed_idx)
+            oracle_idx, pred_idx = scorer.batch_picks(truths if truth is None else truth[None], values)
+            oracle_idx = np.broadcast_to(oracle_idx, count)
             index = np.stack([oracle_idx, pred_idx, scorer.batch_lepskii_picks(values)], axis=1)
             batches.append(scorer.batch_errors(values, truths, index))
         cut = scorer.cut
@@ -251,8 +243,10 @@ def run_rate_experiment(config: ExperimentConfig) -> tuple[RiskRow, ...]:
 
     rows = []
     for sigma, triples in _study(config, problem.eigenvalues, draw, truth):
-        stats = [x for errors in triples.T for x in _mean_se(errors)]
-        rows.append(RiskRow(sigma, *stats, per_rep=dict(zip(("or", "pred", "lep"), triples.T))))
+        # one (3, R) array: each row is summed pairwise, as a column alone is
+        errors = np.ascontiguousarray(triples.T)
+        stats = np.stack([errors.mean(axis=1), errors.std(axis=1, ddof=1) / math.sqrt(len(triples))], axis=1)
+        rows.append(RiskRow(sigma, *stats.ravel().tolist(), per_rep=dict(zip(("or", "pred", "lep"), errors))))
     return tuple(rows)
 
 

@@ -74,10 +74,8 @@ def emit_per_rep_errors(rows: tuple[RiskRow, ...], path) -> None:
         raise ValueError("risk table does not retain per-replication errors")
     lines = []
     for r in rows:
-        for j in range(len(r.per_rep["or"])):
-            lines.append(
-                (r.sigma, str(j), r.per_rep["or"][j], r.per_rep["pred"][j], r.per_rep["lep"][j])
-            )
+        columns = (np.asarray(r.per_rep[key]).tolist() for key in ("or", "pred", "lep"))
+        lines.extend((r.sigma, str(j), *errors) for j, errors in enumerate(zip(*columns)))
     _write(path, PER_REP_HEADER, lines)
 
 

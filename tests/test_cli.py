@@ -532,7 +532,7 @@ def scalar_tables(config, out):
             triples.append(one_replication(problem, config.filter_spec, grid, noise_seed))
         t = np.array(triples)
         if rate:
-            stats = [montecarlo._mean_se(t[:, c]) for c in range(3)]
+            stats = [(float(np.mean(c)), float(np.std(c, ddof=1) / math.sqrt(c.size))) for c in t.T]
             per_rep = {"or": t[:, 0], "pred": t[:, 1], "lep": t[:, 2]}
             rows.append(RiskRow(sigma, *[x for pair in stats for x in pair], per_rep=per_rep))
         else:
@@ -603,11 +603,11 @@ class TestImportCost:
                 kinds = [t.type for t in tokenize.generate_tokens(f.readline)]
             assert sum(kind not in (tokenize.COMMENT, tokenize.NL) for kind in kinds) < 4096, path.name
 
-    def test_src_holds_at_most_1496_code_lines(self):
-        # the code budget: no net growth from 1496 code lines, counted as
+    def test_src_holds_at_most_1487_code_lines(self):
+        # the code budget: no net growth from 1487 code lines, counted as
         # the pytest summary counts them
         total = sum(code_lines(path.read_text()) for path in Path(invreg.__file__).parent.glob("*.py"))
-        assert total <= 1496
+        assert total <= 1487
 
 
 class TestSimulateEfficiency:

@@ -261,12 +261,18 @@ class TestPairValues:
             ([0.5, -1.0], [0.5, 0.5]),
             ([0.5, math.nan], [0.5, 0.5]),
             ([0.5, 0.5], [0.5, -1e-300]),
+            # a NaN or infinite lambda fails the range test, not only a negative one
+            ([0.5, 0.5], [0.5, math.nan]),
+            ([0.5, 0.5], [0.5, math.inf]),
         ],
     )
     def test_rejects_bad_arguments(self, alphas, lams):
         for spec in ALL_FAMILIES(m=3):
             with pytest.raises(ValueError):
                 pair_values(spec, np.array(alphas), np.array(lams), False)
+            for scalar in (filter_value, s_value):
+                with pytest.raises(ValueError):
+                    scalar(spec, alphas[-1], lams[-1])
 
     def test_landweber_lambda_above_one_rejected(self):
         with pytest.raises(ValueError):

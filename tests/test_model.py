@@ -35,6 +35,12 @@ class TestSpectralProblem:
         with pytest.raises(ValueError):
             SpectralProblem([1.0, 0.0], [0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("eigenvalues", [[1.0, math.nan], [math.nan, 1.0], [math.inf, 1.0]])
+    def test_rejects_non_finite_eigenvalues(self, eigenvalues):
+        # a NaN passes both "<= 0" and the order test, and +inf the first
+        with pytest.raises(ValueError, match="finite"):
+            SpectralProblem(eigenvalues, [1.0, 1.0], 0.1)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             SpectralProblem([1.0, 0.5], [0.0], 1.0)

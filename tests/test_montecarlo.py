@@ -396,7 +396,8 @@ class TestBatches:
         # the hat batch at sigma = 2^-15 whose observation scaled down 1000
         # times picks near the top row: Lepskii's call starts from the 84
         # rows the picks needed and grows them twice, to 86 and to all 89,
-        # and it forms the centre row once and stages every other row once
+        # and it forms the centre row and row 0 together, in one call, and
+        # stages every row once
         p = make_green_problem(1024, GreenTruth.HAT, 2.0**-15, frame="discrete")
         grid = build_grid(p.sigma, math.pi**-4.0, 1.2)
         values = np.sqrt(p.eigenvalues) * p.truth_coeffs + p.sigma * np.random.default_rng(11).standard_normal((10, 1024))
@@ -407,7 +408,7 @@ class TestBatches:
         monkeypatch.setattr(scorer, "_rows", lambda at, out: formed.append(at) or rows(at, out))
         scorer.batch_lepskii_picks(values)
         staged = [at.indices(len(grid))[:2] for at in formed if isinstance(at, slice)]
-        assert [at for at in formed if not isinstance(at, slice)] == [[guess]]
+        assert [at for at in formed if not isinstance(at, slice)] == [[guess, 0]]
         assert [lo for lo, hi in staged if lo >= first] == [84, 86] and first == 84
         assert sorted(i for lo, hi in staged for i in range(lo, hi)) == list(range(len(grid)))
 

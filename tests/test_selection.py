@@ -356,6 +356,21 @@ class TestChooseLepskii:
             got = lepskii_pick(p.eigenvalues, p.sigma, spec, grid, obs)
             assert got == naive_lepskii(p.eigenvalues, p.sigma, spec, grid, obs)
 
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(), ids=lambda spec: spec.family)
+    def test_squared_thresholds_are_pythons_square_of_the_threshold_bitwise(self, spec):
+        # the scorer squares each threshold with Python's ** 2, which calls
+        # libm's pow; x * x (np.square) differs from pow(x, 2) in the last
+        # bit for a few x, so every row of the hat and efficiency grids of
+        # the benchmark pins the squaring
+        hat = make_green_problem(1024, GreenTruth.HAT, 2.0**-15, frame="discrete").eigenvalues
+        diagonal = make_diagonal_problem(300, 4.0, 4.0, 0.1, 0).eigenvalues
+        cases = [(hat, math.pi**-4.0, 2.0**-k) for k in range(15, 22)]
+        cases += [(diagonal, 1.0, 10.0**-k) for k in range(1, 7)]
+        for eig, lambda_max, sigma in cases:
+            grid = build_grid(sigma, lambda_max, 1.2)
+            expected = np.array([lepskii_threshold(eig, sigma, spec, alpha) ** 2 for alpha in grid])
+            assert GridScorer(eig, sigma, spec, grid)._thresholds_sq.tobytes() == expected.tobytes(), sigma
+
 
 class TestGridScorer:
     def test_shared_buffer_matches_fresh_scorers(self):
@@ -861,6 +876,8 @@ class TestGridScorer:
         [
             (FilterSpec("landweber"), [1.0 + 1e-15, 0.5], [0.1, 0.2]),
             (FilterSpec("tikhonov"), [0.5, -1e-300], [0.1, 0.2]),
+            (FilterSpec("tikhonov"), [1.0, math.nan], [0.01, 0.1]),
+            (FilterSpec("tikhonov"), [math.inf, 0.5], [0.01, 0.1]),
             (FilterSpec("tikhonov"), [0.5, 0.25], [0.0, 0.1]),
             (FilterSpec("tikhonov"), [0.5, 0.25], [-0.1, 0.2]),
             (FilterSpec("showalter"), [0.5, 0.25], [0.1, math.nan]),
@@ -872,6 +889,8 @@ class TestGridScorer:
         ids=[
             "landweber-lambda-above-one",
             "negative-lambda",
+            "nan-lambda",
+            "inf-lambda",
             "zero-alpha",
             "negative-alpha",
             "nan-alpha",

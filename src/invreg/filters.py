@@ -90,10 +90,12 @@ def ALL_FAMILIES(m: int = 2) -> list[FilterSpec]:
 def _check_args(spec: FilterSpec, alpha, lam) -> np.ndarray:
     """Validate a scalar, column or elementwise ``alpha`` (a NaN fails the
     positivity test) and ``lam`` (a NaN or an infinity fails its range
-    test); returns ``lam`` as a float array."""
+    test); returns ``lam`` as a new float array with -0.0 read as +0.0, at
+    which every family's s is +0.0."""
     if not np.all(alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
-    lam = np.asarray(lam, dtype=float)
+    lam = np.array(lam, dtype=float)
+    lam += 0.0
     if not ((lam >= 0).all() and (lam < math.inf).all()):
         raise ValueError("lambda must be finite and nonnegative")
     if spec.family == "landweber" and np.any(lam > 1):
@@ -149,8 +151,6 @@ def _evaluate(spec: FilterSpec, alpha, lam: np.ndarray, want_s: bool, out: np.nd
             # limit q(0) = m/alpha, next-order term -m(m+1)/2 * lam/alpha^2
             taylor = (spec.m / alpha) * (1.0 - (spec.m + 1) * ratio / 2.0)
             _q_from_s(out, lam, ratio < _TAYLOR_CUT, taylor)
-    if want_s:
-        np.copyto(out, 0.0, where=lam == 0.0)
     return out
 
 
@@ -182,8 +182,9 @@ def filter_value(spec: FilterSpec, alpha: float, lam):
 def s_value(spec: FilterSpec, alpha: float, lam):
     """Evaluate s_alpha(lambda) = lambda * q_alpha(lambda), stably.
 
-    Always satisfies s_alpha(0) = 0 and 0 <= s <= 1 for lambda in the
-    admissible range of the family.
+    Always satisfies 0 <= s <= 1 for lambda in the admissible range of the
+    family, and s_alpha(0) = +0.0 (at lambda = -0.0 too), from each
+    family's closed form.
     """
     return _scalar_or_array(spec, alpha, lam, True)
 

@@ -98,13 +98,13 @@ def picks(buffer, thresholds_sq, values, guess: int, rows, cut: int) -> tuple[np
     rows, in ``out``, so a threshold is read only once its row is formed.
 
     Each index is that of the float64 test of ``_exact_test``: ``_certify``
-    decides the whole batch at once from float32 rows of the first ``cut``
-    grid rows or more, formed once per call and centred at the guess,
-    whatever order that test's syrk sums in.  The replications it cannot
-    certify (all of them, if the rows do not fit float32) then take the
-    float64 test over the whole grid, one at a time, in the buffer, with
-    the K x K arrays of ``_fallback``, allocated at a call's first
-    fallback.
+    decides the whole batch at once, on any grid, one-point grids too,
+    from float32 rows of the first ``cut`` grid rows or more, formed once
+    per call and centred at the guess, whatever order that test's syrk
+    sums in.  The replications it cannot certify (all of them, if the rows
+    do not fit float32) then take the float64 test over the whole grid,
+    one at a time, in the buffer, with the K x K arrays of ``_fallback``,
+    allocated at a call's first fallback.
     """
     # a NaN propagates through max and min and fails every range test
     y_max = np.maximum(values.max(axis=1), -values.min(axis=1))
@@ -130,7 +130,7 @@ def _fallback(k: int):
 
 def _float32_rows(buffer, m: int, rows, cut: int | None = None):
     """(E, work, p_max, p_m) for the certified test over the first ``cut``
-    grid rows (all K by default), or False if the grid has one point.
+    grid rows (all K by default).
 
     E holds the float32 rows fl32(p_i - p_m) in the first half of the
     bytes of the K x n ``buffer``; ``work`` is the second half, as float32
@@ -142,8 +142,6 @@ def _float32_rows(buffer, m: int, rows, cut: int | None = None):
     so E_m = 0.  The margins of the test grow with S_i = ||E_i y||^2, so a
     centre row m near the picks narrows them where the picks are decided.
     """
-    if len(buffer) < 2:
-        return False
     centre, first = rows([m, 0], np.empty((2, buffer.shape[1])))
     p_max = np.abs(first).max() * (1.0 + 2.0 * _MONOTONE_SLACK) + 2.0**-1074
     return (*_stage(buffer, centre, rows, 0, len(buffer) if cut is None else cut), p_max, centre)
@@ -152,10 +150,10 @@ def _float32_rows(buffer, m: int, rows, cut: int | None = None):
 def _stage(buffer, centre, rows, start: int, cut: int):
     """(E, work) of ``_float32_rows``, E over the first ``cut`` grid rows,
     of which the rows from ``start`` on are formed here against the centre
-    row ``centre``.  The p_i are written K // 2 rows at a time in the last
-    rows of the buffer, beyond the bytes of E."""
+    row ``centre``.  The p_i are written K // 2 rows at a time (one, if K
+    = 1) in the last rows of the buffer, beyond the bytes of E."""
     k, n = buffer.shape
-    step = k // 2
+    step = max(1, k // 2)
     flat = buffer.reshape(-1).view(np.float32)
     e32, work = flat[: k * n].reshape(k, n), flat[k * n :].reshape(k, n)
     for lo in range(start, cut, step):
@@ -188,20 +186,18 @@ def _certify(buffer, thresholds_sq, y, y_max, guess: int, rows, cut: int | None 
     replications that fit, up to the first row above the centre that
     shows the cut.
 
-    Nothing is certified if the grid has one point, if row 0's bound on
-    the p_i or the replication's y lies out of range (a NaN fails every
-    test), or at 2^20 modes or more, where B's constant no longer holds.
-    The batch is certified at most n replications at a time, so the
-    (rows, replications) arrays of the test hold no more entries than the
-    K x n buffer.
+    Nothing is certified if row 0's bound on the p_i or the replication's
+    y lies out of range (a NaN fails every test), or at 2^20 modes or
+    more, where B's constant no longer holds.  A one-point grid takes the
+    same path: E_0 = 0, no row lies below row 0, and the certificate
+    holds at index 0.  The batch is certified at most n replications at a
+    time, so the (rows, replications) arrays of the test hold no more
+    entries than the K x n buffer.
     """
     k = len(buffer)
     # the centre's column shows the rows above it
     cut, step, best, need = min(k, max(k if cut is None else cut, guess + 2)), 2, np.full(len(y), -1), 1
-    formed = _float32_rows(buffer, guess, rows, cut)
-    if not formed:
-        return best, k
-    e32, work, p_max, centre = formed
+    e32, work, p_max, centre = _float32_rows(buffer, guess, rows, cut)
     n = e32.shape[1]
     e_max = 2.0 * p_max
     if not (p_max < _ROW_LIMIT and n < 2**20):

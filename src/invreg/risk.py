@@ -26,17 +26,17 @@ __all__ = [
 _COMPENSATED_FROM = 10_000
 
 
-def _accumulate(terms: np.ndarray) -> float:
-    if terms.size >= _COMPENSATED_FROM:
-        return math.fsum(terms)
-    return float(np.sum(terms))
-
-
 def _accumulate_rows(block: np.ndarray) -> np.ndarray:
-    """_accumulate of each row of a C-contiguous block, bit for bit."""
+    """The sum of each row of a C-contiguous block: pairwise, or
+    compensated from ``_COMPENSATED_FROM`` modes on."""
     if block.shape[1] >= _COMPENSATED_FROM:
         return np.array([math.fsum(row.tolist()) for row in block])
     return np.sum(block, axis=1)
+
+
+def _accumulate(terms: np.ndarray) -> float:
+    """The sum of the 1-d ``terms``, as ``_accumulate_rows`` sums a row."""
+    return float(_accumulate_rows(terms.reshape(1, -1))[0])
 
 
 class RiskDecomposition(Record):

@@ -114,7 +114,7 @@ class GridScorer:
         buffer: np.ndarray | None = None,
         cut: float = 1.0,
     ) -> None:
-        eig, grid = np.array(eigenvalues, dtype=float), np.array(grid, dtype=float)
+        eig, grid = np.asarray(eigenvalues, dtype=float), np.array(grid, dtype=float)
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         if grid.ndim != 1 or not grid.size:
@@ -128,7 +128,7 @@ class GridScorer:
             buffer = np.empty((k, n))
         if buffer.shape[0] < k or buffer.shape[1:] != (n,) or not buffer.flags.c_contiguous:
             raise ValueError(f"buffer must be C-contiguous with at least {k} rows of {n} modes")
-        _check_args(spec, grid[:, None], eig)
+        eig = _check_args(spec, grid[:, None], eig)
         eig.setflags(write=False)
         grid.setflags(write=False)
         self.eigenvalues, self.sigma, self.spec, self.grid = eig, sigma, spec, grid
@@ -164,7 +164,8 @@ class GridScorer:
         q2 *= self.eigenvalues
         lq2 = _accumulate_rows(q2)
         self._variance[lo:hi] = self.sigma**2 * lq2
-        self._thresholds_sq[lo:hi] = [(4.0 * self.sigma * math.sqrt(v)) ** 2 for v in lq2]
+        # float_power calls libm's pow per element, as Python's ** 2 does
+        self._thresholds_sq[lo:hi] = np.float_power(4.0 * self.sigma * np.sqrt(lq2), 2.0)
 
     def _form(self, stop: int, scratch: np.ndarray) -> None:
         """Extend the rows with a variance and threshold to [0, stop),

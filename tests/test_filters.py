@@ -114,6 +114,20 @@ class TestSValue:
         for spec in ALL_FAMILIES(m=2):
             assert s_value(spec, 0.7, 0.0) == 0.0
 
+    @pytest.mark.parametrize("lam", [0.0, -0.0])
+    def test_zero_lambda_gives_positive_zero_at_every_alpha(self, lam):
+        # each closed form gives +0.0 at lambda = +0.0 with no fill of its
+        # own, and lambda = -0.0 is read as +0.0 where it is admitted
+        for spec in ALL_FAMILIES(m=2):
+            for alpha in (5e-324, 1e-3, 1.0, 1e300, math.inf):
+                s = s_value(spec, alpha, lam)
+                block = s_value(spec, alpha, np.full(3, lam))
+                assert s == 0.0 and not math.copysign(1.0, s) < 0, (spec, alpha)
+                assert (block == 0.0).all() and not np.signbit(block).any(), (spec, alpha)
+            # a scorer's s-block, as the grid rules read it
+            rows = GridScorer(np.array([0.5, lam]), 0.1, spec, np.array([1e-3, 1.0]))._s_block()
+            assert (rows[:, 1] == 0.0).all() and not np.signbit(rows).any(), spec
+
     def test_iterated_tikhonov_m2(self):
         # 1 - (alpha/(alpha+lambda))^m = 1 - 0.25
         assert s_value(FilterSpec("iterated_tikhonov", 2), 1.0, 1.0) == pytest.approx(0.75, rel=1e-15)

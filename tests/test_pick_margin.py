@@ -17,6 +17,16 @@ subnormal weights for the underflow term; a large offset with small sums
 checks that the margin needs no |offset_i| term: both offsets are at least
 0, so the rounding of adding one is bounded by |a_i| (oracle) or by |a_i|
 and Y (pred).
+
+The cut of ``GridScorer._picks`` leaves out the rows above h where the
+lower end of row h, less its offset and the slack (8 slack + 4 (n + 3)
+u)(|a_h| + sum r^2), lies above the smallest upper end.  Its audit checks
+that every exact score above h then exceeds the exact minimum, from every
+first row count.  Where the offsets dominate (``dominant_offsets``), a cut
+that kept row h's offset would leave out the minimum.  The 4 (n + 3) u
+term cannot be made to fail a case: the lower end already lies half a
+margin, 2.5 (n + 3) u (|a_h| + Y), below the exact score of row h, which
+covers the rounding of the scores above h while they lie near it.
 """
 
 from fractions import Fraction
@@ -24,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from invreg.filters import ALL_FAMILIES, FilterSpec, s_value
+from invreg import selection
+from invreg.filters import _MONOTONE_SLACK, ALL_FAMILIES, FilterSpec, s_value
 from invreg.selection import GridScorer, _bounds
 
 
@@ -74,7 +85,26 @@ def mixed_families(rng):
     return eig, 10.0 ** rng.uniform(-3, 0), spec, 10.0 ** np.linspace(-4, -0.5, 10), rows
 
 
-CASES = [large_sums, large_observations, subnormal_weights, large_offsets, mixed_families]
+def dominant_offsets(rng):
+    # the oracle's variance and pred's offset dominate every score: 45 modes
+    # above every alpha carry no signal, and the three just below them
+    # drop out of the cut-off estimate one grid point at a time.  Each row
+    # dips at the first drop, rises by delta at the second and dips again
+    # at the third, so its first minimum lies above a row that scores above
+    # an earlier one: dropping each mode changes the oracle's score by f^2
+    # - sigma^2 / lambda and pred's by y^2 - 2 sigma^2
+    drops = np.array([0.012, 0.011, 0.010])
+    eig = np.concatenate([np.sort(rng.uniform(0.0125, 0.02, 45))[::-1], drops])
+    sigma = 10.0 ** rng.uniform(-3, 3)
+    delta = rng.uniform(0.01, 0.1, (6, 1)) * sigma**2
+    rows = np.zeros((6, eig.size))
+    rows[:3, -2:-1] = np.sqrt(sigma**2 / drops[1] + delta[:3])
+    rows[3:, -2:-1] = np.sqrt(2.0 * sigma**2 + delta[3:])
+    rows *= rng.choice([-1.0, 1.0], rows.shape)
+    return eig, sigma, FilterSpec("spectral_cutoff"), np.array([0.009, 0.0105, 0.0115, 0.0122, 0.0124]), rows
+
+
+CASES = [large_sums, large_observations, subnormal_weights, large_offsets, mixed_families, dominant_offsets]
 
 
 def audit(case, seed):
@@ -131,3 +161,59 @@ def test_the_margin_without_the_dominant_term_fails_the_case(case, term):
             margin += 0 if term == "underflow" else 8 * n * Fraction(2) ** -1074
             beyond |= abs(a - e) > margin / 2
     assert beyond
+
+
+def exclusions(case, seed, subtract_offset=True):
+    """Per row r and grid point h < K - 1, whether the cut of
+    ``GridScorer._picks`` excludes the rows above h, from the approximate
+    scores and margins of ``audit`` and the offsets (or without them), and
+    whether it may: every exact score above h exceeds the exact minimum."""
+    approx, margin, _, exact, offsets, _ = audit(case, seed)
+    eig, _, _, _, rows = case(np.random.default_rng(seed))
+    weights = np.square(rows).sum(axis=1)
+    slack = 8.0 * _MONOTONE_SLACK + 4.0 * (eig.size + 3) * 2.0**-53
+    out = []
+    for a_row, m_row, e_row, o_row, w in zip(approx, margin, exact, offsets, weights):
+        a, m, o = (np.array([float(x) for x in v]) for v in (a_row, m_row, o_row))
+        lower, least = a - m, np.minimum.accumulate(a + m)
+        above = (np.abs(a) + w) * -slack + lower - (o if subtract_offset else 0.0)
+        out += [(above[h] > least[h], min(e_row[h + 1 :]) > min(e_row[: h + 1])) for h in range(len(a) - 1)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
+def test_the_cut_excludes_only_rows_above_the_exact_minimum(case, seed, monkeypatch):
+    """Every cut the picks make from any first row count leaves out only
+    rows whose exact scores exceed the exact minimum, and the picks are the
+    first minimum of the scores of the whole grid."""
+    eig, sigma, spec, alphas, rows = case(np.random.default_rng(seed))
+    _, _, scores, exact, _, _ = audit(case, seed)
+    scorer = GridScorer(eig, sigma, spec, alphas)
+    # a grid this small is formed whole unless its block outgrows a row block
+    monkeypatch.setattr(selection, "_BLOCK", 0)
+    cuts = 0
+    # the truths and observations together and each alone, so that each
+    # rule's own rows decide a cut
+    for truths, values in ((3, 3), (3, 0), (0, 3)):
+        batch = [*range(truths), *range(3, 3 + values)]
+        for first in range(1, len(alphas)):
+            scorer._needs = [first, first]
+            picks, formed = scorer._picks(0, rows[:truths], rows[3 : 3 + values])
+            assert picks.tolist() == [scores[r].index(min(scores[r])) for r in batch]
+            if formed < len(alphas):
+                cuts += 1
+                assert all(min(exact[r][formed:]) > min(exact[r][:formed]) for r in batch)
+    # the scores of these cases grow fast enough above their minimum
+    assert cuts or case not in (large_sums, large_observations)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
+def test_the_cut_excludes_a_row_only_where_the_exact_scores_allow(case):
+    assert all(allowed for excluded, allowed in exclusions(case, 0) if excluded)
+
+
+def test_the_cut_without_the_offset_subtraction_fails_the_case():
+    """Where the offsets dominate, row h less only its slack may lie above
+    an earlier row's upper end although a later row holds the minimum."""
+    assert any(excluded and not allowed for excluded, allowed in exclusions(dominant_offsets, 0, subtract_offset=False))

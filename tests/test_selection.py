@@ -676,6 +676,16 @@ class TestGridScorer:
         values = np.array([[1.0, 1e-14, 1e-15], [0.5, -2e-15, 0.0]])
         assert scorer.batch_lepskii_picks(values).tolist() == [exact_lepskii(scorer, y) for y in values]
 
+    @pytest.mark.parametrize("spec", ALL_FAMILIES(m=2), ids=lambda spec: spec.family)
+    def test_a_one_point_grid_is_certified_without_the_exact_test(self, spec, monkeypatch):
+        # the one row is its own centre: E_0 = 0, no row lies below row 0,
+        # and the certified test gives index 0 with no K x K arrays
+        p = lepskii_problem(300)
+        values, _ = batch_rows(p, 3)
+        scorer = GridScorer(p.eigenvalues, p.sigma, spec, np.array([0.01]))
+        monkeypatch.setattr(lepskii, "_fallback", lambda k: pytest.fail("fell back"))
+        assert scorer.batch_lepskii_picks(values).tolist() == [0, 0, 0]
+
     @pytest.mark.parametrize("n", [8, 32])
     def test_a_large_batch_at_few_modes_certifies_in_chunks(self, n):
         # a batch at 8 or 32 modes may hold 4096 or 1024 replications; the

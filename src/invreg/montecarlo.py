@@ -13,18 +13,18 @@ time (``model._cell_words``), and each replication's PCG64 generator is
 built from its words, so its stream is that of PCG64(seed).
 
 A noise level's replications are sampled and scored in batches of at most
-``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300).  The oracle (for a
-fresh truth per replication, or for the rate study's fixed truth once per
-batch) and the pred rule pick their grid points from one (1 - s)^2 block
-per batch (``GridScorer.batch_picks``), which scores exactly only the grid
-rows near each minimum.  Lepskii's rule then picks for the whole batch at
-once (``GridScorer.batch_lepskii_picks``, through ``lepskii.picks``), with
-the indices of the float64 test.  So the tables are the same bytes as with
-every row scored exactly in float64, and none of these picks but a Lepskii
-fallback's depends on the BLAS thread count.  The three picks are stacked
-into one (R, 3) index, and the squared errors are read from the estimate
-rows at its grid points, evaluated once per batch
-(``GridScorer.batch_errors``).
+``filters._BLOCK // n`` (32 at 1024 modes, 109 at 300).  The oracle picks
+for each truth a batch draws (the rate study draws its one truth as a
+batch of one), and the pred rule for each observation, from one (1 - s)^2
+block per batch (``GridScorer.batch_picks``), which scores exactly only
+the grid rows near each minimum.  Lepskii's rule then picks for the whole
+batch at once (``GridScorer.batch_lepskii_picks``, through
+``lepskii.picks``), with the indices of the float64 test.  So the tables
+are the same bytes as with every row scored exactly in float64, and none
+of these picks but a Lepskii fallback's depends on the BLAS thread count.
+The three picks are stacked into one (R, 3) index, and the squared errors
+are read from the estimate rows at its grid points, evaluated once per
+batch (``GridScorer.batch_errors``).
 A scorer forms only the grid rows a pick can lie in and proves that the
 rows above them cannot hold one, from the ordered filters' monotonicity
 (the cut of ``GridScorer``); each noise level starts from the share of
@@ -186,18 +186,18 @@ class EfficiencyRow(Record):
     eff_lep: float
 
 
-def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.ndarray | None = None):
+def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, streams: tuple[int, ...] = ()):
     """Yield the (sigma, triples) of each noise level of a run, triples the
     (R, 3) squared errors [err_or, err_pred, err_lep] of its replications.
 
     The one study loop: each noise level scores its replications with one
     scorer, in batches of at most ``filters._BLOCK // n``, and
     ``draw(sigma, words)`` draws a batch's (truths, values) from the
-    (replications, streams, 4) seed words of its replications (``model._cell_words``
-    over the noise levels, the replications and, for a fresh truth per
-    replication, its truth and noise streams).  Given the fixed ``truth``,
-    a replication has one stream, and each batch's oracle picks for that
-    one truth.  A batch makes one scorer call per phase: ``batch_picks``,
+    (replications, prod(streams), 4) seed words of its replications
+    (``model._cell_words`` over the noise levels, the replications and the
+    ``streams`` of each replication).  The truths are one per observation,
+    or one for the whole batch; the oracle picks for each truth drawn.  A
+    batch makes one scorer call per phase: ``batch_picks``,
     ``batch_lepskii_picks``, and ``batch_errors`` at the (R, 3) index of
     the three picks.
     """
@@ -205,9 +205,8 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
     # one scratch block for the largest grid serves every noise level
     buffer = np.empty((max(map(len, grids)), eigenvalues.size))
     step = max(1, _BLOCK // eigenvalues.size)
-    streams = 1 if truth is not None else 2
-    shape = (len(config.sigmas), config.replications) + ((2,) if truth is None else ())
-    cells = _cell_words(config.master_seed, shape)
+    cells = _cell_words(config.master_seed, (len(config.sigmas), config.replications, *streams))
+    width = math.prod(streams)
     # the first noise level's rows start at the middle of its grid, where
     # a new scorer centres Lepskii's rows; each later one starts at the
     # share of the rows that the one before needed
@@ -217,12 +216,12 @@ def _study(config: ExperimentConfig, eigenvalues: np.ndarray, draw, truth: np.nd
         batches = []
         for lo in range(0, config.replications, step):
             count = min(step, config.replications - lo)
-            words = np.fromiter(itertools.islice(cells, count * streams), (np.uint64, 4), count * streams)
-            truths, values = draw(sigma, words.reshape(count, streams, 4))
-            oracle_idx, pred_idx = scorer.batch_picks(truths if truth is None else truth[None], values)
+            words = np.fromiter(itertools.islice(cells, count * width), (np.uint64, 4), count * width)
+            truths, values = draw(sigma, words.reshape(count, width, 4))
+            oracle_idx, pred_idx = scorer.batch_picks(truths, values)
             oracle_idx = np.broadcast_to(oracle_idx, count)
             index = np.stack([oracle_idx, pred_idx, scorer.batch_lepskii_picks(values)], axis=1)
-            batches.append(scorer.batch_errors(values, truths, index))
+            batches.append(scorer.batch_errors(values, np.broadcast_to(truths, values.shape), index))
         cut = scorer.cut
         yield sigma, np.concatenate(batches)
 
@@ -238,11 +237,10 @@ def run_rate_experiment(config: ExperimentConfig) -> tuple[RiskRow, ...]:
     signal = np.sqrt(problem.eigenvalues) * truth
 
     def draw(sigma, words):
-        values = _noisy(signal, sigma, _generators(words[:, 0]), len(words))
-        return np.broadcast_to(truth, values.shape), values
+        return truth[None], _noisy(signal, sigma, _generators(words[:, 0]), len(words))
 
     rows = []
-    for sigma, triples in _study(config, problem.eigenvalues, draw, truth):
+    for sigma, triples in _study(config, problem.eigenvalues, draw):
         # one (3, R) array: each row is summed pairwise, as a column alone is
         errors = np.ascontiguousarray(triples.T)
         stats = np.stack([errors.mean(axis=1), errors.std(axis=1, ddof=1) / math.sqrt(len(triples))], axis=1)
@@ -265,7 +263,7 @@ def run_efficiency_experiment(config: ExperimentConfig) -> tuple[EfficiencyRow, 
         return truths, _noisy(root * truths, sigma, _generators(words[:, 1]), len(words))
 
     rows = []
-    for sigma, triples in _study(config, eigenvalues, draw):
+    for sigma, triples in _study(config, eigenvalues, draw, (2,)):
         # average the per-replication oracle fractions err_or / err_rule:
         # the plain ratio of mean risks is dominated by the rare deep minima
         # of the empirical score (heavy right tail of err_pred) and says

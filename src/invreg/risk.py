@@ -1,8 +1,12 @@
 """Exact risk functionals and the empirical prediction-risk score.
 
-All sums run over the finitely many stored modes in fixed ascending order;
-for 10^4 modes or more a compensated accumulation is used so results are
-deterministic across platforms.
+All sums run over the finitely many stored modes: numpy's pairwise sums,
+or from 10^4 modes on a compensated accumulation (``math.fsum``), which
+rounds the exact sum of its terms once, so the same terms sum to the same
+bits on every platform.  The terms come from numpy's loops, whose ``exp``,
+``expm1``, ``log1p``, ``log`` and ``power`` give other bits on other CPUs,
+so the golden digests hold on the platform they were recorded on: numpy's
+``X86_V4`` (AVX-512) loops and OpenBLAS's SkylakeX kernels.
 """
 
 from __future__ import annotations

@@ -62,11 +62,12 @@ class GridScorer:
     read-only copies of it and of the eigenvalues and checks its inputs
     once, at construction; later blocks are evaluated unchecked.
     What does not depend on the data is computed once, as K-vectors: the
-    oracle's variance term sigma^2 sum lambda q^2, the squared Lepskii
-    thresholds and, from the first s-block a call forms, the pred offset
-    2 sigma^2 sum s.  Each call then fills one K x n scratch buffer in
-    place, so a buffer allocated for the largest grid of a run can serve
-    the scorers of all its noise levels.  The oracle and pred scores take
+    oracle's variance term sigma^2 sum lambda q^2 and the squared Lepskii
+    thresholds.  Pred's offsets 2 sigma^2 sum s are formed with each
+    (1 - s)^2 block, from its s rows, and pred's exact scores take theirs
+    from the s they evaluate.  Each call fills one K x n scratch buffer
+    in place, so a buffer allocated for the largest grid of a run can
+    serve the scorers of all its noise levels.  The oracle and pred scores take
     an (R, n) batch of truths or observations and form their block once
     for the whole batch.  Each of the three rules gives each row a grid
     index, and a study makes one call per phase of a batch:
@@ -99,10 +100,10 @@ class GridScorer:
     the minimum; Lepskii's test, that row h lies certainly beyond the
     centre's threshold (``lepskii._certify``).  Where a replication fails
     that, h + 1 grows by 2, 4, 8, ... rows, up to the whole grid.  The
-    variance, thresholds and pred offsets are formed for the rows as they
-    are formed; ``batch_oracle_scores``, ``batch_pred_scores`` and
-    Lepskii's float64 fallback form the whole grid, so every index is
-    that of the whole grid.
+    variance and thresholds are formed for the rows as they are formed;
+    ``batch_oracle_scores``, ``batch_pred_scores`` and Lepskii's float64
+    fallback form the whole grid, so every index is that of the whole
+    grid.
     """
 
     def __init__(
@@ -136,8 +137,8 @@ class GridScorer:
         self._root = np.sqrt(eig)
         self._guess = k // 2
         self._variance, self._thresholds_sq, self._pred_offset = np.empty(k), np.empty(k), np.empty(k)
-        # rows [0, formed) have their variance and thresholds, [0, offsets) their pred offset
-        self._formed = self._offsets = 0
+        # rows [0, formed) have their variance and thresholds
+        self._formed = 0
         # the rows the picks and Lepskii's rule needed in their last calls
         self._needs = [min(k, math.ceil(cut * k))] * 2
         self._form(self._needs[0], self._buf)
@@ -198,22 +199,15 @@ class GridScorer:
             raise ValueError(f"expected a 2-d array of {self.eigenvalues.size} modes per row")
         return rows
 
-    def _s_block(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def _terms(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Buffer rows [lo, hi) (hi = K by default) filled with s at
-        grid[lo:hi]; the pred offsets 2 sigma^2 sum s of rows not yet
-        offset are taken from them."""
+        grid[lo:hi], which give those rows their pred offsets 2 sigma^2
+        sum s, and then rewritten to the oracle's mode weights (1 - s)^2,
+        from which the picks also take pred's approximate scores."""
         hi = len(self.grid) if hi is None else hi
         self._form(hi, self._buf[self._formed : hi])
         block = self._fill(slice(lo, hi), self._buf[lo:hi], True)
-        if hi > self._offsets:
-            self._pred_offset[lo:hi] = 2.0 * self.sigma**2 * _accumulate_rows(block)
-            self._offsets = hi
-        return block
-
-    def _terms(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Buffer rows [lo, hi) rewritten to the oracle's mode weights
-        (1 - s)^2, from which the picks also take pred's approximate scores."""
-        block = self._s_block(lo, hi)
+        self._pred_offset[lo:hi] = 2.0 * self.sigma**2 * _accumulate_rows(block)
         np.subtract(1.0, block, out=block)
         return np.square(block, out=block)
 
@@ -236,13 +230,15 @@ class GridScorer:
         return scores
 
     def _pred_exact(self, grid_rows, weights: np.ndarray, weight_rows) -> np.ndarray:
-        """``_exact`` of the pred terms s^2 - 2s, with s evaluated again at
-        the alphas of the distinct ``grid_rows`` in the first buffer rows."""
+        """``_exact`` of the pred terms s^2 - 2s and offsets 2 sigma^2 sum s,
+        with s evaluated again at the alphas of the distinct ``grid_rows`` in
+        the first buffer rows."""
         present = np.zeros(len(self._buf), dtype=bool)
         present[grid_rows] = True
         rows, index = np.flatnonzero(present), np.cumsum(present)[grid_rows] - 1
         block = self._fill(rows, self._buf[: len(rows)], True)
-        return self._exact(_pred_terms(block), self._pred_offset[rows], index, weights, weight_rows)
+        offset = 2.0 * self.sigma**2 * _accumulate_rows(block)
+        return self._exact(_pred_terms(block), offset, index, weights, weight_rows)
 
     def _scores(self, block: np.ndarray | None, weights: np.ndarray, m: int, candidates: np.ndarray) -> np.ndarray:
         """Entry (r, i) := the exact score of grid row i for the squared truth
@@ -366,9 +362,6 @@ class GridScorer:
         """Empirical score sum (s^2 - 2s) Y^2 + 2 sigma^2 sum s at every grid
         point (columns) for each observation Y of an (R, n) batch (rows)."""
         values = self._check(values)
-        # only the pred offsets, once per scorer: pred's rows read no (1 - s)^2 block
-        if self._offsets < len(self.grid):
-            self._s_block()
         return self._scores(None, values**2, 0, np.ones((len(values), len(self._buf)), bool))
 
     def batch_lepskii_picks(self, values: np.ndarray) -> np.ndarray:
@@ -415,12 +408,10 @@ class GridScorer:
 
 def _pred_terms(block: np.ndarray) -> np.ndarray:
     """The s-block rewritten in place to s^2 - 2s, one row block at a time,
-    with 2s taken in one row-block scratch array."""
-    blocks = _row_blocks(*block.shape)
-    scratch = np.empty_like(block[blocks[0]])
-    for b in blocks:
-        s, twice = block[b], scratch[: len(block[b])]
-        np.multiply(s, 2.0, out=twice)
+    with 2s taken in one row-block temporary."""
+    for b in _row_blocks(*block.shape):
+        s = block[b]
+        twice = 2.0 * s
         np.square(s, out=s)
         s -= twice
     return block

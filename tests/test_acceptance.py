@@ -36,7 +36,10 @@ MASTER_SEED = 20240901
 RATE_SIGMAS = tuple(2.0**-k for k in range(15, 22))
 
 # sha256 of the tables the CLI writes for these studies at MASTER_SEED; a
-# change to any of them must be justified in CHANGES.md
+# change to any of them must be justified in CHANGES.md.  They hold on the
+# platform they were recorded on, numpy's X86_V4 loops and OpenBLAS's
+# SkylakeX kernels: elsewhere numpy's transcendental loops and BLAS's dot
+# product give other bits (tests/test_v0_differential.py checks both)
 GOLDEN = {
     "hat": {
         "risk_table.csv": "64b31c0e0e20b8fae015afaf16ea8bd17c67c7107c856ea58d52974d50bee58e",
@@ -56,7 +59,9 @@ GOLDEN = {
 # at m = 2), at the same configs and seed.  They were written by the frozen
 # v0 CLI of perfbench/reference, run with the Landweber patch of
 # test_v0_differential.py (which reproduced GOLDEN for Tikhonov too), not
-# by this package; a change to any of them must be justified in CHANGES.md
+# by this package; a change to any of them must be justified in CHANGES.md.
+# Like GOLDEN, they hold on numpy's X86_V4 loops and OpenBLAS's SkylakeX
+# kernels, where they were recorded
 FAMILY_GOLDEN = {
     ("spectral_cutoff", "hat"): {
         "risk_table.csv": "b37d7c62097b22e2634f06e91136f57816c80db0310ca7df307cedba02ed9593",

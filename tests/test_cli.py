@@ -603,11 +603,11 @@ class TestImportCost:
                 kinds = [t.type for t in tokenize.generate_tokens(f.readline)]
             assert sum(kind not in (tokenize.COMMENT, tokenize.NL) for kind in kinds) < 4096, path.name
 
-    def test_src_holds_at_most_1479_code_lines(self):
-        # the code budget: no net growth from 1479 code lines, counted as
+    def test_src_holds_at_most_1469_code_lines(self):
+        # the code budget: no net growth from 1469 code lines, counted as
         # the pytest summary counts them
         total = sum(code_lines(path.read_text()) for path in Path(invreg.__file__).parent.glob("*.py"))
-        assert total <= 1479
+        assert total <= 1469
 
 
 class TestSimulateEfficiency:

@@ -125,7 +125,8 @@ class TestSValue:
                 assert s == 0.0 and not math.copysign(1.0, s) < 0, (spec, alpha)
                 assert (block == 0.0).all() and not np.signbit(block).any(), (spec, alpha)
             # a scorer's s-block, as the grid rules read it
-            rows = GridScorer(np.array([0.5, lam]), 0.1, spec, np.array([1e-3, 1.0]))._s_block()
+            scorer = GridScorer(np.array([0.5, lam]), 0.1, spec, np.array([1e-3, 1.0]))
+            rows = scorer._fill(slice(None), scorer._buf, True)
             assert (rows[:, 1] == 0.0).all() and not np.signbit(rows).any(), spec
 
     def test_iterated_tikhonov_m2(self):

@@ -358,10 +358,11 @@ class TestChooseLepskii:
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES(), ids=lambda spec: spec.family)
     def test_squared_thresholds_are_pythons_square_of_the_threshold_bitwise(self, spec):
-        # the scorer squares each threshold with Python's ** 2, which calls
-        # libm's pow; x * x (np.square) differs from pow(x, 2) in the last
-        # bit for a few x, so every row of the hat and efficiency grids of
-        # the benchmark pins the squaring
+        # the scorer squares each threshold with np.float_power(x, 2.0),
+        # which calls libm's pow per element, as Python's ** 2 does; x * x
+        # (np.square) differs from pow(x, 2) in the last bit for a few x, so
+        # every row of the hat and efficiency grids of the benchmark pins
+        # the squaring
         hat = make_green_problem(1024, GreenTruth.HAT, 2.0**-15, frame="discrete").eigenvalues
         diagonal = make_diagonal_problem(300, 4.0, 4.0, 0.1, 0).eigenvalues
         cases = [(hat, math.pi**-4.0, 2.0**-k) for k in range(15, 22)]
@@ -403,19 +404,37 @@ class TestGridScorer:
             assert scores.tobytes() == np.array(expected).tobytes()
 
     def test_pred_scores_form_no_oracle_block(self, monkeypatch):
-        # pred's rows read s evaluated again, and the (1 - s)^2 block only
-        # the oracle and the picks read; the pred offset is formed once
+        # pred's rows read s evaluated again, offsets included, and the
+        # (1 - s)^2 block only the oracle and the picks read
         p = random_problem(np.random.default_rng(5))
         grid = build_grid(p.sigma, float(p.eigenvalues[0]), 1.25)
         values, _ = batch_rows(p)
         expected = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid).batch_pred_scores(values)
-        formed, s_block = [], GridScorer._s_block
         monkeypatch.setattr(GridScorer, "_terms", lambda self, *args: pytest.fail("a (1 - s)^2 block was formed"))
-        monkeypatch.setattr(GridScorer, "_s_block", lambda self, *args: formed.append(1) or s_block(self, *args))
         scorer = GridScorer(p.eigenvalues, p.sigma, FilterSpec("tikhonov"), grid)
         for _ in range(2):
             assert scorer.batch_pred_scores(values).tobytes() == expected.tobytes()
-        assert len(formed) == 1
+
+    def test_pred_scores_after_picks_that_formed_part_of_the_grid(self):
+        # hat observations at sigma = 2^-15 from 60 % of the grid: the picks
+        # form the pred offsets of those rows only, and pred's scores at
+        # every grid point still equal the scalar score; picks after them
+        # equal a fresh scorer's
+        p = make_green_problem(1024, GreenTruth.HAT, 2.0**-15, frame="discrete")
+        grid = build_grid(p.sigma, math.pi**-4.0, 1.2)
+        values = np.array([sample_observations(p, 100 + r) for r in range(3)])
+        truths = np.broadcast_to(p.truth_coeffs, values.shape)
+        spec = FilterSpec("tikhonov")
+        scorer = GridScorer(p.eigenvalues, p.sigma, spec, grid, cut=0.6)
+        scorer.batch_picks(truths, values)
+        assert scorer._formed < len(grid)
+        scores = scorer.batch_pred_scores(values)
+        for y, row in zip(values, scores):
+            expected = [empirical_prediction_risk(p.eigenvalues, p.sigma, spec, a, y) for a in grid]
+            assert row.tobytes() == np.array(expected).tobytes()
+        picks = scorer.batch_picks(truths, values)
+        expected = GridScorer(p.eigenvalues, p.sigma, spec, grid).batch_picks(truths, values)
+        assert [x.tolist() for x in picks] == [x.tolist() for x in expected]
 
     def test_batch_scores_equal_the_single_replication_scores_bitwise(self):
         for p, spec, grid, _ in realistic_cases():

@@ -8,13 +8,19 @@ apply exactly once; the reference itself is never edited.  Seeded random
 valid configs of every filter family, and fixed configs whose grid points
 are eigenvalues exactly, then run through both ``cli.main`` in-process,
 and every output but ``metadata.json`` must be byte-identical.  Configs
-stay below 10^4 modes, where v0's squared errors are the same bytes.
+stay below 10^4 modes, where v0's squared errors are the same bytes.  The
+comparison runs again in a child process on a second platform: numpy's
+AVX-512 loops and OpenBLAS's SkylakeX kernels turned off, as on a CPU
+without AVX-512, where this package's bytes differ from the goldens' but
+must still equal v0's.
 """
 
 import importlib
 import json
+import os
 import random
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,3 +125,15 @@ def test_outputs_equal_v0_bytewise(command, config, v0_main, tmp_path):
     assert got[0] and list(got[0]) == list(got[1])
     for name in got[0]:
         assert got[0][name] == got[1][name], name
+
+
+def test_outputs_equal_v0_bytewise_without_avx512(tmp_path):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", OPENBLAS_CORETYPE="Haswell")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    test = f"{Path(__file__).resolve()}::{test_outputs_equal_v0_bytewise.__name__}"
+    flags = ["-q", "-W", "error", "-p", "no:cacheprovider", "--basetemp", str(tmp_path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", *flags, test], env=env, timeout=300, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]

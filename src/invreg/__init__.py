@@ -33,10 +33,8 @@ from .montecarlo import (
 from .problems import (
     NumericFailure,
     TestFunction,
-    discretize_integral_operator,
     make_diagonal_problem,
     make_green_problem,
-    symmetric_eigenvalues,
 )
 from .ratetest import (
     DegenerateVarianceError,

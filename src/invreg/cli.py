@@ -153,13 +153,15 @@ def _fields(command: str, cfg: dict) -> dict:
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return cfg
@@ -321,7 +323,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invreg: config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailure, DegenerateVarianceError, SingularDesignError, OSError, np.linalg.LinAlgError) as exc:
+    except (NumericFailure, DegenerateVarianceError, SingularDesignError, OSError) as exc:
         print(f"invreg: {exc}", file=sys.stderr)
         return 3
     _write_metadata(out_dir, args.command, cfg, seed, max(1, args.workers), t0, outputs)

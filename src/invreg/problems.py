@@ -9,12 +9,8 @@ Euclidean frame of the n-point grid used by the rate experiments.  Relative
 to L^2 coefficients against e_k = sqrt(2) sin(k pi x), the analytic forms
 carry a constant magnitude factor (1 / (4 sqrt(2) pi) for the hat,
 1 / (4 pi) for the indicator) and per-mode orientation signs, which is
-immaterial for all risks since only f_k^2 enters.
-
-A composite-midpoint discretization of the integral operator, a
-read-only (n, n) array, and the largest eigenvalues of a symmetric array
-(from LAPACK) are provided solely to cross-validate the analytic spectrum;
-rate experiments synthesize data directly in sequence space.
+immaterial for all risks since only f_k^2 enters.  The experiments
+synthesize data directly in sequence space from this closed-form spectrum.
 """
 
 from __future__ import annotations
@@ -31,14 +27,11 @@ __all__ = [
     "NumericFailure",
     "make_green_problem",
     "make_diagonal_problem",
-    "discretize_integral_operator",
-    "symmetric_eigenvalues",
 ]
 
 
 class NumericFailure(RuntimeError):
-    """A numerical routine failed: an iteration did not converge, or a
-    result is not finite."""
+    """A numerical result is not finite, or a filter invariant is violated."""
 
 
 class TestFunction(enum.Enum):
@@ -140,36 +133,3 @@ def make_diagonal_problem(
     eigenvalues, decay = _diagonal_spectrum(n, a, nu)
     return SpectralProblem(eigenvalues, _diagonal_truths(decay, iter([_generator(seed)]), 1)[0], sigma)
 
-
-def discretize_integral_operator(n: int) -> np.ndarray:
-    """Composite midpoint discretization (1/n) k(x_i, x_j) of the min-kernel:
-    a read-only, exactly symmetric (n, n) array."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    x = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    left = np.outer(x, 1.0 - x)  # x_i (1 - x_j)
-    matrix = np.minimum(left, left.T) / n
-    matrix.setflags(write=False)
-    return matrix
-
-
-def symmetric_eigenvalues(matrix, count: int) -> np.ndarray:
-    """Largest ``count`` eigenvalues, descending, of the square, exactly
-    symmetric array-like ``matrix``, from LAPACK's symmetric eigensolver
-    (``numpy.linalg.eigvalsh``), which leaves ``matrix`` unchanged.
-
-    Raises ValueError for a matrix of another shape or an asymmetric one,
-    and NumericFailure if the solver does not converge.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix must be exactly symmetric")
-    if not 0 <= count <= len(m):
-        raise ValueError(f"count must lie in [0, {len(m)}], the matrix order")
-    try:
-        eig = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    return eig[::-1][:count]

@@ -80,10 +80,14 @@ def emit_per_rep_errors(rows: tuple[RiskRow, ...], path) -> None:
 
 
 def _read(path, header: str) -> list[list[float]]:
-    """The rows below ``header`` as floats; a wrong header, a row with the
-    wrong number of fields or a cell that is not a number raises ValueError."""
+    """The rows below ``header`` as floats; a file the csv module cannot
+    split, a wrong header, a row with the wrong number of fields or a cell
+    that is not a number raises ValueError."""
     text = Path(path).read_text(encoding="ascii")
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # such as a field over its size limit
+        raise ValueError(f"{path}: {exc}") from exc
     if not rows or ",".join(rows[0]) != header:
         raise ValueError(f"expected header {header!r} in {path}")
     width = header.count(",") + 1

@@ -4,6 +4,7 @@ import tokenize
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from invreg.model import sample_observations
@@ -70,6 +71,13 @@ def parser_tokens(text: str) -> int:
     """The tokens of a module that reach CPython's parser: comments and NL tokens do not."""
     tokens = tokenize.generate_tokens(io.StringIO(text).readline)
     return sum(token.type not in (tokenize.COMMENT, tokenize.NL) for token in tokens)
+
+
+def pytest_itemcollected(item):
+    # every warning fails a test of this suite, as under CI's -W error;
+    # pyproject.toml errors only on RuntimeWarning, for perfbench's harness
+    # tests leave a worker's stdout pipe to the collector (a ResourceWarning)
+    item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -71,6 +71,8 @@ def test_the_readme_lists_the_public_methods_of_the_scorer():
         (GridScorer, "batch_lepskii_errors"),
         (problems, "DenseSymmetricMatrix"),
         (selection, "apriori_alpha_polynomial"),
+        (problems, "discretize_integral_operator"),
+        (problems, "symmetric_eigenvalues"),
     ],
 )
 def test_the_single_replication_adapters_are_gone(owner, name):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from invreg.problems import TestFunction as GreenTruth
-from invreg.problems import (
-    NumericFailure,
-    discretize_integral_operator,
-    make_diagonal_problem,
-    make_green_problem,
-    symmetric_eigenvalues,
-)
+from invreg.problems import make_diagonal_problem, make_green_problem
 
 
 def hat(x):
@@ -137,85 +131,3 @@ class TestMakeDiagonalProblem:
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - 1.01) <= 3 * se
 
-
-class TestDiscretizeIntegralOperator:
-    def test_n2_hand_evaluation(self):
-        m = discretize_integral_operator(2)
-        # x = {0.25, 0.75}; entry (1,1) = (1/2) * min(0.25*0.75, 0.25*0.75)
-        assert m[0, 0] == pytest.approx(0.25 * 0.75 / 2.0, rel=1e-15)
-        assert m[0, 0] == pytest.approx(0.09375)
-
-    def test_exact_symmetry(self):
-        for n in (2, 3, 17, 64):
-            m = discretize_integral_operator(n)
-            assert m.shape == (n, n) and m.dtype == float
-            assert np.array_equal(m, m.T)
-
-    def test_read_only(self):
-        m = discretize_integral_operator(4)
-        with pytest.raises(ValueError):
-            m[0, 0] = 1.0
-
-    def test_kernel_values(self):
-        n = 8
-        m = discretize_integral_operator(n)
-        x = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-        for i in range(n):
-            for j in range(n):
-                expected = min(x[i] * (1 - x[j]), x[j] * (1 - x[i])) / n
-                assert m[i, j] == pytest.approx(expected, rel=1e-15)
-
-
-class TestSymmetricEigenvalues:
-    def test_diagonal_input(self):
-        np.testing.assert_allclose(symmetric_eigenvalues(np.diag([3.0, 1.0]), 2), [3.0, 1.0])
-
-    def test_known_2x2(self):
-        m = [[0.0, 1.0], [1.0, 0.0]]  # any array-like
-        np.testing.assert_allclose(symmetric_eigenvalues(m, 2), [1.0, -1.0], atol=1e-12)
-
-    def test_against_numpy_random_symmetric(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(30, 30))
-        m = a + a.T
-        got = symmetric_eigenvalues(m, 30)
-        expected = np.sort(np.linalg.eigvalsh(m))[::-1]
-        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
-
-    def test_green_spectrum_cross_check(self):
-        m = discretize_integral_operator(256)
-        top = symmetric_eigenvalues(m, 10)
-        k = np.arange(1, 11, dtype=float)
-        rel = np.abs(top - 1.0 / (math.pi * k) ** 2) * (math.pi * k) ** 2
-        assert np.all(rel < 0.02)
-
-    def test_count_validation(self):
-        for count in (3, -1):  # a negative count would slice off the smallest eigenvalues
-            with pytest.raises(ValueError, match="count"):
-                symmetric_eigenvalues(np.diag([1.0, 2.0]), count)
-        assert symmetric_eigenvalues(np.diag([1.0, 2.0]), 0).shape == (0,)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]), 2)
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [[1.0, 2.0], [[1.0, 2.0]], np.zeros((2, 2, 2)), 1.0, np.ones((2, 3))],
-        ids=["1-d", "one-row", "3-d", "scalar", "2x3"],
-    )
-    def test_non_square_rejected(self, matrix):
-        with pytest.raises(ValueError, match="square"):
-            symmetric_eigenvalues(matrix, 1)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_eigenvalues(np.diag([1.0, math.nan]), 1)
-
-    def test_callers_array_unchanged(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(6, 6))
-        for m in (a + a.T, np.asfortranarray(a + a.T), discretize_integral_operator(6)):
-            before, writeable = m.tobytes(), m.flags.writeable
-            symmetric_eigenvalues(m, 3)
-            assert m.tobytes() == before and m.flags.writeable == writeable

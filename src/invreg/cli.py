@@ -160,8 +160,8 @@ def _load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer of over 4300 digits
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return cfg

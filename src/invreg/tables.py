@@ -80,13 +80,12 @@ def emit_per_rep_errors(rows: tuple[RiskRow, ...], path) -> None:
 
 
 def _read(path, header: str) -> list[list[float]]:
-    """The rows below ``header`` as floats; a file the csv module cannot
-    split, a wrong header, a row with the wrong number of fields or a cell
-    that is not a number raises ValueError."""
-    text = Path(path).read_text(encoding="ascii")
+    """The rows below ``header`` as floats; a file that is not ASCII or that
+    the csv module cannot split, a wrong header, a row with the wrong number
+    of fields or a cell that is not a number raises ValueError."""
     try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:  # such as a field over its size limit
+        rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="ascii"))))
+    except (UnicodeDecodeError, csv.Error) as exc:  # such as a field over the csv module's size limit
         raise ValueError(f"{path}: {exc}") from exc
     if not rows or ",".join(rows[0]) != header:
         raise ValueError(f"expected header {header!r} in {path}")

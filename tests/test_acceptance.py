@@ -30,7 +30,7 @@ from invreg.risk import direct_risk, empirical_prediction_risk, prediction_risk
 from invreg.selection import GridScorer, build_grid
 from invreg.tables import emit_efficiency_table, emit_per_rep_errors, emit_risk_table
 
-from conftest import record_acceptance
+from conftest import discretize_integral_operator, record_acceptance
 
 MASTER_SEED = 20240901
 RATE_SIGMAS = tuple(2.0**-k for k in range(15, 22))
@@ -322,10 +322,7 @@ def test_criterion_6_filter_invariants():
 
 def test_criterion_7_spectrum_cross_check():
     t0 = time.monotonic()
-    # composite midpoint discretization (1/n) min{x_i (1 - x_j), x_j (1 - x_i)} of the Green kernel
-    x = (np.arange(1, 257) - 0.5) / 256
-    left = np.outer(x, 1.0 - x)
-    top = np.linalg.eigvalsh(np.minimum(left, left.T) / 256)[::-1][:10]
+    top = np.linalg.eigvalsh(discretize_integral_operator(256))[::-1][:10]
     k = np.arange(1, 11, dtype=float)
     rel = np.max(np.abs(top - (math.pi * k) ** -2.0) * (math.pi * k) ** 2)
     elapsed = time.monotonic() - t0

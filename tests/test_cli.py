@@ -150,8 +150,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "raw",
-        [b'{"problem": "\xff\xfe"}', b"[" * 200_000 + b"]" * 200_000],
-        ids=["not-utf-8", "nested-too-deeply"],
+        [
+            b'{"problem": "\xff\xfe"}',
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"replications": ' + b"1" * 4301 + b"}",  # int() converts at most 4300 digits
+            '{"problem": {"kind": "green"}}'.encode("utf-16"),
+        ],
+        ids=["not-utf-8", "nested-too-deeply", "integer-too-long", "utf-16"],
     )
     def test_unreadable_json_exits_2_without_a_traceback(self, raw, tmp_path, capsys):
         path = tmp_path / "raw.json"
@@ -275,6 +280,8 @@ MALFORMED_ERRORS_CSV = {
         "noise level -0.0001",
     ),
     "field-over-csv-limit": (PER_REP_HEADER + "0.01,0," + "1" * 131073 + ",1.0,1.0\n", "field larger than field limit"),
+    "utf-8-bom": ("\ufeff" + PER_REP_HEADER + PER_REP_ROWS, "errors.csv: 'ascii' codec can't decode byte 0xef"),
+    "empty": ("", "expected header"),
 }
 
 # per-replication CSVs of finite nonnegative pred errors, not all zero, that
@@ -458,7 +465,7 @@ class TestMalformedFields:
     def test_rate_test_csv_exits_2_without_a_traceback(self, case, tmp_path, capsys):
         text, fault = MALFORMED_ERRORS_CSV[case]
         csv_path = tmp_path / "errors.csv"
-        csv_path.write_text(text)
+        csv_path.write_text(text, encoding="utf-8")
         cfg = write_config(tmp_path, {"rate_test": {"errors_csv": str(csv_path), "theta_target": 0.75}})
         assert main(["rate-test", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -619,11 +626,11 @@ class TestImportCost:
                 kinds = [t.type for t in tokenize.generate_tokens(f.readline)]
             assert sum(kind not in (tokenize.COMMENT, tokenize.NL) for kind in kinds) < 4096, path.name
 
-    def test_src_holds_at_most_1449_code_lines(self):
-        # the code budget: no net growth from 1449 code lines, counted as
+    def test_src_holds_at_most_1448_code_lines(self):
+        # the code budget: no net growth from 1448 code lines, counted as
         # the pytest summary counts them
         total = sum(code_lines(path.read_text()) for path in Path(invreg.__file__).parent.glob("*.py"))
-        assert total <= 1449
+        assert total <= 1448
 
 
 class TestSimulateEfficiency:
@@ -772,6 +779,17 @@ class TestFiltersCheckCommand:
         assert json.loads((negative / "metadata.json").read_text())["master_seed"] == -3
         report = (negative / "filters_check.json").read_bytes()
         assert report == (wrapped / "filters_check.json").read_bytes()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_an_out_directory_that_cannot_be_made_exits_3(self, under, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"pairs": 50})
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        out = taken / "o" if under else taken
+        assert main(["filters-check", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invreg: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert taken.read_text() == "x"
 
     def test_non_integer_seed_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"pairs": 50, "master_seed": "soon"})

@@ -6,6 +6,8 @@ import pytest
 from invreg.problems import TestFunction as GreenTruth
 from invreg.problems import make_diagonal_problem, make_green_problem
 
+from conftest import discretize_integral_operator
+
 
 def hat(x):
     return np.where(x <= 0.5, x, 1.0 - x)
@@ -96,6 +98,11 @@ class TestMakeGreenProblem:
         with pytest.raises(ValueError):
             make_green_problem(4, GreenTruth.HAT, 0.1, frame="fourier")
 
+    def test_truth_must_be_a_test_function(self):
+        # the closed form is chosen by identity, so the enum's value does not stand in for it
+        with pytest.raises(ValueError, match="unknown test function"):
+            make_green_problem(4, "hat", 0.1)
+
 
 class TestMakeDiagonalProblem:
     def test_eigenvalues(self):
@@ -107,6 +114,11 @@ class TestMakeDiagonalProblem:
         a = make_diagonal_problem(50, 3.0, 2.0, 0.1, seed=7)
         b = make_diagonal_problem(50, 3.0, 2.0, 0.1, seed=7)
         np.testing.assert_array_equal(a.truth_coeffs, b.truth_coeffs)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_invalid_n(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            make_diagonal_problem(n, 4.0, 4.0, 0.1, seed=1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 300, 1023])
     def test_truth_is_drawn_by_integers_then_standard_normal(self, n):
@@ -131,3 +143,26 @@ class TestMakeDiagonalProblem:
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - 1.01) <= 3 * se
 
+
+class TestDiscretizeIntegralOperator:
+    # the matrix whose top eigenvalues acceptance criterion 7 checks against (pi k)^-2
+    def test_n2_hand_evaluation(self):
+        m = discretize_integral_operator(2)
+        # x = {0.25, 0.75}; entry (1,1) = (1/2) * min(0.25*0.75, 0.25*0.75)
+        assert m[0, 0] == pytest.approx(0.25 * 0.75 / 2.0, rel=1e-15)
+        assert m[0, 0] == pytest.approx(0.09375)
+
+    def test_exact_symmetry(self):
+        for n in (2, 3, 17, 64):
+            m = discretize_integral_operator(n)
+            assert m.shape == (n, n) and m.dtype == float
+            assert np.array_equal(m, m.T)
+
+    def test_kernel_values(self):
+        n = 8
+        m = discretize_integral_operator(n)
+        x = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+        for i in range(n):
+            for j in range(n):
+                expected = min(x[i] * (1 - x[j]), x[j] * (1 - x[i])) / n
+                assert m[i, j] == pytest.approx(expected, rel=1e-15)

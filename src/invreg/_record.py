@@ -1,57 +1,37 @@
 """Frozen records: the immutable value types of invreg.
 
 A record type subclasses :class:`Record` and lists its fields as class
-annotations, in order, each with an optional default.  The constructor
-takes the fields positionally or by keyword, fills in the defaults and then
-calls ``__post_init__``, which may validate the values and normalize them
-with ``object.__setattr__``.  A record cannot be changed after that.
-Records compare equal when they are of the same type and their compared
-fields are equal, and hash alike; the repr lists the fields.
+annotations, in order, each with an optional default, its class attribute.
+The constructor takes the fields positionally or by keyword, fills in the
+defaults and then calls ``__post_init__``, which may validate the values
+and normalize them with ``object.__setattr__``.  A record cannot be changed
+after that.  Records compare equal when they are of the same type and their
+fields are equal, and hash alike; the repr lists the fields.  A record that
+holds arrays or a dict neither hashes nor compares with ``==``.
 
 The fields are read from the annotations once, when the class is created;
 every method is a function of this module, shared by all record types, so
-creating a record type generates and compiles no code.  An annotated name
-that the class binds to a property is a computed field: the constructor
-does not take it, and the repr and comparisons read the property.
+creating a record type generates and compiles no code.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record", "Field"]
+__all__ = ["Record"]
 
 _MISSING = object()
-
-
-class Field:
-    """The default of a field made by calling ``default_factory`` for each
-    record; ``compare=False`` leaves the field out of equality and hashing."""
-
-    def __init__(self, *, default_factory, compare: bool = True) -> None:
-        self.default_factory, self.compare = default_factory, compare
 
 
 class Record:
     """Base of the frozen record types; see the module docstring."""
 
-    # field names taken by the constructor, shown in the repr and compared
+    # field names, in order, and the default of each field that has one
     _init: tuple[str, ...] = ()
-    _shown: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
-    # default of each field that has one: a value or a Field
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        names = tuple(cls.__dict__.get("__annotations__", {}))
-        attrs = {name: cls.__dict__.get(name, _MISSING) for name in names}
-        cls._shown = names
-        cls._init = tuple(name for name in names if not isinstance(attrs[name], property))
-        uncompared = {name for name, attr in attrs.items() if isinstance(attr, Field) and not attr.compare}
-        cls._compared = tuple(name for name in names if name not in uncompared)
-        cls._defaults = {name: attrs[name] for name in cls._init if attrs[name] is not _MISSING}
-        for name in cls._init:
-            if isinstance(attrs[name], Field):
-                delattr(cls, name)
+        cls._init = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._init if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -67,13 +47,9 @@ class Record:
             given[name] = value
         # set in field order, as the instances of a type share one key table
         for name in names:
-            value = given.get(name, _MISSING)
+            value = given.get(name, cls._defaults.get(name, _MISSING))
             if value is _MISSING:
-                value = cls._defaults.get(name, _MISSING)
-                if value is _MISSING:
-                    raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
-                if isinstance(value, Field):
-                    value = value.default_factory()
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -86,17 +62,17 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
-    def _compared_values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._init)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._compared_values() == other._compared_values()
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._compared_values())
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._init)
         return f"{type(self).__qualname__}({fields})"

@@ -34,7 +34,7 @@ from .montecarlo import (
     run_efficiency_experiment,
     run_rate_experiment,
 )
-from .problems import NumericFailure, TestFunction
+from .problems import NumericFailure, TestFunction, make_diagonal_problem, make_green_problem
 from .ratetest import DegenerateVarianceError, RateSample, RateTestResult, SingularDesignError, rate_test
 from .selection import GridScorer, build_grid
 from .tables import (
@@ -205,7 +205,7 @@ def _write_metadata(out_dir: Path, command: str, cfg: dict, seed, workers: int, 
         "wall_time_s": round(time.monotonic() - t0, 3),
         "outputs": [str(p) for p in outputs],
     }
-    (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cmd_simulate_rates(fields, output, seed: int) -> list[Path]:
@@ -234,9 +234,9 @@ def _cmd_score_curve(fields, output, seed: int) -> list[Path]:
     _checked(_check_grids, descriptor, fields["sigmas"], ratio)
     grid = build_grid(sigma, descriptor.lambda_max, ratio)
     if isinstance(descriptor, GreenDescriptor):
-        problem = descriptor.build(sigma)
+        problem = make_green_problem(descriptor.n_modes, descriptor.truth, sigma, descriptor.frame)
     else:
-        problem = descriptor.build(sigma, substream_seed(seed, 1))
+        problem = make_diagonal_problem(descriptor.n, descriptor.a, descriptor.nu, sigma, substream_seed(seed, 1))
     obs = sample_observations(problem, substream_seed(seed, 0))
     scores = GridScorer(problem.eigenvalues, sigma, spec, grid).batch_pred_scores(obs[None])[0]
     path = output("score_curve.csv")
@@ -267,10 +267,12 @@ def _rate_samples(path, risk: str) -> list[RateSample]:
 def _cmd_rate_test(fields, output, seed: int) -> list[Path]:
     risk = fields["rate_test.risk"]
     result = rate_test(_rate_samples(fields["rate_test.errors_csv"], risk), fields["rate_test.theta_target"])
-    report = {"risk": risk, **{name: getattr(result, name) for name in RateTestResult._init}}
-    report["reject_at_10pct"] = result.reject_at(0.10)
+    fit = {name: getattr(result, name) for name in RateTestResult._init}
+    if not all(map(math.isfinite, fit.values())):  # JSON has no infinity or NaN
+        raise NumericFailure(f"the rate test is not finite: {fit}")
+    report = {"risk": risk, **fit, "reject_at_10pct": result.reject_at(0.10)}
     path = output("rate_test.json")
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     return [path]
 
 
@@ -278,7 +280,7 @@ def _cmd_filters_check(fields, output, seed: int) -> list[Path]:
     # a pair count over the memory budget is refused before anything is drawn
     report = _checked(run_filter_checks, fields["pairs"], seed)
     path = output("filters_check.json")
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if report["total_violations"]:
         raise NumericFailure(f'{report["total_violations"]} filter invariant violations')
     return [path]

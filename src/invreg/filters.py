@@ -42,16 +42,12 @@ class FilterSpec(Record):
     ``c_prime`` bounds alpha*|q_alpha|, ``c_double_prime`` bounds
     lambda*|q_alpha|, and ``qualification_index`` is the largest Hoelder
     order the family can exploit (math.inf for cut-off, Landweber and
-    Showalter).  The constants are fixed by the family and must not be
-    overridden.
+    Showalter).  The constants are properties fixed by the family and m,
+    so the constructor does not take them and the repr does not list them.
     """
 
     family: str
     m: int = 1
-    # computed fields: the properties below, shown in the repr
-    c_prime: float
-    c_double_prime: float
-    qualification_index: float
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:

@@ -43,12 +43,11 @@ from typing import Union
 
 import numpy as np
 
-from ._record import Field, Record
+from ._record import Record
 from .filters import _BLOCK, FilterSpec
 from .lepskii import _FALLBACK_BYTES
-from .model import SpectralProblem, _cell_words, _generators, _noisy
-from .problems import NumericFailure, TestFunction, _diagonal_spectrum, _diagonal_truths
-from .problems import make_diagonal_problem, make_green_problem
+from .model import _cell_words, _generators, _noisy
+from .problems import NumericFailure, TestFunction, _diagonal_spectrum, _diagonal_truths, make_green_problem
 from .selection import GridScorer, build_grid, grid_size
 
 __all__ = [
@@ -73,9 +72,6 @@ class GreenDescriptor(Record):
     def lambda_max(self) -> float:
         return math.pi**-4.0  # (pi k)^-4 at k = 1
 
-    def build(self, sigma: float) -> SpectralProblem:
-        return make_green_problem(self.n_modes, self.truth, sigma, self.frame)
-
 
 # log of the largest squared norm n max_k k^{-2 nu} a diagonal truth may
 # have: 1e4 below the largest float leaves room for the perturbation of the
@@ -99,9 +95,6 @@ class DiagonalDescriptor(Record):
     @property
     def lambda_max(self) -> float:
         return 1.0  # k^{-2a} at k = 1
-
-    def build(self, sigma: float, seed: int) -> SpectralProblem:
-        return make_diagonal_problem(self.n, self.a, self.nu, sigma, seed)
 
 
 ProblemDescriptor = Union[GreenDescriptor, DiagonalDescriptor]
@@ -177,7 +170,7 @@ class RiskRow(Record):
     se_pred: float
     r_lep: float
     se_lep: float
-    per_rep: dict = Field(default_factory=dict, compare=False)
+    per_rep: dict
 
 
 class EfficiencyRow(Record):
@@ -232,7 +225,7 @@ def run_rate_experiment(config: ExperimentConfig) -> tuple[RiskRow, ...]:
     if not isinstance(config.problem, GreenDescriptor):
         raise ValueError("rate experiments use the green problem descriptor")
     # the problem does not depend on the noise level, so one serves them all
-    problem = config.problem.build(config.sigmas[0])
+    problem = make_green_problem(config.problem.n_modes, config.problem.truth, config.sigmas[0], config.problem.frame)
     truth = problem.truth_coeffs
     signal = np.sqrt(problem.eigenvalues) * truth
 

@@ -59,6 +59,10 @@ def make_green_problem(
       observation is equivalent to the sequence model with the same sigma;
       the rate experiments use it so that their noise levels mean what they
       would in a grid-sampled experiment.
+
+    The default here is ``"analytic"``, while ``GreenDescriptor`` and the
+    CLI config default to ``"discrete"``; a caller that holds a descriptor
+    passes its ``frame``.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import invreg
-from invreg import cli, filters, model, montecarlo, problems, selection, tables
+from invreg import _record, cli, filters, model, montecarlo, problems, selection, tables
 from invreg.selection import GridScorer
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -73,6 +73,9 @@ def test_the_readme_lists_the_public_methods_of_the_scorer():
         (selection, "apriori_alpha_polynomial"),
         (problems, "discretize_integral_operator"),
         (problems, "symmetric_eigenvalues"),
+        (montecarlo.GreenDescriptor, "build"),
+        (montecarlo.DiagonalDescriptor, "build"),
+        (_record, "Field"),
     ],
 )
 def test_the_single_replication_adapters_are_gone(owner, name):

@@ -85,7 +85,8 @@ def rate_loop(config):
     """run_rate_experiment's per_rep arrays as one batch of one per replication."""
     out = []
     for i, (sigma, grid) in enumerate(zip(config.sigmas, config_grids(config))):
-        problem = config.problem.build(sigma)
+        desc = config.problem
+        problem = make_green_problem(desc.n_modes, desc.truth, sigma, desc.frame)
         stream = substream_seed(config.master_seed, i)
         triples = [
             one_replication(problem, config.filter_spec, grid, substream_seed(stream, j))
@@ -103,7 +104,8 @@ def efficiency_loop(config):
         triples = []
         for j in range(config.replications):
             rep_stream = substream_seed(stream, j)
-            problem = config.problem.build(sigma, substream_seed(rep_stream, 0))
+            desc = config.problem
+            problem = make_diagonal_problem(desc.n, desc.a, desc.nu, sigma, substream_seed(rep_stream, 0))
             triples.append(one_replication(problem, config.filter_spec, grid, substream_seed(rep_stream, 1)))
         t = np.array(triples)
         out.append((float(np.mean(t[:, 0] / t[:, 1])), float(np.mean(t[:, 0] / t[:, 2]))))
@@ -534,5 +536,5 @@ class TestGreenDescriptorFrames:
 
     def test_analytic_frame_builds_printed_coefficients(self):
         desc = GreenDescriptor(GreenTruth.HAT, n_modes=8, frame="analytic")
-        p = desc.build(0.1)
+        p = make_green_problem(desc.n_modes, desc.truth, 0.1, desc.frame)
         assert p.truth_coeffs[0] == pytest.approx(-1.0 / (2.0 * math.pi**3), rel=1e-14)

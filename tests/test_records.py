@@ -28,19 +28,18 @@ class Case(NamedTuple):
     text: str  # the repr
     invalid: tuple = ()  # field overrides that __post_init__ refuses
     other: dict | None = None  # overrides giving an unequal record (hashable records)
-    ignored: dict | None = None  # overrides that equality ignores
 
 
 _ROW_TEXT = "RiskRow(sigma=0.1, r_or=1.0, se_or=2.0, r_pred=3.0, se_pred=4.0, r_lep=5.0, se_lep=6.0, per_rep={})"
 _DIAG_TEXT = "DiagonalDescriptor(n=16, a=4.0, nu=4.0)"
-_TIKH_TEXT = "FilterSpec(family='tikhonov', m=1, c_prime=1.0, c_double_prime=1.0, qualification_index=1.0)"
+_TIKH_TEXT = "FilterSpec(family='tikhonov', m=1)"
 
 CASES = [
     Case(
         FilterSpec,
         {"family": "iterated_tikhonov", "m": 3},
         {"m": 1},
-        "FilterSpec(family='iterated_tikhonov', m=3, c_prime=3.0, c_double_prime=1.0, qualification_index=3.0)",
+        "FilterSpec(family='iterated_tikhonov', m=3)",
         ({"family": "gauss"}, {"m": 0}, {"m": 1.5}),
         {"m": 2},
     ),
@@ -120,10 +119,8 @@ CASES = [
     Case(
         RiskRow,
         dict(sigma=0.1, r_or=1.0, se_or=2.0, r_pred=3.0, se_pred=4.0, r_lep=5.0, se_lep=6.0, per_rep={}),
-        {"per_rep": {}},
+        {},
         _ROW_TEXT,
-        other={"r_lep": 7.0},
-        ignored={"per_rep": {"or": (1.0, 2.0)}},
     ),
     Case(
         EfficiencyRow,
@@ -187,8 +184,7 @@ def test_record_semantics(case):
         assert record == pickle.loads(pickle.dumps(record))
         assert record != cls(**{**fields, **case.other})
         assert record != tuple(fields.values())
-    if case.ignored is not None:
-        changed = cls(**{**fields, **case.ignored})
-        assert record == changed and hash(record) == hash(changed)
-        assert repr(changed) != repr(record)
+    else:  # records holding arrays or a dict
+        with pytest.raises(TypeError):
+            hash(record)
 
